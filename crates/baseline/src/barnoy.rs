@@ -17,7 +17,7 @@
 //! serialized — the distributed algorithms trade a constant factor for
 //! polylogarithmic rounds.
 
-use treenet_core::{DualForm, DualState, RaiseRule};
+use treenet_core::{certified_ratio, DualForm, DualState, RaiseRule};
 use treenet_model::{HeightClass, InstanceId, Problem, Solution, SolutionTracker};
 
 /// Result of a Bar-Noy-style sequential run.
@@ -47,16 +47,7 @@ impl BarNoyOutcome {
 
     /// Certified approximation factor.
     pub fn certified_ratio(&self, problem: &Problem) -> f64 {
-        let p = self.profit(problem);
-        if p == 0.0 {
-            if self.opt_upper_bound() == 0.0 {
-                1.0
-            } else {
-                f64::INFINITY
-            }
-        } else {
-            self.opt_upper_bound() / p
-        }
+        certified_ratio(self.opt_upper_bound(), self.profit(problem))
     }
 }
 

@@ -4,7 +4,7 @@
 //! epoch, and early drop-out at `1/(5+ε)` satisfaction — the slackness
 //! the paper's multi-stage refinement improves to `1-ε`.
 
-use treenet_core::{mis_tag, DualForm, DualState, RaiseRule};
+use treenet_core::{certified_ratio, mis_tag, DualForm, DualState, RaiseRule};
 use treenet_decomp::LayeredDecomposition;
 use treenet_mis::luby_mis;
 use treenet_model::conflict::ConflictGraph;
@@ -61,16 +61,7 @@ impl PsOutcome {
 
     /// Certified approximation factor.
     pub fn certified_ratio(&self, problem: &Problem) -> f64 {
-        let p = self.profit(problem);
-        if p == 0.0 {
-            if self.opt_upper_bound() == 0.0 {
-                1.0
-            } else {
-                f64::INFINITY
-            }
-        } else {
-            self.opt_upper_bound() / p
-        }
+        certified_ratio(self.opt_upper_bound(), self.profit(problem))
     }
 }
 

@@ -23,8 +23,8 @@ use treenet_baseline::{
 use treenet_bench::report::f3;
 use treenet_bench::{seeds, Scale, Table};
 use treenet_core::{
-    solve_line_arbitrary, solve_line_unit, solve_sequential_tree, solve_tree_arbitrary,
-    solve_tree_unit, SolverConfig,
+    certified_ratio, solve_line_arbitrary, solve_line_unit, solve_sequential_tree,
+    solve_tree_arbitrary, solve_tree_unit, SolverConfig,
 };
 use treenet_model::workload::{HeightMode, LineWorkload, TreeWorkload};
 use treenet_model::Problem;
@@ -38,16 +38,9 @@ struct Row {
 }
 
 fn vs_opt(problem: &Problem, profit: f64) -> Option<f64> {
-    exact_max_profit(problem, 40_000_000).ok().map(|opt| {
-        let po = opt.profit(problem);
-        if profit > 0.0 {
-            po / profit
-        } else if po == 0.0 {
-            1.0
-        } else {
-            f64::INFINITY
-        }
-    })
+    exact_max_profit(problem, 40_000_000)
+        .ok()
+        .map(|opt| certified_ratio(opt.profit(problem), profit))
 }
 
 /// One seed's worth of measurements, run on a worker thread (the exact

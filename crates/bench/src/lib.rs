@@ -19,8 +19,7 @@
 //! | `exp_f_vs_ps_profit` | realized-profit comparison vs PS on identical inputs |
 //! | `exp_f_narrow_wide` | the (80+ε) combiner; rounds ∝ `1/hmin` (Thm 6.3) |
 //! | `exp_f_mis_rounds` | Luby `Time(MIS) = O(log N)` |
-//! | `exp_f_dist_equiv` | message-passing ≡ logical; `O(M)`-bit messages |
-//! | `exp_f_dist_line_equiv` | message-passing ≡ logical on lines (Thms 7.1/7.2); `O(M)`-bit messages, exact setup/compute/control round relation |
+//! | `exp_f_dist_equiv` | message-passing ≡ logical on trees and lines, unit and arbitrary heights (Thms 5.3/6.3/7.1/7.2); `O(M)`-bit messages, exact setup/compute/control round relation |
 //! | `exp_f_dist_budget` | round/message budgets of the in-network runners; CI regression gate vs `BENCH_dist_rounds.json` |
 //! | `exp_f_seq_ratio` | sequential 3- and 2-approximations (Appendix A) |
 //! | `exp_perf_phase1` | incremental phase-1 engine vs from-scratch reference; writes `BENCH_phase1.json` |

@@ -16,6 +16,20 @@ use crate::framework::Outcome;
 use std::fmt;
 use treenet_model::{InstanceId, Problem};
 
+/// The certified approximation ratio `opt_upper_bound / profit` of a
+/// schedule with total `profit`, given a proven upper bound on `p(OPT)`.
+/// An empty schedule (`profit = 0`; profits are positive otherwise)
+/// certifies `1` when the bound is `0` as well and `∞` when it is not.
+pub fn certified_ratio(opt_upper_bound: f64, profit: f64) -> f64 {
+    if profit > 0.0 {
+        opt_upper_bound / profit
+    } else if opt_upper_bound == 0.0 {
+        1.0
+    } else {
+        f64::INFINITY
+    }
+}
+
 /// An audited a-posteriori guarantee for one scheduler run.
 #[derive(Clone, Debug)]
 pub struct Certificate {
@@ -66,13 +80,7 @@ impl Certificate {
             .min_satisfaction(problem, participants)
             .clamp(f64::MIN_POSITIVE, 1.0);
         let opt_upper_bound = dual_value / lambda;
-        let certified_ratio = if profit > 0.0 {
-            opt_upper_bound / profit
-        } else if opt_upper_bound == 0.0 {
-            1.0
-        } else {
-            f64::INFINITY
-        };
+        let certified_ratio = certified_ratio(opt_upper_bound, profit);
         let accounting_holds = dual_value <= cap * profit + 1e-6 * (1.0 + dual_value.abs());
         Certificate {
             profit,

@@ -66,13 +66,10 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
 use crate::framework::{
-    run_two_phase, run_two_phase_reference, FrameworkConfig, FrameworkError, Outcome, RaiseRule,
+    run_two_phase, run_two_phase_reference, FrameworkConfig, FrameworkError, RaiseRule,
 };
 use crate::solvers::{combine_by_network, narrow_xi, unit_xi, SolverConfig};
-use treenet_decomp::{
-    line_instance_layer, line_lmin, tree_instance_layer, LayeredDecomposition, Strategy,
-    TreeDecomposition,
-};
+use treenet_decomp::{LayeredDecomposition, Layering, Strategy};
 use treenet_graph::UnionFind;
 use treenet_model::{
     DeltaEffect, Demand, DemandKind, HeightClass, InstanceId, ModelError, Problem, ProblemDelta,
@@ -171,21 +168,6 @@ impl From<ModelError> for DeltaEngineError {
     fn from(e: ModelError) -> Self {
         DeltaEngineError::Model(e)
     }
-}
-
-/// The family-specific layering state.
-#[derive(Clone, Debug)]
-enum FamilyState {
-    /// The per-network ideal tree decompositions, retained so arriving
-    /// instances get layered against the *same* decomposition as the
-    /// initial batch (networks are fixed at construction).
-    Tree {
-        decompositions: Vec<TreeDecomposition>,
-        depths: Vec<u32>,
-    },
-    /// Line networks: the public minimum length the length classes are
-    /// keyed on, fixed at construction.
-    Line { lmin: f64 },
 }
 
 /// The raising mode, decided at construction from [`SolverConfig::hmin`].
@@ -291,7 +273,9 @@ pub struct ReferenceSolve {
 pub struct DeltaEngine {
     problem: Problem,
     layers: LayeredDecomposition,
-    family: FamilyState,
+    /// Fixed at construction, so arrivals are layered against the same
+    /// decompositions (or the same `Lmin`) as the initial batch.
+    layering: Layering,
     mode: Mode,
     /// The unit/wide-class framework configuration (the narrow-class one
     /// lives in [`Mode::Capacitated`]).
@@ -376,31 +360,12 @@ impl DeltaEngine {
                 }
             }
         };
-        let (family, layers) = if line_family {
-            (
-                FamilyState::Line {
-                    lmin: line_lmin(&problem),
-                },
-                LayeredDecomposition::for_lines(&problem),
-            )
+        let layering = if line_family {
+            Layering::for_lines(&problem)
         } else {
-            let decompositions: Vec<TreeDecomposition> = problem
-                .networks()
-                .map(|t| Strategy::Ideal.build(problem.network(t)))
-                .collect();
-            let depths: Vec<u32> = decompositions
-                .iter()
-                .map(TreeDecomposition::depth)
-                .collect();
-            let layers = LayeredDecomposition::from_decompositions(&problem, &decompositions);
-            (
-                FamilyState::Tree {
-                    decompositions,
-                    depths,
-                },
-                layers,
-            )
+            Layering::for_trees(&problem, Strategy::Ideal)
         };
+        let layers = LayeredDecomposition::new(&problem, &layering);
 
         let mut comps = UnionFind::new(problem.demand_count());
         // Demands conflict iff some pair of their instances shares an
@@ -427,7 +392,7 @@ impl DeltaEngine {
         Ok(DeltaEngine {
             problem,
             layers,
-            family,
+            layering,
             mode,
             config: framework_config,
             comps,
@@ -459,9 +424,9 @@ impl DeltaEngine {
 
     /// Which layered decomposition family the engine runs on.
     pub fn family(&self) -> EngineFamily {
-        match self.family {
-            FamilyState::Tree { .. } => EngineFamily::Tree,
-            FamilyState::Line { .. } => EngineFamily::Line,
+        match self.layering.lmin() {
+            None => EngineFamily::Tree,
+            Some(_) => EngineFamily::Line,
         }
     }
 
@@ -469,10 +434,7 @@ impl DeltaEngine {
     /// layering is keyed on (`None` for the tree family). Fixed at
     /// construction; arrivals shorter than this are rejected.
     pub fn lmin(&self) -> Option<f64> {
-        match self.family {
-            FamilyState::Tree { .. } => None,
-            FamilyState::Line { lmin } => Some(lmin),
-        }
+        self.layering.lmin()
     }
 
     /// The a-priori narrow height floor (`None` in unit mode).
@@ -514,7 +476,7 @@ impl DeltaEngine {
                 }
             }
         }
-        if let FamilyState::Line { lmin } = self.family {
+        if let Some(lmin) = self.layering.lmin() {
             // The instance length is known before materialization: a pair
             // on a canonical line spans |u - v| slots, a window instance
             // always spans its processing time. Degenerate (zero-length)
@@ -562,21 +524,11 @@ impl DeltaEngine {
             // of the grown problem would.
             for &d in &effect.new_instances {
                 let inst = self.problem.instance(d);
-                let (g, pi) = match &self.family {
-                    FamilyState::Tree {
-                        decompositions,
-                        depths,
-                    } => {
-                        let q = inst.network.index();
-                        tree_instance_layer(
-                            &decompositions[q],
-                            self.problem.rooted(inst.network),
-                            depths[q],
-                            &inst.path,
-                        )
-                    }
-                    FamilyState::Line { lmin } => line_instance_layer(*lmin, inst.path.edges()),
-                };
+                let (g, pi) = self.layering.layer(
+                    self.problem.rooted(inst.network),
+                    inst.network,
+                    &inst.path,
+                );
                 self.layers.push_instance(g, pi);
             }
 
@@ -780,34 +732,6 @@ impl DeltaEngine {
                 })
             }
         }
-    }
-
-    /// The unit-mode from-scratch oracle, exposing the full framework
-    /// [`Outcome`] (duals, stats, stack). Prefer
-    /// [`DeltaEngine::reference_solve`], which also serves capacitated
-    /// mode.
-    ///
-    /// # Errors
-    ///
-    /// [`FrameworkError::BadParameters`] in capacitated mode (a single
-    /// `Outcome` cannot represent the wide/narrow pair), else propagates
-    /// [`FrameworkError`] from the run.
-    pub fn resolve_reference(&self) -> Result<Outcome, FrameworkError> {
-        if let Mode::Capacitated { .. } = self.mode {
-            return Err(FrameworkError::BadParameters {
-                reason: "capacitated mode has no single reference Outcome; \
-                         use reference_solve"
-                    .into(),
-            });
-        }
-        let live = self.problem.live_instances();
-        run_two_phase_reference(
-            &self.problem,
-            &self.layers,
-            RaiseRule::Unit,
-            &self.config,
-            &live,
-        )
     }
 }
 
@@ -1047,17 +971,6 @@ mod tests {
     }
 
     #[test]
-    fn capacitated_mode_has_no_single_reference_outcome() {
-        let p = capacitated_problem(0);
-        let e = DeltaEngine::new(p, &SolverConfig::default().with_hmin(0.2)).unwrap();
-        assert!(matches!(
-            e.resolve_reference(),
-            Err(FrameworkError::BadParameters { .. })
-        ));
-        assert!(e.reference_solve().is_ok());
-    }
-
-    #[test]
     fn line_family_layers_by_length_class() {
         let p = LineWorkload::new(40, 20)
             .with_resources(2)
@@ -1079,6 +992,64 @@ mod tests {
         .unwrap();
         e.resolve().unwrap();
         assert_matches_reference(&e);
+    }
+
+    #[test]
+    fn pushed_layers_equal_a_batch_layering_of_the_grown_problem() {
+        use rand::Rng;
+        // Arrivals are layered one instance at a time. After a seeded
+        // arrival/departure script the pushed layers must equal a
+        // from-scratch layering of the grown problem under the engine's
+        // own Layering — the reference oracles reuse the engine's layers,
+        // so only this comparison sees a drift between the two paths.
+        let tree = seed_problem(11);
+        let line = LineWorkload::new(40, 20)
+            .with_resources(2)
+            .with_window_slack(2)
+            .with_len_range(2, 10)
+            .generate(&mut SmallRng::seed_from_u64(11));
+        for (problem, family) in [(tree, EngineFamily::Tree), (line, EngineFamily::Line)] {
+            let mut e = DeltaEngine::new(problem, &SolverConfig::default()).unwrap();
+            assert_eq!(e.family(), family);
+            let mut rng = SmallRng::seed_from_u64(0x1a7e);
+            let vertices = e.problem().network(NetworkId(0)).len() as u32;
+            let mut arrived = 0;
+            for step in 0..40 {
+                let delta = if step % 4 == 3 {
+                    let a = rng.gen_range(0..e.problem().demand_count() as u32);
+                    ProblemDelta::Departure {
+                        demand: DemandId(a),
+                    }
+                } else {
+                    let u = rng.gen_range(0..vertices - 1);
+                    let v = rng.gen_range(u + 1..vertices);
+                    let demand = match family {
+                        EngineFamily::Tree => Demand::pair(VertexId(u), VertexId(v), 1.5),
+                        EngineFamily::Line => Demand::window(u, v - 1, (v - u).min(3), 1.5),
+                    };
+                    let access = e.problem().networks().collect();
+                    ProblemDelta::Arrival { demand, access }
+                };
+                let is_arrival = matches!(delta, ProblemDelta::Arrival { .. });
+                // Repeat departures and too-short arrivals are refused
+                // in-band and leave the engine unchanged.
+                if e.apply(delta).is_ok() && is_arrival {
+                    arrived += 1;
+                }
+            }
+            assert!(
+                arrived >= 10,
+                "{family:?}: only {arrived} arrivals admitted"
+            );
+            let batch = LayeredDecomposition::new(e.problem(), &e.layering);
+            assert_eq!(e.layers.len(), batch.len());
+            for inst in e.problem().instances() {
+                assert_eq!(e.layers.group_of(inst.id), batch.group_of(inst.id));
+                assert_eq!(e.layers.critical_of(inst.id), batch.critical_of(inst.id));
+            }
+            assert_eq!(e.layers.num_groups(), batch.num_groups());
+            assert_eq!(e.layers.delta(), batch.delta());
+        }
     }
 
     #[test]

@@ -51,6 +51,7 @@
 //! path, and communication rounds are accounted through the shared
 //! [`step_comm_rounds`] formula also used by `treenet-dist`.
 
+use crate::certificate::certified_ratio;
 use crate::dual::{DualForm, DualState};
 use std::fmt;
 use treenet_decomp::LayeredDecomposition;
@@ -257,16 +258,7 @@ impl Outcome {
     /// Certified approximation factor `opt_upper_bound / p(S)` (∞ for an
     /// empty solution with positive dual value).
     pub fn certified_ratio(&self, problem: &Problem) -> f64 {
-        let p = self.profit(problem);
-        if p == 0.0 {
-            if self.opt_upper_bound() == 0.0 {
-                1.0
-            } else {
-                f64::INFINITY
-            }
-        } else {
-            self.opt_upper_bound() / p
-        }
+        certified_ratio(self.opt_upper_bound(), self.profit(problem))
     }
 }
 

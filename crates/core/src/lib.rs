@@ -47,7 +47,7 @@ mod framework;
 mod sequential;
 mod solvers;
 
-pub use certificate::Certificate;
+pub use certificate::{certified_ratio, Certificate};
 pub use delta::{
     DeltaEngine, DeltaEngineError, DeltaEngineStats, EngineFamily, ReferenceSolve, ResolveOutcome,
     IDEAL_DELTA_BOUND, LINE_DELTA_BOUND,

@@ -8,6 +8,7 @@
 //! edges `π(d)` = the wings of `µ(d)` (Observation A.1 then yields the
 //! interference property with `Δ = 2`).
 
+use crate::certificate::certified_ratio;
 use crate::dual::{DualForm, DualState};
 use treenet_decomp::{capture_node, root_fixing};
 use treenet_graph::{EdgeId, VertexId};
@@ -40,16 +41,7 @@ impl SequentialOutcome {
 
     /// Certified approximation factor.
     pub fn certified_ratio(&self, problem: &Problem) -> f64 {
-        let p = self.profit(problem);
-        if p == 0.0 {
-            if self.opt_upper_bound() == 0.0 {
-                1.0
-            } else {
-                f64::INFINITY
-            }
-        } else {
-            self.opt_upper_bound() / p
-        }
+        certified_ratio(self.opt_upper_bound(), self.profit(problem))
     }
 }
 

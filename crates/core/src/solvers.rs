@@ -14,6 +14,7 @@
 //! "suitable constant" of Section 6.1; see `narrow_xi` for the
 //! derivation).
 
+use crate::certificate::certified_ratio;
 use crate::framework::{run_two_phase, FrameworkConfig, FrameworkError, Outcome, RaiseRule};
 use treenet_decomp::{LayeredDecomposition, Strategy};
 use treenet_model::{HeightClass, InstanceId, Problem, Solution};
@@ -231,16 +232,7 @@ impl CombinedOutcome {
 
     /// Certified approximation factor of the combined solution.
     pub fn certified_ratio(&self, problem: &Problem) -> f64 {
-        let p = self.profit(problem);
-        if p == 0.0 {
-            if self.opt_upper_bound() == 0.0 {
-                1.0
-            } else {
-                f64::INFINITY
-            }
-        } else {
-            self.opt_upper_bound() / p
-        }
+        certified_ratio(self.opt_upper_bound(), self.profit(problem))
     }
 }
 
@@ -622,16 +614,7 @@ pub struct AutoOutcome {
 impl AutoOutcome {
     /// Certified approximation factor.
     pub fn certified_ratio(&self, problem: &Problem) -> f64 {
-        let p = self.solution.profit(problem);
-        if p == 0.0 {
-            if self.opt_upper_bound == 0.0 {
-                1.0
-            } else {
-                f64::INFINITY
-            }
-        } else {
-            self.opt_upper_bound / p
-        }
+        certified_ratio(self.opt_upper_bound, self.solution.profit(problem))
     }
 }
 

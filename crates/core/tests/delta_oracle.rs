@@ -158,7 +158,7 @@ fn diverges(seed: u64, script: &[Op]) -> Option<String> {
                     Ok(out) => out,
                     Err(e) => return Some(format!("op {i}: warm resolve failed: {e}")),
                 };
-                let reference = match engine.resolve_reference() {
+                let reference = match engine.reference_solve() {
                     Ok(out) => out,
                     Err(e) => return Some(format!("op {i}: reference resolve failed: {e}")),
                 };

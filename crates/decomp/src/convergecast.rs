@@ -147,35 +147,6 @@ impl ConvergecastForest {
         }
         components
     }
-
-    /// Partitions the vertices into at most `max_shards` groups of whole
-    /// components, balanced by longest-processing-time: components are
-    /// placed largest-first into the currently lightest group. Every
-    /// group is a union of components, so a sharded engine can execute
-    /// groups concurrently — no message ever crosses a group boundary.
-    ///
-    /// The assignment is deterministic: ties between components break by
-    /// smallest member id, ties between groups by lowest group index.
-    pub fn partition(&self, max_shards: usize) -> Vec<Vec<usize>> {
-        let mut components = self.components();
-        if components.is_empty() {
-            return Vec::new();
-        }
-        let bins = max_shards.max(1).min(components.len());
-        components.sort_by_key(|c| (std::cmp::Reverse(c.len()), c[0]));
-        let mut groups: Vec<Vec<usize>> = vec![Vec::new(); bins];
-        for component in components {
-            let lightest = (0..bins)
-                .min_by_key(|&g| groups[g].len())
-                .expect("bins >= 1");
-            groups[lightest].extend(component);
-        }
-        for group in &mut groups {
-            group.sort_unstable();
-        }
-        groups.retain(|g| !g.is_empty());
-        groups
-    }
 }
 
 #[cfg(test)]
@@ -224,7 +195,7 @@ mod tests {
     }
 
     #[test]
-    fn partition_groups_whole_components() {
+    fn components_are_whole_trees_ordered_by_root() {
         // Components: {0,1,2,3} (path), {4,5} (edge), {6} and {7}.
         let adj = vec![
             vec![1],
@@ -241,18 +212,6 @@ mod tests {
             f.components(),
             vec![vec![0, 1, 2, 3], vec![4, 5], vec![6], vec![7]]
         );
-        // Two shards, LPT: the big path alone, everything else together.
-        let shards = f.partition(2);
-        assert_eq!(shards, vec![vec![0, 1, 2, 3], vec![4, 5, 6, 7]]);
-        // More shards than components: one component per shard.
-        let shards = f.partition(16);
-        assert_eq!(shards.len(), 4);
-        // One shard (or zero, clamped): everything together.
-        assert_eq!(f.partition(1), vec![vec![0, 1, 2, 3, 4, 5, 6, 7]]);
-        assert_eq!(f.partition(0), vec![vec![0, 1, 2, 3, 4, 5, 6, 7]]);
-        assert!(ConvergecastForest::from_adjacency(&[])
-            .partition(4)
-            .is_empty());
     }
 
     #[test]

@@ -7,32 +7,114 @@
 //! algorithm processes one group per epoch; the group count bounds the
 //! epoch count and `Δ = max |π(d)|` drives the approximation ratio.
 
-use crate::line::line_layers;
+use crate::line::{length_class, line_lmin};
 use crate::{capture_node, critical_edges, Strategy, TreeDecomposition};
 use std::fmt;
 use treenet_graph::{EdgeId, RootedTree, TreePath};
 use treenet_model::{InstanceId, NetworkId, Problem};
 
-/// The epoch group index and critical edges of one tree instance given
-/// its path, the network's tree decomposition and rooted view, and the
-/// decomposition depth: groups by reversed capture depth (deepest
-/// captures first, Lemma 4.2), critical edges per [`critical_edges`].
+/// How the instances of one problem are layered: one tree decomposition
+/// per network (Section 4.4) or, on canonical line-networks, length
+/// classes over the public minimum length `Lmin` (Section 7).
 ///
-/// This is the single per-instance definition shared by
-/// [`LayeredDecomposition::from_decompositions`] and the distributed
-/// processors in `treenet-dist`, which derive each neighbor's layer from
-/// its demand descriptor — both sides must compute identically for the
-/// executions to stay bit-identical.
-pub fn tree_instance_layer(
-    decomposition: &TreeDecomposition,
-    rooted: &RootedTree,
-    depth: u32,
-    path: &TreePath,
-) -> (u32, Vec<EdgeId>) {
-    let mu = capture_node(decomposition, path);
-    let group = depth - decomposition.node_depth(mu) + 1;
-    let critical = critical_edges(decomposition, rooted, path);
-    (group, critical)
+/// Everything here derives from the networks and `Lmin`, which the paper
+/// assumes every processor knows. [`Layering::layer`] is the single
+/// per-instance definition behind [`LayeredDecomposition::new`], the
+/// online engine's arrivals and the distributed processors, which derive
+/// each neighbor's layer from its demand descriptor — all of them must
+/// compute identically for the executions to stay bit-identical.
+#[derive(Clone, Debug)]
+pub struct Layering(Family);
+
+#[derive(Clone, Debug)]
+enum Family {
+    /// One decomposition per network and its depth, in network order.
+    Tree {
+        decompositions: Vec<TreeDecomposition>,
+        depths: Vec<u32>,
+    },
+    /// Length classes keyed on the public `Lmin`.
+    Line { lmin: f64 },
+}
+
+impl Layering {
+    /// The tree layering of Lemma 4.3: one tree decomposition per network,
+    /// built by `strategy` (the ideal one gives `Δ ≤ 6` and at most
+    /// `2⌈log n⌉ + 1` groups).
+    pub fn for_trees(problem: &Problem, strategy: Strategy) -> Self {
+        let decompositions: Vec<TreeDecomposition> = problem
+            .networks()
+            .map(|t| strategy.build(problem.network(t)))
+            .collect();
+        let depths = decompositions
+            .iter()
+            .map(TreeDecomposition::depth)
+            .collect();
+        Layering(Family::Tree {
+            decompositions,
+            depths,
+        })
+    }
+
+    /// The line layering of Section 7: length classes keyed on the
+    /// public [`line_lmin`] (`Δ ≤ 3`, `⌈log(Lmax/Lmin)⌉ + 1` groups).
+    ///
+    /// # Panics
+    ///
+    /// Panics if some network is not a canonical line (window problems
+    /// built through [`treenet_model::ProblemBuilder`] guarantee this).
+    pub fn for_lines(problem: &Problem) -> Self {
+        for t in problem.networks() {
+            assert!(
+                problem.network(t).is_canonical_line(),
+                "line layered decomposition requires canonical line networks"
+            );
+        }
+        Layering(Family::Line {
+            lmin: line_lmin(problem),
+        })
+    }
+
+    /// The public `Lmin` a line layering is keyed on (`None` for a tree
+    /// layering).
+    pub fn lmin(&self) -> Option<f64> {
+        match self.0 {
+            Family::Tree { .. } => None,
+            Family::Line { lmin } => Some(lmin),
+        }
+    }
+
+    /// The 1-based epoch group and the sorted critical edges `π(d)` of
+    /// one instance routed along `path` in `network`, whose rooted view
+    /// is `rooted`.
+    ///
+    /// Tree layering: groups by reversed capture depth (deepest captures
+    /// first, Lemma 4.2), critical edges per [`critical_edges`]. Line
+    /// layering: group `⌊log₂(len/Lmin)⌋ + 1`, critical slots
+    /// start/mid/end.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `network` is out of range or `path` has no edge.
+    pub fn layer(
+        &self,
+        rooted: &RootedTree,
+        network: NetworkId,
+        path: &TreePath,
+    ) -> (u32, Vec<EdgeId>) {
+        match &self.0 {
+            Family::Tree {
+                decompositions,
+                depths,
+            } => {
+                let decomposition = &decompositions[network.index()];
+                let mu = capture_node(decomposition, path);
+                let group = depths[network.index()] - decomposition.node_depth(mu) + 1;
+                (group, critical_edges(decomposition, rooted, path))
+            }
+            Family::Line { lmin } => length_class(*lmin, path.edges()),
+        }
+    }
 }
 
 /// A layered decomposition of all demand instances of a [`Problem`]
@@ -74,73 +156,36 @@ impl fmt::Display for LayeredError {
 impl std::error::Error for LayeredError {}
 
 impl LayeredDecomposition {
-    /// Builds the tree-network layered decomposition of Lemma 4.3: an
-    /// [ideal](crate::ideal) (or other, per `strategy`) tree decomposition
-    /// per network, groups by reversed capture depth, critical edges per
-    /// [`critical_edges`].
+    /// Layers every instance of `problem` by [`Layering::layer`].
+    pub fn new(problem: &Problem, layering: &Layering) -> Self {
+        let (group, critical) = problem
+            .instances()
+            .map(|inst| layering.layer(problem.rooted(inst.network), inst.network, &inst.path))
+            .unzip();
+        Self::from_parts(group, critical)
+    }
+
+    /// The tree-network layered decomposition of Lemma 4.3 over
+    /// [`Layering::for_trees`].
     ///
     /// For the ideal strategy this guarantees `Δ ≤ 6` and at most
     /// `2⌈log n⌉ + 1` groups.
     pub fn for_trees(problem: &Problem, strategy: Strategy) -> Self {
-        let decompositions: Vec<TreeDecomposition> = problem
-            .networks()
-            .map(|t| strategy.build(problem.network(t)))
-            .collect();
-        Self::from_decompositions(problem, &decompositions)
+        Self::new(problem, &Layering::for_trees(problem, strategy))
     }
 
-    /// Builds the layered decomposition from externally supplied tree
-    /// decompositions (one per network, in network order).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the number of decompositions differs from the number of
-    /// networks.
-    pub fn from_decompositions(problem: &Problem, decompositions: &[TreeDecomposition]) -> Self {
-        assert_eq!(
-            decompositions.len(),
-            problem.network_count(),
-            "one decomposition per network"
-        );
-        let depths: Vec<u32> = decompositions
-            .iter()
-            .map(TreeDecomposition::depth)
-            .collect();
-        let mut group = vec![0u32; problem.instance_count()];
-        let mut critical = vec![Vec::new(); problem.instance_count()];
-        for inst in problem.instances() {
-            let q = inst.network.index();
-            let (g, pi) = tree_instance_layer(
-                &decompositions[q],
-                problem.rooted(inst.network),
-                depths[q],
-                &inst.path,
-            );
-            group[inst.id.index()] = g;
-            critical[inst.id.index()] = pi;
-        }
-        let num_groups = group.iter().copied().max().unwrap_or(0) as usize;
-        let delta = critical.iter().map(Vec::len).max().unwrap_or(0);
-        LayeredDecomposition {
-            group,
-            critical,
-            num_groups,
-            delta,
-        }
-    }
-
-    /// Builds the line-network layered decomposition of Section 7
-    /// (length classes, `Δ ≤ 3`, `⌈log(Lmax/Lmin)⌉ + 1` groups).
+    /// The line-network layered decomposition of Section 7 over
+    /// [`Layering::for_lines`] (length classes, `Δ ≤ 3`,
+    /// `⌈log(Lmax/Lmin)⌉ + 1` groups).
     ///
     /// # Panics
     ///
     /// Panics if some network is not a canonical line.
     pub fn for_lines(problem: &Problem) -> Self {
-        line_layers(problem)
+        Self::new(problem, &Layering::for_lines(problem))
     }
 
-    /// Internal constructor used by the line builder.
-    pub(crate) fn from_parts(group: Vec<u32>, critical: Vec<Vec<EdgeId>>) -> Self {
+    fn from_parts(group: Vec<u32>, critical: Vec<Vec<EdgeId>>) -> Self {
         let num_groups = group.iter().copied().max().unwrap_or(0) as usize;
         let delta = critical.iter().map(Vec::len).max().unwrap_or(0);
         LayeredDecomposition {
@@ -160,17 +205,17 @@ impl LayeredDecomposition {
     }
 
     /// Appends the layer assignment of one newly materialized instance —
-    /// the incremental counterpart of
-    /// [`LayeredDecomposition::from_decompositions`] for online arrivals.
+    /// the incremental counterpart of [`LayeredDecomposition::new`] for
+    /// online arrivals.
     ///
     /// Instances must be pushed in id order (the caller appends exactly
     /// the instances an arrival materialized, in order). `num_groups` and
     /// `delta` are running maxima, so they only grow; the two-phase
     /// engine skips empty groups, so a stale-high group count changes no
     /// observable behavior. Compute `(group, critical)` with
-    /// [`tree_instance_layer`] against the *same* per-network
-    /// [`TreeDecomposition`] used at build time — the networks are fixed,
-    /// so layer assignments of existing instances never change.
+    /// [`Layering::layer`] against the *same* [`Layering`] used at build
+    /// time — the networks and `Lmin` are fixed, so layer assignments of
+    /// existing instances never change.
     pub fn push_instance(&mut self, group: u32, critical: Vec<EdgeId>) {
         self.num_groups = self.num_groups.max(group as usize);
         self.delta = self.delta.max(critical.len());
@@ -375,47 +420,56 @@ mod tests {
 
     #[test]
     fn push_instance_matches_batch_layering() {
+        use treenet_graph::VertexId;
+        use treenet_model::workload::LineWorkload;
         use treenet_model::{Demand, ProblemDelta};
         // Grow a workload by one arrival; pushing the new instances'
-        // layers incrementally must agree with re-layering from scratch.
-        let mut p = workload(8, TreeFamily::Uniform);
-        let decompositions: Vec<TreeDecomposition> = p
-            .networks()
-            .map(|t| Strategy::Ideal.build(p.network(t)))
-            .collect();
-        let depths: Vec<u32> = decompositions
-            .iter()
-            .map(TreeDecomposition::depth)
-            .collect();
-        let mut layers = LayeredDecomposition::from_decompositions(&p, &decompositions);
-        assert_eq!(layers.len(), p.instance_count());
-        assert!(!layers.is_empty());
-        let effect = p
-            .apply_delta(ProblemDelta::Arrival {
-                demand: Demand::pair(treenet_graph::VertexId(0), treenet_graph::VertexId(17), 2.5),
-                access: p.networks().collect(),
-            })
-            .unwrap();
-        for &d in &effect.new_instances {
-            let inst = p.instance(d);
-            let q = inst.network.index();
-            let (g, pi) = tree_instance_layer(
-                &decompositions[q],
-                p.rooted(inst.network),
-                depths[q],
-                &inst.path,
-            );
-            layers.push_instance(g, pi);
+        // layers incrementally must agree with re-layering from scratch,
+        // for the tree and the line family alike.
+        let tree = workload(8, TreeFamily::Uniform);
+        let line = LineWorkload::new(40, 12)
+            .with_resources(2)
+            .with_window_slack(3)
+            .with_len_range(2, 9)
+            .generate(&mut SmallRng::seed_from_u64(8));
+        let cases = [
+            (
+                Layering::for_trees(&tree, Strategy::Ideal),
+                tree,
+                Demand::pair(VertexId(0), VertexId(17), 2.5),
+            ),
+            (
+                Layering::for_lines(&line),
+                line,
+                Demand::window(5, 30, 6, 2.5),
+            ),
+        ];
+        for (layering, mut p, demand) in cases {
+            let mut layers = LayeredDecomposition::new(&p, &layering);
+            assert_eq!(layers.len(), p.instance_count());
+            assert!(!layers.is_empty());
+            let effect = p
+                .apply_delta(ProblemDelta::Arrival {
+                    demand,
+                    access: p.networks().collect(),
+                })
+                .unwrap();
+            assert!(!effect.new_instances.is_empty());
+            for &d in &effect.new_instances {
+                let inst = p.instance(d);
+                let (g, pi) = layering.layer(p.rooted(inst.network), inst.network, &inst.path);
+                layers.push_instance(g, pi);
+            }
+            let batch = LayeredDecomposition::new(&p, &layering);
+            assert_eq!(layers.len(), batch.len());
+            for inst in p.instances() {
+                assert_eq!(layers.group_of(inst.id), batch.group_of(inst.id));
+                assert_eq!(layers.critical_of(inst.id), batch.critical_of(inst.id));
+            }
+            assert_eq!(layers.num_groups(), batch.num_groups());
+            assert_eq!(layers.delta(), batch.delta());
+            assert!(layers.verify(&p).is_ok());
         }
-        let batch = LayeredDecomposition::from_decompositions(&p, &decompositions);
-        assert_eq!(layers.len(), batch.len());
-        for inst in p.instances() {
-            assert_eq!(layers.group_of(inst.id), batch.group_of(inst.id));
-            assert_eq!(layers.critical_of(inst.id), batch.critical_of(inst.id));
-        }
-        assert_eq!(layers.num_groups(), batch.num_groups());
-        assert_eq!(layers.delta(), batch.delta());
-        assert!(layers.verify(&p).is_ok());
     }
 
     #[test]

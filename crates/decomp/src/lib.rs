@@ -52,8 +52,8 @@ pub use balancing::balancing;
 pub use capture::{bending_point, capture_node, critical_edges};
 pub use convergecast::ConvergecastForest;
 pub use ideal::{ideal, ideal_depth_bound, ideal_with_stats, IdealStats};
-pub use layered::{tree_instance_layer, LayeredDecomposition, LayeredError};
-pub use line::{line_instance_layer, line_layers, line_lmin};
+pub use layered::{LayeredDecomposition, LayeredError, Layering};
+pub use line::line_lmin;
 pub use root_fixing::root_fixing;
 pub use tree_decomposition::{DecompositionError, TreeDecomposition};
 

@@ -12,7 +12,6 @@
 //! strictly inside either open half `(s, mid)` or `(mid, e)` of `d₁` — so
 //! it must cover `s`, `mid` or `e`.
 
-use crate::LayeredDecomposition;
 use treenet_graph::EdgeId;
 use treenet_model::Problem;
 
@@ -29,15 +28,10 @@ pub fn line_lmin(problem: &Problem) -> f64 {
 /// given its path edges (in path order) and the public `Lmin`:
 /// group `⌊log₂(len/Lmin)⌋ + 1`, critical slots start/mid/end (`Δ ≤ 3`).
 ///
-/// This is the single per-instance definition shared by [`line_layers`]
-/// and the distributed processors in `treenet-dist`, which derive each
-/// neighbor's layer from its demand descriptor — both sides must compute
-/// identically for the executions to stay bit-identical.
-///
 /// # Panics
 ///
 /// Panics if `edges` is empty.
-pub fn line_instance_layer(lmin: f64, edges: &[EdgeId]) -> (u32, Vec<EdgeId>) {
+pub(crate) fn length_class(lmin: f64, edges: &[EdgeId]) -> (u32, Vec<EdgeId>) {
     let len = edges.len();
     assert!(len >= 1, "demand instances use at least one timeslot");
     // Class index: ⌊log₂(len / Lmin)⌋ + 1, computed from the exact length
@@ -53,38 +47,10 @@ pub fn line_instance_layer(lmin: f64, edges: &[EdgeId]) -> (u32, Vec<EdgeId>) {
     (ratio + 1, pi)
 }
 
-/// Builds the length-class layered decomposition for a line-network
-/// problem (every network must be a canonical line).
-///
-/// Groups: `⌊log₂(len/Lmin)⌋ + 1`, so `⌈log₂(Lmax/Lmin)⌉ + 1` groups in
-/// total; critical edges: start/mid/end timeslots (`Δ ≤ 3`).
-///
-/// # Panics
-///
-/// Panics if some network is not a canonical line (window problems built
-/// through [`treenet_model::ProblemBuilder`] guarantee this) or if some
-/// instance has an empty path.
-pub fn line_layers(problem: &Problem) -> LayeredDecomposition {
-    for t in problem.networks() {
-        assert!(
-            problem.network(t).is_canonical_line(),
-            "line layered decomposition requires canonical line networks"
-        );
-    }
-    let lmin = line_lmin(problem);
-    let mut group = vec![0u32; problem.instance_count()];
-    let mut critical = vec![Vec::new(); problem.instance_count()];
-    for inst in problem.instances() {
-        let (g, pi) = line_instance_layer(lmin, inst.path.edges());
-        group[inst.id.index()] = g;
-        critical[inst.id.index()] = pi;
-    }
-    LayeredDecomposition::from_parts(group, critical)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::LayeredDecomposition;
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
     use treenet_graph::{Tree, VertexId};
@@ -100,7 +66,7 @@ mod tests {
                 .with_window_slack(3)
                 .with_len_range(1, 15)
                 .generate(&mut rng);
-            let layers = line_layers(&p);
+            let layers = LayeredDecomposition::for_lines(&p);
             assert!(layers.delta() <= 3, "Δ = {}", layers.delta());
             assert!(layers.verify(&p).is_ok(), "seed {seed}");
         }
@@ -112,7 +78,7 @@ mod tests {
         let p = LineWorkload::new(128, 60)
             .with_len_range(1, 64)
             .generate(&mut rng);
-        let layers = line_layers(&p);
+        let layers = LayeredDecomposition::for_lines(&p);
         let (lmin, lmax) = p.length_bounds();
         let bound = ((lmax as f64 / lmin as f64).log2().floor() as usize) + 1;
         assert!(
@@ -134,7 +100,7 @@ mod tests {
         b.add_demand(Demand::pair(VertexId(0), VertexId(20), 1.0), &[t])
             .unwrap();
         let p = b.build().unwrap();
-        let layers = line_layers(&p);
+        let layers = LayeredDecomposition::for_lines(&p);
         let g: Vec<u32> = p.instances().map(|d| layers.group_of(d.id)).collect();
         assert_eq!(g[0], g[1]);
         assert!(g[2] > g[0], "length 20 is in a later class than length 4");
@@ -148,7 +114,7 @@ mod tests {
         b.add_demand(Demand::pair(VertexId(4), VertexId(13), 1.0), &[t])
             .unwrap();
         let p = b.build().unwrap();
-        let layers = line_layers(&p);
+        let layers = LayeredDecomposition::for_lines(&p);
         assert_eq!(
             layers.critical_of(treenet_model::InstanceId(0)),
             &[EdgeId(4), EdgeId(8), EdgeId(12)]
@@ -162,7 +128,7 @@ mod tests {
         b.add_demand(Demand::pair(VertexId(3), VertexId(4), 1.0), &[t])
             .unwrap();
         let p = b.build().unwrap();
-        let layers = line_layers(&p);
+        let layers = LayeredDecomposition::for_lines(&p);
         assert_eq!(
             layers.critical_of(treenet_model::InstanceId(0)),
             &[EdgeId(3)]
@@ -179,7 +145,7 @@ mod tests {
         b.add_demand(Demand::pair(VertexId(1), VertexId(2), 1.0), &[t])
             .unwrap();
         let p = b.build().unwrap();
-        let _ = line_layers(&p);
+        let _ = LayeredDecomposition::for_lines(&p);
     }
 
     #[test]
@@ -192,7 +158,7 @@ mod tests {
             .with_window_slack(6)
             .with_len_range(3, 8)
             .generate(&mut rng);
-        let layers = line_layers(&p);
+        let layers = LayeredDecomposition::for_lines(&p);
         assert!(layers.verify(&p).is_ok());
     }
 }

@@ -126,16 +126,16 @@ mod reference;
 use std::fmt;
 use std::sync::Arc;
 
-use node::{Layering, Mode, ProcessorNode, PublicInfo, SATISFACTION_GUARD};
+use node::{Mode, ProcessorNode, PublicInfo, SATISFACTION_GUARD};
 use treenet_core::{
     auto_choice, echo_sweep_rounds, mis_tag, narrow_xi, prologue_rounds, stages_for, unit_xi,
     AutoChoice, RaiseRule, SolverConfig,
 };
-use treenet_decomp::{line_lmin, ConvergecastForest, LayeredDecomposition, Strategy};
+use treenet_decomp::{ConvergecastForest, LayeredDecomposition, Layering, Strategy};
 use treenet_graph::{RootedTree, VertexId};
 use treenet_mis::MisBackend;
 use treenet_model::{HeightClass, InstanceId, Problem, Solution};
-use treenet_netsim::{Engine, LossModel, Metrics, ShardPlan, Topology};
+use treenet_netsim::{Engine, LossModel, Metrics, Topology};
 
 pub use node::{descriptor_bits, Descriptor, DistMsg, RunTag};
 pub use reference::{
@@ -206,9 +206,9 @@ pub struct DistConfig {
     pub sweep_interval_log2: u32,
     /// Worker threads for the engine's sharded round executor. Nodes are
     /// partitioned into at most this many shards of whole connected
-    /// components ([`ConvergecastForest::partition`]), so every run is
-    /// bit-identical — schedules, λ, `Metrics` — at any thread count;
-    /// `1` keeps the single-threaded executor.
+    /// components ([`treenet_netsim::ShardPlan::by_components`]), so
+    /// every run is bit-identical — schedules, λ, `Metrics` — at any
+    /// thread count; `1` keeps the single-threaded executor.
     pub threads: usize,
 }
 
@@ -513,46 +513,17 @@ pub(crate) fn comm_adjacency(problem: &Problem) -> Vec<Vec<usize>> {
         .collect()
 }
 
-/// Tree public info: decompositions per `config.strategy` plus the
-/// layered decomposition (for `Δ` and the group count — both public).
-pub(crate) fn tree_public(
+/// Public info over `layering`, plus the layered decomposition it
+/// induces (for `Δ` and the group count — both public).
+pub(crate) fn public_info(
     problem: &Problem,
     config: &DistConfig,
+    layering: Layering,
 ) -> (Arc<PublicInfo>, LayeredDecomposition) {
-    let decomps: Vec<_> = problem
-        .networks()
-        .map(|t| config.strategy.build(problem.network(t)))
-        .collect();
-    let layers = LayeredDecomposition::from_decompositions(problem, &decomps);
-    let depths = decomps
-        .iter()
-        .map(treenet_decomp::TreeDecomposition::depth)
-        .collect();
+    let layers = LayeredDecomposition::new(problem, &layering);
     let public = Arc::new(PublicInfo {
         rooted: rooted_views(problem),
-        layering: Layering::Tree { decomps, depths },
-        seed: config.seed,
-        backend: config.mis_backend,
-        forest: ConvergecastForest::from_adjacency(&comm_adjacency(problem)),
-    });
-    (public, layers)
-}
-
-/// Line public info: the Section-7 length classes over the public `Lmin`.
-///
-/// # Panics
-///
-/// Panics if some network is not a canonical line.
-pub(crate) fn line_public(
-    problem: &Problem,
-    config: &DistConfig,
-) -> (Arc<PublicInfo>, LayeredDecomposition) {
-    let layers = LayeredDecomposition::for_lines(problem);
-    let public = Arc::new(PublicInfo {
-        rooted: rooted_views(problem),
-        layering: Layering::Line {
-            lmin: line_lmin(problem),
-        },
+        layering,
         seed: config.seed,
         backend: config.mis_backend,
         forest: ConvergecastForest::from_adjacency(&comm_adjacency(problem)),
@@ -569,16 +540,10 @@ pub(crate) fn build_engine(
     problem: &Problem,
     config: &DistConfig,
 ) -> Engine<ProcessorNode> {
-    let adjacency = comm_adjacency(problem);
-    let shards = (config.threads > 1).then(|| {
-        let forest = ConvergecastForest::from_adjacency(&adjacency);
-        ShardPlan::from_groups(adjacency.len(), forest.partition(config.threads))
-    });
-    let topology = Topology::from_adjacency(adjacency);
-    let mut engine = Engine::new(nodes, topology).with_arq_window(config.arq_window);
-    if let Some(plan) = shards {
-        engine = engine.with_shards(plan);
-    }
+    let topology = Topology::from_adjacency(comm_adjacency(problem));
+    let mut engine = Engine::new(nodes, topology)
+        .with_arq_window(config.arq_window)
+        .with_threads(config.threads);
     if let Some(seed) = config.shuffle_delivery {
         engine = engine.with_delivery_shuffle(seed);
     }
@@ -1225,7 +1190,11 @@ pub fn run_distributed_tree_unit(
     config: &DistConfig,
 ) -> Result<DistOutcome, DistError> {
     validate(config)?;
-    let (public, layers) = tree_public(problem, config);
+    let (public, layers) = public_info(
+        problem,
+        config,
+        Layering::for_trees(problem, config.strategy),
+    );
     run_solo(problem, config, &public, &layers)
 }
 
@@ -1249,7 +1218,7 @@ pub fn run_distributed_line_unit(
     config: &DistConfig,
 ) -> Result<DistOutcome, DistError> {
     validate(config)?;
-    let (public, layers) = line_public(problem, config);
+    let (public, layers) = public_info(problem, config, Layering::for_lines(problem));
     run_solo(problem, config, &public, &layers)
 }
 
@@ -1271,7 +1240,11 @@ pub fn run_distributed_tree_arbitrary(
     config: &DistConfig,
 ) -> Result<DistCombinedOutcome, DistError> {
     validate(config)?;
-    let (public, layers) = tree_public(problem, config);
+    let (public, layers) = public_info(
+        problem,
+        config,
+        Layering::for_trees(problem, config.strategy),
+    );
     run_split(problem, config, &public, &layers)
 }
 
@@ -1295,7 +1268,7 @@ pub fn run_distributed_line_arbitrary(
     config: &DistConfig,
 ) -> Result<DistCombinedOutcome, DistError> {
     validate(config)?;
-    let (public, layers) = line_public(problem, config);
+    let (public, layers) = public_info(problem, config, Layering::for_lines(problem));
     run_split(problem, config, &public, &layers)
 }
 

@@ -57,9 +57,7 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use treenet_core::RaiseRule;
-use treenet_decomp::{
-    line_instance_layer, tree_instance_layer, ConvergecastForest, TreeDecomposition,
-};
+use treenet_decomp::{ConvergecastForest, Layering};
 use treenet_graph::{EdgeId, RootedTree, TreePath, VertexId};
 use treenet_mis::MisBackend;
 use treenet_model::{Demand, DemandId, DemandKind, InstanceId, NetworkId};
@@ -93,27 +91,6 @@ impl RunTag {
     }
 }
 
-/// How epoch groups and critical edges derive from public information:
-/// the paper's tree layering (Section 5, capture depths over public tree
-/// decompositions) or the line layering (Section 7, length classes over
-/// the public minimum length).
-#[derive(Debug)]
-pub(crate) enum Layering {
-    /// Tree-networks: one public tree decomposition per network.
-    Tree {
-        /// The decompositions, in network order.
-        decomps: Vec<TreeDecomposition>,
-        /// Cached decomposition depths, in network order.
-        depths: Vec<u32>,
-    },
-    /// Canonical line-networks: length classes keyed on the public
-    /// `Lmin` (every processor knows it, per the paper's assumption).
-    Line {
-        /// The minimum instance length `Lmin`.
-        lmin: f64,
-    },
-}
-
 /// Public knowledge shared by every processor: the networks (rooted views
 /// plus the layering), the schedule parameters, and the convergecast
 /// forest of the communication graph. Everything here is a deterministic
@@ -125,7 +102,8 @@ pub(crate) enum Layering {
 pub(crate) struct PublicInfo {
     /// Every network's rooted tree, indexed by `NetworkId`.
     pub rooted: Vec<RootedTree>,
-    /// The shared layered decomposition of all networks.
+    /// How every network's instances are layered (tree decompositions
+    /// or line length classes over the public `Lmin`).
     pub layering: Layering,
     /// Common-randomness seed every processor derives its coins from.
     pub seed: u64,
@@ -171,15 +149,11 @@ impl PublicInfo {
         path: TreePath,
         start: Option<u32>,
     ) -> InstView {
-        let q = network.index();
         // Group and critical edges come from the same per-instance
-        // definitions the logical LayeredDecomposition builders use.
-        let (group, critical) = match &self.layering {
-            Layering::Tree { decomps, depths } => {
-                tree_instance_layer(&decomps[q], &self.rooted[q], depths[q], &path)
-            }
-            Layering::Line { lmin } => line_instance_layer(*lmin, path.edges()),
-        };
+        // definition the logical LayeredDecomposition uses.
+        let (group, critical) = self
+            .layering
+            .layer(&self.rooted[network.index()], network, &path);
         let key = treenet_model::canonical_instance_key(descriptor.id, network, start);
         let mut sorted_edges: Vec<EdgeId> = path.edges().to_vec();
         sorted_edges.sort_unstable();

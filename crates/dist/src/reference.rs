@@ -16,14 +16,13 @@ use std::sync::Arc;
 
 use crate::node::{Mode, ProcessorNode, PublicInfo, RunTag, SATISFACTION_GUARD};
 use crate::{
-    build_engine, descriptor_of, line_public, resolve_hmin, tree_public, validate,
-    DistCombinedOutcome, DistConfig, DistError, DistOutcome, DistRunReport, DistSchedule,
-    StepRecord,
+    build_engine, descriptor_of, public_info, resolve_hmin, validate, DistCombinedOutcome,
+    DistConfig, DistError, DistOutcome, DistRunReport, DistSchedule, StepRecord,
 };
 use treenet_core::{
     auto_choice, combine_by_network, mis_tag, narrow_xi, stages_for, unit_xi, AutoChoice, RaiseRule,
 };
-use treenet_decomp::LayeredDecomposition;
+use treenet_decomp::{LayeredDecomposition, Layering};
 use treenet_model::{HeightClass, Problem, Solution};
 
 /// Parameters of one serial reference run.
@@ -265,7 +264,11 @@ pub fn run_distributed_tree_unit_reference(
     config: &DistConfig,
 ) -> Result<DistOutcome, DistError> {
     validate(config)?;
-    let (public, layers) = tree_public(problem, config);
+    let (public, layers) = public_info(
+        problem,
+        config,
+        Layering::for_trees(problem, config.strategy),
+    );
     run_solo_reference(problem, config, &public, &layers)
 }
 
@@ -283,7 +286,7 @@ pub fn run_distributed_line_unit_reference(
     config: &DistConfig,
 ) -> Result<DistOutcome, DistError> {
     validate(config)?;
-    let (public, layers) = line_public(problem, config);
+    let (public, layers) = public_info(problem, config, Layering::for_lines(problem));
     run_solo_reference(problem, config, &public, &layers)
 }
 
@@ -299,7 +302,11 @@ pub fn run_distributed_tree_arbitrary_reference(
     config: &DistConfig,
 ) -> Result<DistCombinedOutcome, DistError> {
     validate(config)?;
-    let (public, layers) = tree_public(problem, config);
+    let (public, layers) = public_info(
+        problem,
+        config,
+        Layering::for_trees(problem, config.strategy),
+    );
     run_split_reference(problem, config, &public, &layers)
 }
 
@@ -318,7 +325,7 @@ pub fn run_distributed_line_arbitrary_reference(
     config: &DistConfig,
 ) -> Result<DistCombinedOutcome, DistError> {
     validate(config)?;
-    let (public, layers) = line_public(problem, config);
+    let (public, layers) = public_info(problem, config, Layering::for_lines(problem));
     run_split_reference(problem, config, &public, &layers)
 }
 

@@ -373,7 +373,7 @@ proptest! {
 
 #[test]
 fn lossy_runners_match_the_logical_solvers_bitwise() {
-    // The acceptance criterion spelled out runner by runner (the
+    // The acceptance condition spelled out runner by runner (the
     // proptests above go through the auto dispatch): under every p of
     // the grid, solutions and λ equal the *logical* solvers bit-exactly.
     use treenet_core::{solve_line_arbitrary, solve_line_unit, solve_tree_unit, SolverConfig};

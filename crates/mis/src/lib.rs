@@ -9,13 +9,13 @@
 //! * [`luby_value`] — a seeded hash supplying the per-vertex random values.
 //!   Because every node can recompute any other node's value from public
 //!   inputs (seed, vertex key, round), the *centralized* simulation
-//!   [`luby_mis`] and the *message-passing* protocol [`LubyProtocol`]
-//!   perform bit-identical executions — which the test suite exploits to
-//!   prove the distributed run equals the logical one.
+//!   [`luby_mis`] and a message-passing execution perform bit-identical
+//!   runs. The message-passing Luby is the `LubyEval`/`LubyCleanup` round
+//!   pair of `treenet-dist`'s processor nodes (two communication rounds
+//!   per Luby iteration); its tests prove the distributed run equals the
+//!   logical one.
 //! * [`luby_mis`] — round-faithful central simulation returning the MIS and
 //!   the number of Luby iterations.
-//! * [`LubyProtocol`] — the same algorithm as a [`treenet_netsim::Protocol`]
-//!   (two communication rounds per Luby iteration).
 //! * [`greedy_mis`] — deterministic sequential baseline.
 //!
 //! # Example
@@ -35,13 +35,11 @@
 #![warn(missing_docs)]
 
 mod luby;
-mod protocol;
 
 pub use luby::{
     deterministic_mis, deterministic_mis_with, greedy_mis, luby_mis, luby_mis_with, luby_value,
     verify_mis, Adjacency, CsrAdjacency, LubyOutcome, MisBackend, MisScratch,
 };
-pub use protocol::{LubyMsg, LubyProtocol};
 
 #[cfg(test)]
 mod tests {

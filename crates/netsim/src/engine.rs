@@ -3,7 +3,7 @@
 use crate::reliable::Reliable;
 use crate::{LossModel, MessageSize, Topology};
 use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 use std::fmt;
 
 /// A received message with its sender.
@@ -108,8 +108,8 @@ pub struct ClassMetrics {
     /// (zero without a loss model, and at `p = 0`).
     pub retransmits: u64,
     /// Duplicate deliveries of this class discarded by the reliable
-    /// layer's sequence tracking (fault-injected duplicates and
-    /// redundant retransmissions alike).
+    /// layer's sequence tracking (loss-model duplicates and redundant
+    /// retransmissions alike).
     pub dup_suppressed: u64,
 }
 
@@ -125,10 +125,10 @@ pub struct Metrics {
     pub bits: u64,
     /// Largest single-message size observed, in bits.
     pub max_message_bits: u64,
-    /// Transmissions discarded by fault injection ([`FaultPlan`]) or by
-    /// the loss model beneath the reliable layer (data and acks alike).
+    /// Transmissions discarded by the loss model beneath the reliable
+    /// layer (data and acks alike).
     pub dropped: u64,
-    /// Extra deliveries created by fault injection or the loss model.
+    /// Extra deliveries created by the loss model.
     pub duplicated: u64,
     /// Transmissions the loss model delayed by one slot.
     pub delayed: u64,
@@ -191,62 +191,6 @@ impl Metrics {
             mine.dup_suppressed = mine.dup_suppressed.saturating_add(theirs.dup_suppressed);
         }
         self
-    }
-}
-
-/// Fault injection for simulator robustness testing.
-///
-/// The paper's model assumes reliable synchronous delivery and the
-/// scheduling protocols are **not** fault-tolerant — injection exists to
-/// exercise the engine's bookkeeping and to demonstrate how sensitive the
-/// model is to message loss (see the engine tests), not to claim
-/// resilience.
-#[derive(Copy, Clone, Debug, PartialEq)]
-pub struct FaultPlan {
-    /// Probability each message is silently dropped.
-    pub drop_probability: f64,
-    /// Probability each delivered message is delivered twice.
-    pub duplicate_probability: f64,
-    /// Seed of the fault RNG (faults are reproducible).
-    pub seed: u64,
-}
-
-impl FaultPlan {
-    /// A reliable plan (no faults) — the default behaviour.
-    pub fn reliable() -> Self {
-        FaultPlan {
-            drop_probability: 0.0,
-            duplicate_probability: 0.0,
-            seed: 0,
-        }
-    }
-
-    /// Drops each message independently with probability `p`.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `0 ≤ p ≤ 1`.
-    pub fn dropping(p: f64, seed: u64) -> Self {
-        assert!((0.0..=1.0).contains(&p), "probability in [0,1]");
-        FaultPlan {
-            drop_probability: p,
-            duplicate_probability: 0.0,
-            seed,
-        }
-    }
-
-    /// Duplicates each message independently with probability `p`.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `0 ≤ p ≤ 1`.
-    pub fn duplicating(p: f64, seed: u64) -> Self {
-        assert!((0.0..=1.0).contains(&p), "probability in [0,1]");
-        FaultPlan {
-            drop_probability: 0.0,
-            duplicate_probability: p,
-            seed,
-        }
     }
 }
 
@@ -425,7 +369,6 @@ pub struct Engine<P: Protocol> {
     arena: MailboxArena<P::Msg>,
     metrics: Metrics,
     started: bool,
-    faults: Option<(FaultPlan, SmallRng)>,
     shuffle: Option<SmallRng>,
     reliable: Option<Reliable<P::Msg>>,
     arq_window: u32,
@@ -439,7 +382,6 @@ impl<P: Protocol + fmt::Debug> fmt::Debug for Engine<P> {
             .field("topology", &self.topology)
             .field("metrics", &self.metrics)
             .field("started", &self.started)
-            .field("faults", &self.faults.as_ref().map(|(plan, _)| plan))
             .field("shuffled", &self.shuffle.is_some())
             .field("reliable", &self.reliable.is_some())
             .field("shards", &self.shards.as_ref().map(ShardPlan::len))
@@ -467,7 +409,6 @@ impl<P: Protocol> Engine<P> {
             arena: MailboxArena::new(n),
             metrics: Metrics::default(),
             started: false,
-            faults: None,
             shuffle: None,
             reliable: None,
             arq_window: crate::reliable::DEFAULT_ARQ_WINDOW,
@@ -477,7 +418,7 @@ impl<P: Protocol> Engine<P> {
 
     /// Installs a shard plan (builder style): each round's node steps run
     /// on one scoped thread per shard, with fused shard-local delivery
-    /// when no loss model or fault plan is active. Results — inbox
+    /// when no loss model is active. Results — inbox
     /// contents and order, metrics, RNG traces — are bit-identical to the
     /// single-threaded executor at any shard count, because shards are
     /// component-closed and each shard delivers in ascending sender
@@ -521,25 +462,6 @@ impl<P: Protocol> Engine<P> {
         }
     }
 
-    /// Enables *raw* fault injection (builder style): messages are
-    /// dropped or duplicated with no recovery — see [`FaultPlan`].
-    /// Mutually exclusive with [`Engine::with_loss_model`], which puts
-    /// the same faults beneath a reliable-delivery layer instead.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a loss model is already installed.
-    #[must_use]
-    pub fn with_faults(mut self, plan: FaultPlan) -> Self {
-        assert!(
-            self.reliable.is_none(),
-            "with_faults and with_loss_model are mutually exclusive: raw injection \
-             bypasses the reliable layer"
-        );
-        self.faults = Some((plan, SmallRng::seed_from_u64(plan.seed)));
-        self
-    }
-
     /// Enables the reliable-delivery sublayer over a lossy link model
     /// (builder style): per-edge sequence numbers, a sliding send window
     /// with eager pipelined retransmission, proactive repetition on
@@ -549,19 +471,9 @@ impl<P: Protocol> Engine<P> {
     /// retransmission/ack traffic (tracked by the new [`Metrics`]
     /// counters). A lossless model is a literal zero-overhead
     /// passthrough. See [`crate::reliable`] for the protocol and its
-    /// determinism contract. Mutually exclusive with
-    /// [`Engine::with_faults`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if raw fault injection is already installed.
+    /// determinism contract.
     #[must_use]
     pub fn with_loss_model(mut self, model: LossModel) -> Self {
-        assert!(
-            self.faults.is_none(),
-            "with_faults and with_loss_model are mutually exclusive: raw injection \
-             bypasses the reliable layer"
-        );
         self.reliable = Some(Reliable::new(model, self.arq_window));
         self
     }
@@ -659,8 +571,8 @@ impl<P: Protocol> Engine<P> {
     /// steps run on one scoped thread per shard; everything the protocol
     /// or the metrics can observe is bit-identical to the single-threaded
     /// executor. The delivery-shuffle RNG is consumed in a serial
-    /// pre-pass (once per node per round, in node order) and the loss /
-    /// fault RNG in a serial delivery pass, so those traces are
+    /// pre-pass (once per node per round, in node order) and the loss
+    /// RNG in a serial delivery pass, so those traces are
     /// thread-count-invariant too.
     pub fn step(&mut self)
     where
@@ -689,8 +601,8 @@ impl<P: Protocol> Engine<P> {
                 node.on_round(round, &self.arena.inboxes[v], &mut ctx);
             }
             self.deliver();
-        } else if self.reliable.is_some() || self.faults.is_some() {
-            // Loss/fault RNGs are single serial streams: compute in
+        } else if self.reliable.is_some() {
+            // The loss RNG is a single serial stream: compute in
             // parallel, deliver serially in global node order so the
             // trace is identical at any thread count.
             self.compute_sharded(round);
@@ -861,7 +773,7 @@ impl<P: Protocol> Engine<P> {
 
     /// Drains the arena's out-buffers into the live mailboxes — the
     /// single-threaded delivery path, also used after a sharded compute
-    /// when a loss model or fault plan needs its serial RNG trace.
+    /// when a loss model needs its serial RNG trace.
     fn deliver(&mut self) {
         if let Some(reliable) = self.reliable.as_mut() {
             // The reliable path: the layer transmits, recovers every
@@ -875,24 +787,10 @@ impl<P: Protocol> Engine<P> {
         }
         for from in 0..self.arena.outs.len() {
             // Take the buffer out of the arena for the duration of the
-            // drain (delivery borrows mailboxes/metrics/faults), then
-            // put it back so its capacity is reused next round.
+            // drain (delivery borrows mailboxes/metrics), then put it
+            // back so its capacity is reused next round.
             let mut out = std::mem::take(&mut self.arena.outs[from]);
             for (to, msg) in out.drain(..) {
-                if let Some((plan, rng)) = self.faults.as_mut() {
-                    if plan.drop_probability > 0.0 && rng.gen_bool(plan.drop_probability) {
-                        self.metrics.dropped += 1;
-                        continue;
-                    }
-                    if plan.duplicate_probability > 0.0 && rng.gen_bool(plan.duplicate_probability)
-                    {
-                        self.metrics.duplicated += 1;
-                        self.mailboxes[to].push(Envelope {
-                            from,
-                            msg: msg.clone(),
-                        });
-                    }
-                }
                 let bits = msg.size_bits();
                 let class = msg.traffic_class().min(MESSAGE_CLASSES - 1);
                 self.metrics.messages += 1;

@@ -27,9 +27,6 @@
 //! drop/duplicate/delay processes, at a measurable round/message
 //! overhead. The send window is configurable via
 //! [`Engine::with_arq_window`] (default [`DEFAULT_ARQ_WINDOW`]).
-//! [`Engine::with_faults`] remains the *raw* injection path with no
-//! recovery, for demonstrating that the paper's reliability assumption
-//! is load-bearing.
 //!
 //! # Example
 //!
@@ -78,8 +75,8 @@ pub mod reliable;
 mod topology;
 
 pub use engine::{
-    ClassMetrics, Context, Engine, EngineError, Envelope, FaultPlan, MailboxArena, Metrics,
-    Protocol, ShardPlan, MESSAGE_CLASSES,
+    ClassMetrics, Context, Engine, EngineError, Envelope, MailboxArena, Metrics, Protocol,
+    ShardPlan, MESSAGE_CLASSES,
 };
 pub use reliable::{ClassLoss, LossModel, ACK_BITS, DEFAULT_ARQ_WINDOW};
 pub use topology::Topology;

@@ -373,22 +373,6 @@ fn class_window_targets_one_traffic_class_only() {
 }
 
 #[test]
-#[should_panic(expected = "mutually exclusive")]
-fn loss_model_rejects_raw_faults() {
-    let _ = Engine::new(flood_nodes(2), line_topology(2))
-        .with_loss_model(LossModel::bernoulli(0.1, 0))
-        .with_faults(treenet_netsim::FaultPlan::dropping(0.1, 0));
-}
-
-#[test]
-#[should_panic(expected = "mutually exclusive")]
-fn raw_faults_reject_loss_model() {
-    let _ = Engine::new(flood_nodes(2), line_topology(2))
-        .with_faults(treenet_netsim::FaultPlan::dropping(0.1, 0))
-        .with_loss_model(LossModel::bernoulli(0.1, 0));
-}
-
-#[test]
 #[should_panic(expected = "reliable layer starved")]
 fn certain_loss_is_detected_not_spun_forever() {
     let mut engine =

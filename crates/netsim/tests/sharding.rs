@@ -4,7 +4,8 @@
 //! (including `by_class` and the reliable layer's retransmit counters)
 //! match bit for bit. The suite drives adversarial topologies (star,
 //! path, disconnected forests) plus a seeded proptest over random
-//! forests with delivery shuffle and loss, and pins the shard-plan
+//! forests with delivery shuffle and loss, pins the longest-processing-
+//! time shapes of `ShardPlan::by_components`, and pins the shard-plan
 //! validation panics (cross-shard edges, incomplete plans).
 
 use proptest::prelude::*;
@@ -185,6 +186,37 @@ fn by_components_covers_every_node_once() {
     }
     assert!(seen.iter().all(|&s| s), "plan dropped a node");
     assert!(plan.len() <= 3);
+}
+
+#[test]
+fn by_components_packs_largest_component_first() {
+    // Components: {0,1,2,3} (path), {4,5} (edge), {6} and {7}.
+    let mut t = Topology::new(8);
+    for v in 0..3 {
+        t.add_edge(v, v + 1);
+    }
+    t.add_edge(4, 5);
+    assert_eq!(
+        t.components(),
+        vec![vec![0, 1, 2, 3], vec![4, 5], vec![6], vec![7]]
+    );
+    // Two shards, LPT: the big path alone, everything else together.
+    let plan = ShardPlan::by_components(&t, 2);
+    assert_eq!(plan.shards(), &[vec![0, 1, 2, 3], vec![4, 5, 6, 7]]);
+    // More shards than components: one component per shard.
+    let plan = ShardPlan::by_components(&t, 16);
+    assert_eq!(
+        plan.shards(),
+        &[vec![0, 1, 2, 3], vec![4, 5], vec![6], vec![7]]
+    );
+    // One shard (or zero, clamped): everything together.
+    let all = [(0..8).collect::<Vec<usize>>()];
+    assert_eq!(ShardPlan::by_components(&t, 1).shards(), &all);
+    assert_eq!(ShardPlan::by_components(&t, 0).shards(), &all);
+    // No nodes, no shards.
+    let empty = ShardPlan::by_components(&Topology::new(0), 4);
+    assert!(empty.is_empty());
+    assert_eq!(empty.node_count(), 0);
 }
 
 #[test]
