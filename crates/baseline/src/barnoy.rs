@@ -160,14 +160,7 @@ pub fn barnoy_line_unit(problem: &Problem) -> BarNoyOutcome {
 ///
 /// Panics if some network is not a canonical line.
 pub fn barnoy_line_arbitrary(problem: &Problem) -> (Solution, BarNoyOutcome, BarNoyOutcome) {
-    let mut wide_ids = Vec::new();
-    let mut narrow_ids = Vec::new();
-    for inst in problem.instances() {
-        match problem.demand(inst.demand).height_class() {
-            HeightClass::Wide => wide_ids.push(inst.id),
-            HeightClass::Narrow => narrow_ids.push(inst.id),
-        }
-    }
+    let (wide_ids, narrow_ids) = HeightClass::split(problem, problem.instances().map(|d| d.id));
     let wide = sequential_pass(problem, RaiseRule::Unit, &wide_ids);
     let narrow = sequential_pass(problem, RaiseRule::Narrow, &narrow_ids);
     let combined = treenet_core::combine_by_network(problem, &wide.solution, &narrow.solution);

@@ -271,10 +271,16 @@ mod tests {
                 .generate(&mut SmallRng::seed_from_u64(seed));
             let opt = exact_max_profit(&p, 5_000_000).unwrap();
             assert!(opt.verify(&p).is_ok());
-            let ours =
-                treenet_core::solve_tree_arbitrary(&p, &treenet_core::SolverConfig::default())
-                    .unwrap();
-            assert!(opt.profit(&p) + 1e-9 >= ours.profit(&p), "seed {seed}");
+            let ours = treenet_core::solve(
+                &p,
+                treenet_core::AutoChoice::TreeArbitrary,
+                &treenet_core::SolverConfig::default(),
+            )
+            .unwrap();
+            assert!(
+                opt.profit(&p) + 1e-9 >= ours.solution.profit(&p),
+                "seed {seed}"
+            );
         }
     }
 

@@ -216,14 +216,7 @@ pub fn ps_line_unit(problem: &Problem, config: &PsConfig) -> PsOutcome {
 /// Panics if some network is not a canonical line.
 pub fn ps_line_arbitrary(problem: &Problem, config: &PsConfig) -> (Solution, PsOutcome, PsOutcome) {
     let layers = LayeredDecomposition::for_lines(problem);
-    let mut wide_ids = Vec::new();
-    let mut narrow_ids = Vec::new();
-    for inst in problem.instances() {
-        match problem.demand(inst.demand).height_class() {
-            HeightClass::Wide => wide_ids.push(inst.id),
-            HeightClass::Narrow => narrow_ids.push(inst.id),
-        }
-    }
+    let (wide_ids, narrow_ids) = HeightClass::split(problem, problem.instances().map(|d| d.id));
     let wide = single_stage_two_phase(problem, &layers, RaiseRule::Unit, config, &wide_ids);
     let narrow = single_stage_two_phase(problem, &layers, RaiseRule::Narrow, config, &narrow_ids);
     let combined = treenet_core::combine_by_network(problem, &wide.solution, &narrow.solution);
@@ -272,8 +265,12 @@ mod tests {
             .with_len_range(2, 10)
             .generate(&mut SmallRng::seed_from_u64(9));
         let ps = ps_line_unit(&p, &PsConfig::default());
-        let ours =
-            treenet_core::solve_line_unit(&p, &treenet_core::SolverConfig::default()).unwrap();
+        let ours = treenet_core::solve(
+            &p,
+            treenet_core::AutoChoice::LineUnit,
+            &treenet_core::SolverConfig::default(),
+        )
+        .unwrap();
         assert!(ours.lambda >= 0.9 - 1e-9);
         assert!(ps.lambda < ours.lambda);
     }

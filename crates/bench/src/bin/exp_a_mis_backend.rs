@@ -11,7 +11,7 @@ use rand::SeedableRng;
 use treenet_bench::report::f3;
 use treenet_bench::stats::summarize;
 use treenet_bench::{seeds, Scale, Table};
-use treenet_core::{solve_tree_unit, SolverConfig};
+use treenet_core::{solve, AutoChoice, SolverConfig};
 use treenet_mis::MisBackend;
 use treenet_model::workload::TreeWorkload;
 
@@ -40,16 +40,14 @@ fn main() {
                 let p = TreeWorkload::new(n, 2 * n)
                     .with_networks(2)
                     .generate(&mut SmallRng::seed_from_u64(seed));
-                let out = solve_tree_unit(
-                    &p,
-                    &SolverConfig::default()
-                        .with_seed(seed)
-                        .with_mis_backend(backend),
-                )
-                .unwrap();
+                let cfg = SolverConfig::default()
+                    .with_seed(seed)
+                    .with_mis_backend(backend);
+                let out = solve(&p, AutoChoice::TreeUnit, &cfg).unwrap();
                 out.solution.verify(&p).unwrap();
-                iters.push(out.stats.mis_rounds as f64);
-                rounds.push(out.stats.comm_rounds as f64);
+                let stats = out.run.halves()[0].stats;
+                iters.push(stats.mis_rounds as f64);
+                rounds.push(stats.comm_rounds as f64);
                 cert.push(out.certified_ratio(&p));
                 lam = lam.min(out.lambda);
             }

@@ -11,7 +11,7 @@ use treenet_baseline::{single_stage_two_phase, PsConfig};
 use treenet_bench::report::f3;
 use treenet_bench::stats::summarize;
 use treenet_bench::{seeds, Scale, Table};
-use treenet_core::{solve_tree_unit, RaiseRule, SolverConfig};
+use treenet_core::{solve, AutoChoice, RaiseRule, SolverConfig};
 use treenet_decomp::{LayeredDecomposition, Strategy};
 use treenet_model::workload::TreeWorkload;
 use treenet_model::InstanceId;
@@ -30,10 +30,11 @@ fn main() {
             .with_networks(2)
             .generate(&mut SmallRng::seed_from_u64(seed));
         // Multi-stage (ours).
-        let ours = solve_tree_unit(&p, &SolverConfig::default().with_seed(seed)).unwrap();
+        let cfg = SolverConfig::default().with_seed(seed);
+        let ours = solve(&p, AutoChoice::TreeUnit, &cfg).unwrap();
         multi_lambda.push(ours.lambda);
         multi_cert.push(ours.certified_ratio(&p));
-        multi_steps.push(ours.stats.steps as f64);
+        multi_steps.push(ours.run.halves()[0].stats.steps as f64);
         // Single-stage PS discipline on the same ideal decomposition.
         let layers = LayeredDecomposition::for_trees(&p, Strategy::Ideal);
         let all: Vec<InstanceId> = p.instances().map(|d| d.id).collect();

@@ -15,7 +15,7 @@ use rand::SeedableRng;
 use treenet_bench::report::f3;
 use treenet_bench::stats::summarize;
 use treenet_bench::{seeds, Scale, Table};
-use treenet_core::{solve_tree_unit, SolverConfig};
+use treenet_core::{solve, AutoChoice, SolverConfig};
 use treenet_decomp::Strategy;
 use treenet_model::workload::TreeWorkload;
 
@@ -46,18 +46,16 @@ fn main() {
                 let p = TreeWorkload::new(n, 2 * n)
                     .with_networks(2)
                     .generate(&mut SmallRng::seed_from_u64(seed));
-                let out = solve_tree_unit(
-                    &p,
-                    &SolverConfig::default()
-                        .with_strategy(strategy)
-                        .with_seed(seed),
-                )
-                .unwrap();
+                let cfg = SolverConfig::default()
+                    .with_strategy(strategy)
+                    .with_seed(seed);
+                let out = solve(&p, AutoChoice::TreeUnit, &cfg).unwrap();
                 out.solution.verify(&p).unwrap();
-                epochs.push(out.stats.epochs as f64);
-                rounds.push(out.stats.comm_rounds as f64);
+                let run = out.run.halves()[0];
+                epochs.push(run.stats.epochs as f64);
+                rounds.push(run.stats.comm_rounds as f64);
                 certified.push(out.certified_ratio(&p));
-                delta = delta.max(out.delta);
+                delta = delta.max(run.delta);
                 lambda_min = lambda_min.min(out.lambda);
             }
             let guarantee = (delta as f64 + 1.0) / lambda_min;

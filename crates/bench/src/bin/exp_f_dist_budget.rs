@@ -35,13 +35,8 @@ use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 use treenet_bench::{DistArgs, Table};
-use treenet_dist::{
-    descriptor_bits, run_distributed_auto, run_distributed_auto_reference,
-    run_distributed_line_arbitrary, run_distributed_line_arbitrary_reference,
-    run_distributed_line_unit, run_distributed_line_unit_reference, run_distributed_tree_arbitrary,
-    run_distributed_tree_arbitrary_reference, run_distributed_tree_unit,
-    run_distributed_tree_unit_reference, DistAutoRun, DistConfig,
-};
+use treenet_core::{auto_choice, AutoChoice};
+use treenet_dist::{descriptor_bits, run_distributed, run_distributed_reference, DistConfig};
 use treenet_lint::{Registry, REGISTRY_REL_PATH};
 use treenet_model::workload::{HeightMode, LineWorkload, TreeWorkload};
 use treenet_model::Problem;
@@ -71,18 +66,10 @@ const SPEEDUP_THREADS: usize = 8;
 /// gated).
 const SPEEDUP_MIN: f64 = 3.0;
 
-#[derive(Copy, Clone, Debug)]
-enum Runner {
-    TreeUnit,
-    TreeArbitrary,
-    LineUnit,
-    LineArbitrary,
-    Auto,
-}
-
 struct Scenario {
     name: &'static str,
-    runner: Runner,
+    /// The theorem to run; `None` dispatches through `auto_choice`.
+    theorem: Option<AutoChoice>,
     /// Whether the smoke grid includes this scenario.
     smoke: bool,
     /// Huge (pod-structured, `m = 10⁵` processors) scenarios run the
@@ -93,49 +80,49 @@ struct Scenario {
 const GRID: &[Scenario] = &[
     Scenario {
         name: "tree-unit-10x8",
-        runner: Runner::TreeUnit,
+        theorem: Some(AutoChoice::TreeUnit),
         smoke: true,
         huge: false,
     },
     Scenario {
         name: "tree-arbitrary-10x8",
-        runner: Runner::TreeArbitrary,
+        theorem: Some(AutoChoice::TreeArbitrary),
         smoke: true,
         huge: false,
     },
     Scenario {
         name: "line-unit-30x12",
-        runner: Runner::LineUnit,
+        theorem: Some(AutoChoice::LineUnit),
         smoke: true,
         huge: false,
     },
     Scenario {
         name: "line-arbitrary-30x12",
-        runner: Runner::LineArbitrary,
+        theorem: Some(AutoChoice::LineArbitrary),
         smoke: true,
         huge: false,
     },
     Scenario {
         name: "auto-mixed-24x10",
-        runner: Runner::Auto,
+        theorem: None,
         smoke: true,
         huge: false,
     },
     Scenario {
         name: "tree-unit-16x14",
-        runner: Runner::TreeUnit,
+        theorem: Some(AutoChoice::TreeUnit),
         smoke: false,
         huge: false,
     },
     Scenario {
         name: "line-unit-48x24",
-        runner: Runner::LineUnit,
+        theorem: Some(AutoChoice::LineUnit),
         smoke: false,
         huge: false,
     },
     Scenario {
         name: "line-arbitrary-48x24",
-        runner: Runner::LineArbitrary,
+        theorem: Some(AutoChoice::LineArbitrary),
         smoke: false,
         huge: false,
     },
@@ -146,13 +133,13 @@ const GRID: &[Scenario] = &[
     // excludes the huge grid via an explicit `--scenarios` list.
     Scenario {
         name: "tree-huge-100k",
-        runner: Runner::TreeUnit,
+        theorem: Some(AutoChoice::TreeUnit),
         smoke: true,
         huge: true,
     },
     Scenario {
         name: "line-huge-100k",
-        runner: Runner::LineUnit,
+        theorem: Some(AutoChoice::LineUnit),
         smoke: false,
         huge: true,
     },
@@ -277,83 +264,28 @@ fn config_with(threads: usize) -> DistConfig {
     }
 }
 
+/// The theorem scenario `s` runs on `problem`.
+fn theorem_for(s: &Scenario, problem: &Problem) -> AutoChoice {
+    s.theorem.unwrap_or_else(|| auto_choice(problem))
+}
+
 fn run_in_network(s: &Scenario, problem: &Problem, threads: usize) -> RunMeasure {
     let config = config_with(threads);
     let start = std::time::Instant::now();
-    let (metrics, lambda) = match s.runner {
-        Runner::TreeUnit => {
-            let out = run_distributed_tree_unit(problem, &config).unwrap();
-            (out.metrics, out.lambda)
-        }
-        Runner::TreeArbitrary => {
-            let out = run_distributed_tree_arbitrary(problem, &config).unwrap();
-            (out.metrics, out.lambda())
-        }
-        Runner::LineUnit => {
-            let out = run_distributed_line_unit(problem, &config).unwrap();
-            (out.metrics, out.lambda)
-        }
-        Runner::LineArbitrary => {
-            let out = run_distributed_line_arbitrary(problem, &config).unwrap();
-            (out.metrics, out.lambda())
-        }
-        Runner::Auto => {
-            let out = run_distributed_auto(problem, &config).unwrap();
-            match &out.run {
-                DistAutoRun::Single(out) => (out.metrics, out.lambda),
-                DistAutoRun::Split(out) => (out.metrics, out.lambda()),
-            }
-        }
-    };
+    let out = run_distributed(problem, theorem_for(s, problem), &config).unwrap();
     RunMeasure {
-        metrics,
-        lambda_bits: lambda.to_bits(),
+        metrics: out.run.metrics(),
+        lambda_bits: out.lambda.to_bits(),
         wall_ms: start.elapsed().as_secs_f64() * 1000.0,
     }
 }
 
 fn reference_rounds_for(s: &Scenario, problem: &Problem, threads: usize) -> u64 {
-    let config = config_with(threads);
-    let auto_metrics = |run: &DistAutoRun| -> Metrics {
-        match run {
-            DistAutoRun::Single(out) => out.metrics,
-            DistAutoRun::Split(out) => out.metrics,
-        }
-    };
-    match s.runner {
-        Runner::TreeUnit => {
-            run_distributed_tree_unit_reference(problem, &config)
-                .unwrap()
-                .metrics
-                .rounds
-        }
-        Runner::TreeArbitrary => {
-            run_distributed_tree_arbitrary_reference(problem, &config)
-                .unwrap()
-                .metrics
-                .rounds
-        }
-        Runner::LineUnit => {
-            run_distributed_line_unit_reference(problem, &config)
-                .unwrap()
-                .metrics
-                .rounds
-        }
-        Runner::LineArbitrary => {
-            run_distributed_line_arbitrary_reference(problem, &config)
-                .unwrap()
-                .metrics
-                .rounds
-        }
-        Runner::Auto => {
-            auto_metrics(
-                &run_distributed_auto_reference(problem, &config)
-                    .unwrap()
-                    .run,
-            )
-            .rounds
-        }
-    }
+    run_distributed_reference(problem, theorem_for(s, problem), &config_with(threads))
+        .unwrap()
+        .run
+        .metrics()
+        .rounds
 }
 
 fn run_scenario(s: &Scenario, requested_threads: Option<usize>) -> ScenarioReport {

@@ -23,14 +23,10 @@ use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use treenet_bench::report::f3;
 use treenet_bench::{seeds, DistArgs, Scale, Table};
-use treenet_core::{
-    solve_line_arbitrary, solve_line_unit, solve_tree_arbitrary, solve_tree_unit, CombinedOutcome,
-    Outcome, SolverConfig,
-};
+use treenet_core::{solve, AutoChoice, AutoRun, CombinedOutcome, Outcome, SolverConfig};
 use treenet_dist::{
-    descriptor_bits, run_distributed_line_arbitrary, run_distributed_line_unit,
-    run_distributed_tree_arbitrary, run_distributed_tree_unit, DistCombinedOutcome, DistConfig,
-    DistOutcome, COMBINE_ROUNDS,
+    descriptor_bits, run_distributed, DistAutoRun, DistCombinedOutcome, DistConfig, DistOutcome,
+    COMBINE_ROUNDS,
 };
 use treenet_model::workload::{HeightMode, LineWorkload, TreeWorkload};
 use treenet_model::Problem;
@@ -158,7 +154,12 @@ fn main() {
     let mut all_equal = true;
     let mut ran_any = false;
     let mut emitted = String::new();
-    for family in ["tree-unit", "tree-arbitrary", "line-unit", "line-arbitrary"] {
+    for (family, choice) in [
+        ("tree-unit", AutoChoice::TreeUnit),
+        ("tree-arbitrary", AutoChoice::TreeArbitrary),
+        ("line-unit", AutoChoice::LineUnit),
+        ("line-arbitrary", AutoChoice::LineArbitrary),
+    ] {
         let sizes = if family.starts_with("tree") {
             &tree_sizes
         } else {
@@ -180,32 +181,25 @@ fn main() {
                 let lines = LineWorkload::new(size, m)
                     .with_resources(2)
                     .with_len_range(1, 8);
-                let checked = match family {
-                    "tree-unit" => {
-                        let p = trees.generate(rng);
-                        let logical = solve_tree_unit(&p, &cfg).unwrap();
-                        check_solo(&p, &logical, &run_distributed_tree_unit(&p, &dist).unwrap())
+                let p = match choice {
+                    AutoChoice::TreeUnit => trees.generate(rng),
+                    AutoChoice::TreeArbitrary => trees.with_heights(BIMODAL).generate(rng),
+                    AutoChoice::LineUnit => lines.with_window_slack(3).generate(rng),
+                    AutoChoice::LineArbitrary => lines
+                        .with_window_slack(2)
+                        .with_heights(BIMODAL)
+                        .generate(rng),
+                };
+                let logical = solve(&p, choice, &cfg).unwrap();
+                let out = run_distributed(&p, choice, &dist).unwrap();
+                let checked = match (&logical.run, &out.run) {
+                    (AutoRun::Single(logical), DistAutoRun::Single(out)) => {
+                        check_solo(&p, logical, out)
                     }
-                    "tree-arbitrary" => {
-                        let p = trees.with_heights(BIMODAL).generate(rng);
-                        let logical = solve_tree_arbitrary(&p, &cfg).unwrap();
-                        let out = run_distributed_tree_arbitrary(&p, &dist).unwrap();
-                        check_split(&p, &logical, &out)
+                    (AutoRun::Split(logical), DistAutoRun::Split(out)) => {
+                        check_split(&p, logical, out)
                     }
-                    "line-unit" => {
-                        let p = lines.with_window_slack(3).generate(rng);
-                        let logical = solve_line_unit(&p, &cfg).unwrap();
-                        check_solo(&p, &logical, &run_distributed_line_unit(&p, &dist).unwrap())
-                    }
-                    _ => {
-                        let p = lines
-                            .with_window_slack(2)
-                            .with_heights(BIMODAL)
-                            .generate(rng);
-                        let logical = solve_line_arbitrary(&p, &cfg).unwrap();
-                        let out = run_distributed_line_arbitrary(&p, &dist).unwrap();
-                        check_split(&p, &logical, &out)
-                    }
+                    _ => unreachable!("both sides run the theorem's halves"),
                 };
                 all_equal &=
                     checked.solutions_equal && checked.lambdas_equal && checked.invariants_hold;

@@ -32,11 +32,8 @@ use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 use treenet_bench::{DistArgs, Table};
-use treenet_core::retransmit_round_bound;
-use treenet_dist::{
-    run_distributed_auto, run_distributed_line_arbitrary, run_distributed_line_unit,
-    run_distributed_tree_arbitrary, run_distributed_tree_unit, DistAutoRun, DistConfig,
-};
+use treenet_core::{auto_choice, retransmit_round_bound, AutoChoice};
+use treenet_dist::{run_distributed, DistConfig};
 use treenet_model::workload::{HeightMode, LineWorkload, TreeWorkload};
 use treenet_model::{Problem, Solution};
 use treenet_netsim::{LossModel, Metrics, DEFAULT_ARQ_WINDOW};
@@ -51,18 +48,10 @@ const LOSS_RATES: [f64; 4] = [0.0, 0.01, 0.05, 0.2];
 /// Seed of the loss RNG stream (independent of the protocol seed).
 const LOSS_SEED: u64 = 0x10ff;
 
-#[derive(Copy, Clone, Debug)]
-enum Runner {
-    TreeUnit,
-    TreeArbitrary,
-    LineUnit,
-    LineArbitrary,
-    Auto,
-}
-
 struct Scenario {
     name: &'static str,
-    runner: Runner,
+    /// The theorem to run; `None` dispatches through `auto_choice`.
+    theorem: Option<AutoChoice>,
     smoke: bool,
 }
 
@@ -72,37 +61,37 @@ struct Scenario {
 const GRID: &[Scenario] = &[
     Scenario {
         name: "tree-unit-10x8",
-        runner: Runner::TreeUnit,
+        theorem: Some(AutoChoice::TreeUnit),
         smoke: true,
     },
     Scenario {
         name: "tree-arbitrary-10x8",
-        runner: Runner::TreeArbitrary,
+        theorem: Some(AutoChoice::TreeArbitrary),
         smoke: true,
     },
     Scenario {
         name: "line-unit-30x12",
-        runner: Runner::LineUnit,
+        theorem: Some(AutoChoice::LineUnit),
         smoke: true,
     },
     Scenario {
         name: "line-arbitrary-30x12",
-        runner: Runner::LineArbitrary,
+        theorem: Some(AutoChoice::LineArbitrary),
         smoke: true,
     },
     Scenario {
         name: "auto-mixed-24x10",
-        runner: Runner::Auto,
+        theorem: None,
         smoke: true,
     },
     Scenario {
         name: "line-unit-48x24",
-        runner: Runner::LineUnit,
+        theorem: Some(AutoChoice::LineUnit),
         smoke: false,
     },
     Scenario {
         name: "line-arbitrary-48x24",
-        runner: Runner::LineArbitrary,
+        theorem: Some(AutoChoice::LineArbitrary),
         smoke: false,
     },
 ];
@@ -163,32 +152,9 @@ fn run_once(s: &Scenario, problem: &Problem, loss: Option<LossModel>) -> (Soluti
         loss,
         ..DistConfig::default()
     };
-    match s.runner {
-        Runner::TreeUnit => {
-            let out = run_distributed_tree_unit(problem, &config).unwrap();
-            (out.solution, out.lambda.to_bits(), out.metrics)
-        }
-        Runner::TreeArbitrary => {
-            let out = run_distributed_tree_arbitrary(problem, &config).unwrap();
-            (out.solution.clone(), out.lambda().to_bits(), out.metrics)
-        }
-        Runner::LineUnit => {
-            let out = run_distributed_line_unit(problem, &config).unwrap();
-            (out.solution, out.lambda.to_bits(), out.metrics)
-        }
-        Runner::LineArbitrary => {
-            let out = run_distributed_line_arbitrary(problem, &config).unwrap();
-            (out.solution.clone(), out.lambda().to_bits(), out.metrics)
-        }
-        Runner::Auto => {
-            let out = run_distributed_auto(problem, &config).unwrap();
-            let metrics = match &out.run {
-                DistAutoRun::Single(run) => run.metrics,
-                DistAutoRun::Split(run) => run.metrics,
-            };
-            (out.solution, out.lambda.to_bits(), metrics)
-        }
-    }
+    let theorem = s.theorem.unwrap_or_else(|| auto_choice(problem));
+    let out = run_distributed(problem, theorem, &config).unwrap();
+    (out.solution, out.lambda.to_bits(), out.run.metrics())
 }
 
 /// One (scenario, p) measurement as persisted to `BENCH_dist_loss.json`.

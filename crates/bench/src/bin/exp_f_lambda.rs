@@ -10,7 +10,7 @@ use treenet_baseline::{ps_line_unit, PsConfig};
 use treenet_bench::report::f3;
 use treenet_bench::stats::summarize;
 use treenet_bench::{seeds, Scale, Table};
-use treenet_core::{solve_line_unit, SolverConfig};
+use treenet_core::{solve, AutoChoice, SolverConfig};
 use treenet_model::workload::LineWorkload;
 
 fn main() {
@@ -27,11 +27,8 @@ fn main() {
             .with_window_slack(2)
             .with_len_range(1, 12)
             .generate(&mut SmallRng::seed_from_u64(seed));
-        let ours = solve_line_unit(
-            &p,
-            &SolverConfig::default().with_epsilon(eps).with_seed(seed),
-        )
-        .unwrap();
+        let cfg = SolverConfig::default().with_epsilon(eps).with_seed(seed);
+        let ours = solve(&p, AutoChoice::LineUnit, &cfg).unwrap();
         let ps = ps_line_unit(
             &p,
             &PsConfig {

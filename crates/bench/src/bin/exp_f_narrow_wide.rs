@@ -8,7 +8,7 @@ use rand::SeedableRng;
 use treenet_bench::report::{f2, f3};
 use treenet_bench::stats::summarize;
 use treenet_bench::{seeds, Scale, Table};
-use treenet_core::{narrow_xi, solve_tree_arbitrary, stages_for, SolverConfig};
+use treenet_core::{narrow_xi, solve, stages_for, AutoChoice, AutoRun, SolverConfig};
 use treenet_model::workload::{HeightMode, TreeWorkload};
 
 fn main() {
@@ -42,11 +42,11 @@ fn main() {
                     hmin,
                 })
                 .generate(&mut SmallRng::seed_from_u64(seed));
-            let out = solve_tree_arbitrary(
-                &p,
-                &SolverConfig::default().with_epsilon(eps).with_seed(seed),
-            )
-            .unwrap();
+            let cfg = SolverConfig::default().with_epsilon(eps).with_seed(seed);
+            let AutoRun::Split(out) = solve(&p, AutoChoice::TreeArbitrary, &cfg).unwrap().run
+            else {
+                unreachable!("Theorem 6.3 splits wide and narrow demands");
+            };
             out.solution.verify(&p).unwrap();
             ratios.push(out.certified_ratio(&p));
             let best_side = out.wide.profit(&p).max(out.narrow.profit(&p));

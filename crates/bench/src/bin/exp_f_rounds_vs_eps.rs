@@ -7,7 +7,7 @@ use rand::SeedableRng;
 use treenet_bench::report::{f2, f3};
 use treenet_bench::stats::summarize;
 use treenet_bench::{seeds, Scale, Table};
-use treenet_core::{solve_tree_unit, stages_for, SolverConfig};
+use treenet_core::{solve, stages_for, AutoChoice, SolverConfig};
 use treenet_model::workload::TreeWorkload;
 
 fn main() {
@@ -37,14 +37,11 @@ fn main() {
             let p = TreeWorkload::new(32, 64)
                 .with_networks(3)
                 .generate(&mut SmallRng::seed_from_u64(seed));
-            let out = solve_tree_unit(
-                &p,
-                &SolverConfig::default().with_epsilon(eps).with_seed(seed),
-            )
-            .unwrap();
+            let cfg = SolverConfig::default().with_epsilon(eps).with_seed(seed);
+            let out = solve(&p, AutoChoice::TreeUnit, &cfg).unwrap();
             lambdas.push(out.lambda);
             ratios.push(out.certified_ratio(&p));
-            rounds.push(out.stats.comm_rounds as f64);
+            rounds.push(out.run.halves()[0].stats.comm_rounds as f64);
         }
         let bound = 7.0 / (1.0 - eps);
         table.row(&[

@@ -10,7 +10,7 @@ use rand::SeedableRng;
 use treenet_bench::report::{f2, f3};
 use treenet_bench::stats::{correlation, summarize};
 use treenet_bench::{seeds, Scale, Table};
-use treenet_core::{solve_tree_unit, SolverConfig};
+use treenet_core::{solve, AutoChoice, SolverConfig};
 use treenet_model::workload::TreeWorkload;
 
 fn main() {
@@ -44,12 +44,14 @@ fn main() {
                 .with_networks(3)
                 .with_profit_ratio(8.0)
                 .generate(&mut SmallRng::seed_from_u64(seed));
-            let out = solve_tree_unit(&p, &SolverConfig::default().with_seed(seed)).unwrap();
+            let cfg = SolverConfig::default().with_seed(seed);
+            let out = solve(&p, AutoChoice::TreeUnit, &cfg).unwrap();
             out.solution.verify(&p).unwrap();
-            epochs.push(out.stats.epochs as f64);
-            steps.push(out.stats.steps as f64);
-            mis.push(out.stats.mis_rounds as f64);
-            rounds.push(out.stats.comm_rounds as f64);
+            let stats = out.run.halves()[0].stats;
+            epochs.push(stats.epochs as f64);
+            steps.push(stats.steps as f64);
+            mis.push(stats.mis_rounds as f64);
+            rounds.push(stats.comm_rounds as f64);
         }
         let log2n = (n as f64).log2();
         let bound = 2.0 * log2n.ceil() + 1.0;

@@ -21,7 +21,7 @@ use rand::SeedableRng;
 use treenet_bench::report::f2;
 use treenet_bench::stats::summarize;
 use treenet_bench::{seeds, Scale, Table};
-use treenet_core::{solve_line_unit, solve_tree_unit, SolverConfig};
+use treenet_core::{solve, AutoChoice, SolverConfig};
 use treenet_graph::{Tree, VertexId};
 use treenet_model::workload::TreeWorkload;
 use treenet_model::{Demand, Problem, ProblemBuilder};
@@ -69,10 +69,11 @@ fn main() {
                 .with_networks(3)
                 .with_profit_ratio(ratio)
                 .generate(&mut SmallRng::seed_from_u64(seed));
-            let out = solve_tree_unit(&p, &SolverConfig::default().with_seed(seed)).unwrap();
-            max_stage.push(out.stats.max_steps_in_stage as f64);
-            steps.push(out.stats.steps as f64);
-            rounds.push(out.stats.comm_rounds as f64);
+            let cfg = SolverConfig::default().with_seed(seed);
+            let stats = solve(&p, AutoChoice::TreeUnit, &cfg).unwrap().run.halves()[0].stats;
+            max_stage.push(stats.max_steps_in_stage as f64);
+            steps.push(stats.steps as f64);
+            rounds.push(stats.comm_rounds as f64);
         }
         let bound = 2.0 + ratio.log2().max(0.0);
         table.row(&[
@@ -112,10 +113,12 @@ fn main() {
         let mut total = 0u64;
         for &seed in &runs {
             let p = adversarial_clique(k);
-            let out = solve_line_unit(&p, &SolverConfig::default().with_seed(seed)).unwrap();
+            let cfg = SolverConfig::default().with_seed(seed);
+            let out = solve(&p, AutoChoice::LineUnit, &cfg).unwrap();
             out.solution.verify(&p).unwrap();
-            worst = worst.max(out.stats.max_steps_in_stage as f64);
-            total = total.max(out.stats.steps);
+            let stats = out.run.halves()[0].stats;
+            worst = worst.max(stats.max_steps_in_stage as f64);
+            total = total.max(stats.steps);
         }
         let logr = (k - 1) as f64;
         let bound = 2.0 + logr;

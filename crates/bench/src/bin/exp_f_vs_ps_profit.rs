@@ -10,7 +10,7 @@ use treenet_baseline::{exact_max_profit, greedy_profit, ps_line_unit, GreedyOrde
 use treenet_bench::report::f3;
 use treenet_bench::stats::summarize;
 use treenet_bench::{seeds, Scale, Table};
-use treenet_core::{solve_line_unit, SolverConfig};
+use treenet_core::{solve, AutoChoice, SolverConfig};
 use treenet_model::workload::LineWorkload;
 
 fn main() {
@@ -33,7 +33,8 @@ fn main() {
                 .with_window_slack(2)
                 .with_len_range(1, 10)
                 .generate(&mut SmallRng::seed_from_u64(seed));
-            let ours = solve_line_unit(&p, &SolverConfig::default().with_seed(seed)).unwrap();
+            let cfg = SolverConfig::default().with_seed(seed);
+            let ours = solve(&p, AutoChoice::LineUnit, &cfg).unwrap();
             let ps = ps_line_unit(
                 &p,
                 &PsConfig {
@@ -42,7 +43,7 @@ fn main() {
                 },
             );
             let greedy = greedy_profit(&p, GreedyOrder::Density);
-            let po = ours.profit(&p);
+            let po = ours.solution.profit(&p);
             let pp = ps.profit(&p);
             let pg = greedy.profit(&p);
             head_to_head.push(if pp > 0.0 { po / pp } else { 1.0 });

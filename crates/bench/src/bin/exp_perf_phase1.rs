@@ -469,13 +469,7 @@ fn runs_for(
         Rule::Unit => vec![(RaiseRule::Unit, config(unit_xi(delta)), all)],
         Rule::Narrow => vec![(RaiseRule::Narrow, config(narrow_xi(delta, HMIN)), all)],
         Rule::Capacitated => {
-            let (mut wide, mut narrow) = (Vec::new(), Vec::new());
-            for &d in &all {
-                match problem.demand(problem.instance(d).demand).height_class() {
-                    HeightClass::Wide => wide.push(d),
-                    HeightClass::Narrow => narrow.push(d),
-                }
-            }
+            let (wide, narrow) = HeightClass::split(problem, all);
             vec![
                 (RaiseRule::Unit, config(unit_xi(delta)), wide),
                 (RaiseRule::Narrow, config(narrow_xi(delta, HMIN)), narrow),

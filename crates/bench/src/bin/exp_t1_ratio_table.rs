@@ -22,10 +22,7 @@ use treenet_baseline::{
 };
 use treenet_bench::report::f3;
 use treenet_bench::{seeds, Scale, Table};
-use treenet_core::{
-    certified_ratio, solve_line_arbitrary, solve_line_unit, solve_sequential_tree,
-    solve_tree_arbitrary, solve_tree_unit, SolverConfig,
-};
+use treenet_core::{certified_ratio, solve, solve_sequential_tree, AutoChoice, SolverConfig};
 use treenet_model::workload::{HeightMode, LineWorkload, TreeWorkload};
 use treenet_model::Problem;
 
@@ -138,9 +135,11 @@ fn main() {
             .with_window_slack(2)
             .with_len_range(1, 10)
             .generate(&mut rng);
-        let ours = solve_line_unit(&lp, &cfg.clone().with_seed(seed)).unwrap();
+        let cfg = cfg.clone().with_seed(seed);
+        let ours = solve(&lp, AutoChoice::LineUnit, &cfg).unwrap();
         ours.solution.verify(&lp).unwrap();
-        entries.push((0, ours.certified_ratio(&lp), vs_opt(&lp, ours.profit(&lp))));
+        let profit = ours.solution.profit(&lp);
+        entries.push((0, ours.certified_ratio(&lp), vs_opt(&lp, profit)));
         let ps = ps_line_unit(
             &lp,
             &PsConfig {
@@ -160,9 +159,10 @@ fn main() {
                 hmin: 0.2,
             })
             .generate(&mut rng);
-        let ours = solve_line_arbitrary(&la, &cfg.clone().with_seed(seed)).unwrap();
+        let ours = solve(&la, AutoChoice::LineArbitrary, &cfg).unwrap();
         ours.solution.verify(&la).unwrap();
-        entries.push((2, ours.certified_ratio(&la), vs_opt(&la, ours.profit(&la))));
+        let profit = ours.solution.profit(&la);
+        entries.push((2, ours.certified_ratio(&la), vs_opt(&la, profit)));
         let (ps_sol, ps_w, ps_n) = ps_line_arbitrary(
             &la,
             &PsConfig {
@@ -175,11 +175,7 @@ fn main() {
         let ps_profit = ps_sol.profit(&la);
         entries.push((
             3,
-            if ps_profit > 0.0 {
-                ps_bound / ps_profit
-            } else {
-                1.0
-            },
+            certified_ratio(ps_bound, ps_profit),
             vs_opt(&la, ps_profit),
         ));
 
@@ -193,11 +189,7 @@ fn main() {
         let bn_profit = bn_sol.profit(&la);
         entries.push((
             5,
-            if bn_profit > 0.0 {
-                bn_bound / bn_profit
-            } else {
-                1.0
-            },
+            certified_ratio(bn_bound, bn_profit),
             vs_opt(&la, bn_profit),
         ));
 
@@ -205,9 +197,10 @@ fn main() {
         let tp = TreeWorkload::new(24, 12)
             .with_networks(2)
             .generate(&mut rng);
-        let ours = solve_tree_unit(&tp, &cfg.clone().with_seed(seed)).unwrap();
+        let ours = solve(&tp, AutoChoice::TreeUnit, &cfg).unwrap();
         ours.solution.verify(&tp).unwrap();
-        entries.push((6, ours.certified_ratio(&tp), vs_opt(&tp, ours.profit(&tp))));
+        let profit = ours.solution.profit(&tp);
+        entries.push((6, ours.certified_ratio(&tp), vs_opt(&tp, profit)));
 
         // Trees (arbitrary heights).
         let ta = TreeWorkload::new(20, 11)
@@ -217,9 +210,10 @@ fn main() {
                 hmin: 0.2,
             })
             .generate(&mut rng);
-        let ours = solve_tree_arbitrary(&ta, &cfg.clone().with_seed(seed)).unwrap();
+        let ours = solve(&ta, AutoChoice::TreeArbitrary, &cfg).unwrap();
         ours.solution.verify(&ta).unwrap();
-        entries.push((7, ours.certified_ratio(&ta), vs_opt(&ta, ours.profit(&ta))));
+        let profit = ours.solution.profit(&ta);
+        entries.push((7, ours.certified_ratio(&ta), vs_opt(&ta, profit)));
 
         // Sequential (multi-tree and single-tree).
         let seq = solve_sequential_tree(&tp);

@@ -11,7 +11,6 @@
 //! 3. the accounting inequality `val(α,β) ≤ cap·p(S)` holds;
 //! 4. therefore `p(OPT) ≤ val/λ ≤ (cap/λ)·p(S)`.
 
-use crate::dual::DualState;
 use crate::framework::Outcome;
 use std::fmt;
 use treenet_model::{InstanceId, Problem};
@@ -57,30 +56,16 @@ impl Certificate {
     /// instances the run was responsible for; pass all instances for the
     /// plain solvers).
     pub fn audit(problem: &Problem, outcome: &Outcome, participants: &[InstanceId]) -> Self {
-        Self::from_parts(
-            problem,
-            &outcome.dual,
-            outcome,
-            participants,
-            outcome.objective_cap,
-        )
-    }
-
-    fn from_parts(
-        problem: &Problem,
-        dual: &DualState,
-        outcome: &Outcome,
-        participants: &[InstanceId],
-        cap: f64,
-    ) -> Self {
         let profit = outcome.solution.profit(problem);
         let feasible = outcome.solution.verify(problem).is_ok();
-        let dual_value = dual.value();
-        let lambda = dual
+        let dual_value = outcome.dual.value();
+        let lambda = outcome
+            .dual
             .min_satisfaction(problem, participants)
             .clamp(f64::MIN_POSITIVE, 1.0);
         let opt_upper_bound = dual_value / lambda;
         let certified_ratio = certified_ratio(opt_upper_bound, profit);
+        let cap = outcome.objective_cap;
         let accounting_holds = dual_value <= cap * profit + 1e-6 * (1.0 + dual_value.abs());
         Certificate {
             profit,
@@ -120,7 +105,7 @@ impl fmt::Display for Certificate {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{solve_tree_unit, SolverConfig};
+    use crate::{solve, AutoChoice, SolverConfig};
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
     use treenet_model::workload::TreeWorkload;
@@ -131,9 +116,11 @@ mod tests {
             let p = TreeWorkload::new(14, 12)
                 .with_networks(2)
                 .generate(&mut SmallRng::seed_from_u64(seed));
-            let out = solve_tree_unit(&p, &SolverConfig::default().with_seed(seed)).unwrap();
+            let cfg = SolverConfig::default().with_seed(seed);
+            let run = solve(&p, AutoChoice::TreeUnit, &cfg).unwrap().run;
+            let out = run.halves()[0];
             let all: Vec<InstanceId> = p.instances().map(|d| d.id).collect();
-            let cert = Certificate::audit(&p, &out, &all);
+            let cert = Certificate::audit(&p, out, &all);
             assert!(cert.is_valid(), "seed {seed}: {cert}");
             assert!((cert.lambda - out.lambda).abs() < 1e-12);
             assert!((cert.certified_ratio - out.certified_ratio(&p)).abs() < 1e-9);
@@ -146,7 +133,10 @@ mod tests {
         let p = TreeWorkload::new(12, 10)
             .with_networks(1)
             .generate(&mut SmallRng::seed_from_u64(3));
-        let mut out = solve_tree_unit(&p, &SolverConfig::default()).unwrap();
+        let run = solve(&p, AutoChoice::TreeUnit, &SolverConfig::default())
+            .unwrap()
+            .run;
+        let mut out = run.halves()[0].clone();
         // Tamper: claim every instance was selected (infeasible on any
         // contended workload).
         out.solution = treenet_model::Solution::new(p.instances().map(|d| d.id).collect());
@@ -163,8 +153,10 @@ mod tests {
         let mut b = treenet_model::ProblemBuilder::new();
         b.add_network(treenet_graph::Tree::line(3)).unwrap();
         let p = b.build().unwrap();
-        let out = solve_tree_unit(&p, &SolverConfig::default()).unwrap();
-        let cert = Certificate::audit(&p, &out, &[]);
+        let run = solve(&p, AutoChoice::TreeUnit, &SolverConfig::default())
+            .unwrap()
+            .run;
+        let cert = Certificate::audit(&p, run.halves()[0], &[]);
         assert!(cert.is_valid());
         assert_eq!(cert.certified_ratio, 1.0);
     }

@@ -68,7 +68,7 @@ use std::fmt;
 use crate::framework::{
     run_two_phase, run_two_phase_reference, FrameworkConfig, FrameworkError, RaiseRule,
 };
-use crate::solvers::{combine_by_network, narrow_xi, unit_xi, SolverConfig};
+use crate::solvers::{all_canonical_lines, combine_by_network, narrow_xi, unit_xi, SolverConfig};
 use treenet_decomp::{LayeredDecomposition, Layering, Strategy};
 use treenet_graph::UnionFind;
 use treenet_model::{
@@ -311,10 +311,7 @@ impl DeltaEngine {
     /// [`DeltaEngineError::BadHmin`]/[`DeltaEngineError::HeightBelowFloor`]
     /// for a bad or violated a-priori floor.
     pub fn new(problem: Problem, config: &SolverConfig) -> Result<DeltaEngine, DeltaEngineError> {
-        let line_family = problem.network_count() > 0
-            && problem
-                .networks()
-                .all(|t| problem.network(t).is_canonical_line());
+        let line_family = all_canonical_lines(&problem);
         let delta_bound = if line_family {
             LINE_DELTA_BOUND
         } else {
@@ -604,7 +601,8 @@ impl DeltaEngine {
                     narrow: ComponentSolve::neutral(),
                 },
                 Mode::Capacitated { narrow_config, .. } => {
-                    let (wide_ids, narrow_ids) = split_by_class(&self.problem, &participants);
+                    let (wide_ids, narrow_ids) =
+                        HeightClass::split(&self.problem, participants.iter().copied());
                     CacheEntry {
                         wide: self.component_solve(RaiseRule::Unit, &self.config, &wide_ids)?,
                         narrow: self.component_solve(
@@ -711,7 +709,8 @@ impl DeltaEngine {
                 })
             }
             Mode::Capacitated { narrow_config, .. } => {
-                let (wide_ids, narrow_ids) = split_by_class(&self.problem, &live);
+                let (wide_ids, narrow_ids) =
+                    HeightClass::split(&self.problem, live.iter().copied());
                 let wide = run_two_phase_reference(
                     &self.problem,
                     &self.layers,
@@ -733,23 +732,6 @@ impl DeltaEngine {
             }
         }
     }
-}
-
-/// Splits participant instances into (wide, narrow) by their demand's
-/// height class, preserving order.
-fn split_by_class(
-    problem: &Problem,
-    participants: &[InstanceId],
-) -> (Vec<InstanceId>, Vec<InstanceId>) {
-    let mut wide = Vec::new();
-    let mut narrow = Vec::new();
-    for &d in participants {
-        match problem.demand(problem.instance(d).demand).height_class() {
-            HeightClass::Wide => wide.push(d),
-            HeightClass::Narrow => narrow.push(d),
-        }
-    }
-    (wide, narrow)
 }
 
 #[cfg(test)]

@@ -609,12 +609,18 @@ fn mark_stale(
     }
 }
 
-fn validate(config: &FrameworkConfig) -> Result<(), FrameworkError> {
-    if !(config.epsilon > 0.0 && config.epsilon < 1.0) {
+/// Rejects an `ε` outside `(0, 1)`.
+pub(crate) fn validate_epsilon(epsilon: f64) -> Result<(), FrameworkError> {
+    if !(epsilon > 0.0 && epsilon < 1.0) {
         return Err(FrameworkError::BadParameters {
-            reason: format!("epsilon must lie in (0,1), got {}", config.epsilon),
+            reason: format!("epsilon must lie in (0,1), got {epsilon}"),
         });
     }
+    Ok(())
+}
+
+fn validate(config: &FrameworkConfig) -> Result<(), FrameworkError> {
+    validate_epsilon(config.epsilon)?;
     if !(config.xi > 0.0 && config.xi < 1.0) {
         return Err(FrameworkError::BadParameters {
             reason: format!("xi must lie in (0,1), got {}", config.xi),

@@ -8,10 +8,11 @@
 //! | [`DualState`], [`DualForm`] | 3.1, 6.1 (LP duals) |
 //! | [`run_two_phase`], [`RaiseRule`], [`FrameworkConfig`] | 3.2 framework + Section 5 epochs/stages/steps (Figure 7) |
 //! | [`check_interference`] | the interference property of Section 3.2 |
-//! | [`solve_tree_unit`] | Theorem 5.3 — `(7+ε)`-approximation |
-//! | [`solve_tree_arbitrary`] | Theorem 6.3 — `(80+ε)`-approximation |
-//! | [`solve_line_unit`] | Theorem 7.1 — `(4+ε)`-approximation |
-//! | [`solve_line_arbitrary`] | Theorem 7.2 — `(23+ε)`-approximation |
+//! | [`solve`] with [`AutoChoice::TreeUnit`] | Theorem 5.3 — `(7+ε)`-approximation |
+//! | [`solve`] with [`AutoChoice::TreeArbitrary`] | Theorem 6.3 — `(80+ε)`-approximation |
+//! | [`solve`] with [`AutoChoice::LineUnit`] | Theorem 7.1 — `(4+ε)`-approximation |
+//! | [`solve`] with [`AutoChoice::LineArbitrary`] | Theorem 7.2 — `(23+ε)`-approximation |
+//! | [`AutoChoice::layering`], [`AutoChoice::halves`] | a theorem as data: its layered decomposition (Section 4 / 7) and its raise rules and `ξ` |
 //! | [`solve_sequential_tree`] | Appendix A — 3-approximation (2 for one tree) |
 //!
 //! The schedulers run the *logical* distributed execution: the exact
@@ -25,11 +26,11 @@
 //! ```
 //! use rand::SeedableRng;
 //! use treenet_model::workload::TreeWorkload;
-//! use treenet_core::{solve_tree_unit, SolverConfig};
+//! use treenet_core::{solve, AutoChoice, SolverConfig};
 //!
 //! let mut rng = rand::rngs::SmallRng::seed_from_u64(7);
 //! let problem = TreeWorkload::new(32, 30).generate(&mut rng);
-//! let outcome = solve_tree_unit(&problem, &SolverConfig::default()).unwrap();
+//! let outcome = solve(&problem, AutoChoice::TreeUnit, &SolverConfig::default()).unwrap();
 //!
 //! outcome.solution.verify(&problem).unwrap();
 //! // Certified a-posteriori approximation factor (Theorem 5.3 guarantees
@@ -60,7 +61,6 @@ pub use framework::{
 };
 pub use sequential::{solve_sequential_tree, SequentialOutcome};
 pub use solvers::{
-    auto_choice, combine_by_network, combine_decision, narrow_xi, resolve_narrow_hmin, solve_auto,
-    solve_line_arbitrary, solve_line_unit, solve_tree_arbitrary, solve_tree_unit, unit_xi,
-    AutoChoice, AutoOutcome, CombinedOutcome, SolverConfig,
+    auto_choice, combine_by_network, combine_decision, narrow_xi, resolve_narrow_hmin, solve,
+    solve_auto, unit_xi, AutoChoice, AutoOutcome, AutoRun, CombinedOutcome, Half, SolverConfig,
 };

@@ -1,22 +1,29 @@
-//! The paper's schedulers, assembled from the framework:
+//! The paper's schedulers, assembled from the framework. The theorem is
+//! data: an [`AutoChoice`] names the layering (tree decompositions or
+//! line length classes) and whether the heights split into a wide and a
+//! narrow half, and [`solve`] runs any of the four:
 //!
-//! * [`solve_tree_unit`] — Theorem 5.3, `(7+ε)`-approximation;
-//! * [`solve_tree_arbitrary`] — Theorem 6.3, `(80+ε)`-approximation
+//! * [`AutoChoice::TreeUnit`] — Theorem 5.3, `(7+ε)`-approximation;
+//! * [`AutoChoice::TreeArbitrary`] — Theorem 6.3, `(80+ε)`-approximation
 //!   (wide/narrow split + per-network combiner);
-//! * [`solve_line_unit`] — Theorem 7.1, `(4+ε)`-approximation (windows
-//!   supported via instance expansion);
-//! * [`solve_line_arbitrary`] — Theorem 7.2, `(23+ε)`-approximation.
+//! * [`AutoChoice::LineUnit`] — Theorem 7.1, `(4+ε)`-approximation
+//!   (windows supported via instance expansion);
+//! * [`AutoChoice::LineArbitrary`] — Theorem 7.2, `(23+ε)`-approximation.
 //!
-//! All stage factors `ξ` are derived from the layered decomposition's `Δ`
-//! exactly as in the paper: `ξ = 2Δ′/(2Δ′+1)` with `Δ′ = Δ+1` for the unit
-//! rule (`14/15` for trees, `8/9` for lines) and `ξ = c/(c+hmin)` with
+//! [`AutoChoice::halves`] is the one map from a theorem to its runs,
+//! shared with the message-passing runners of `treenet-dist`. All stage
+//! factors `ξ` are derived from the layered decomposition's `Δ` exactly
+//! as in the paper: `ξ = 2Δ′/(2Δ′+1)` with `Δ′ = Δ+1` for the unit rule
+//! (`14/15` for trees, `8/9` for lines) and `ξ = c/(c+hmin)` with
 //! `c = 2Δ²+1` for the narrow rule (73 for trees, 19 for lines — the
 //! "suitable constant" of Section 6.1; see `narrow_xi` for the
 //! derivation).
 
 use crate::certificate::certified_ratio;
-use crate::framework::{run_two_phase, FrameworkConfig, FrameworkError, Outcome, RaiseRule};
-use treenet_decomp::{LayeredDecomposition, Strategy};
+use crate::framework::{
+    run_two_phase, validate_epsilon, FrameworkConfig, FrameworkError, Outcome, RaiseRule,
+};
+use treenet_decomp::{LayeredDecomposition, Layering, Strategy};
 use treenet_model::{HeightClass, InstanceId, Problem, Solution};
 
 /// User-facing configuration for the solvers.
@@ -136,69 +143,6 @@ fn framework_config(config: &SolverConfig, xi: f64) -> FrameworkConfig {
     }
 }
 
-/// Distributed scheduler for the **unit height case on tree-networks**
-/// (Theorem 5.3): ideal tree decompositions → layered decomposition with
-/// `Δ = 6` → two-phase framework with `ξ = 14/15`. Certified
-/// approximation factor `(Δ+1)/λ = 7/(1-ε)`.
-///
-/// Accepts non-unit heights too (they are simply scheduled exclusively),
-/// but the approximation guarantee applies to the unit case.
-///
-/// # Errors
-///
-/// Propagates [`FrameworkError`] for bad `ε` or a diverging stage.
-///
-/// # Example
-///
-/// ```
-/// use treenet_model::fixtures::figure2;
-/// use treenet_core::{solve_tree_unit, SolverConfig};
-///
-/// let (problem, _) = figure2();
-/// let outcome = solve_tree_unit(&problem, &SolverConfig::default()).unwrap();
-/// assert!(outcome.solution.verify(&problem).is_ok());
-/// ```
-pub fn solve_tree_unit(
-    problem: &Problem,
-    config: &SolverConfig,
-) -> Result<Outcome, FrameworkError> {
-    let layers = LayeredDecomposition::for_trees(problem, config.strategy);
-    let all: Vec<InstanceId> = problem.instances().map(|d| d.id).collect();
-    run_two_phase(
-        problem,
-        &layers,
-        RaiseRule::Unit,
-        &framework_config(config, unit_xi(layers.delta())),
-        &all,
-    )
-}
-
-/// Distributed scheduler for the **unit height case on line-networks with
-/// windows** (Theorem 7.1): length-class layers with `Δ = 3`, `ξ = 8/9`.
-/// Certified factor `4/(1-ε)`.
-///
-/// # Errors
-///
-/// Propagates [`FrameworkError`].
-///
-/// # Panics
-///
-/// Panics if some network is not a canonical line.
-pub fn solve_line_unit(
-    problem: &Problem,
-    config: &SolverConfig,
-) -> Result<Outcome, FrameworkError> {
-    let layers = LayeredDecomposition::for_lines(problem);
-    let all: Vec<InstanceId> = problem.instances().map(|d| d.id).collect();
-    run_two_phase(
-        problem,
-        &layers,
-        RaiseRule::Unit,
-        &framework_config(config, unit_xi(layers.delta())),
-        &all,
-    )
-}
-
 /// Result of an arbitrary-height run: the wide and narrow sub-runs plus
 /// the combined solution (Theorem 6.3 / 7.2).
 #[derive(Clone, Debug)]
@@ -236,28 +180,15 @@ impl CombinedOutcome {
     }
 }
 
-/// Splits instances into wide and narrow classes by their demand height.
-fn split_by_height(problem: &Problem) -> (Vec<InstanceId>, Vec<InstanceId>) {
-    let mut wide = Vec::new();
-    let mut narrow = Vec::new();
-    for inst in problem.instances() {
-        match problem.demand(inst.demand).height_class() {
-            HeightClass::Wide => wide.push(inst.id),
-            HeightClass::Narrow => narrow.push(inst.id),
-        }
-    }
-    (wide, narrow)
-}
-
 /// Resolves the `hmin` of a narrow run: the a-priori value when `fixed`
 /// (validated against every narrow participant, then clamped to 1/2),
 /// else the minimum participant height (1/2 when empty — any valid value
 /// does, as an empty run performs no stages).
 ///
-/// This is the single definition shared by the logical arbitrary-height
-/// solvers and the distributed runners in `treenet-dist`, so the two
-/// sides derive the same `narrow_xi` by construction. The error value is
-/// the human-readable reason (callers wrap it in their error type).
+/// [`AutoChoice::halves`] derives the narrow `ξ` through this function,
+/// for the logical solver and the distributed runners in `treenet-dist`
+/// alike. The error value is the human-readable reason (callers wrap it
+/// in their error type).
 ///
 /// # Errors
 ///
@@ -339,70 +270,266 @@ pub fn combine_by_network(problem: &Problem, wide: &Solution, narrow: &Solution)
     Solution::new(selected)
 }
 
-fn solve_arbitrary(
-    problem: &Problem,
-    config: &SolverConfig,
-    layers: &LayeredDecomposition,
-) -> Result<CombinedOutcome, FrameworkError> {
-    let (wide_ids, narrow_ids) = split_by_height(problem);
-    let wide = run_two_phase(
-        problem,
-        layers,
-        RaiseRule::Unit,
-        &framework_config(config, unit_xi(layers.delta())),
-        &wide_ids,
-    )?;
-    let hmin = resolve_narrow_hmin(problem, &narrow_ids, config.hmin)
-        .map_err(|reason| FrameworkError::BadParameters { reason })?;
-    let narrow = run_two_phase(
-        problem,
-        layers,
-        RaiseRule::Narrow,
-        &framework_config(config, narrow_xi(layers.delta(), hmin)),
-        &narrow_ids,
-    )?;
-    let solution = combine_by_network(problem, &wide.solution, &narrow.solution);
-    Ok(CombinedOutcome {
-        solution,
-        wide,
-        narrow,
-    })
+/// One of the paper's four schedulers — the variant [`solve`] and
+/// `treenet-dist`'s `run_distributed` take as data, and the theorem
+/// [`solve_auto`] picks.
+#[derive(Copy, Clone, Debug, PartialEq, Eq, Hash)]
+pub enum AutoChoice {
+    /// Line length classes, one unit-rule run → Theorem 7.1.
+    LineUnit,
+    /// Line length classes, wide/narrow split → Theorem 7.2.
+    LineArbitrary,
+    /// Tree decompositions, one unit-rule run → Theorem 5.3.
+    TreeUnit,
+    /// Tree decompositions, wide/narrow split → Theorem 6.3.
+    TreeArbitrary,
 }
 
-/// Distributed scheduler for the **arbitrary height case on
-/// tree-networks** (Theorem 6.3): wide instances (`h > 1/2`) through the
-/// unit algorithm, narrow instances through the modified raising rule,
-/// then the per-network combiner. Certified factor
-/// `(7 + 73)/(1-ε) = (80+ε)`.
+/// One half of a theorem's run, as mapped by [`AutoChoice::halves`].
+#[derive(Clone, Debug)]
+pub struct Half {
+    /// The participating height class; `None` when every demand takes
+    /// part (the unit theorems).
+    pub class: Option<HeightClass>,
+    /// How the half raises duals.
+    pub rule: RaiseRule,
+    /// The stage factor: [`unit_xi`] or [`narrow_xi`] of `Δ`.
+    pub xi: f64,
+    /// The participating instances, ascending.
+    pub participants: Vec<InstanceId>,
+}
+
+impl AutoChoice {
+    /// The layering the theorem runs on: tree decompositions built by
+    /// `strategy` (Lemma 4.3, `Δ ≤ 6` for the ideal strategy) or the
+    /// Section-7 length classes (`Δ ≤ 3`, `strategy` unused).
+    ///
+    /// # Panics
+    ///
+    /// For a line theorem, if some network is not a canonical line.
+    pub fn layering(self, problem: &Problem, strategy: Strategy) -> Layering {
+        match self {
+            AutoChoice::TreeUnit | AutoChoice::TreeArbitrary => {
+                Layering::for_trees(problem, strategy)
+            }
+            AutoChoice::LineUnit | AutoChoice::LineArbitrary => Layering::for_lines(problem),
+        }
+    }
+
+    /// The halves of the theorem's run over a layering of critical-set
+    /// size `delta`. A unit theorem runs every instance under the unit
+    /// rule with `ξ = unit_xi(Δ)`. An arbitrary-height theorem runs the
+    /// wide instances that way, then the narrow ones under the narrow
+    /// rule with `ξ = narrow_xi(Δ, hmin)`, where [`resolve_narrow_hmin`]
+    /// resolves `hmin` from the a-priori value (which the unit theorems
+    /// ignore).
+    ///
+    /// This is the one theorem → halves map: [`solve`], the in-network
+    /// runner of `treenet-dist` and its driver-counted oracle all run
+    /// exactly these halves, in this order.
+    ///
+    /// # Errors
+    ///
+    /// The reason an a-priori `hmin` is violated.
+    pub fn halves(
+        self,
+        problem: &Problem,
+        delta: usize,
+        hmin: Option<f64>,
+    ) -> Result<Vec<Half>, String> {
+        let all = problem.instances().map(|inst| inst.id);
+        let unit = |class, participants| Half {
+            class,
+            rule: RaiseRule::Unit,
+            xi: unit_xi(delta),
+            participants,
+        };
+        match self {
+            AutoChoice::TreeUnit | AutoChoice::LineUnit => Ok(vec![unit(None, all.collect())]),
+            AutoChoice::TreeArbitrary | AutoChoice::LineArbitrary => {
+                let (wide, narrow) = HeightClass::split(problem, all);
+                let hmin = resolve_narrow_hmin(problem, &narrow, hmin)?;
+                Ok(vec![
+                    unit(Some(HeightClass::Wide), wide),
+                    Half {
+                        class: Some(HeightClass::Narrow),
+                        rule: RaiseRule::Narrow,
+                        xi: narrow_xi(delta, hmin),
+                        participants: narrow,
+                    },
+                ])
+            }
+        }
+    }
+}
+
+/// The run [`solve`] executed — the mirror of `treenet-dist`'s
+/// `DistAutoRun`. Both variants are boxed: a split holds two framework
+/// runs, so unboxed variants would differ in size by a whole run.
+#[derive(Clone, Debug)]
+pub enum AutoRun {
+    /// A single unit-rule run (the unit-height theorems).
+    Single(Box<Outcome>),
+    /// A wide/narrow split run (the arbitrary-height theorems).
+    Split(Box<CombinedOutcome>),
+}
+
+impl AutoRun {
+    /// The framework run of each half, in [`AutoChoice::halves`] order:
+    /// the single run, or the wide run then the narrow run.
+    pub fn halves(&self) -> Vec<&Outcome> {
+        match self {
+            AutoRun::Single(out) => vec![out.as_ref()],
+            AutoRun::Split(out) => vec![&out.wide, &out.narrow],
+        }
+    }
+}
+
+/// Outcome of [`solve`]: the solution, which theorem ran, and the run.
+#[derive(Clone, Debug)]
+pub struct AutoOutcome {
+    /// The extracted feasible solution.
+    pub solution: Solution,
+    /// The theorem that ran.
+    pub choice: AutoChoice,
+    /// Certified upper bound on `p(OPT)`.
+    pub opt_upper_bound: f64,
+    /// Measured slackness λ of the run (minimum over the wide and narrow
+    /// halves for the arbitrary-height theorems) — the value the
+    /// distributed runner `treenet-dist::run_distributed` reproduces
+    /// bit-identically.
+    pub lambda: f64,
+    /// The underlying framework run(s).
+    pub run: AutoRun,
+}
+
+impl AutoOutcome {
+    /// Certified approximation factor.
+    pub fn certified_ratio(&self, problem: &Problem) -> f64 {
+        certified_ratio(self.opt_upper_bound, self.solution.profit(problem))
+    }
+}
+
+/// Whether every network of `problem` is a canonical line — the family
+/// test behind [`auto_choice`] and the `DeltaEngine` layering.
+pub(crate) fn all_canonical_lines(problem: &Problem) -> bool {
+    problem
+        .networks()
+        .all(|t| problem.network(t).is_canonical_line())
+}
+
+/// The dispatch rule of [`solve_auto`], exposed as its own function: the
+/// strongest applicable theorem for `problem` (line-networks get the
+/// `Δ = 3` decomposition with its tighter ratios, unit heights skip the
+/// wide/narrow split).
+///
+/// This is the single definition shared with
+/// `treenet-dist::run_distributed_auto`, so the logical and
+/// message-passing dispatches cannot drift.
+pub fn auto_choice(problem: &Problem) -> AutoChoice {
+    match (all_canonical_lines(problem), problem.is_unit_height()) {
+        (true, true) => AutoChoice::LineUnit,
+        (true, false) => AutoChoice::LineArbitrary,
+        (false, true) => AutoChoice::TreeUnit,
+        (false, false) => AutoChoice::TreeArbitrary,
+    }
+}
+
+/// Runs the theorem `choice` as the logical distributed execution: lays
+/// the problem out with [`AutoChoice::layering`], runs each of
+/// [`AutoChoice::halves`] through the two-phase framework and, for a
+/// wide/narrow split, keeps the better half per network
+/// ([`combine_by_network`]). Certified factors: `7/(1-ε)` (Theorem 5.3),
+/// `(7 + 73)/(1-ε)` (6.3), `4/(1-ε)` (7.1) and `(4 + 19)/(1-ε)` (7.2).
+///
+/// A unit theorem accepts non-unit heights too (they are simply
+/// scheduled exclusively), but its guarantee applies to the unit case.
 ///
 /// # Errors
 ///
-/// Propagates [`FrameworkError`].
-pub fn solve_tree_arbitrary(
-    problem: &Problem,
-    config: &SolverConfig,
-) -> Result<CombinedOutcome, FrameworkError> {
-    let layers = LayeredDecomposition::for_trees(problem, config.strategy);
-    solve_arbitrary(problem, config, &layers)
-}
-
-/// Distributed scheduler for the **arbitrary height case on line-networks
-/// with windows** (Theorem 7.2): same split with `Δ = 3`, certified
-/// factor `(4 + 19)/(1-ε) = (23+ε)`.
-///
-/// # Errors
-///
-/// Propagates [`FrameworkError`].
+/// [`FrameworkError::BadParameters`] for an `ε` outside `(0, 1)` or,
+/// after that check, a violated a-priori `hmin`;
+/// [`FrameworkError::StageDiverged`] for a diverging stage.
 ///
 /// # Panics
 ///
-/// Panics if some network is not a canonical line.
-pub fn solve_line_arbitrary(
+/// For a line theorem, if some network is not a canonical line.
+///
+/// # Example
+///
+/// ```
+/// use treenet_model::fixtures::figure2;
+/// use treenet_core::{solve, AutoChoice, SolverConfig};
+///
+/// let (problem, _) = figure2();
+/// let outcome = solve(&problem, AutoChoice::TreeUnit, &SolverConfig::default()).unwrap();
+/// assert!(outcome.solution.verify(&problem).is_ok());
+/// ```
+pub fn solve(
     problem: &Problem,
+    choice: AutoChoice,
     config: &SolverConfig,
-) -> Result<CombinedOutcome, FrameworkError> {
-    let layers = LayeredDecomposition::for_lines(problem);
-    solve_arbitrary(problem, config, &layers)
+) -> Result<AutoOutcome, FrameworkError> {
+    let layers = LayeredDecomposition::new(problem, &choice.layering(problem, config.strategy));
+    validate_epsilon(config.epsilon)?;
+    let halves = choice
+        .halves(problem, layers.delta(), config.hmin)
+        .map_err(|reason| FrameworkError::BadParameters { reason })?;
+    let mut runs = Vec::with_capacity(halves.len());
+    for half in &halves {
+        let framework = framework_config(config, half.xi);
+        runs.push(run_two_phase(
+            problem,
+            &layers,
+            half.rule,
+            &framework,
+            &half.participants,
+        )?);
+    }
+    let mut runs = runs.into_iter();
+    let run = match (runs.next(), runs.next()) {
+        (Some(wide), Some(narrow)) => AutoRun::Split(Box::new(CombinedOutcome {
+            solution: combine_by_network(problem, &wide.solution, &narrow.solution),
+            wide,
+            narrow,
+        })),
+        (Some(single), None) => AutoRun::Single(Box::new(single)),
+        _ => unreachable!("every theorem runs one or two halves"),
+    };
+    let (solution, opt_upper_bound, lambda) = match &run {
+        AutoRun::Single(out) => (out.solution.clone(), out.opt_upper_bound(), out.lambda),
+        AutoRun::Split(out) => (out.solution.clone(), out.opt_upper_bound(), out.lambda()),
+    };
+    Ok(AutoOutcome {
+        solution,
+        choice,
+        opt_upper_bound,
+        lambda,
+        run,
+    })
+}
+
+/// Runs the strongest applicable theorem ([`auto_choice`]) through
+/// [`solve`].
+///
+/// # Errors
+///
+/// Propagates [`FrameworkError`].
+///
+/// # Example
+///
+/// ```
+/// use treenet_model::fixtures::figure1;
+/// use treenet_core::{solve_auto, AutoChoice, SolverConfig};
+///
+/// let (problem, _) = figure1();
+/// let out = solve_auto(&problem, &SolverConfig::default()).unwrap();
+/// // Figure 1 lives on a line with fractional heights → Theorem 7.2.
+/// assert_eq!(out.choice, AutoChoice::LineArbitrary);
+/// assert!(out.solution.verify(&problem).is_ok());
+/// ```
+pub fn solve_auto(problem: &Problem, config: &SolverConfig) -> Result<AutoOutcome, FrameworkError> {
+    solve(problem, auto_choice(problem), config)
 }
 
 #[cfg(test)]
@@ -427,104 +554,107 @@ mod tests {
         let _ = narrow_xi(6, 0.9);
     }
 
-    #[test]
-    fn tree_unit_produces_feasible_certified_solutions() {
-        for seed in 0..6u64 {
-            let p = TreeWorkload::new(20, 24)
-                .with_networks(3)
-                .generate(&mut SmallRng::seed_from_u64(seed));
-            let outcome = solve_tree_unit(&p, &SolverConfig::default()).unwrap();
-            assert!(outcome.solution.verify(&p).is_ok());
-            // Theorem 5.3 bound: 7/(1-ε).
-            let bound = 7.0 / (1.0 - 0.1) + 1e-6;
-            assert!(
-                outcome.certified_ratio(&p) <= bound,
-                "seed {seed}: ratio {}",
-                outcome.certified_ratio(&p)
-            );
-        }
-    }
+    /// A theorem's test case: (theorem, seeds, workload, certified factor,
+    /// the layering's `Δ` bound).
+    type Case = (AutoChoice, u64, fn(u64) -> Problem, f64, usize);
 
+    /// Every theorem, feasible and within its certified bound `factor/(1-ε)`.
     #[test]
-    fn line_unit_with_windows() {
-        for seed in 0..6u64 {
-            let p = LineWorkload::new(40, 25)
-                .with_resources(2)
-                .with_window_slack(3)
-                .with_len_range(2, 10)
-                .generate(&mut SmallRng::seed_from_u64(seed));
-            let outcome = solve_line_unit(&p, &SolverConfig::default()).unwrap();
-            assert!(outcome.solution.verify(&p).is_ok());
-            assert!(outcome.delta <= 3);
-            // Theorem 7.1 bound: 4/(1-ε).
-            assert!(
-                outcome.certified_ratio(&p) <= 4.0 / 0.9 + 1e-6,
-                "seed {seed}"
-            );
-        }
-    }
-
-    #[test]
-    fn tree_arbitrary_combines_feasibly() {
-        for seed in 0..4u64 {
-            let p = TreeWorkload::new(16, 20)
-                .with_networks(2)
-                .with_heights(HeightMode::Bimodal {
-                    narrow_frac: 0.6,
-                    hmin: 0.2,
-                })
-                .generate(&mut SmallRng::seed_from_u64(seed));
-            let combined = solve_tree_arbitrary(&p, &SolverConfig::default()).unwrap();
-            assert!(combined.solution.verify(&p).is_ok(), "seed {seed}");
-            assert!(combined.wide.solution.verify(&p).is_ok());
-            assert!(combined.narrow.solution.verify(&p).is_ok());
-            // The combination is at least as good as each side.
-            let pc = combined.profit(&p);
-            assert!(
-                pc + 1e-9
-                    >= combined
-                        .wide
-                        .solution
-                        .profit(&p)
-                        .max(combined.narrow.solution.profit(&p))
-            );
-            // Theorem 6.3 bound: 80/(1-ε).
-            assert!(
-                combined.certified_ratio(&p) <= 80.0 / 0.9 + 1e-6,
-                "seed {seed}"
-            );
-        }
-    }
-
-    #[test]
-    fn line_arbitrary_certified_within_23() {
-        for seed in 0..4u64 {
-            let p = LineWorkload::new(36, 20)
-                .with_resources(2)
-                .with_window_slack(2)
-                .with_len_range(1, 9)
-                .with_heights(HeightMode::Uniform { hmin: 0.15 })
-                .generate(&mut SmallRng::seed_from_u64(seed));
-            let combined = solve_line_arbitrary(&p, &SolverConfig::default()).unwrap();
-            assert!(combined.solution.verify(&p).is_ok(), "seed {seed}");
-            // Theorem 7.2 bound: 23/(1-ε).
-            assert!(
-                combined.certified_ratio(&p) <= 23.0 / 0.9 + 1e-6,
-                "seed {seed}"
-            );
+    fn every_theorem_is_feasible_and_certified() {
+        let cases: [Case; 4] = [
+            (
+                AutoChoice::TreeUnit,
+                6,
+                |seed| {
+                    TreeWorkload::new(20, 24)
+                        .with_networks(3)
+                        .generate(&mut SmallRng::seed_from_u64(seed))
+                },
+                7.0,
+                6,
+            ),
+            (
+                AutoChoice::LineUnit,
+                6,
+                |seed| {
+                    LineWorkload::new(40, 25)
+                        .with_resources(2)
+                        .with_window_slack(3)
+                        .with_len_range(2, 10)
+                        .generate(&mut SmallRng::seed_from_u64(seed))
+                },
+                4.0,
+                3,
+            ),
+            (
+                AutoChoice::TreeArbitrary,
+                4,
+                |seed| {
+                    TreeWorkload::new(16, 20)
+                        .with_networks(2)
+                        .with_heights(HeightMode::Bimodal {
+                            narrow_frac: 0.6,
+                            hmin: 0.2,
+                        })
+                        .generate(&mut SmallRng::seed_from_u64(seed))
+                },
+                80.0,
+                6,
+            ),
+            (
+                AutoChoice::LineArbitrary,
+                4,
+                |seed| {
+                    LineWorkload::new(36, 20)
+                        .with_resources(2)
+                        .with_window_slack(2)
+                        .with_len_range(1, 9)
+                        .with_heights(HeightMode::Uniform { hmin: 0.15 })
+                        .generate(&mut SmallRng::seed_from_u64(seed))
+                },
+                23.0,
+                3,
+            ),
+        ];
+        for (choice, seeds, workload, factor, delta) in cases {
+            for seed in 0..seeds {
+                let p = workload(seed);
+                let out = solve(&p, choice, &SolverConfig::default()).unwrap();
+                assert!(out.solution.verify(&p).is_ok(), "{choice:?} seed {seed}");
+                for half in out.run.halves() {
+                    assert!(half.solution.verify(&p).is_ok());
+                    assert!(half.delta <= delta, "{choice:?} seed {seed}");
+                }
+                // The combination is at least as good as each side.
+                if let AutoRun::Split(split) = &out.run {
+                    assert!(
+                        split.profit(&p) + 1e-9
+                            >= split
+                                .wide
+                                .solution
+                                .profit(&p)
+                                .max(split.narrow.solution.profit(&p))
+                    );
+                }
+                assert!(
+                    out.certified_ratio(&p) <= factor / 0.9 + 1e-6,
+                    "{choice:?} seed {seed}: ratio {}",
+                    out.certified_ratio(&p)
+                );
+            }
         }
     }
 
     #[test]
     fn all_unit_heights_go_wide() {
         let p = TreeWorkload::new(12, 10).generate(&mut SmallRng::seed_from_u64(1));
-        let (wide, narrow) = split_by_height(&p);
+        let (wide, narrow) = HeightClass::split(&p, p.instances().map(|inst| inst.id));
         assert_eq!(wide.len(), p.instance_count());
         assert!(narrow.is_empty());
         // Arbitrary-height solver degenerates gracefully to the unit one.
-        let combined = solve_tree_arbitrary(&p, &SolverConfig::default()).unwrap();
-        assert!(combined.narrow.solution.is_empty());
-        assert!(combined.solution.verify(&p).is_ok());
+        let out = solve(&p, AutoChoice::TreeArbitrary, &SolverConfig::default()).unwrap();
+        assert!(out.run.halves()[1].solution.is_empty());
+        assert!(out.solution.verify(&p).is_ok());
     }
 
     #[test]
@@ -555,13 +685,21 @@ mod hmin_tests {
             .with_heights(HeightMode::Uniform { hmin: 0.3 })
             .generate(&mut rng);
         // Valid: every height ≥ 0.3 ≥ 0.25.
-        let out = solve_tree_arbitrary(&p, &SolverConfig::default().with_hmin(0.25)).unwrap();
+        let cfg = SolverConfig::default().with_hmin(0.25);
+        let out = solve(&p, AutoChoice::TreeArbitrary, &cfg).unwrap();
         assert!(out.solution.verify(&p).is_ok());
         // Invalid: demanding hmin = 0.6 while narrow demands go down to
-        // 0.3 violates the a-priori assumption.
+        // 0.3 violates the a-priori assumption — reported after a bad ε.
         if p.min_height() < 0.5 {
-            let err = solve_tree_arbitrary(&p, &SolverConfig::default().with_hmin(0.6));
-            assert!(matches!(err, Err(FrameworkError::BadParameters { .. })));
+            let cfg = SolverConfig::default().with_hmin(0.6);
+            let err = solve(&p, AutoChoice::TreeArbitrary, &cfg).unwrap_err();
+            assert!(
+                matches!(&err, FrameworkError::BadParameters { reason } if reason.contains("hmin"))
+            );
+            let err = solve(&p, AutoChoice::TreeArbitrary, &cfg.with_epsilon(2.0)).unwrap_err();
+            assert!(
+                matches!(&err, FrameworkError::BadParameters { reason } if reason.contains("epsilon"))
+            );
         }
     }
 
@@ -574,133 +712,19 @@ mod hmin_tests {
         let p = TreeWorkload::new(12, 10)
             .with_heights(HeightMode::Uniform { hmin: 0.4 })
             .generate(&mut rng);
-        let coarse = solve_tree_arbitrary(&p, &SolverConfig::default().with_hmin(0.4)).unwrap();
-        let fine = solve_tree_arbitrary(&p, &SolverConfig::default().with_hmin(0.05)).unwrap();
-        assert!(fine.narrow.stats.stages >= coarse.narrow.stats.stages);
+        let run = |hmin| {
+            solve(
+                &p,
+                AutoChoice::TreeArbitrary,
+                &SolverConfig::default().with_hmin(hmin),
+            )
+            .unwrap()
+        };
+        let (coarse, fine) = (run(0.4), run(0.05));
+        assert!(fine.run.halves()[1].stats.stages >= coarse.run.halves()[1].stats.stages);
         assert!(coarse.solution.verify(&p).is_ok());
         assert!(fine.solution.verify(&p).is_ok());
     }
-}
-
-/// Which solver [`solve_auto`] picked.
-#[derive(Copy, Clone, Debug, PartialEq, Eq, Hash)]
-pub enum AutoChoice {
-    /// All canonical lines, all unit heights → Theorem 7.1.
-    LineUnit,
-    /// All canonical lines, mixed heights → Theorem 7.2.
-    LineArbitrary,
-    /// Trees, all unit heights → Theorem 5.3.
-    TreeUnit,
-    /// Trees, mixed heights → Theorem 6.3.
-    TreeArbitrary,
-}
-
-/// Outcome of [`solve_auto`]: the solution plus which theorem applied.
-#[derive(Clone, Debug)]
-pub struct AutoOutcome {
-    /// The extracted feasible solution.
-    pub solution: Solution,
-    /// The solver that was dispatched.
-    pub choice: AutoChoice,
-    /// Certified upper bound on `p(OPT)`.
-    pub opt_upper_bound: f64,
-    /// Measured slackness λ of the dispatched run (minimum over the wide
-    /// and narrow sub-runs for the arbitrary-height solvers) — the value
-    /// the distributed runner `treenet-dist::run_distributed_auto`
-    /// reproduces bit-identically.
-    pub lambda: f64,
-}
-
-impl AutoOutcome {
-    /// Certified approximation factor.
-    pub fn certified_ratio(&self, problem: &Problem) -> f64 {
-        certified_ratio(self.opt_upper_bound, self.solution.profit(problem))
-    }
-}
-
-/// The dispatch rule of [`solve_auto`], exposed as its own function: the
-/// strongest applicable theorem for `problem` (line-networks get the
-/// `Δ = 3` decomposition with its tighter ratios, unit heights skip the
-/// wide/narrow split).
-///
-/// This is the single definition shared with
-/// `treenet-dist::run_distributed_auto`, so the logical and
-/// message-passing dispatches cannot drift.
-pub fn auto_choice(problem: &Problem) -> AutoChoice {
-    let all_lines = problem
-        .networks()
-        .all(|t| problem.network(t).is_canonical_line());
-    match (all_lines, problem.is_unit_height()) {
-        (true, true) => AutoChoice::LineUnit,
-        (true, false) => AutoChoice::LineArbitrary,
-        (false, true) => AutoChoice::TreeUnit,
-        (false, false) => AutoChoice::TreeArbitrary,
-    }
-}
-
-/// Dispatches to the strongest applicable theorem ([`auto_choice`]).
-///
-/// # Errors
-///
-/// Propagates [`FrameworkError`].
-///
-/// # Example
-///
-/// ```
-/// use treenet_model::fixtures::figure1;
-/// use treenet_core::{solve_auto, AutoChoice, SolverConfig};
-///
-/// let (problem, _) = figure1();
-/// let out = solve_auto(&problem, &SolverConfig::default()).unwrap();
-/// // Figure 1 lives on a line with fractional heights → Theorem 7.2.
-/// assert_eq!(out.choice, AutoChoice::LineArbitrary);
-/// assert!(out.solution.verify(&problem).is_ok());
-/// ```
-pub fn solve_auto(problem: &Problem, config: &SolverConfig) -> Result<AutoOutcome, FrameworkError> {
-    let (choice, solution, bound, lambda) = match auto_choice(problem) {
-        AutoChoice::LineUnit => {
-            let out = solve_line_unit(problem, config)?;
-            (
-                AutoChoice::LineUnit,
-                out.solution.clone(),
-                out.opt_upper_bound(),
-                out.lambda,
-            )
-        }
-        AutoChoice::LineArbitrary => {
-            let out = solve_line_arbitrary(problem, config)?;
-            (
-                AutoChoice::LineArbitrary,
-                out.solution.clone(),
-                out.opt_upper_bound(),
-                out.lambda(),
-            )
-        }
-        AutoChoice::TreeUnit => {
-            let out = solve_tree_unit(problem, config)?;
-            (
-                AutoChoice::TreeUnit,
-                out.solution.clone(),
-                out.opt_upper_bound(),
-                out.lambda,
-            )
-        }
-        AutoChoice::TreeArbitrary => {
-            let out = solve_tree_arbitrary(problem, config)?;
-            (
-                AutoChoice::TreeArbitrary,
-                out.solution.clone(),
-                out.opt_upper_bound(),
-                out.lambda(),
-            )
-        }
-    };
-    Ok(AutoOutcome {
-        solution,
-        choice,
-        opt_upper_bound: bound,
-        lambda,
-    })
 }
 
 #[cfg(test)]

@@ -174,17 +174,8 @@ fn check_static_cell(
             seed,
         ),
         RuleCell::Capacitated => {
-            let (narrow, wide): (Vec<InstanceId>, Vec<InstanceId>) = {
-                let mut n = Vec::new();
-                let mut w = Vec::new();
-                for inst in problem.instances() {
-                    match problem.demand(inst.demand).height_class() {
-                        HeightClass::Narrow => n.push(inst.id),
-                        HeightClass::Wide => w.push(inst.id),
-                    }
-                }
-                (n, w)
-            };
+            let (wide, narrow) =
+                HeightClass::split(&problem, problem.instances().map(|inst| inst.id));
             compare_run(
                 &problem,
                 &layers,

@@ -5,9 +5,8 @@ use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use treenet_core::{
-    check_interference, run_two_phase, solve_line_arbitrary, solve_line_unit,
-    solve_sequential_tree, solve_tree_arbitrary, solve_tree_unit, FrameworkConfig, RaiseRule,
-    SolverConfig,
+    check_interference, run_two_phase, solve, solve_sequential_tree, AutoChoice, FrameworkConfig,
+    RaiseRule, SolverConfig,
 };
 use treenet_decomp::{LayeredDecomposition, Strategy};
 use treenet_model::workload::{HeightMode, LineWorkload, TreeWorkload};
@@ -25,7 +24,8 @@ proptest! {
             .with_networks(2)
             .generate(&mut SmallRng::seed_from_u64(seed));
         let cfg = SolverConfig::default().with_epsilon(eps).with_seed(seed).with_trace(true);
-        let out = solve_tree_unit(&p, &cfg).unwrap();
+        let run = solve(&p, AutoChoice::TreeUnit, &cfg).unwrap().run;
+        let out = run.halves()[0];
         prop_assert!(out.solution.verify(&p).is_ok());
         prop_assert!(out.lambda >= 1.0 - eps - 1e-9);
         prop_assert!(out.delta <= 6);
@@ -42,7 +42,9 @@ proptest! {
             .with_window_slack(slack)
             .with_len_range(1, 8)
             .generate(&mut SmallRng::seed_from_u64(seed));
-        let out = solve_line_unit(&p, &SolverConfig::default().with_seed(seed)).unwrap();
+        let cfg = SolverConfig::default().with_seed(seed);
+        let run = solve(&p, AutoChoice::LineUnit, &cfg).unwrap().run;
+        let out = run.halves()[0];
         prop_assert!(out.solution.verify(&p).is_ok());
         prop_assert!(out.delta <= 3);
         prop_assert!(out.certified_ratio(&p) <= 4.0 / 0.9 + 1e-6);
@@ -56,13 +58,13 @@ proptest! {
             .with_networks(2)
             .with_heights(HeightMode::Bimodal { narrow_frac: 0.5, hmin: 0.2 })
             .generate(&mut SmallRng::seed_from_u64(seed));
-        let out = solve_tree_arbitrary(&p, &SolverConfig::default().with_seed(seed)).unwrap();
+        let cfg = SolverConfig::default().with_seed(seed);
+        let out = solve(&p, AutoChoice::TreeArbitrary, &cfg).unwrap();
         prop_assert!(out.solution.verify(&p).is_ok());
         prop_assert!(out.certified_ratio(&p) <= 80.0 / 0.9 + 1e-6);
         // The combiner never loses to either side.
-        let pw = out.wide.solution.profit(&p);
-        let pn = out.narrow.solution.profit(&p);
-        prop_assert!(out.profit(&p) + 1e-9 >= pw.max(pn));
+        let best_half = out.run.halves().iter().map(|half| half.profit(&p)).fold(0.0, f64::max);
+        prop_assert!(out.solution.profit(&p) + 1e-9 >= best_half);
     }
 
     /// Line arbitrary-height: feasible and certified within (23+ε).
@@ -73,7 +75,8 @@ proptest! {
             .with_len_range(1, 6)
             .with_heights(HeightMode::Uniform { hmin: 0.2 })
             .generate(&mut SmallRng::seed_from_u64(seed));
-        let out = solve_line_arbitrary(&p, &SolverConfig::default().with_seed(seed)).unwrap();
+        let cfg = SolverConfig::default().with_seed(seed);
+        let out = solve(&p, AutoChoice::LineArbitrary, &cfg).unwrap();
         prop_assert!(out.solution.verify(&p).is_ok());
         prop_assert!(out.certified_ratio(&p) <= 23.0 / 0.9 + 1e-6);
     }

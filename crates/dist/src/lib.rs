@@ -2,15 +2,24 @@
 //! (Sections 5–7, Figure 7) executed on `treenet-netsim`'s synchronous
 //! engine, one protocol node per processor.
 //!
-//! | runner | logical twin | paper |
-//! |---|---|---|
-//! | [`run_distributed_tree_unit`] | `solve_tree_unit` | Theorem 5.3, `(7+ε)` |
-//! | [`run_distributed_tree_arbitrary`] | `solve_tree_arbitrary` | Theorem 6.3, `(80+ε)` |
-//! | [`run_distributed_line_unit`] | `solve_line_unit` | Theorem 7.1, `(4+ε)` |
-//! | [`run_distributed_line_arbitrary`] | `solve_line_arbitrary` | Theorem 7.2, `(23+ε)` |
-//! | [`run_distributed_auto`] | `solve_auto` | strongest applicable |
+//! [`run_distributed`] takes the theorem as data — a
+//! `treenet_core::AutoChoice` — and runs it as the message-passing twin
+//! of `treenet_core::solve` with the same theorem:
 //!
-//! Every runner is provably equivalent to its logical twin in
+//! | `AutoChoice` | paper |
+//! |---|---|
+//! | `TreeUnit` | Theorem 5.3, `(7+ε)` |
+//! | `TreeArbitrary` | Theorem 6.3, `(80+ε)` |
+//! | `LineUnit` | Theorem 7.1, `(4+ε)` |
+//! | `LineArbitrary` | Theorem 7.2, `(23+ε)` |
+//!
+//! [`run_distributed_auto`] runs the strongest applicable theorem (the
+//! dispatch of `solve_auto`), and [`run_distributed_reference`] is the
+//! driver-counted oracle of [`run_distributed`]. All three run the halves
+//! of `AutoChoice::halves`, the one theorem → halves map in
+//! `treenet-core`.
+//!
+//! Every run is provably equivalent to its logical twin in
 //! `treenet-core`: same solution, bit-identical duals (`λ` matches
 //! `to_bits()`-exactly). The equivalence rests on three design points,
 //! shared with the logical runner:
@@ -60,8 +69,8 @@
 //! The wide and narrow halves of an arbitrary-height run execute as one
 //! merged engine pass with messages namespaced by [`RunTag`], so the two
 //! independent computations overlap in wall-clock rounds instead of
-//! running serially. The pre-PR serial, driver-counted formulation is
-//! preserved as the executable oracle (`run_distributed_*_reference`,
+//! running serially. The serial, driver-counted formulation is
+//! preserved as the executable oracle ([`run_distributed_reference`],
 //! mirroring `run_two_phase_reference` in `treenet-core`) and proptested
 //! for identical schedules, λ and solutions.
 //!
@@ -103,16 +112,17 @@
 //! ```
 //! use rand::rngs::SmallRng;
 //! use rand::SeedableRng;
-//! use treenet_core::{solve_line_unit, SolverConfig};
-//! use treenet_dist::{run_distributed_line_unit, DistConfig};
+//! use treenet_core::{solve, AutoChoice, SolverConfig};
+//! use treenet_dist::{run_distributed, DistConfig};
 //! use treenet_model::workload::LineWorkload;
 //!
 //! let problem = LineWorkload::new(30, 10)
 //!     .with_window_slack(2)
 //!     .generate(&mut SmallRng::seed_from_u64(5));
 //! let config = SolverConfig::default().with_epsilon(0.3).with_seed(5);
-//! let logical = solve_line_unit(&problem, &config).unwrap();
-//! let distributed = run_distributed_line_unit(&problem, &DistConfig::from(&config)).unwrap();
+//! let theorem = AutoChoice::LineUnit;
+//! let logical = solve(&problem, theorem, &config).unwrap();
+//! let distributed = run_distributed(&problem, theorem, &DistConfig::from(&config)).unwrap();
 //! assert_eq!(logical.solution, distributed.solution);
 //! assert_eq!(logical.lambda.to_bits(), distributed.lambda.to_bits());
 //! ```
@@ -128,21 +138,17 @@ use std::sync::Arc;
 
 use node::{Mode, ProcessorNode, PublicInfo, SATISFACTION_GUARD};
 use treenet_core::{
-    auto_choice, echo_sweep_rounds, mis_tag, narrow_xi, prologue_rounds, stages_for, unit_xi,
-    AutoChoice, RaiseRule, SolverConfig,
+    auto_choice, echo_sweep_rounds, mis_tag, prologue_rounds, stages_for, AutoChoice, RaiseRule,
+    SolverConfig,
 };
-use treenet_decomp::{ConvergecastForest, LayeredDecomposition, Layering, Strategy};
+use treenet_decomp::{ConvergecastForest, LayeredDecomposition, Strategy};
 use treenet_graph::{RootedTree, VertexId};
 use treenet_mis::MisBackend;
-use treenet_model::{HeightClass, InstanceId, Problem, Solution};
+use treenet_model::{HeightClass, Problem, Solution};
 use treenet_netsim::{Engine, LossModel, Metrics, Topology};
 
 pub use node::{descriptor_bits, Descriptor, DistMsg, RunTag};
-pub use reference::{
-    run_distributed_auto_reference, run_distributed_line_arbitrary_reference,
-    run_distributed_line_unit_reference, run_distributed_tree_arbitrary_reference,
-    run_distributed_tree_unit_reference,
-};
+pub use reference::run_distributed_reference;
 
 /// Engine rounds of the in-network combiner phase appended to every
 /// merged wide/narrow run: report to the network leaders, fold and
@@ -264,14 +270,12 @@ pub struct StepRecord {
 ///
 /// With `compute = total_rounds()` and `stalls = control_stalls`:
 ///
-/// * **solo in-network runner** (`run_distributed_tree_unit`,
-///   `run_distributed_line_unit`):
-///   `Metrics::rounds == compute + stalls + 1` (the `+1` is the setup
-///   round exchanging demand descriptors; prologue and sweep messages
-///   ride the counted rounds);
-/// * **merged split runner** (`run_distributed_tree_arbitrary`,
-///   `run_distributed_line_arbitrary`): the halves share one engine and
-///   overlap, so
+/// * **single-rule in-network run** ([`run_distributed`] on a unit
+///   theorem): `Metrics::rounds == compute + stalls + 1` (the `+1` is
+///   the setup round exchanging demand descriptors; prologue and sweep
+///   messages ride the counted rounds);
+/// * **merged split run** ([`run_distributed`] on an arbitrary-height
+///   theorem): the halves share one engine and overlap, so
 ///   `Metrics::rounds == max(wide.engine_rounds(), narrow.engine_rounds())
 ///   + 1 + COMBINE_ROUNDS`;
 /// * **reference (driver-counted) paths** have `stalls == 0` and
@@ -341,7 +345,7 @@ impl DistSchedule {
 }
 
 /// Result of a distributed run with a single rule (the unit-height
-/// runners).
+/// theorems).
 #[derive(Clone, Debug)]
 pub struct DistOutcome {
     /// The feasible solution extracted by the distributed second phase.
@@ -406,28 +410,87 @@ impl DistCombinedOutcome {
     }
 }
 
-/// Which runner [`run_distributed_auto`] executed, plus its outcome.
+/// The run [`run_distributed`] executed — the mirror of
+/// `treenet_core::AutoRun`.
 #[derive(Clone, Debug)]
 pub enum DistAutoRun {
-    /// A single-rule run (unit-height problems).
+    /// A single-rule run (the unit-height theorems).
     Single(DistOutcome),
-    /// A wide/narrow split run (arbitrary-height problems).
+    /// A wide/narrow split run (the arbitrary-height theorems).
     Split(DistCombinedOutcome),
 }
 
-/// Outcome of [`run_distributed_auto`]: the solution, which theorem
-/// applied (shared with `treenet_core::solve_auto`), the measured λ, and
-/// the underlying run.
+impl DistAutoRun {
+    /// Communication metrics of the whole run.
+    pub fn metrics(&self) -> Metrics {
+        match self {
+            DistAutoRun::Single(out) => out.metrics,
+            DistAutoRun::Split(out) => out.metrics,
+        }
+    }
+
+    /// The executed schedule of each half, in `AutoChoice::halves`
+    /// order: the single run's, or the wide then the narrow half's.
+    pub fn schedules(&self) -> Vec<&DistSchedule> {
+        match self {
+            DistAutoRun::Single(out) => vec![&out.schedule],
+            DistAutoRun::Split(out) => vec![&out.wide.schedule, &out.narrow.schedule],
+        }
+    }
+}
+
+/// Outcome of [`run_distributed`]: the solution, which theorem ran, the
+/// measured λ, and the underlying run.
 #[derive(Clone, Debug)]
 pub struct DistAutoOutcome {
     /// The extracted feasible solution.
     pub solution: Solution,
-    /// The solver that was dispatched (same dispatch as `solve_auto`).
+    /// The theorem that ran.
     pub choice: AutoChoice,
     /// Measured slackness λ — bit-identical to `AutoOutcome::lambda`.
     pub lambda: f64,
     /// The underlying run with its schedules and metrics.
     pub run: DistAutoRun,
+}
+
+impl DistAutoOutcome {
+    /// Assembles the outcome of theorem `choice` from its per-half
+    /// reports: a single-rule run, or the wide and narrow halves with
+    /// their per-network combination.
+    fn assemble(
+        choice: AutoChoice,
+        reports: Vec<DistRunReport>,
+        combined: Option<Solution>,
+        metrics: Metrics,
+    ) -> Self {
+        let mut reports = reports.into_iter();
+        let run = match (reports.next(), reports.next(), combined) {
+            (Some(wide), Some(narrow), Some(solution)) => DistAutoRun::Split(DistCombinedOutcome {
+                solution,
+                wide,
+                narrow,
+                metrics,
+            }),
+            (Some(half), None, None) => DistAutoRun::Single(DistOutcome {
+                solution: half.solution,
+                lambda: half.lambda,
+                final_unsatisfied: half.final_unsatisfied,
+                metrics,
+                schedule: half.schedule,
+            }),
+            _ => unreachable!("a run has one half, or two halves and their combination"),
+        };
+        let (solution, lambda) = match &run {
+            DistAutoRun::Single(out) => (out.solution.clone(), out.lambda),
+            DistAutoRun::Split(out) => (out.solution.clone(), out.lambda()),
+        };
+        DistAutoOutcome {
+            solution,
+            choice,
+            lambda,
+            run,
+        }
+    }
 }
 
 /// Distributed-run failure.
@@ -479,28 +542,12 @@ impl fmt::Display for DistError {
 
 impl std::error::Error for DistError {}
 
-pub(crate) fn validate(config: &DistConfig) -> Result<(), DistError> {
-    if !(config.epsilon > 0.0 && config.epsilon < 1.0) {
-        return Err(DistError::BadParameters {
-            reason: format!("epsilon must lie in (0,1), got {}", config.epsilon),
-        });
-    }
-    Ok(())
-}
-
 pub(crate) fn descriptor_of(problem: &Problem, a: treenet_model::DemandId) -> Descriptor {
     Descriptor {
         id: a,
         demand: *problem.demand(a),
         access: problem.access(a).to_vec(),
     }
-}
-
-pub(crate) fn rooted_views(problem: &Problem) -> Vec<RootedTree> {
-    problem
-        .networks()
-        .map(|t| RootedTree::new(problem.network(t), VertexId(0)))
-        .collect()
 }
 
 /// The processor communication graph as plain adjacency lists — the
@@ -511,24 +558,6 @@ pub(crate) fn comm_adjacency(problem: &Problem) -> Vec<Vec<usize>> {
         .into_iter()
         .map(|list| list.into_iter().map(|d| d.index()).collect())
         .collect()
-}
-
-/// Public info over `layering`, plus the layered decomposition it
-/// induces (for `Δ` and the group count — both public).
-pub(crate) fn public_info(
-    problem: &Problem,
-    config: &DistConfig,
-    layering: Layering,
-) -> (Arc<PublicInfo>, LayeredDecomposition) {
-    let layers = LayeredDecomposition::new(problem, &layering);
-    let public = Arc::new(PublicInfo {
-        rooted: rooted_views(problem),
-        layering,
-        seed: config.seed,
-        backend: config.mis_backend,
-        forest: ConvergecastForest::from_adjacency(&comm_adjacency(problem)),
-    });
-    (public, layers)
 }
 
 /// Builds the shared engine (topology + optional adversarial delivery
@@ -553,15 +582,61 @@ pub(crate) fn build_engine(
     engine
 }
 
-/// Parameters of one (sub-)run: its message namespace, stage factor,
-/// raise rule, epoch count, and (for wide/narrow splits) the
-/// participating height class.
+/// One (sub-)run as the runners execute it: the raise rule, stage
+/// factor and participating height class of a `treenet_core::Half`,
+/// plus its message namespace and epoch count.
 struct HalfPlan {
     tag: RunTag,
     rule: RaiseRule,
     xi: f64,
     num_groups: u32,
     class: Option<HeightClass>,
+}
+
+/// Validates `config` and plans theorem `choice`: one [`HalfPlan`] per
+/// half of `AutoChoice::halves` — the primary message namespace for the
+/// first half, the narrow one for the second — and the public
+/// information every processor knows: the theorem's layering, the
+/// rooted networks, the seed, the MIS backend and the convergecast
+/// forest.
+pub(crate) fn plan(
+    problem: &Problem,
+    choice: AutoChoice,
+    config: &DistConfig,
+) -> Result<(Arc<PublicInfo>, Vec<HalfPlan>), DistError> {
+    if !(config.epsilon > 0.0 && config.epsilon < 1.0) {
+        return Err(DistError::BadParameters {
+            reason: format!("epsilon must lie in (0,1), got {}", config.epsilon),
+        });
+    }
+    let layering = choice.layering(problem, config.strategy);
+    let layers = LayeredDecomposition::new(problem, &layering);
+    let num_groups = layers.num_groups() as u32;
+    let halves = choice
+        .halves(problem, layers.delta(), config.hmin)
+        .map_err(|reason| DistError::BadParameters { reason })?;
+    let plans = halves
+        .into_iter()
+        .zip([RunTag::Primary, RunTag::Narrow])
+        .map(|(half, tag)| HalfPlan {
+            tag,
+            rule: half.rule,
+            xi: half.xi,
+            num_groups,
+            class: half.class,
+        })
+        .collect();
+    let public = Arc::new(PublicInfo {
+        rooted: problem
+            .networks()
+            .map(|t| RootedTree::new(problem.network(t), VertexId(0)))
+            .collect(),
+        layering,
+        seed: config.seed,
+        backend: config.mis_backend,
+        forest: ConvergecastForest::from_adjacency(&comm_adjacency(problem)),
+    });
+    Ok((public, plans))
 }
 
 /// Where one half's public-schedule state machine stands. Each variant
@@ -931,14 +1006,6 @@ impl HalfDriver {
     }
 }
 
-/// Per-half result of a merged execution.
-struct HalfResult {
-    solution: Solution,
-    lambda: f64,
-    final_unsatisfied: bool,
-    schedule: DistSchedule,
-}
-
 /// Executes one in-network run: one engine pass over all halves, with
 /// messages namespaced per half, termination detected by echo sweeps,
 /// and (for split runs) the per-network combination decided by the
@@ -950,7 +1017,7 @@ fn execute_in_network(
     config: &DistConfig,
     public: &Arc<PublicInfo>,
     plans: Vec<HalfPlan>,
-) -> Result<(Vec<HalfResult>, Option<Solution>, Metrics), DistError> {
+) -> Result<(Vec<DistRunReport>, Option<Solution>, Metrics), DistError> {
     let split = plans.len() > 1;
     let nodes: Vec<ProcessorNode> = problem
         .demands()
@@ -1067,7 +1134,7 @@ fn execute_in_network(
                 }
             }
         }
-        results.push(HalfResult {
+        results.push(DistRunReport {
             solution: Solution::new(selected),
             lambda,
             final_unsatisfied,
@@ -1078,204 +1145,46 @@ fn execute_in_network(
     Ok((results, combined, engine.metrics()))
 }
 
-/// Runs a single-rule in-network execution and wraps it as a
-/// [`DistOutcome`].
-fn run_solo(
-    problem: &Problem,
-    config: &DistConfig,
-    public: &Arc<PublicInfo>,
-    layers: &LayeredDecomposition,
-) -> Result<DistOutcome, DistError> {
-    let plan = HalfPlan {
-        tag: RunTag::Primary,
-        rule: RaiseRule::Unit,
-        xi: unit_xi(layers.delta()),
-        num_groups: layers.num_groups() as u32,
-        class: None,
-    };
-    let (mut halves, _, metrics) = execute_in_network(problem, config, public, vec![plan])?;
-    let half = halves.pop().expect("one half per solo run");
-    Ok(DistOutcome {
-        solution: half.solution,
-        lambda: half.lambda,
-        final_unsatisfied: half.final_unsatisfied,
-        metrics,
-        schedule: half.schedule,
-    })
-}
-
-/// Resolves the narrow-run `hmin` through the single shared definition
-/// [`treenet_core::resolve_narrow_hmin`] — the same collection order and
-/// arithmetic as `solve_tree_arbitrary`/`solve_line_arbitrary`, so the
-/// two sides derive the same `narrow_xi` by construction.
-pub(crate) fn resolve_hmin(problem: &Problem, config: &DistConfig) -> Result<f64, DistError> {
-    let narrow_ids: Vec<InstanceId> = problem
-        .instances()
-        .filter(|inst| problem.demand(inst.demand).height_class() == HeightClass::Narrow)
-        .map(|inst| inst.id)
-        .collect();
-    treenet_core::resolve_narrow_hmin(problem, &narrow_ids, config.hmin)
-        .map_err(|reason| DistError::BadParameters { reason })
-}
-
-/// The wide/narrow split shared by the arbitrary-height runners: both
-/// halves as one merged, message-namespaced engine pass, then the
-/// in-network per-network combination.
-fn run_split(
-    problem: &Problem,
-    config: &DistConfig,
-    public: &Arc<PublicInfo>,
-    layers: &LayeredDecomposition,
-) -> Result<DistCombinedOutcome, DistError> {
-    let delta = layers.delta();
-    let num_groups = layers.num_groups() as u32;
-    let hmin = resolve_hmin(problem, config)?;
-    let plans = vec![
-        HalfPlan {
-            tag: RunTag::Primary,
-            rule: RaiseRule::Unit,
-            xi: unit_xi(delta),
-            num_groups,
-            class: Some(HeightClass::Wide),
-        },
-        HalfPlan {
-            tag: RunTag::Narrow,
-            rule: RaiseRule::Narrow,
-            xi: narrow_xi(delta, hmin),
-            num_groups,
-            class: Some(HeightClass::Narrow),
-        },
-    ];
-    let (halves, combined, metrics) = execute_in_network(problem, config, public, plans)?;
-    let mut iter = halves.into_iter();
-    let (wide, narrow) = (
-        iter.next().expect("wide half"),
-        iter.next().expect("narrow half"),
-    );
-    Ok(DistCombinedOutcome {
-        solution: combined.expect("split runs produce the combined solution in-network"),
-        wide: DistRunReport {
-            solution: wide.solution,
-            lambda: wide.lambda,
-            final_unsatisfied: wide.final_unsatisfied,
-            schedule: wide.schedule,
-        },
-        narrow: DistRunReport {
-            solution: narrow.solution,
-            lambda: narrow.lambda,
-            final_unsatisfied: narrow.final_unsatisfied,
-            schedule: narrow.schedule,
-        },
-        metrics,
-    })
-}
-
-/// Runs the unit-height tree scheduler (Theorem 5.3) as a synchronous
-/// message-passing computation and returns the solution, the measured
-/// slackness λ and the communication metrics. Stage and epoch boundaries
-/// are detected in-network (echo sweeps on the convergecast forest).
+/// Runs theorem `choice` as a synchronous message-passing computation
+/// and returns the solution, the measured slackness λ, the executed
+/// schedules and the communication metrics. A unit theorem runs one
+/// half; an arbitrary-height theorem runs its wide half (unit rule) and
+/// narrow half (narrow rule) as one merged engine pass, messages
+/// namespaced per half, then the in-network per-network combiner. Stage
+/// and epoch boundaries are detected in-network (echo sweeps on the
+/// convergecast forest).
 ///
 /// Under `DistConfig::from(&solver_config)` the result equals
-/// [`treenet_core::solve_tree_unit`] exactly: identical solutions and
-/// bit-identical λ (see the crate docs for why).
+/// `treenet_core::solve` with the same theorem exactly: identical
+/// solutions and bit-identical λ, per half (see the crate docs for why).
 ///
 /// # Errors
 ///
-/// [`DistError::BadParameters`] for an out-of-range `ε`;
-/// [`DistError::StageDiverged`] if a stage exceeds the step budget;
-/// [`DistError::MisBudgetExhausted`] if the MIS backend stops making
-/// progress (impossible for the shipped backends).
-pub fn run_distributed_tree_unit(
-    problem: &Problem,
-    config: &DistConfig,
-) -> Result<DistOutcome, DistError> {
-    validate(config)?;
-    let (public, layers) = public_info(
-        problem,
-        config,
-        Layering::for_trees(problem, config.strategy),
-    );
-    run_solo(problem, config, &public, &layers)
-}
-
-/// Runs the unit-height line scheduler (Theorem 7.1, windows supported)
-/// as a synchronous message-passing computation: Section-7 length-class
-/// layering with `Δ ≤ 3` and `ξ = 8/9`, termination detected in-network.
-///
-/// Under `DistConfig::from(&solver_config)` the result equals
-/// [`treenet_core::solve_line_unit`] exactly: identical solutions and
-/// bit-identical λ.
-///
-/// # Errors
-///
-/// Same contract as [`run_distributed_tree_unit`].
+/// [`DistError::BadParameters`] for an out-of-range `ε` or, after that
+/// check, a violated a-priori `hmin`; [`DistError::StageDiverged`] if a
+/// stage exceeds the step budget; [`DistError::MisBudgetExhausted`] if
+/// the MIS backend stops making progress (impossible for the shipped
+/// backends).
 ///
 /// # Panics
 ///
-/// Panics if some network is not a canonical line.
-pub fn run_distributed_line_unit(
+/// For a line theorem, if some network is not a canonical line.
+pub fn run_distributed(
     problem: &Problem,
+    choice: AutoChoice,
     config: &DistConfig,
-) -> Result<DistOutcome, DistError> {
-    validate(config)?;
-    let (public, layers) = public_info(problem, config, Layering::for_lines(problem));
-    run_solo(problem, config, &public, &layers)
+) -> Result<DistAutoOutcome, DistError> {
+    let (public, plans) = plan(problem, choice, config)?;
+    let (reports, combined, metrics) = execute_in_network(problem, config, &public, plans)?;
+    Ok(DistAutoOutcome::assemble(
+        choice, reports, combined, metrics,
+    ))
 }
 
-/// Runs the arbitrary-height tree scheduler (Theorem 6.3) as one merged
-/// message-passing computation (wide via the unit rule, narrow via the
-/// narrow rule, sharing the engine through namespaced messages) plus the
-/// in-network per-network combiner.
-///
-/// Under `DistConfig::from(&solver_config)` the result equals
-/// [`treenet_core::solve_tree_arbitrary`] exactly: identical combined
-/// solutions and bit-identical wide/narrow λ.
-///
-/// # Errors
-///
-/// Same contract as [`run_distributed_tree_unit`], plus
-/// [`DistError::BadParameters`] when an a-priori `hmin` is violated.
-pub fn run_distributed_tree_arbitrary(
-    problem: &Problem,
-    config: &DistConfig,
-) -> Result<DistCombinedOutcome, DistError> {
-    validate(config)?;
-    let (public, layers) = public_info(
-        problem,
-        config,
-        Layering::for_trees(problem, config.strategy),
-    );
-    run_split(problem, config, &public, &layers)
-}
-
-/// Runs the arbitrary-height line scheduler (Theorem 7.2) as one merged
-/// message-passing computation over the Section-7 length-class layering
-/// plus the in-network per-network combiner.
-///
-/// Under `DistConfig::from(&solver_config)` the result equals
-/// [`treenet_core::solve_line_arbitrary`] exactly: identical combined
-/// solutions and bit-identical wide/narrow λ.
-///
-/// # Errors
-///
-/// Same contract as [`run_distributed_tree_arbitrary`].
-///
-/// # Panics
-///
-/// Panics if some network is not a canonical line.
-pub fn run_distributed_line_arbitrary(
-    problem: &Problem,
-    config: &DistConfig,
-) -> Result<DistCombinedOutcome, DistError> {
-    validate(config)?;
-    let (public, layers) = public_info(problem, config, Layering::for_lines(problem));
-    run_split(problem, config, &public, &layers)
-}
-
-/// Dispatches to the strongest applicable distributed runner by
-/// inspecting the problem — exactly the dispatch of
-/// [`treenet_core::solve_auto`]: line-networks get the `Δ = 3` length
-/// classes, unit heights skip the wide/narrow split.
+/// Runs the strongest applicable theorem through [`run_distributed`] —
+/// exactly the dispatch of `treenet_core::solve_auto` (the shared
+/// `auto_choice`): line-networks get the `Δ = 3` length classes, unit
+/// heights skip the wide/narrow split.
 ///
 /// Under `DistConfig::from(&solver_config)` the result equals
 /// `solve_auto` exactly: same choice, identical solutions, bit-identical
@@ -1283,38 +1192,12 @@ pub fn run_distributed_line_arbitrary(
 ///
 /// # Errors
 ///
-/// Same contract as the dispatched runner.
+/// Same contract as [`run_distributed`].
 pub fn run_distributed_auto(
     problem: &Problem,
     config: &DistConfig,
 ) -> Result<DistAutoOutcome, DistError> {
-    // The dispatch is the single shared definition `auto_choice`, so the
-    // logical and message-passing dispatches cannot drift.
-    let choice = auto_choice(problem);
-    let (solution, lambda, run) = match choice {
-        AutoChoice::LineUnit => {
-            let out = run_distributed_line_unit(problem, config)?;
-            (out.solution.clone(), out.lambda, DistAutoRun::Single(out))
-        }
-        AutoChoice::LineArbitrary => {
-            let out = run_distributed_line_arbitrary(problem, config)?;
-            (out.solution.clone(), out.lambda(), DistAutoRun::Split(out))
-        }
-        AutoChoice::TreeUnit => {
-            let out = run_distributed_tree_unit(problem, config)?;
-            (out.solution.clone(), out.lambda, DistAutoRun::Single(out))
-        }
-        AutoChoice::TreeArbitrary => {
-            let out = run_distributed_tree_arbitrary(problem, config)?;
-            (out.solution.clone(), out.lambda(), DistAutoRun::Split(out))
-        }
-    };
-    Ok(DistAutoOutcome {
-        solution,
-        choice,
-        lambda,
-        run,
-    })
+    run_distributed(problem, auto_choice(problem), config)
 }
 
 #[cfg(test)]
@@ -1322,9 +1205,7 @@ mod tests {
     use super::*;
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
-    use treenet_core::{
-        solve_auto, solve_line_arbitrary, solve_line_unit, solve_tree_arbitrary, solve_tree_unit,
-    };
+    use treenet_core::{solve, solve_auto};
     use treenet_model::workload::{HeightMode, LineWorkload, TreeWorkload};
 
     fn problem(seed: u64) -> Problem {
@@ -1354,101 +1235,87 @@ mod tests {
             .generate(&mut SmallRng::seed_from_u64(seed))
     }
 
-    #[test]
-    fn equals_logical_execution_bitwise() {
-        for seed in 0..8u64 {
-            let p = problem(seed);
-            let cfg = SolverConfig::default().with_epsilon(0.3).with_seed(seed);
-            let logical = solve_tree_unit(&p, &cfg).unwrap();
-            let distributed = run_distributed_tree_unit(&p, &DistConfig::from(&cfg)).unwrap();
-            assert_eq!(logical.solution, distributed.solution, "seed {seed}");
-            assert_eq!(
-                logical.lambda.to_bits(),
-                distributed.lambda.to_bits(),
-                "seed {seed}: λ {} vs {}",
-                logical.lambda,
-                distributed.lambda
-            );
-            assert!(!distributed.final_unsatisfied);
-            distributed.solution.verify(&p).unwrap();
+    fn mixed_tree_problem(seed: u64) -> Problem {
+        TreeWorkload::new(10, 8)
+            .with_networks(2)
+            .with_heights(HeightMode::Bimodal {
+                narrow_frac: 0.5,
+                hmin: 0.25,
+            })
+            .generate(&mut SmallRng::seed_from_u64(seed))
+    }
+
+    /// A seeded problem generator.
+    type Workload = fn(u64) -> Problem;
+
+    /// Every theorem with its workload and seed count.
+    const THEOREMS: [(AutoChoice, Workload, u64); 4] = [
+        (AutoChoice::TreeUnit, problem, 8),
+        (AutoChoice::LineUnit, line_problem, 8),
+        (AutoChoice::LineArbitrary, mixed_line_problem, 6),
+        (AutoChoice::TreeArbitrary, mixed_tree_problem, 4),
+    ];
+
+    /// Each half's measured λ and whether it ended phase 1 unsatisfied.
+    fn half_results(run: &DistAutoRun) -> Vec<(f64, bool)> {
+        match run {
+            DistAutoRun::Single(out) => vec![(out.lambda, out.final_unsatisfied)],
+            DistAutoRun::Split(out) => [&out.wide, &out.narrow]
+                .map(|half| (half.lambda, half.final_unsatisfied))
+                .to_vec(),
         }
     }
 
     #[test]
-    fn line_unit_equals_logical_execution_bitwise() {
-        for seed in 0..8u64 {
-            let p = line_problem(seed);
-            let cfg = SolverConfig::default().with_epsilon(0.3).with_seed(seed);
-            let logical = solve_line_unit(&p, &cfg).unwrap();
-            let distributed = run_distributed_line_unit(&p, &DistConfig::from(&cfg)).unwrap();
-            assert_eq!(logical.solution, distributed.solution, "seed {seed}");
-            assert_eq!(
-                logical.lambda.to_bits(),
-                distributed.lambda.to_bits(),
-                "seed {seed}: λ {} vs {}",
-                logical.lambda,
-                distributed.lambda
-            );
-            assert_eq!(
-                distributed.schedule.total_rounds(),
-                logical.stats.comm_rounds,
-                "seed {seed}"
-            );
-            assert!(!distributed.final_unsatisfied);
-            distributed.solution.verify(&p).unwrap();
-        }
-    }
-
-    #[test]
-    fn line_arbitrary_equals_logical_execution_bitwise() {
-        for seed in 0..6u64 {
-            let p = mixed_line_problem(seed);
-            let cfg = SolverConfig::default().with_epsilon(0.3).with_seed(seed);
-            let logical = solve_line_arbitrary(&p, &cfg).unwrap();
-            let distributed = run_distributed_line_arbitrary(&p, &DistConfig::from(&cfg)).unwrap();
-            assert_eq!(logical.solution, distributed.solution, "seed {seed}");
-            assert_eq!(
-                logical.wide.lambda.to_bits(),
-                distributed.wide.lambda.to_bits(),
-                "seed {seed} (wide)"
-            );
-            assert_eq!(
-                logical.narrow.lambda.to_bits(),
-                distributed.narrow.lambda.to_bits(),
-                "seed {seed} (narrow)"
-            );
-            assert_eq!(
-                distributed.wide.schedule.total_rounds(),
-                logical.wide.stats.comm_rounds
-            );
-            assert_eq!(
-                distributed.narrow.schedule.total_rounds(),
-                logical.narrow.stats.comm_rounds
-            );
-            distributed.solution.verify(&p).unwrap();
-        }
-    }
-
-    #[test]
-    fn tree_arbitrary_equals_logical_execution_bitwise() {
-        for seed in 0..4u64 {
-            let p = TreeWorkload::new(10, 8)
-                .with_networks(2)
-                .with_heights(HeightMode::Bimodal {
-                    narrow_frac: 0.5,
-                    hmin: 0.25,
-                })
-                .generate(&mut SmallRng::seed_from_u64(seed));
-            let cfg = SolverConfig::default().with_epsilon(0.3).with_seed(seed);
-            let logical = solve_tree_arbitrary(&p, &cfg).unwrap();
-            let distributed = run_distributed_tree_arbitrary(&p, &DistConfig::from(&cfg)).unwrap();
-            assert_eq!(logical.solution, distributed.solution, "seed {seed}");
-            assert_eq!(
-                logical.lambda().to_bits(),
-                distributed.lambda().to_bits(),
-                "seed {seed}"
-            );
-            distributed.solution.verify(&p).unwrap();
+    fn every_theorem_equals_logical_execution_bitwise() {
+        for (choice, workload, seeds) in THEOREMS {
+            for seed in 0..seeds {
+                let p = workload(seed);
+                let cfg = SolverConfig::default().with_epsilon(0.3).with_seed(seed);
+                let logical = solve(&p, choice, &cfg).unwrap();
+                let distributed = run_distributed(&p, choice, &DistConfig::from(&cfg)).unwrap();
+                let label = format!("{choice:?} seed {seed}");
+                assert_eq!(logical.solution, distributed.solution, "{label}");
+                assert_eq!(
+                    logical.lambda.to_bits(),
+                    distributed.lambda.to_bits(),
+                    "{label}: λ {} vs {}",
+                    logical.lambda,
+                    distributed.lambda
+                );
+                // Per half: bit-identical λ, every participant
+                // (1-ε)-satisfied, and the shared compute-round accounting.
+                let schedules = distributed.run.schedules();
+                let halves = logical.run.halves();
+                assert_eq!(halves.len(), schedules.len(), "{label}");
+                for ((logical, (lambda, unsatisfied)), schedule) in halves
+                    .iter()
+                    .zip(half_results(&distributed.run))
+                    .zip(&schedules)
+                {
+                    assert_eq!(logical.lambda.to_bits(), lambda.to_bits(), "{label}");
+                    assert!(!unsatisfied, "{label}");
+                    assert_eq!(
+                        schedule.total_rounds(),
+                        logical.stats.comm_rounds,
+                        "{label}"
+                    );
+                }
+                // The engine adds the setup round (and the combiner's
+                // rounds after a split) to the longest half.
+                let longest = schedules.iter().map(|s| s.engine_rounds()).max();
+                let extra = if schedules.len() > 1 {
+                    COMBINE_ROUNDS
+                } else {
+                    0
+                };
+                assert_eq!(
+                    Some(distributed.run.metrics().rounds),
+                    longest.map(|rounds| rounds + 1 + extra),
+                    "{label}"
+                );
+                distributed.solution.verify(&p).unwrap();
+            }
         }
     }
 
@@ -1486,129 +1353,97 @@ mod tests {
         // The driver-counted serial path is the executable spec: same
         // solutions, bit-identical λ, and identical compute schedules
         // (steps + pops; the oracle has no sweeps by construction).
-        for seed in 0..4u64 {
-            let p = problem(seed);
-            let cfg = DistConfig {
-                epsilon: 0.3,
-                seed,
-                ..DistConfig::default()
-            };
-            let fast = run_distributed_tree_unit(&p, &cfg).unwrap();
-            let oracle = run_distributed_tree_unit_reference(&p, &cfg).unwrap();
-            assert_eq!(fast.solution, oracle.solution, "seed {seed}");
-            assert_eq!(fast.lambda.to_bits(), oracle.lambda.to_bits());
-            assert_eq!(fast.schedule.steps, oracle.schedule.steps);
-            assert_eq!(fast.schedule.pops, oracle.schedule.pops);
-            assert_eq!(oracle.schedule.sweeps, 0);
-            assert_eq!(oracle.metrics.rounds, oracle.schedule.total_rounds() + 1);
-
-            let p = mixed_line_problem(seed);
-            let fast = run_distributed_line_arbitrary(&p, &cfg).unwrap();
-            let oracle = run_distributed_line_arbitrary_reference(&p, &cfg).unwrap();
-            assert_eq!(fast.solution, oracle.solution, "seed {seed}");
-            for (label, a, b) in [
-                ("wide", &fast.wide, &oracle.wide),
-                ("narrow", &fast.narrow, &oracle.narrow),
-            ] {
-                assert_eq!(a.solution, b.solution, "seed {seed} {label}");
+        for (choice, workload, _) in THEOREMS {
+            for seed in 0..4u64 {
+                let p = workload(seed);
+                let cfg = DistConfig {
+                    epsilon: 0.3,
+                    seed,
+                    ..DistConfig::default()
+                };
+                let fast = run_distributed(&p, choice, &cfg).unwrap();
+                let oracle = run_distributed_reference(&p, choice, &cfg).unwrap();
+                let label = format!("{choice:?} seed {seed}");
+                assert_eq!(oracle.choice, choice);
+                assert_eq!(fast.solution, oracle.solution, "{label}");
+                assert_eq!(fast.lambda.to_bits(), oracle.lambda.to_bits(), "{label}");
                 assert_eq!(
-                    a.lambda.to_bits(),
-                    b.lambda.to_bits(),
-                    "seed {seed} {label}"
+                    half_results(&fast.run),
+                    half_results(&oracle.run),
+                    "{label}"
                 );
-                assert_eq!(a.schedule.steps, b.schedule.steps, "seed {seed} {label}");
-                assert_eq!(a.schedule.pops, b.schedule.pops, "seed {seed} {label}");
+                let schedules = oracle.run.schedules();
+                for (a, b) in fast.run.schedules().iter().zip(&schedules) {
+                    assert_eq!(a.steps, b.steps, "{label}");
+                    assert_eq!(a.pops, b.pops, "{label}");
+                    assert_eq!(b.sweeps, 0, "{label}");
+                }
+                // One serial engine per half, one setup round each.
+                assert_eq!(
+                    oracle.run.metrics().rounds,
+                    schedules.iter().map(|s| s.total_rounds() + 1).sum::<u64>(),
+                    "{label}"
+                );
             }
-            // Serial reference: two engines, one setup round each.
-            assert_eq!(
-                oracle.metrics.rounds,
-                oracle.wide.schedule.total_rounds() + oracle.narrow.schedule.total_rounds() + 2
-            );
         }
     }
 
     #[test]
     fn merged_split_overlaps_the_halves() {
         // The merged engine interleaves the halves: its wall-clock rounds
-        // follow the documented max-relation, strictly below the serial
-        // reference's sum whenever both halves do real work.
+        // stay strictly below the serial reference's sum whenever both
+        // halves do real work.
         let p = mixed_line_problem(1);
         let cfg = DistConfig {
             epsilon: 0.3,
             seed: 1,
             ..DistConfig::default()
         };
-        let merged = run_distributed_line_arbitrary(&p, &cfg).unwrap();
-        assert_eq!(
-            merged.metrics.rounds,
-            merged
-                .wide
-                .schedule
-                .engine_rounds()
-                .max(merged.narrow.schedule.engine_rounds())
-                + 1
-                + COMBINE_ROUNDS
-        );
-        let reference = run_distributed_line_arbitrary_reference(&p, &cfg).unwrap();
+        let merged = run_distributed(&p, AutoChoice::LineArbitrary, &cfg).unwrap();
+        let reference = run_distributed_reference(&p, AutoChoice::LineArbitrary, &cfg).unwrap();
+        let control: u64 = merged
+            .run
+            .schedules()
+            .iter()
+            .map(|s| s.control_rounds())
+            .sum();
         assert!(
-            merged.metrics.rounds
-                < reference.metrics.rounds
-                    + merged.wide.schedule.control_rounds()
-                    + merged.narrow.schedule.control_rounds(),
+            merged.run.metrics().rounds < reference.run.metrics().rounds + control,
             "merged {} vs serial {} (+control)",
-            merged.metrics.rounds,
-            reference.metrics.rounds
+            merged.run.metrics().rounds,
+            reference.run.metrics().rounds
         );
-    }
-
-    #[test]
-    fn comm_rounds_match_logical_accounting() {
-        // The logical RunStats::comm_rounds equals the schedule's compute
-        // round count, and the engine adds the setup round plus the
-        // in-network control rounds.
-        for seed in 0..4u64 {
-            let p = problem(seed);
-            let cfg = SolverConfig::default().with_epsilon(0.3).with_seed(seed);
-            let logical = solve_tree_unit(&p, &cfg).unwrap();
-            let distributed = run_distributed_tree_unit(&p, &DistConfig::from(&cfg)).unwrap();
-            assert_eq!(
-                distributed.schedule.total_rounds(),
-                logical.stats.comm_rounds,
-                "seed {seed}"
-            );
-            assert_eq!(
-                distributed.metrics.rounds,
-                distributed.schedule.engine_rounds() + 1
-            );
-        }
     }
 
     #[test]
     fn deterministic_per_seed() {
         let p = problem(3);
-        let a = run_distributed_tree_unit(&p, &DistConfig::default()).unwrap();
-        let b = run_distributed_tree_unit(&p, &DistConfig::default()).unwrap();
+        let run = || run_distributed(&p, AutoChoice::TreeUnit, &DistConfig::default()).unwrap();
+        let (a, b) = (run(), run());
         assert_eq!(a.solution, b.solution);
-        assert_eq!(a.metrics, b.metrics);
-        assert_eq!(a.schedule, b.schedule);
+        assert_eq!(a.run.metrics(), b.run.metrics());
+        assert_eq!(a.run.schedules(), b.run.schedules());
     }
 
     #[test]
     fn rejects_bad_epsilon() {
-        let p = problem(0);
-        for eps in [0.0, 1.0, -0.5, 2.0] {
-            let cfg = DistConfig {
-                epsilon: eps,
-                ..DistConfig::default()
-            };
-            assert!(matches!(
-                run_distributed_tree_unit(&p, &cfg),
-                Err(DistError::BadParameters { .. })
-            ));
-            assert!(matches!(
-                run_distributed_line_unit(&line_problem(0), &cfg),
-                Err(DistError::BadParameters { .. })
-            ));
+        for (choice, workload, _) in THEOREMS {
+            let p = workload(0);
+            for eps in [0.0, 1.0, -0.5, 2.0] {
+                let cfg = DistConfig {
+                    epsilon: eps,
+                    ..DistConfig::default()
+                };
+                for result in [
+                    run_distributed(&p, choice, &cfg),
+                    run_distributed_reference(&p, choice, &cfg),
+                ] {
+                    assert!(
+                        matches!(result, Err(DistError::BadParameters { .. })),
+                        "{choice:?} ε = {eps}"
+                    );
+                }
+            }
         }
     }
 
@@ -1617,26 +1452,38 @@ mod tests {
         let p = TreeWorkload::new(10, 8)
             .with_heights(HeightMode::Uniform { hmin: 0.3 })
             .generate(&mut SmallRng::seed_from_u64(8));
+        let theorem = AutoChoice::TreeArbitrary;
         // Valid a-priori bound reproduces the logical run.
         let cfg = SolverConfig::default()
             .with_epsilon(0.3)
             .with_seed(8)
             .with_hmin(0.25);
-        let logical = solve_tree_arbitrary(&p, &cfg).unwrap();
-        let distributed = run_distributed_tree_arbitrary(&p, &DistConfig::from(&cfg)).unwrap();
+        let logical = solve(&p, theorem, &cfg).unwrap();
+        let distributed = run_distributed(&p, theorem, &DistConfig::from(&cfg)).unwrap();
         assert_eq!(logical.solution, distributed.solution);
-        assert_eq!(logical.lambda().to_bits(), distributed.lambda().to_bits());
+        assert_eq!(logical.lambda.to_bits(), distributed.lambda.to_bits());
         // A bound above some narrow height is rejected, like the logical
-        // solver.
+        // solver — after a bad ε, which is reported first.
         if p.min_height() < 0.5 {
             let bad = DistConfig {
                 hmin: Some(0.6),
                 ..DistConfig::from(&cfg)
             };
-            assert!(matches!(
-                run_distributed_tree_arbitrary(&p, &bad),
-                Err(DistError::BadParameters { .. })
-            ));
+            let worse = DistConfig {
+                epsilon: 2.0,
+                ..bad.clone()
+            };
+            for (config, reason) in [(&bad, "hmin"), (&worse, "epsilon")] {
+                for result in [
+                    run_distributed(&p, theorem, config),
+                    run_distributed_reference(&p, theorem, config),
+                ] {
+                    assert!(
+                        matches!(&result, Err(DistError::BadParameters { reason: r }) if r.contains(reason)),
+                        "expected a {reason} error, got {result:?}"
+                    );
+                }
+            }
         }
     }
 
@@ -1647,8 +1494,9 @@ mod tests {
             .with_epsilon(0.3)
             .with_seed(5)
             .with_mis_backend(MisBackend::DeterministicGreedy);
-        let logical = solve_tree_unit(&p, &cfg).unwrap();
-        let distributed = run_distributed_tree_unit(&p, &DistConfig::from(&cfg)).unwrap();
+        let logical = solve(&p, AutoChoice::TreeUnit, &cfg).unwrap();
+        let distributed =
+            run_distributed(&p, AutoChoice::TreeUnit, &DistConfig::from(&cfg)).unwrap();
         assert_eq!(logical.solution, distributed.solution);
         assert_eq!(logical.lambda.to_bits(), distributed.lambda.to_bits());
     }
@@ -1674,9 +1522,9 @@ mod tests {
             ..DistConfig::default()
         };
         for result in [
-            run_distributed_tree_unit(&p, &cfg),
-            run_distributed_line_unit(&p, &cfg),
-            run_distributed_tree_unit_reference(&p, &cfg),
+            run_distributed(&p, AutoChoice::TreeUnit, &cfg),
+            run_distributed(&p, AutoChoice::LineUnit, &cfg),
+            run_distributed_reference(&p, AutoChoice::TreeUnit, &cfg),
         ] {
             match result {
                 Err(DistError::MisBudgetExhausted { epoch, stage, step }) => {

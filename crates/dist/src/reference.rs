@@ -16,45 +16,37 @@ use std::sync::Arc;
 
 use crate::node::{Mode, ProcessorNode, PublicInfo, RunTag, SATISFACTION_GUARD};
 use crate::{
-    build_engine, descriptor_of, public_info, resolve_hmin, validate, DistCombinedOutcome,
-    DistConfig, DistError, DistOutcome, DistRunReport, DistSchedule, StepRecord,
+    build_engine, descriptor_of, plan, DistAutoOutcome, DistConfig, DistError, DistRunReport,
+    DistSchedule, HalfPlan, StepRecord,
 };
-use treenet_core::{
-    auto_choice, combine_by_network, mis_tag, narrow_xi, stages_for, unit_xi, AutoChoice, RaiseRule,
-};
-use treenet_decomp::{LayeredDecomposition, Layering};
-use treenet_model::{HeightClass, Problem, Solution};
+use treenet_core::{combine_by_network, mis_tag, stages_for, AutoChoice};
+use treenet_model::{Problem, Solution};
+use treenet_netsim::Metrics;
 
-/// Parameters of one serial reference run.
-struct RunParams {
-    rule: RaiseRule,
-    xi: f64,
-    num_groups: u32,
-    class: Option<HeightClass>,
-}
-
-/// Executes one full two-phase message-passing run with the driver
-/// counting unsatisfied instances between rounds (the pre-PR control
-/// plane). All data still flows through single-hop `O(M)`-bit messages.
+/// Executes one half as a full two-phase message-passing run in its own
+/// engine, with the driver counting unsatisfied instances between rounds
+/// (the pre-combiner control plane). All data still flows through
+/// single-hop `O(M)`-bit messages. Each half has the engine to itself,
+/// so every half uses the primary message namespace.
 fn execute_reference(
     problem: &Problem,
     config: &DistConfig,
     public: &Arc<PublicInfo>,
-    params: &RunParams,
-) -> Result<DistOutcome, DistError> {
-    let stages_per_epoch = stages_for(config.epsilon, params.xi);
+    half: &HalfPlan,
+) -> Result<(DistRunReport, Metrics), DistError> {
+    let stages_per_epoch = stages_for(config.epsilon, half.xi);
 
     let nodes: Vec<ProcessorNode> = problem
         .demands()
         .map(|a| {
-            let participating = params
+            let participating = half
                 .class
                 .is_none_or(|c| problem.demand(a).height_class() == c);
             ProcessorNode::new(
                 Arc::clone(public),
                 descriptor_of(problem, a),
                 problem.instances_of(a).to_vec(),
-                params.rule,
+                half.rule,
                 RunTag::Primary,
                 participating,
             )
@@ -70,12 +62,12 @@ fn execute_reference(
 
     // ---- Phase 1: epochs / stages / steps (Figure 7). ----
     let mut schedule = DistSchedule::default();
-    for epoch in 1..=params.num_groups {
+    for epoch in 1..=half.num_groups {
         if !engine.nodes().iter().any(|n| n.has_group(epoch)) {
             continue;
         }
         for stage in 1..=stages_per_epoch {
-            let threshold = 1.0 - params.xi.powi(stage as i32);
+            let threshold = 1.0 - half.xi.powi(stage as i32);
             let mut step_in_stage = 0u64;
             loop {
                 let unsatisfied: usize = engine
@@ -169,215 +161,52 @@ fn execute_reference(
         }
     }
 
-    Ok(DistOutcome {
+    let report = DistRunReport {
         solution,
         lambda,
         final_unsatisfied,
-        metrics: engine.metrics(),
         schedule,
-    })
-}
-
-/// The serial wide/narrow split: two engine passes, then the logical
-/// `combine_by_network` evaluated by the driver (the oracle of the
-/// in-network convergecast combiner).
-fn run_split_reference(
-    problem: &Problem,
-    config: &DistConfig,
-    public: &Arc<PublicInfo>,
-    layers: &LayeredDecomposition,
-) -> Result<DistCombinedOutcome, DistError> {
-    let delta = layers.delta();
-    let num_groups = layers.num_groups() as u32;
-    let wide = execute_reference(
-        problem,
-        config,
-        public,
-        &RunParams {
-            rule: RaiseRule::Unit,
-            xi: unit_xi(delta),
-            num_groups,
-            class: Some(HeightClass::Wide),
-        },
-    )?;
-    let hmin = resolve_hmin(problem, config)?;
-    let narrow = execute_reference(
-        problem,
-        config,
-        public,
-        &RunParams {
-            rule: RaiseRule::Narrow,
-            xi: narrow_xi(delta, hmin),
-            num_groups,
-            class: Some(HeightClass::Narrow),
-        },
-    )?;
-    let solution = combine_by_network(problem, &wide.solution, &narrow.solution);
-    let metrics = wide.metrics.merged(narrow.metrics);
-    Ok(DistCombinedOutcome {
-        solution,
-        wide: DistRunReport {
-            solution: wide.solution,
-            lambda: wide.lambda,
-            final_unsatisfied: wide.final_unsatisfied,
-            schedule: wide.schedule,
-        },
-        narrow: DistRunReport {
-            solution: narrow.solution,
-            lambda: narrow.lambda,
-            final_unsatisfied: narrow.final_unsatisfied,
-            schedule: narrow.schedule,
-        },
-        metrics,
-    })
-}
-
-fn run_solo_reference(
-    problem: &Problem,
-    config: &DistConfig,
-    public: &Arc<PublicInfo>,
-    layers: &LayeredDecomposition,
-) -> Result<DistOutcome, DistError> {
-    execute_reference(
-        problem,
-        config,
-        public,
-        &RunParams {
-            rule: RaiseRule::Unit,
-            xi: unit_xi(layers.delta()),
-            num_groups: layers.num_groups() as u32,
-            class: None,
-        },
-    )
-}
-
-/// The driver-counted oracle of [`crate::run_distributed_tree_unit`]:
-/// identical solutions, bit-identical λ, identical compute schedule —
-/// but stage/epoch boundaries decided by the driver (no sweeps), so
-/// `Metrics::rounds == schedule.total_rounds() + 1`.
-///
-/// # Errors
-///
-/// Same contract as [`crate::run_distributed_tree_unit`].
-pub fn run_distributed_tree_unit_reference(
-    problem: &Problem,
-    config: &DistConfig,
-) -> Result<DistOutcome, DistError> {
-    validate(config)?;
-    let (public, layers) = public_info(
-        problem,
-        config,
-        Layering::for_trees(problem, config.strategy),
-    );
-    run_solo_reference(problem, config, &public, &layers)
-}
-
-/// The driver-counted oracle of [`crate::run_distributed_line_unit`].
-///
-/// # Errors
-///
-/// Same contract as [`crate::run_distributed_line_unit`].
-///
-/// # Panics
-///
-/// Panics if some network is not a canonical line.
-pub fn run_distributed_line_unit_reference(
-    problem: &Problem,
-    config: &DistConfig,
-) -> Result<DistOutcome, DistError> {
-    validate(config)?;
-    let (public, layers) = public_info(problem, config, Layering::for_lines(problem));
-    run_solo_reference(problem, config, &public, &layers)
-}
-
-/// The driver-counted, serial oracle of
-/// [`crate::run_distributed_tree_arbitrary`]: two engine passes plus the
-/// driver-evaluated combiner.
-///
-/// # Errors
-///
-/// Same contract as [`crate::run_distributed_tree_arbitrary`].
-pub fn run_distributed_tree_arbitrary_reference(
-    problem: &Problem,
-    config: &DistConfig,
-) -> Result<DistCombinedOutcome, DistError> {
-    validate(config)?;
-    let (public, layers) = public_info(
-        problem,
-        config,
-        Layering::for_trees(problem, config.strategy),
-    );
-    run_split_reference(problem, config, &public, &layers)
-}
-
-/// The driver-counted, serial oracle of
-/// [`crate::run_distributed_line_arbitrary`].
-///
-/// # Errors
-///
-/// Same contract as [`crate::run_distributed_line_arbitrary`].
-///
-/// # Panics
-///
-/// Panics if some network is not a canonical line.
-pub fn run_distributed_line_arbitrary_reference(
-    problem: &Problem,
-    config: &DistConfig,
-) -> Result<DistCombinedOutcome, DistError> {
-    validate(config)?;
-    let (public, layers) = public_info(problem, config, Layering::for_lines(problem));
-    run_split_reference(problem, config, &public, &layers)
-}
-
-/// The driver-counted oracle of [`crate::run_distributed_auto`]: the
-/// same `auto_choice` dispatch over the reference runners.
-///
-/// # Errors
-///
-/// Same contract as the dispatched reference runner.
-pub fn run_distributed_auto_reference(
-    problem: &Problem,
-    config: &DistConfig,
-) -> Result<crate::DistAutoOutcome, DistError> {
-    let choice = auto_choice(problem);
-    let (solution, lambda, run) = match choice {
-        AutoChoice::LineUnit => {
-            let out = run_distributed_line_unit_reference(problem, config)?;
-            (
-                out.solution.clone(),
-                out.lambda,
-                crate::DistAutoRun::Single(out),
-            )
-        }
-        AutoChoice::LineArbitrary => {
-            let out = run_distributed_line_arbitrary_reference(problem, config)?;
-            (
-                out.solution.clone(),
-                out.lambda(),
-                crate::DistAutoRun::Split(out),
-            )
-        }
-        AutoChoice::TreeUnit => {
-            let out = run_distributed_tree_unit_reference(problem, config)?;
-            (
-                out.solution.clone(),
-                out.lambda,
-                crate::DistAutoRun::Single(out),
-            )
-        }
-        AutoChoice::TreeArbitrary => {
-            let out = run_distributed_tree_arbitrary_reference(problem, config)?;
-            (
-                out.solution.clone(),
-                out.lambda(),
-                crate::DistAutoRun::Split(out),
-            )
-        }
     };
-    Ok(crate::DistAutoOutcome {
-        solution,
-        choice,
-        lambda,
-        run,
-    })
+    Ok((report, engine.metrics()))
+}
+
+/// The driver-counted oracle of [`crate::run_distributed`]: the same
+/// halves, each run serially in its own engine with stage/epoch
+/// boundaries decided by the driver (no sweeps), and a split's
+/// per-network combination evaluated by the driver via the logical
+/// `combine_by_network`. Identical solutions, bit-identical λ and
+/// identical compute schedules; `Metrics::rounds` (both engines merged
+/// for a split) sums `schedule.total_rounds() + 1` over the halves.
+///
+/// # Errors
+///
+/// Same contract as [`crate::run_distributed`].
+///
+/// # Panics
+///
+/// For a line theorem, if some network is not a canonical line.
+pub fn run_distributed_reference(
+    problem: &Problem,
+    choice: AutoChoice,
+    config: &DistConfig,
+) -> Result<DistAutoOutcome, DistError> {
+    let (public, plans) = plan(problem, choice, config)?;
+    let mut reports = Vec::with_capacity(plans.len());
+    let mut metrics = Metrics::default();
+    for half in &plans {
+        let (report, half_metrics) = execute_reference(problem, config, &public, half)?;
+        reports.push(report);
+        metrics = metrics.merged(half_metrics);
+    }
+    let combined = match reports.as_slice() {
+        [wide, narrow] => Some(combine_by_network(
+            problem,
+            &wide.solution,
+            &narrow.solution,
+        )),
+        _ => None,
+    };
+    Ok(DistAutoOutcome::assemble(
+        choice, reports, combined, metrics,
+    ))
 }

@@ -6,9 +6,9 @@
 //! verdict broadcast is the message that gets dropped. Termination must
 //! come from the retransmission timer, with results unchanged.
 
-use treenet_core::retransmit_round_bound;
+use treenet_core::{retransmit_round_bound, AutoChoice};
 use treenet_decomp::ConvergecastForest;
-use treenet_dist::{run_distributed_tree_unit, DistConfig, DistOutcome};
+use treenet_dist::{run_distributed, DistAutoOutcome, DistConfig};
 use treenet_graph::{Tree, VertexId};
 use treenet_model::{Demand, NetworkId, Problem, ProblemBuilder};
 use treenet_netsim::{LossModel, DEFAULT_ARQ_WINDOW};
@@ -139,23 +139,25 @@ fn comm_adjacency(problem: &Problem) -> Vec<Vec<usize>> {
         .collect()
 }
 
-fn assert_same_outcome(lossless: &DistOutcome, lossy: &DistOutcome, label: &str) {
+/// Theorem 5.3's in-network run of `problem` under `config`.
+fn tree_unit(problem: &Problem, config: &DistConfig) -> DistAutoOutcome {
+    run_distributed(problem, AutoChoice::TreeUnit, config).unwrap()
+}
+
+fn assert_same_outcome(lossless: &DistAutoOutcome, lossy: &DistAutoOutcome, label: &str) {
     assert_eq!(lossless.solution, lossy.solution, "{label}");
     assert_eq!(lossless.lambda.to_bits(), lossy.lambda.to_bits(), "{label}");
-    assert_eq!(lossless.schedule, lossy.schedule, "{label}");
-    assert_eq!(lossless.metrics.messages, lossy.metrics.messages, "{label}");
+    assert_eq!(lossless.run.schedules(), lossy.run.schedules(), "{label}");
+    let (plain, metrics) = (lossless.run.metrics(), lossy.run.metrics());
+    assert_eq!(plain.messages, metrics.messages, "{label}");
     assert_eq!(
-        lossy.metrics.rounds,
-        lossless.metrics.rounds + lossy.metrics.retransmit_rounds,
+        metrics.rounds,
+        plain.rounds + metrics.retransmit_rounds,
         "{label}"
     );
     assert!(
-        lossy.metrics.retransmit_rounds
-            <= retransmit_round_bound(
-                lossy.metrics.dropped,
-                lossy.metrics.delayed,
-                DEFAULT_ARQ_WINDOW as u64
-            ),
+        metrics.retransmit_rounds
+            <= retransmit_round_bound(metrics.dropped, metrics.delayed, DEFAULT_ARQ_WINDOW as u64),
         "{label}"
     );
 }
@@ -172,10 +174,13 @@ fn dropping_the_roots_own_echo_broadcast_still_terminates() {
     assert_eq!(forest.roots(), &[0], "demand 0 roots the star");
     assert_eq!(forest.height(), 1);
 
-    let lossless = run_distributed_tree_unit(&p, &DistConfig::default()).unwrap();
-    assert!(lossless.schedule.sweeps > 0, "sweeps actually ran");
+    let lossless = tree_unit(&p, &DistConfig::default());
     assert!(
-        lossless.metrics.by_class[ECHO_CLASS].messages >= 2 * k as u64,
+        lossless.run.schedules()[0].sweeps > 0,
+        "sweeps actually ran"
+    );
+    assert!(
+        lossless.run.metrics().by_class[ECHO_CLASS].messages >= 2 * k as u64,
         "the first sweep alone exchanges 2k echo messages"
     );
 
@@ -183,15 +188,16 @@ fn dropping_the_roots_own_echo_broadcast_still_terminates() {
         loss: Some(LossModel::lossless(0).with_class_window(ECHO_CLASS, k as u64, k as u64)),
         ..DistConfig::default()
     };
-    let lossy = run_distributed_tree_unit(&p, &cfg).unwrap();
+    let lossy = tree_unit(&p, &cfg);
     assert_same_outcome(&lossless, &lossy, "root-echo-drop");
     // Exactly the root's broadcast was dropped and retransmitted.
-    assert_eq!(lossy.metrics.dropped, k as u64);
-    assert_eq!(lossy.metrics.retransmits, k as u64);
-    assert_eq!(lossy.metrics.by_class[ECHO_CLASS].retransmits, k as u64);
+    let metrics = lossy.run.metrics();
+    assert_eq!(metrics.dropped, k as u64);
+    assert_eq!(metrics.retransmits, k as u64);
+    assert_eq!(metrics.by_class[ECHO_CLASS].retransmits, k as u64);
     // One recovery episode: the sliding-window ARQ detects the gap from
     // the ack pass and retransmits in a single recovery slot.
-    assert_eq!(lossy.metrics.retransmit_rounds, 1);
+    assert_eq!(metrics.retransmit_rounds, 1);
 }
 
 #[test]
@@ -199,15 +205,16 @@ fn dropping_the_leaves_reports_also_recovers() {
     // The convergecast half: every EchoUp of the first sweep lost.
     let k = 4;
     let p = star_problem(k);
-    let lossless = run_distributed_tree_unit(&p, &DistConfig::default()).unwrap();
+    let lossless = tree_unit(&p, &DistConfig::default());
     let cfg = DistConfig {
         loss: Some(LossModel::lossless(0).with_class_window(ECHO_CLASS, 0, k as u64)),
         ..DistConfig::default()
     };
-    let lossy = run_distributed_tree_unit(&p, &cfg).unwrap();
+    let lossy = tree_unit(&p, &cfg);
     assert_same_outcome(&lossless, &lossy, "leaf-echo-drop");
-    assert_eq!(lossy.metrics.dropped, k as u64);
-    assert_eq!(lossy.metrics.by_class[ECHO_CLASS].retransmits, k as u64);
+    let metrics = lossy.run.metrics();
+    assert_eq!(metrics.dropped, k as u64);
+    assert_eq!(metrics.by_class[ECHO_CLASS].retransmits, k as u64);
 }
 
 #[test]
@@ -217,7 +224,7 @@ fn star_and_path_extremes_survive_bernoulli_loss() {
         if label == "path" {
             assert_eq!(forest.height(), 5, "path comm graph: one spine");
         }
-        let lossless = run_distributed_tree_unit(&problem, &DistConfig::default()).unwrap();
+        let lossless = tree_unit(&problem, &DistConfig::default());
         for loss_seed in [1u64, 2, 3] {
             let cfg = DistConfig {
                 loss: Some(
@@ -227,9 +234,9 @@ fn star_and_path_extremes_survive_bernoulli_loss() {
                 ),
                 ..DistConfig::default()
             };
-            let lossy = run_distributed_tree_unit(&problem, &cfg).unwrap();
+            let lossy = tree_unit(&problem, &cfg);
             assert_same_outcome(&lossless, &lossy, label);
-            assert!(lossy.metrics.dropped > 0, "{label}: loss fired");
+            assert!(lossy.run.metrics().dropped > 0, "{label}: loss fired");
         }
     }
 }
@@ -243,7 +250,7 @@ fn singleton_component_is_lossproof_for_free() {
     b.add_demand(Demand::pair(VertexId(0), VertexId(5), 2.0), &[t])
         .unwrap();
     let p = b.build().unwrap();
-    let lossless = run_distributed_tree_unit(&p, &DistConfig::default()).unwrap();
+    let lossless = tree_unit(&p, &DistConfig::default());
     let cfg = DistConfig {
         loss: Some(
             LossModel::bernoulli(0.9, 7)
@@ -252,10 +259,11 @@ fn singleton_component_is_lossproof_for_free() {
         ),
         ..DistConfig::default()
     };
-    let lossy = run_distributed_tree_unit(&p, &cfg).unwrap();
-    assert_eq!(lossless.metrics, lossy.metrics);
-    assert_eq!(lossy.metrics.messages, 0);
-    assert_eq!(lossy.metrics.dropped, 0);
-    assert_eq!(lossy.metrics.retransmit_rounds, 0);
+    let lossy = tree_unit(&p, &cfg);
+    let metrics = lossy.run.metrics();
+    assert_eq!(lossless.run.metrics(), metrics);
+    assert_eq!(metrics.messages, 0);
+    assert_eq!(metrics.dropped, 0);
+    assert_eq!(metrics.retransmit_rounds, 0);
     assert_eq!(lossless.solution, lossy.solution);
 }

@@ -18,11 +18,8 @@
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
-use treenet_core::retransmit_round_bound;
-use treenet_dist::{
-    run_distributed_auto, run_distributed_auto_reference, run_distributed_line_arbitrary,
-    run_distributed_line_unit, run_distributed_tree_unit, DistAutoRun, DistConfig,
-};
+use treenet_core::{retransmit_round_bound, solve, AutoChoice, SolverConfig};
+use treenet_dist::{run_distributed, run_distributed_auto, run_distributed_reference, DistConfig};
 use treenet_model::workload::{HeightMode, LineWorkload, TreeWorkload};
 use treenet_model::Problem;
 use treenet_netsim::{LossModel, Metrics, DEFAULT_ARQ_WINDOW};
@@ -84,17 +81,18 @@ fn auto_surface(
     Metrics,
 ) {
     let out = run_distributed_auto(problem, cfg).expect("run succeeds");
-    let (schedules, metrics) = match &out.run {
-        DistAutoRun::Single(run) => (vec![run.schedule.steps.clone()], run.metrics),
-        DistAutoRun::Split(run) => (
-            vec![
-                run.wide.schedule.steps.clone(),
-                run.narrow.schedule.steps.clone(),
-            ],
-            run.metrics,
-        ),
-    };
-    (out.solution, out.lambda.to_bits(), schedules, metrics)
+    let schedules = out
+        .run
+        .schedules()
+        .iter()
+        .map(|s| s.steps.clone())
+        .collect();
+    (
+        out.solution,
+        out.lambda.to_bits(),
+        schedules,
+        out.run.metrics(),
+    )
 }
 
 /// The core equivalence check at the default ARQ window.
@@ -373,10 +371,9 @@ proptest! {
 
 #[test]
 fn lossy_runners_match_the_logical_solvers_bitwise() {
-    // The acceptance condition spelled out runner by runner (the
+    // The acceptance condition spelled out theorem by theorem (the
     // proptests above go through the auto dispatch): under every p of
     // the grid, solutions and λ equal the *logical* solvers bit-exactly.
-    use treenet_core::{solve_line_arbitrary, solve_line_unit, solve_tree_unit, SolverConfig};
     for &p in &LOSS_RATES {
         let model = LossModel::bernoulli(p, 0xfa01);
         let scfg = SolverConfig::default().with_epsilon(0.3).with_seed(9);
@@ -384,25 +381,19 @@ fn lossy_runners_match_the_logical_solvers_bitwise() {
             loss: Some(model),
             ..DistConfig::from(&scfg)
         };
-
-        let tree = mixed_problem(9, 2);
-        let logical = solve_tree_unit(&tree, &scfg).unwrap();
-        let lossy = run_distributed_tree_unit(&tree, &cfg).unwrap();
-        assert_eq!(logical.solution, lossy.solution, "tree-unit p={p}");
-        assert_eq!(logical.lambda.to_bits(), lossy.lambda.to_bits());
-
-        let line = mixed_problem(9, 0);
-        let logical = solve_line_unit(&line, &scfg).unwrap();
-        let lossy = run_distributed_line_unit(&line, &cfg).unwrap();
-        assert_eq!(logical.solution, lossy.solution, "line-unit p={p}");
-        assert_eq!(logical.lambda.to_bits(), lossy.lambda.to_bits());
-
-        let mixed = mixed_problem(9, 1);
-        let logical = solve_line_arbitrary(&mixed, &scfg).unwrap();
-        let lossy = run_distributed_line_arbitrary(&mixed, &cfg).unwrap();
-        assert_eq!(logical.solution, lossy.solution, "line-arbitrary p={p}");
-        assert_eq!(logical.lambda().to_bits(), lossy.lambda().to_bits());
-        assert!(lossy.metrics.retransmits > 0 || lossy.metrics.dropped == 0);
+        for (choice, shape) in [
+            (AutoChoice::TreeUnit, 2),
+            (AutoChoice::LineUnit, 0),
+            (AutoChoice::LineArbitrary, 1),
+        ] {
+            let problem = mixed_problem(9, shape);
+            let logical = solve(&problem, choice, &scfg).unwrap();
+            let lossy = run_distributed(&problem, choice, &cfg).unwrap();
+            assert_eq!(logical.solution, lossy.solution, "{choice:?} p={p}");
+            assert_eq!(logical.lambda.to_bits(), lossy.lambda.to_bits());
+            let metrics = lossy.run.metrics();
+            assert!(metrics.retransmits > 0 || metrics.dropped == 0);
+        }
     }
 }
 
@@ -414,7 +405,7 @@ fn reference_oracles_also_run_over_lossy_links() {
     let problem = mixed_problem(4, 1);
     let cfg = lossy_config(4, LossModel::bernoulli(0.1, 21));
     let fast = run_distributed_auto(&problem, &cfg).unwrap();
-    let oracle = run_distributed_auto_reference(&problem, &cfg).unwrap();
+    let oracle = run_distributed_reference(&problem, fast.choice, &cfg).unwrap();
     assert_eq!(fast.solution, oracle.solution);
     assert_eq!(fast.lambda.to_bits(), oracle.lambda.to_bits());
 }

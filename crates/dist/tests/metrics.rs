@@ -19,16 +19,14 @@
 
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
+use treenet_core::AutoChoice;
 use treenet_dist::{
-    descriptor_bits, run_distributed_auto, run_distributed_line_arbitrary,
-    run_distributed_line_arbitrary_reference, run_distributed_line_unit,
-    run_distributed_line_unit_reference, run_distributed_tree_arbitrary,
-    run_distributed_tree_arbitrary_reference, run_distributed_tree_unit,
-    run_distributed_tree_unit_reference, DistAutoRun, DistCombinedOutcome, DistConfig, DistOutcome,
-    COMBINE_ROUNDS,
+    descriptor_bits, run_distributed, run_distributed_auto, run_distributed_reference,
+    DistAutoOutcome, DistConfig, COMBINE_ROUNDS,
 };
 use treenet_graph::generators::TreeFamily;
 use treenet_model::workload::{HeightMode, LineWorkload, TreeWorkload};
+use treenet_model::Problem;
 
 /// One demand descriptor — the paper's `M`, from the crate's single
 /// definition (shared with the `MessageSize` accounting).
@@ -36,42 +34,45 @@ fn descriptor_bound(networks: usize) -> u64 {
     descriptor_bits(networks)
 }
 
-/// The solo in-network relation, exact.
-fn assert_solo_relation(out: &DistOutcome, label: &str) {
+/// Runs theorem `choice` under the default configuration.
+fn run(problem: &Problem, choice: AutoChoice) -> DistAutoOutcome {
+    run_distributed(problem, choice, &DistConfig::default()).unwrap()
+}
+
+/// The in-network relation, exact: setup + the longest half (compute +
+/// control) + the combiner after a split.
+fn assert_round_relation(out: &DistAutoOutcome, label: &str) {
+    let schedules = out.run.schedules();
+    for schedule in &schedules {
+        assert_eq!(
+            schedule.engine_rounds(),
+            schedule.total_rounds() + schedule.control_rounds(),
+            "{label}"
+        );
+    }
+    let combiner = if schedules.len() > 1 {
+        COMBINE_ROUNDS
+    } else {
+        0
+    };
     assert_eq!(
-        out.metrics.rounds,
-        out.schedule.total_rounds() + out.schedule.control_rounds() + 1,
-        "{label}: rounds != compute + control + setup"
-    );
-    assert_eq!(
-        out.schedule.engine_rounds(),
-        out.schedule.total_rounds() + out.schedule.control_rounds(),
-        "{label}"
+        Some(out.run.metrics().rounds),
+        schedules
+            .iter()
+            .map(|s| s.engine_rounds() + 1 + combiner)
+            .max(),
+        "{label}: rounds != longest half + setup (+ combiner)"
     );
 }
 
-/// The merged-split in-network relation, exact.
-fn assert_split_relation(out: &DistCombinedOutcome, label: &str) {
-    assert_eq!(
-        out.metrics.rounds,
-        out.wide
-            .schedule
-            .engine_rounds()
-            .max(out.narrow.schedule.engine_rounds())
-            + 1
-            + COMBINE_ROUNDS,
-        "{label}: rounds != max(halves) + setup + combiner"
-    );
-}
-
-fn tree_problem(seed: u64) -> treenet_model::Problem {
+fn tree_problem(seed: u64) -> Problem {
     TreeWorkload::new(9, 7)
         .with_networks(2)
         .with_profit_ratio(4.0)
         .generate(&mut SmallRng::seed_from_u64(seed))
 }
 
-fn line_problem(seed: u64) -> treenet_model::Problem {
+fn line_problem(seed: u64) -> Problem {
     LineWorkload::new(30, 12)
         .with_resources(2)
         .with_window_slack(2)
@@ -79,7 +80,7 @@ fn line_problem(seed: u64) -> treenet_model::Problem {
         .generate(&mut SmallRng::seed_from_u64(seed))
 }
 
-fn mixed_line_problem(seed: u64) -> treenet_model::Problem {
+fn mixed_line_problem(seed: u64) -> Problem {
     LineWorkload::new(30, 12)
         .with_resources(2)
         .with_window_slack(2)
@@ -91,7 +92,7 @@ fn mixed_line_problem(seed: u64) -> treenet_model::Problem {
         .generate(&mut SmallRng::seed_from_u64(seed))
 }
 
-fn mixed_tree_problem(seed: u64) -> treenet_model::Problem {
+fn mixed_tree_problem(seed: u64) -> Problem {
     TreeWorkload::new(10, 8)
         .with_networks(2)
         .with_heights(HeightMode::Bimodal {
@@ -110,22 +111,24 @@ fn messages_flow_and_respect_the_descriptor_bound() {
             .with_family(family)
             .with_profit_ratio(4.0)
             .generate(&mut SmallRng::seed_from_u64(17));
-        let out = run_distributed_tree_unit(&p, &DistConfig::default()).unwrap();
-        assert!(!out.final_unsatisfied, "{}", family.name());
+        let out = run(&p, AutoChoice::TreeUnit);
+        // Every participant ended phase 1 (1-ε)-satisfied.
+        assert!(out.lambda >= 0.9 - 1e-9, "{}", family.name());
+        let metrics = out.run.metrics();
         // Several processors share two networks: traffic must exist.
-        assert!(out.metrics.messages > 0, "{}: no messages", family.name());
-        assert!(out.metrics.bits > 0, "{}", family.name());
+        assert!(metrics.messages > 0, "{}: no messages", family.name());
+        assert!(metrics.bits > 0, "{}", family.name());
         // O(M) bits: no message — data, echo or combine — exceeds one
         // demand descriptor.
         assert!(
-            out.metrics.max_message_bits <= descriptor_bound(p.network_count()),
+            metrics.max_message_bits <= descriptor_bound(p.network_count()),
             "{}: {} bits > descriptor bound",
             family.name(),
-            out.metrics.max_message_bits
+            metrics.max_message_bits
         );
         // The reliable engine never drops or duplicates.
-        assert_eq!(out.metrics.dropped, 0);
-        assert_eq!(out.metrics.duplicated, 0);
+        assert_eq!(metrics.dropped, 0);
+        assert_eq!(metrics.duplicated, 0);
     }
 }
 
@@ -137,12 +140,9 @@ fn message_size_does_not_grow_with_processor_count() {
             .with_networks(2)
             .with_profit_ratio(4.0)
             .generate(&mut SmallRng::seed_from_u64(5));
-        let out = run_distributed_tree_unit(&p, &DistConfig::default()).unwrap();
-        assert!(
-            out.metrics.max_message_bits <= descriptor_bound(2),
-            "m = {m}"
-        );
-        max_bits.push(out.metrics.max_message_bits);
+        let bits = run(&p, AutoChoice::TreeUnit).run.metrics().max_message_bits;
+        assert!(bits <= descriptor_bound(2), "m = {m}");
+        max_bits.push(bits);
     }
     // Flat in m: the maximum stays one descriptor regardless of scale
     // (it may sit below the bound when no demand accesses every network).
@@ -165,42 +165,38 @@ fn rounds_follow_the_framework_schedule() {
             seed,
             ..DistConfig::default()
         };
-        let out = run_distributed_tree_unit(&p, &cfg).unwrap();
+        let out = run_distributed(&p, AutoChoice::TreeUnit, &cfg).unwrap();
+        let schedule = out.run.schedules()[0];
         // Schedule arithmetic: one boundary round plus two rounds per Luby
         // iteration per step, one round per phase-2 pop.
-        let steps: u64 = out
-            .schedule
-            .steps
-            .iter()
-            .map(|s| 2 * s.luby_rounds + 1)
-            .sum();
-        assert_eq!(out.schedule.total_rounds(), steps + out.schedule.pops);
-        assert_eq!(out.schedule.pops, out.schedule.num_steps() as u64);
+        let steps: u64 = schedule.steps.iter().map(|s| 2 * s.luby_rounds + 1).sum();
+        assert_eq!(schedule.total_rounds(), steps + schedule.pops);
+        assert_eq!(schedule.pops, schedule.num_steps() as u64);
         // Amortized control accounting: one certification sweep per
         // epoch that ran steps plus one refresh per 2^k completed steps
         // — far fewer sweeps than the per-step legacy schedule — and the
         // only charged rounds are the stalls where the half idled
         // waiting for an in-flight sweep (at most `sweep_rounds` each)
         // or the prologue to drain.
-        let num_steps = out.schedule.num_steps() as u64;
+        let num_steps = schedule.num_steps() as u64;
         assert!(num_steps > 0, "workload ran steps");
-        assert!(out.schedule.sweeps >= 1, "epochs with steps certify");
+        assert!(schedule.sweeps >= 1, "epochs with steps certify");
         assert!(
-            out.schedule.sweeps <= num_steps + num_steps / 64,
+            schedule.sweeps <= num_steps + num_steps / 64,
             "more sweeps ({}) than certifications + refreshes allow for {} steps",
-            out.schedule.sweeps,
+            schedule.sweeps,
             num_steps
         );
         assert!(
-            out.schedule.control_rounds()
-                <= out.schedule.sweeps * out.schedule.sweep_rounds + out.schedule.prologue_rounds,
+            schedule.control_rounds()
+                <= schedule.sweeps * schedule.sweep_rounds + schedule.prologue_rounds,
             "stalls exceed the per-ticket drain bound"
         );
         // The exact engine relation: setup + compute + control.
-        assert_solo_relation(&out, "tree-unit");
+        assert_round_relation(&out, "tree-unit");
         // Steps are recorded in schedule order: epochs ascend, stages
         // ascend within an epoch, step indices count from zero.
-        for pair in out.schedule.steps.windows(2) {
+        for pair in schedule.steps.windows(2) {
             let (a, b) = (pair[0], pair[1]);
             assert!(
                 a.epoch < b.epoch
@@ -214,53 +210,39 @@ fn rounds_follow_the_framework_schedule() {
 
 #[test]
 fn round_relation_is_exact_for_every_runner() {
-    // The documented relations, audited for every in-network runner and
-    // every reference runner — exact equalities, never ranges.
-    let tree = tree_problem(23);
-    let out = run_distributed_tree_unit(&tree, &DistConfig::default()).unwrap();
-    assert_solo_relation(&out, "tree-unit");
-    assert!(out.schedule.sweeps > 0);
+    // The documented relations, audited for every theorem's in-network
+    // run and reference run — exact equalities, never ranges.
+    let cases = [
+        (AutoChoice::TreeUnit, tree_problem(23)),
+        (AutoChoice::LineUnit, line_problem(23)),
+        (AutoChoice::LineArbitrary, mixed_line_problem(23)),
+        (AutoChoice::TreeArbitrary, mixed_tree_problem(23)),
+    ];
+    for (choice, p) in &cases {
+        let out = run(p, *choice);
+        assert_round_relation(&out, &format!("{choice:?}"));
+        let sweeps: u64 = out.run.schedules().iter().map(|s| s.sweeps).sum();
+        assert!(sweeps > 0, "{choice:?}");
 
-    let line = line_problem(23);
-    let out = run_distributed_line_unit(&line, &DistConfig::default()).unwrap();
-    assert_solo_relation(&out, "line-unit");
-
-    let mixed = mixed_line_problem(23);
-    let out = run_distributed_line_arbitrary(&mixed, &DistConfig::default()).unwrap();
-    assert_split_relation(&out, "line-arbitrary");
-
-    let mixed_tree = mixed_tree_problem(23);
-    let out = run_distributed_tree_arbitrary(&mixed_tree, &DistConfig::default()).unwrap();
-    assert_split_relation(&out, "tree-arbitrary");
-
-    // Auto dispatches to the same runners; its relation follows the
-    // dispatched shape.
-    match run_distributed_auto(&mixed, &DistConfig::default())
-        .unwrap()
-        .run
-    {
-        DistAutoRun::Split(out) => assert_split_relation(&out, "auto-split"),
-        DistAutoRun::Single(out) => assert_solo_relation(&out, "auto-single"),
-    }
-
-    // Reference paths: no sweeps, driver-counted boundaries.
-    let out = run_distributed_tree_unit_reference(&tree, &DistConfig::default()).unwrap();
-    assert_eq!(out.schedule.sweeps, 0);
-    assert_eq!(out.schedule.control_rounds(), 0);
-    assert_eq!(out.metrics.rounds, out.schedule.total_rounds() + 1);
-
-    let out = run_distributed_line_unit_reference(&line, &DistConfig::default()).unwrap();
-    assert_eq!(out.metrics.rounds, out.schedule.total_rounds() + 1);
-
-    for out in [
-        run_distributed_line_arbitrary_reference(&mixed, &DistConfig::default()).unwrap(),
-        run_distributed_tree_arbitrary_reference(&mixed_tree, &DistConfig::default()).unwrap(),
-    ] {
+        // Reference paths: no sweeps, driver-counted boundaries, one
+        // serial engine (with its setup round) per half.
+        let out = run_distributed_reference(p, *choice, &DistConfig::default()).unwrap();
+        let schedules = out.run.schedules();
+        for schedule in &schedules {
+            assert_eq!(schedule.sweeps, 0, "{choice:?}");
+            assert_eq!(schedule.control_rounds(), 0, "{choice:?}");
+        }
         assert_eq!(
-            out.metrics.rounds,
-            out.wide.schedule.total_rounds() + out.narrow.schedule.total_rounds() + 2
+            out.run.metrics().rounds,
+            schedules.iter().map(|s| s.total_rounds() + 1).sum::<u64>(),
+            "{choice:?}"
         );
     }
+
+    // Auto dispatches to the same runs; its relation follows the
+    // dispatched shape.
+    let out = run_distributed_auto(&cases[2].1, &DistConfig::default()).unwrap();
+    assert_round_relation(&out, "auto");
 }
 
 #[test]
@@ -268,21 +250,25 @@ fn per_class_traffic_accounts_for_the_control_plane() {
     // The engine's per-class counters split setup (0), sub-run data
     // (1/2), echo control (3) and combine control (4); the split runner
     // uses all five, the solo runner everything but the combiner.
-    let out =
-        run_distributed_line_arbitrary(&mixed_line_problem(7), &DistConfig::default()).unwrap();
-    let by = out.metrics.by_class;
+    let metrics = run(&mixed_line_problem(7), AutoChoice::LineArbitrary)
+        .run
+        .metrics();
+    let by = metrics.by_class;
     assert!(by[0].messages > 0, "setup descriptors");
     assert!(by[1].messages > 0, "wide-half data");
     assert!(by[2].messages > 0, "narrow-half data");
     assert!(by[3].messages > 0, "echo sweeps");
     assert!(by[4].messages > 0, "combiner");
     let total: u64 = by.iter().map(|c| c.messages).sum();
-    assert_eq!(total, out.metrics.messages);
+    assert_eq!(total, metrics.messages);
 
-    let out = run_distributed_line_unit(&line_problem(7), &DistConfig::default()).unwrap();
-    assert_eq!(out.metrics.by_class[2].messages, 0, "no narrow half");
-    assert_eq!(out.metrics.by_class[4].messages, 0, "no combiner");
-    assert!(out.metrics.by_class[3].messages > 0, "echo sweeps");
+    let by = run(&line_problem(7), AutoChoice::LineUnit)
+        .run
+        .metrics()
+        .by_class;
+    assert_eq!(by[2].messages, 0, "no narrow half");
+    assert_eq!(by[4].messages, 0, "no combiner");
+    assert!(by[3].messages > 0, "echo sweeps");
 }
 
 #[test]
@@ -294,9 +280,9 @@ fn line_messages_respect_the_descriptor_bound() {
         .with_window_slack(3)
         .with_len_range(1, 10)
         .generate(&mut SmallRng::seed_from_u64(31));
-    let out = run_distributed_line_unit(&p, &DistConfig::default()).unwrap();
-    assert!(out.metrics.messages > 0);
-    assert!(out.metrics.max_message_bits <= descriptor_bound(p.network_count()));
+    let metrics = run(&p, AutoChoice::LineUnit).run.metrics();
+    assert!(metrics.messages > 0);
+    assert!(metrics.max_message_bits <= descriptor_bound(p.network_count()));
 }
 
 #[test]
@@ -308,7 +294,7 @@ fn loss_overhead_lands_in_the_dedicated_counters() {
     // recovery-slot inflation of rounds.
     use treenet_netsim::LossModel;
     let p = mixed_line_problem(7);
-    let plain = run_distributed_line_arbitrary(&p, &DistConfig::default()).unwrap();
+    let plain = run(&p, AutoChoice::LineArbitrary);
     let cfg = DistConfig {
         loss: Some(
             LossModel::bernoulli(0.1, 0x10af)
@@ -317,64 +303,49 @@ fn loss_overhead_lands_in_the_dedicated_counters() {
         ),
         ..DistConfig::default()
     };
-    let lossy = run_distributed_line_arbitrary(&p, &cfg).unwrap();
+    let lossy_run = run_distributed(&p, AutoChoice::LineArbitrary, &cfg).unwrap();
+    let (plain_metrics, lossy) = (plain.run.metrics(), lossy_run.run.metrics());
 
     // Logical traffic identical, class by class.
-    assert_eq!(plain.metrics.messages, lossy.metrics.messages);
-    assert_eq!(plain.metrics.bits, lossy.metrics.bits);
+    assert_eq!(plain_metrics.messages, lossy.messages);
+    assert_eq!(plain_metrics.bits, lossy.bits);
     for k in 0..treenet_netsim::MESSAGE_CLASSES {
         assert_eq!(
-            plain.metrics.by_class[k].messages, lossy.metrics.by_class[k].messages,
+            plain_metrics.by_class[k].messages, lossy.by_class[k].messages,
             "class {k}"
         );
     }
     let (m, b) = lossy
-        .metrics
         .by_class
         .iter()
         .fold((0u64, 0u64), |(m, b), c| (m + c.messages, b + c.bits));
-    assert_eq!((m, b), (lossy.metrics.messages, lossy.metrics.bits));
+    assert_eq!((m, b), (lossy.messages, lossy.bits));
     // O(M): acks are link-layer control and never enter the payload max.
-    assert!(lossy.metrics.max_message_bits <= descriptor_bound(p.network_count()));
-    assert_eq!(
-        lossy.metrics.max_message_bits,
-        plain.metrics.max_message_bits
-    );
+    assert!(lossy.max_message_bits <= descriptor_bound(p.network_count()));
+    assert_eq!(lossy.max_message_bits, plain_metrics.max_message_bits);
 
     // Overhead exists and adds up: per-class retransmits sum to the
     // global counter, rounds inflate by exactly the recovery slots.
-    assert!(lossy.metrics.dropped > 0 && lossy.metrics.retransmits > 0);
-    let class_retransmits: u64 = lossy.metrics.by_class.iter().map(|c| c.retransmits).sum();
-    assert_eq!(class_retransmits, lossy.metrics.retransmits);
-    let class_dups: u64 = lossy
-        .metrics
-        .by_class
-        .iter()
-        .map(|c| c.dup_suppressed)
-        .sum();
-    assert_eq!(class_dups, lossy.metrics.dup_suppressed);
-    assert_eq!(
-        lossy.metrics.rounds,
-        plain.metrics.rounds + lossy.metrics.retransmit_rounds
-    );
+    assert!(lossy.dropped > 0 && lossy.retransmits > 0);
+    let class_retransmits: u64 = lossy.by_class.iter().map(|c| c.retransmits).sum();
+    assert_eq!(class_retransmits, lossy.retransmits);
+    let class_dups: u64 = lossy.by_class.iter().map(|c| c.dup_suppressed).sum();
+    assert_eq!(class_dups, lossy.dup_suppressed);
+    assert_eq!(lossy.rounds, plain_metrics.rounds + lossy.retransmit_rounds);
     // Recovery slots respect the windowed bound from the shared core
     // definition (2 slots per loss event at window ≥ 2).
     assert!(
-        lossy.metrics.retransmit_rounds
+        lossy.retransmit_rounds
             <= treenet_core::retransmit_round_bound(
-                lossy.metrics.dropped,
-                lossy.metrics.delayed,
+                lossy.dropped,
+                lossy.delayed,
                 treenet_netsim::DEFAULT_ARQ_WINDOW as u64
             ),
         "recovery slots exceed the windowed bound"
     );
-    assert_eq!(
-        lossy.metrics.ack_bits,
-        lossy.metrics.acks * treenet_netsim::ACK_BITS
-    );
+    assert_eq!(lossy.ack_bits, lossy.acks * treenet_netsim::ACK_BITS);
     // The schedule (and thus every round relation on it) is unchanged.
-    assert_eq!(plain.wide.schedule, lossy.wide.schedule);
-    assert_eq!(plain.narrow.schedule, lossy.narrow.schedule);
+    assert_eq!(plain.run.schedules(), lossy_run.run.schedules());
 }
 
 #[test]
@@ -390,12 +361,14 @@ fn solo_processor_is_silent() {
     )
     .unwrap();
     let p = b.build().unwrap();
-    let out = run_distributed_tree_unit(&p, &DistConfig::default()).unwrap();
-    assert_eq!(out.metrics.messages, 0);
-    assert_eq!(out.metrics.bits, 0);
-    assert_eq!(out.metrics.max_message_bits, 0);
-    assert_eq!(out.schedule.sweep_rounds, 0, "height-0 forest");
-    assert!(out.schedule.sweeps > 0, "sweeps still run, for free");
-    assert_solo_relation(&out, "solo");
+    let out = run(&p, AutoChoice::TreeUnit);
+    let metrics = out.run.metrics();
+    assert_eq!(metrics.messages, 0);
+    assert_eq!(metrics.bits, 0);
+    assert_eq!(metrics.max_message_bits, 0);
+    let schedule = out.run.schedules()[0];
+    assert_eq!(schedule.sweep_rounds, 0, "height-0 forest");
+    assert!(schedule.sweeps > 0, "sweeps still run, for free");
+    assert_round_relation(&out, "solo");
     assert_eq!(out.solution.len(), 1);
 }

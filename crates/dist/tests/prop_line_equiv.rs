@@ -10,11 +10,10 @@
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
-use treenet_core::{solve_auto, solve_line_arbitrary, solve_line_unit, SolverConfig};
+use treenet_core::{solve, solve_auto, AutoChoice, AutoRun, SolverConfig};
 use treenet_dist::{
-    run_distributed_auto, run_distributed_auto_reference, run_distributed_line_arbitrary,
-    run_distributed_line_arbitrary_reference, run_distributed_line_unit,
-    run_distributed_line_unit_reference, DistAutoRun, DistConfig, COMBINE_ROUNDS,
+    run_distributed, run_distributed_auto, run_distributed_reference, DistAutoRun, DistConfig,
+    COMBINE_ROUNDS,
 };
 use treenet_model::workload::{HeightMode, LineWorkload, TreeWorkload};
 
@@ -22,7 +21,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
     /// Theorem 7.1 as a message-passing computation: bit-identical to
-    /// `solve_line_unit` on window workloads, including the shared
+    /// the logical solver on window workloads, including the shared
     /// compute-round accounting and the exact engine-round relation
     /// (setup + compute + in-network control).
     #[test]
@@ -33,14 +32,16 @@ proptest! {
             .with_len_range(1, 8)
             .generate(&mut SmallRng::seed_from_u64(seed));
         let cfg = SolverConfig::default().with_epsilon(0.3).with_seed(seed);
-        let logical = solve_line_unit(&p, &cfg).unwrap();
-        let distributed = run_distributed_line_unit(&p, &DistConfig::from(&cfg)).unwrap();
+        let logical = solve(&p, AutoChoice::LineUnit, &cfg).unwrap();
+        let distributed =
+            run_distributed(&p, AutoChoice::LineUnit, &DistConfig::from(&cfg)).unwrap();
         prop_assert_eq!(&logical.solution, &distributed.solution);
         prop_assert_eq!(logical.lambda.to_bits(), distributed.lambda.to_bits());
-        prop_assert_eq!(distributed.schedule.total_rounds(), logical.stats.comm_rounds);
+        let schedule = distributed.run.schedules()[0];
+        prop_assert_eq!(schedule.total_rounds(), logical.run.halves()[0].stats.comm_rounds);
         prop_assert_eq!(
-            distributed.metrics.rounds,
-            distributed.schedule.total_rounds() + distributed.schedule.control_rounds() + 1
+            distributed.run.metrics().rounds,
+            schedule.total_rounds() + schedule.control_rounds() + 1
         );
         prop_assert!(distributed.solution.verify(&p).is_ok());
     }
@@ -58,13 +59,14 @@ proptest! {
             .with_len_range(1, 8)
             .generate(&mut SmallRng::seed_from_u64(seed));
         let cfg = DistConfig { epsilon: 0.3, seed, ..DistConfig::default() };
-        let fast = run_distributed_line_unit(&p, &cfg).unwrap();
-        let oracle = run_distributed_line_unit_reference(&p, &cfg).unwrap();
+        let fast = run_distributed(&p, AutoChoice::LineUnit, &cfg).unwrap();
+        let oracle = run_distributed_reference(&p, AutoChoice::LineUnit, &cfg).unwrap();
         prop_assert_eq!(&fast.solution, &oracle.solution);
         prop_assert_eq!(fast.lambda.to_bits(), oracle.lambda.to_bits());
-        prop_assert_eq!(&fast.schedule.steps, &oracle.schedule.steps);
-        prop_assert_eq!(fast.schedule.pops, oracle.schedule.pops);
-        prop_assert_eq!(oracle.schedule.sweeps, 0);
+        let (fast, oracle) = (fast.run.schedules()[0], oracle.run.schedules()[0]);
+        prop_assert_eq!(&fast.steps, &oracle.steps);
+        prop_assert_eq!(fast.pops, oracle.pops);
+        prop_assert_eq!(oracle.sweeps, 0);
     }
 
     /// Theorem 7.2 as one merged message-passing computation plus the
@@ -80,9 +82,15 @@ proptest! {
             .with_heights(HeightMode::Bimodal { narrow_frac: 0.5, hmin: 0.2 })
             .generate(&mut SmallRng::seed_from_u64(seed));
         let cfg = SolverConfig::default().with_epsilon(0.3).with_seed(seed);
-        let logical = solve_line_arbitrary(&p, &cfg).unwrap();
-        let distributed = run_distributed_line_arbitrary(&p, &DistConfig::from(&cfg)).unwrap();
+        let logical = solve(&p, AutoChoice::LineArbitrary, &cfg).unwrap();
+        let distributed =
+            run_distributed(&p, AutoChoice::LineArbitrary, &DistConfig::from(&cfg)).unwrap();
         prop_assert_eq!(&logical.solution, &distributed.solution);
+        let (AutoRun::Split(logical), DistAutoRun::Split(distributed)) =
+            (&logical.run, &distributed.run)
+        else {
+            unreachable!("arbitrary heights run a wide/narrow split");
+        };
         prop_assert_eq!(logical.wide.lambda.to_bits(), distributed.wide.lambda.to_bits());
         prop_assert_eq!(logical.narrow.lambda.to_bits(), distributed.narrow.lambda.to_bits());
         prop_assert_eq!(logical.lambda().to_bits(), distributed.lambda().to_bits());
@@ -115,9 +123,12 @@ proptest! {
             .with_heights(HeightMode::Bimodal { narrow_frac: 0.5, hmin: 0.2 })
             .generate(&mut SmallRng::seed_from_u64(seed));
         let cfg = DistConfig { epsilon: 0.3, seed, ..DistConfig::default() };
-        let fast = run_distributed_line_arbitrary(&p, &cfg).unwrap();
-        let oracle = run_distributed_line_arbitrary_reference(&p, &cfg).unwrap();
+        let fast = run_distributed(&p, AutoChoice::LineArbitrary, &cfg).unwrap();
+        let oracle = run_distributed_reference(&p, AutoChoice::LineArbitrary, &cfg).unwrap();
         prop_assert_eq!(&fast.solution, &oracle.solution);
+        let (DistAutoRun::Split(fast), DistAutoRun::Split(oracle)) = (&fast.run, &oracle.run) else {
+            unreachable!("arbitrary heights run a wide/narrow split");
+        };
         for (a, b) in [(&fast.wide, &oracle.wide), (&fast.narrow, &oracle.narrow)] {
             prop_assert_eq!(&a.solution, &b.solution);
             prop_assert_eq!(a.lambda.to_bits(), b.lambda.to_bits());
@@ -151,19 +162,13 @@ proptest! {
         prop_assert_eq!(logical.lambda.to_bits(), distributed.lambda.to_bits());
         prop_assert!(distributed.solution.verify(&p).is_ok());
 
-        let oracle = run_distributed_auto_reference(&p, &DistConfig::from(&cfg)).unwrap();
-        prop_assert_eq!(oracle.choice, distributed.choice);
+        let oracle =
+            run_distributed_reference(&p, distributed.choice, &DistConfig::from(&cfg)).unwrap();
         prop_assert_eq!(&oracle.solution, &distributed.solution);
         prop_assert_eq!(oracle.lambda.to_bits(), distributed.lambda.to_bits());
-        match (&distributed.run, &oracle.run) {
-            (DistAutoRun::Single(a), DistAutoRun::Single(b)) => {
-                prop_assert_eq!(&a.schedule.steps, &b.schedule.steps);
-            }
-            (DistAutoRun::Split(a), DistAutoRun::Split(b)) => {
-                prop_assert_eq!(&a.wide.schedule.steps, &b.wide.schedule.steps);
-                prop_assert_eq!(&a.narrow.schedule.steps, &b.narrow.schedule.steps);
-            }
-            _ => prop_assert!(false, "dispatch shapes diverged"),
-        }
+        let steps = |run: &DistAutoRun| -> Vec<_> {
+            run.schedules().iter().map(|s| s.steps.clone()).collect()
+        };
+        prop_assert_eq!(steps(&distributed.run), steps(&oracle.run));
     }
 }

@@ -12,9 +12,7 @@
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
-use treenet_dist::{
-    run_distributed_auto, run_distributed_auto_reference, DistAutoRun, DistConfig, StepRecord,
-};
+use treenet_dist::{run_distributed_auto, run_distributed_reference, DistConfig, StepRecord};
 use treenet_model::workload::{HeightMode, LineWorkload, TreeWorkload};
 use treenet_model::Problem;
 
@@ -71,10 +69,7 @@ fn cadence_surface(
         ..DistConfig::default()
     };
     let out = run_distributed_auto(problem, &cfg).expect("run succeeds");
-    let halves: Vec<_> = match &out.run {
-        DistAutoRun::Single(run) => vec![&run.schedule],
-        DistAutoRun::Split(run) => vec![&run.wide.schedule, &run.narrow.schedule],
-    };
+    let halves = out.run.schedules();
     let sweeps = halves.iter().map(|s| s.sweeps).sum();
     let schedules = halves
         .into_iter()
@@ -112,7 +107,8 @@ proptest! {
         }
         // And the logical oracle agrees with both.
         let cfg = DistConfig { epsilon: 0.3, seed, ..DistConfig::default() };
-        let oracle = run_distributed_auto_reference(&problem, &cfg).expect("oracle succeeds");
+        let choice = treenet_core::auto_choice(&problem);
+        let oracle = run_distributed_reference(&problem, choice, &cfg).expect("oracle succeeds");
         prop_assert_eq!(&oracle.solution, &sol_k);
         prop_assert_eq!(oracle.lambda.to_bits(), lambda_k);
     }

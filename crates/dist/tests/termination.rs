@@ -8,9 +8,9 @@
 
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
+use treenet_core::AutoChoice;
 use treenet_dist::{
-    run_distributed_auto, run_distributed_line_arbitrary, run_distributed_line_unit,
-    run_distributed_tree_unit, DistAutoRun, DistConfig,
+    run_distributed, run_distributed_auto, DistAutoOutcome, DistAutoRun, DistConfig,
 };
 use treenet_model::workload::{HeightMode, LineWorkload, TreeWorkload};
 use treenet_model::Problem;
@@ -49,21 +49,36 @@ fn mixed_line_problem(seed: u64) -> Problem {
         .generate(&mut SmallRng::seed_from_u64(seed))
 }
 
+/// Everything a reordering must not move: the choice, solution and λ
+/// (per half for a split), the detected boundaries — identical step
+/// records AND identical sweep counts, not one sweep more or less — and,
+/// since shuffling only permutes inboxes, the traffic itself down to the
+/// per-class counters.
+fn assert_same_run(plain: &DistAutoOutcome, out: &DistAutoOutcome, label: &str) {
+    assert_eq!(plain.choice, out.choice, "{label}");
+    assert_eq!(plain.solution, out.solution, "{label}");
+    assert_eq!(plain.lambda.to_bits(), out.lambda.to_bits(), "{label}");
+    if let (DistAutoRun::Split(a), DistAutoRun::Split(b)) = (&plain.run, &out.run) {
+        assert_eq!(a.wide.lambda.to_bits(), b.wide.lambda.to_bits(), "{label}");
+        assert_eq!(
+            a.narrow.lambda.to_bits(),
+            b.narrow.lambda.to_bits(),
+            "{label}"
+        );
+    }
+    assert_eq!(plain.run.schedules(), out.run.schedules(), "{label}");
+    assert_eq!(plain.run.metrics(), out.run.metrics(), "{label}");
+}
+
 #[test]
 fn tree_unit_is_invariant_under_inbox_reordering() {
     for seed in 0..4u64 {
         let p = tree_problem(seed);
-        let plain = run_distributed_tree_unit(&p, &DistConfig::default()).unwrap();
+        let run = |config: &DistConfig| run_distributed(&p, AutoChoice::TreeUnit, config).unwrap();
+        let plain = run(&DistConfig::default());
         for shuffle_seed in [1u64, 0xdead, 0xbeef] {
-            let out = run_distributed_tree_unit(&p, &shuffled(shuffle_seed)).unwrap();
-            assert_eq!(plain.solution, out.solution, "seed {seed}/{shuffle_seed}");
-            assert_eq!(plain.lambda.to_bits(), out.lambda.to_bits());
-            // The detected boundaries: identical step records AND
-            // identical sweep counts — not one sweep more or less.
-            assert_eq!(plain.schedule, out.schedule, "seed {seed}/{shuffle_seed}");
-            // Shuffling only permutes inboxes; the traffic itself is
-            // identical down to per-class counters.
-            assert_eq!(plain.metrics, out.metrics, "seed {seed}/{shuffle_seed}");
+            let out = run(&shuffled(shuffle_seed));
+            assert_same_run(&plain, &out, &format!("seed {seed}/{shuffle_seed}"));
         }
     }
 }
@@ -72,12 +87,9 @@ fn tree_unit_is_invariant_under_inbox_reordering() {
 fn line_unit_is_invariant_under_inbox_reordering() {
     for seed in 0..4u64 {
         let p = line_problem(seed);
-        let plain = run_distributed_line_unit(&p, &DistConfig::default()).unwrap();
-        let out = run_distributed_line_unit(&p, &shuffled(0x5eed ^ seed)).unwrap();
-        assert_eq!(plain.solution, out.solution, "seed {seed}");
-        assert_eq!(plain.lambda.to_bits(), out.lambda.to_bits());
-        assert_eq!(plain.schedule, out.schedule, "seed {seed}");
-        assert_eq!(plain.metrics, out.metrics, "seed {seed}");
+        let run = |config: &DistConfig| run_distributed(&p, AutoChoice::LineUnit, config).unwrap();
+        let out = run(&shuffled(0x5eed ^ seed));
+        assert_same_run(&run(&DistConfig::default()), &out, &format!("seed {seed}"));
     }
 }
 
@@ -89,14 +101,10 @@ fn merged_split_and_combiner_are_invariant_under_inbox_reordering() {
     // sorts its contributions canonically before folding.
     for seed in 0..4u64 {
         let p = mixed_line_problem(seed);
-        let plain = run_distributed_line_arbitrary(&p, &DistConfig::default()).unwrap();
-        let out = run_distributed_line_arbitrary(&p, &shuffled(seed * 31 + 7)).unwrap();
-        assert_eq!(plain.solution, out.solution, "seed {seed}");
-        assert_eq!(plain.wide.schedule, out.wide.schedule, "seed {seed}");
-        assert_eq!(plain.narrow.schedule, out.narrow.schedule, "seed {seed}");
-        assert_eq!(plain.wide.lambda.to_bits(), out.wide.lambda.to_bits());
-        assert_eq!(plain.narrow.lambda.to_bits(), out.narrow.lambda.to_bits());
-        assert_eq!(plain.metrics, out.metrics, "seed {seed}");
+        let run =
+            |config: &DistConfig| run_distributed(&p, AutoChoice::LineArbitrary, config).unwrap();
+        let out = run(&shuffled(seed * 31 + 7));
+        assert_same_run(&run(&DistConfig::default()), &out, &format!("seed {seed}"));
     }
 }
 
@@ -116,18 +124,6 @@ fn auto_dispatch_is_invariant_under_inbox_reordering() {
     for (i, p) in problems.iter().enumerate() {
         let plain = run_distributed_auto(p, &DistConfig::default()).unwrap();
         let out = run_distributed_auto(p, &shuffled(99 + i as u64)).unwrap();
-        assert_eq!(plain.choice, out.choice, "case {i}");
-        assert_eq!(plain.solution, out.solution, "case {i}");
-        assert_eq!(plain.lambda.to_bits(), out.lambda.to_bits(), "case {i}");
-        match (&plain.run, &out.run) {
-            (DistAutoRun::Single(a), DistAutoRun::Single(b)) => {
-                assert_eq!(a.schedule, b.schedule, "case {i}");
-            }
-            (DistAutoRun::Split(a), DistAutoRun::Split(b)) => {
-                assert_eq!(a.wide.schedule, b.wide.schedule, "case {i}");
-                assert_eq!(a.narrow.schedule, b.narrow.schedule, "case {i}");
-            }
-            _ => panic!("case {i}: dispatch shapes diverged"),
-        }
+        assert_same_run(&plain, &out, &format!("case {i}"));
     }
 }

@@ -1,5 +1,6 @@
 //! Demands: profit, height, and either fixed end-points or a time window.
 
+use crate::{InstanceId, Problem};
 use serde::{Deserialize, Serialize};
 use treenet_graph::VertexId;
 
@@ -64,6 +65,26 @@ pub enum HeightClass {
     Narrow,
     /// `h(a) > 1/2`.
     Wide,
+}
+
+impl HeightClass {
+    /// Splits `instances` into `(wide, narrow)` by their demand's height
+    /// class, preserving order — the partition behind the wide/narrow
+    /// runs of Theorems 6.3 and 7.2.
+    pub fn split(
+        problem: &Problem,
+        instances: impl IntoIterator<Item = InstanceId>,
+    ) -> (Vec<InstanceId>, Vec<InstanceId>) {
+        let mut wide = Vec::new();
+        let mut narrow = Vec::new();
+        for d in instances {
+            match problem.demand(problem.instance(d).demand).height_class() {
+                HeightClass::Wide => wide.push(d),
+                HeightClass::Narrow => narrow.push(d),
+            }
+        }
+        (wide, narrow)
+    }
 }
 
 impl Demand {

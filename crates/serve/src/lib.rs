@@ -1,9 +1,9 @@
-//! `treenet serve` — an online scheduling service over the warm-started
+//! `treenet-serve` — an online scheduling service over the warm-started
 //! [`DeltaEngine`](treenet_core::DeltaEngine).
 //!
 //! The service speaks a **line-delimited JSON** admission protocol: one
 //! request object per line in, one response object per line out, over
-//! stdin/stdout or a TCP socket (see the `treenet-serve` binary). Clients
+//! stdin/stdout or a TCP socket (the `treenet-serve` binary runs it). Clients
 //! submit and withdraw demands under their own `u64` ids; the server maps
 //! them onto the engine's dense internal ids, invalidates only the
 //! conflict component a delta touches, and re-solves warm.

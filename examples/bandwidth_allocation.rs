@@ -15,7 +15,7 @@
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use treenet::baseline::exact_max_profit;
-use treenet::core::{solve_tree_arbitrary, SolverConfig};
+use treenet::core::{solve, AutoChoice, AutoRun, SolverConfig};
 use treenet::graph::generators::TreeFamily;
 use treenet::model::{Demand, HeightClass, ProblemBuilder};
 
@@ -62,7 +62,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         hosts
     );
 
-    let outcome = solve_tree_arbitrary(&problem, &SolverConfig::default().with_seed(11))?;
+    let config = SolverConfig::default().with_seed(11);
+    let AutoRun::Split(outcome) = solve(&problem, AutoChoice::TreeArbitrary, &config)?.run else {
+        unreachable!("Theorem 6.3 splits wide and narrow flows");
+    };
     outcome.solution.verify(&problem)?;
     println!(
         "\nadmitted {} flows, value {:.2}",

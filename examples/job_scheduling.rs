@@ -15,7 +15,7 @@
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use treenet::baseline::{barnoy_line_arbitrary, ps_line_arbitrary, PsConfig};
-use treenet::core::{solve_line_arbitrary, SolverConfig};
+use treenet::core::{solve, AutoChoice, AutoRun, SolverConfig};
 use treenet::graph::Tree;
 use treenet::model::{Demand, ProblemBuilder};
 
@@ -61,7 +61,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // Ours: (23+ε)-approximation (Theorem 7.2) vs the PS-style baseline.
-    let ours = solve_line_arbitrary(&problem, &SolverConfig::default().with_seed(5))?;
+    let config = SolverConfig::default().with_seed(5);
+    let AutoRun::Split(ours) = solve(&problem, AutoChoice::LineArbitrary, &config)?.run else {
+        unreachable!("Theorem 7.2 splits wide and narrow jobs");
+    };
     ours.solution.verify(&problem)?;
     let (ps_solution, ps_wide, ps_narrow) = ps_line_arbitrary(&problem, &PsConfig::default());
     ps_solution.verify(&problem)?;

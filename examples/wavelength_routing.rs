@@ -17,7 +17,7 @@
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use treenet::baseline::{greedy_profit, GreedyOrder};
-use treenet::core::{solve_sequential_tree, solve_tree_unit, SolverConfig};
+use treenet::core::{solve, solve_sequential_tree, AutoChoice, AutoRun, SolverConfig};
 use treenet::graph::generators::TreeFamily;
 use treenet::model::{Demand, ProblemBuilder};
 
@@ -62,7 +62,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Distributed (7+ε)-approximation vs the sequential 3-approximation
     // vs revenue-greedy.
-    let distributed = solve_tree_unit(&problem, &SolverConfig::default().with_seed(7))?;
+    let config = SolverConfig::default().with_seed(7);
+    let AutoRun::Single(distributed) = solve(&problem, AutoChoice::TreeUnit, &config)?.run else {
+        unreachable!("Theorem 5.3 is one framework run");
+    };
     distributed.solution.verify(&problem)?;
     let sequential = solve_sequential_tree(&problem);
     sequential.solution.verify(&problem)?;

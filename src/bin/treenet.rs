@@ -6,22 +6,18 @@
 //!                line-arbitrary|sequential|ps-line] [--epsilon 0.1]
 //!               [--seed 7] SPEC.json
 //! treenet decompose [--strategy ideal|balancing|root-fixing] SPEC.json
-//! treenet serve [--networks K] [--n V] [--m M] [--seed S]
-//!               [--epsilon E] [--spec SPEC.json]
 //! ```
 //!
 //! Problem files are [`treenet::model::spec::ProblemSpec`] JSON; `solve`
 //! prints the solution and its audited [`treenet::core::Certificate`];
 //! `decompose` emits Graphviz DOT for network 0's tree decomposition.
+//! The online scheduling service is the separate `treenet-serve` binary.
 
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use std::process::ExitCode;
 use treenet::baseline::{ps_line_unit, PsConfig};
-use treenet::core::{
-    solve_line_arbitrary, solve_line_unit, solve_sequential_tree, solve_tree_arbitrary,
-    solve_tree_unit, Certificate, SolverConfig,
-};
+use treenet::core::{solve_sequential_tree, AutoChoice, AutoRun, Certificate, SolverConfig};
 use treenet::decomp::Strategy;
 use treenet::model::spec::ProblemSpec;
 use treenet::model::workload::{HeightMode, LineWorkload, TreeWorkload};
@@ -44,10 +40,7 @@ const USAGE: &str = "usage:
   treenet generate --kind tree|line [--n N] [--m M] [--heights unit|mixed] [--seed S] OUT.json
   treenet solve [--algorithm ALGO] [--epsilon E] [--seed S] SPEC.json
       ALGO: tree-unit | tree-arbitrary | line-unit | line-arbitrary | sequential | ps-line
-  treenet decompose [--strategy ideal|balancing|root-fixing] SPEC.json
-  treenet serve [--networks K] [--n V] [--m M] [--seed S] [--epsilon E]
-      [--spec SPEC.json]   (NDJSON admission protocol on stdin/stdout;
-      the standalone `treenet-serve` binary adds --tcp and --gen)";
+  treenet decompose [--strategy ideal|balancing|root-fixing] SPEC.json";
 
 /// Minimal flag parser: `--key value` pairs plus positional arguments.
 struct Args {
@@ -97,7 +90,6 @@ fn run(args: &[String]) -> Result<(), String> {
         "generate" => generate(&rest),
         "solve" => solve(&rest),
         "decompose" => decompose(&rest),
-        "serve" => serve(&rest),
         other => Err(format!("unknown command {other}")),
     }
 }
@@ -187,35 +179,7 @@ fn solve(args: &Args) -> Result<(), String> {
     let cfg = SolverConfig::default()
         .with_epsilon(epsilon)
         .with_seed(seed);
-    let all: Vec<InstanceId> = problem.instances().map(|d| d.id).collect();
     match algorithm.as_str() {
-        "tree-unit" | "line-unit" => {
-            let outcome = if algorithm == "tree-unit" {
-                solve_tree_unit(&problem, &cfg)
-            } else {
-                solve_line_unit(&problem, &cfg)
-            }
-            .map_err(|e| e.to_string())?;
-            print_solution(&problem, &outcome.solution);
-            println!("{}", Certificate::audit(&problem, &outcome, &all));
-            println!(
-                "rounds: {} steps, {} MIS iterations, ~{} communication rounds",
-                outcome.stats.steps, outcome.stats.mis_rounds, outcome.stats.comm_rounds
-            );
-        }
-        "tree-arbitrary" | "line-arbitrary" => {
-            let combined = if algorithm == "tree-arbitrary" {
-                solve_tree_arbitrary(&problem, &cfg)
-            } else {
-                solve_line_arbitrary(&problem, &cfg)
-            }
-            .map_err(|e| e.to_string())?;
-            print_solution(&problem, &combined.solution);
-            println!(
-                "certified ratio = {:.4}",
-                combined.certified_ratio(&problem)
-            );
-        }
         "sequential" => {
             let outcome = solve_sequential_tree(&problem);
             print_solution(&problem, &outcome.solution);
@@ -237,33 +201,33 @@ fn solve(args: &Args) -> Result<(), String> {
                 outcome.lambda
             );
         }
-        other => return Err(format!("unknown algorithm {other}")),
+        theorem => {
+            let choice = match theorem {
+                "tree-unit" => AutoChoice::TreeUnit,
+                "tree-arbitrary" => AutoChoice::TreeArbitrary,
+                "line-unit" => AutoChoice::LineUnit,
+                "line-arbitrary" => AutoChoice::LineArbitrary,
+                other => return Err(format!("unknown algorithm {other}")),
+            };
+            let outcome =
+                treenet::core::solve(&problem, choice, &cfg).map_err(|e| e.to_string())?;
+            print_solution(&problem, &outcome.solution);
+            match &outcome.run {
+                AutoRun::Single(run) => {
+                    let all: Vec<InstanceId> = problem.instances().map(|d| d.id).collect();
+                    println!("{}", Certificate::audit(&problem, run, &all));
+                    println!(
+                        "rounds: {} steps, {} MIS iterations, ~{} communication rounds",
+                        run.stats.steps, run.stats.mis_rounds, run.stats.comm_rounds
+                    );
+                }
+                AutoRun::Split(_) => {
+                    println!("certified ratio = {:.4}", outcome.certified_ratio(&problem))
+                }
+            }
+        }
     }
     Ok(())
-}
-
-fn serve(args: &Args) -> Result<(), String> {
-    let problem = match args.flags.get("spec") {
-        Some(path) => load(path)?,
-        None => {
-            let networks: usize = args.get("networks", 2)?;
-            let n: usize = args.get("n", 32)?;
-            let m: usize = args.get("m", 0)?;
-            let seed: u64 = args.get("seed", 7)?;
-            TreeWorkload::new(n, m)
-                .with_networks(networks)
-                .generate(&mut SmallRng::seed_from_u64(seed))
-        }
-    };
-    let cfg = SolverConfig::default()
-        .with_epsilon(args.get("epsilon", 0.1)?)
-        .with_seed(args.get("solver-seed", 0x7ee5)?);
-    let mut server = treenet::serve::Server::new(problem, &cfg).map_err(|e| e.to_string())?;
-    let stdin = std::io::stdin();
-    let stdout = std::io::stdout();
-    server
-        .run(stdin.lock(), stdout.lock())
-        .map_err(|e| e.to_string())
 }
 
 fn decompose(args: &Args) -> Result<(), String> {

@@ -4,10 +4,8 @@
 
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
-use treenet::core::{solve_auto, solve_line_unit, solve_tree_unit, SolverConfig};
-use treenet::dist::{
-    run_distributed_auto, run_distributed_line_unit, run_distributed_tree_unit, DistConfig,
-};
+use treenet::core::{solve, solve_auto, AutoChoice, SolverConfig};
+use treenet::dist::{run_distributed, run_distributed_auto, DistAutoRun, DistConfig};
 use treenet::model::workload::{HeightMode, LineWorkload, TreeWorkload};
 
 #[test]
@@ -20,9 +18,13 @@ fn distributed_equals_logical_across_shapes() {
             .with_profit_ratio(4.0)
             .generate(&mut SmallRng::seed_from_u64(17));
         let cfg = SolverConfig::default().with_epsilon(0.35).with_seed(17);
-        let logical = solve_tree_unit(&p, &cfg).unwrap();
-        let distributed = run_distributed_tree_unit(&p, &DistConfig::from(&cfg)).unwrap();
-        assert!(!distributed.final_unsatisfied);
+        let logical = solve(&p, AutoChoice::TreeUnit, &cfg).unwrap();
+        let distributed =
+            run_distributed(&p, AutoChoice::TreeUnit, &DistConfig::from(&cfg)).unwrap();
+        let DistAutoRun::Single(run) = &distributed.run else {
+            unreachable!("unit heights run one half");
+        };
+        assert!(!run.final_unsatisfied);
         assert_eq!(logical.solution, distributed.solution, "{}", family.name());
         distributed.solution.verify(&p).unwrap();
     }
@@ -36,13 +38,13 @@ fn distributed_line_runner_equals_logical() {
         .with_len_range(1, 9)
         .generate(&mut SmallRng::seed_from_u64(7));
     let cfg = SolverConfig::default().with_epsilon(0.3).with_seed(7);
-    let logical = solve_line_unit(&p, &cfg).unwrap();
-    let distributed = run_distributed_line_unit(&p, &DistConfig::from(&cfg)).unwrap();
+    let logical = solve(&p, AutoChoice::LineUnit, &cfg).unwrap();
+    let distributed = run_distributed(&p, AutoChoice::LineUnit, &DistConfig::from(&cfg)).unwrap();
     assert_eq!(logical.solution, distributed.solution);
     assert_eq!(logical.lambda.to_bits(), distributed.lambda.to_bits());
     assert_eq!(
-        distributed.schedule.total_rounds(),
-        logical.stats.comm_rounds
+        distributed.run.schedules()[0].total_rounds(),
+        logical.run.halves()[0].stats.comm_rounds
     );
     distributed.solution.verify(&p).unwrap();
 }
@@ -83,12 +85,13 @@ fn distributed_round_count_follows_fixed_schedule() {
         epsilon: 0.4,
         ..DistConfig::default()
     };
-    let out = run_distributed_tree_unit(&p, &cfg).unwrap();
+    let out = run_distributed(&p, AutoChoice::TreeUnit, &cfg).unwrap();
     // Engine rounds = compute schedule + in-network control sweeps +
     // exactly one setup round.
+    let schedule = out.run.schedules()[0];
     assert_eq!(
-        out.metrics.rounds,
-        out.schedule.total_rounds() + out.schedule.control_rounds() + 1
+        out.run.metrics().rounds,
+        schedule.total_rounds() + schedule.control_rounds() + 1
     );
     // λ reached the (1-ε) target.
     assert!(out.lambda >= 1.0 - 0.4 - 1e-9);
@@ -109,7 +112,7 @@ fn solo_processor_runs_clean() {
     )
     .unwrap();
     let p = b.build().unwrap();
-    let out = run_distributed_tree_unit(&p, &DistConfig::default()).unwrap();
+    let out = run_distributed(&p, AutoChoice::TreeUnit, &DistConfig::default()).unwrap();
     assert_eq!(out.solution.len(), 1);
-    assert_eq!(out.metrics.messages, 0);
+    assert_eq!(out.run.metrics().messages, 0);
 }

@@ -4,9 +4,7 @@
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use treenet::baseline::{exact_max_profit, greedy_profit, GreedyOrder};
-use treenet::core::{
-    solve_line_unit, solve_sequential_tree, solve_tree_arbitrary, solve_tree_unit, SolverConfig,
-};
+use treenet::core::{solve, solve_sequential_tree, AutoChoice, SolverConfig};
 use treenet::graph::{Tree, VertexId};
 use treenet::model::workload::TreeWorkload;
 use treenet::model::{Demand, ProblemBuilder, Solution};
@@ -22,14 +20,14 @@ fn zero_demand_problem_everywhere() {
     let p = empty_problem();
     assert_eq!(p.demand_count(), 0);
     assert_eq!(p.instance_count(), 0);
-    let out = solve_tree_unit(&p, &SolverConfig::default()).unwrap();
+    let out = solve(&p, AutoChoice::TreeUnit, &SolverConfig::default()).unwrap();
     assert!(out.solution.is_empty());
     assert_eq!(out.lambda, 1.0);
     assert_eq!(out.certified_ratio(&p), 1.0);
-    let out = solve_line_unit(&p, &SolverConfig::default()).unwrap();
-    assert!(out.solution.is_empty());
-    let combined = solve_tree_arbitrary(&p, &SolverConfig::default()).unwrap();
-    assert!(combined.solution.is_empty());
+    for choice in [AutoChoice::LineUnit, AutoChoice::TreeArbitrary] {
+        let out = solve(&p, choice, &SolverConfig::default()).unwrap();
+        assert!(out.solution.is_empty());
+    }
     let seq = solve_sequential_tree(&p);
     assert!(seq.solution.is_empty());
     assert!(greedy_profit(&p, GreedyOrder::Profit).is_empty());
@@ -41,15 +39,19 @@ fn zero_demand_problem_everywhere() {
 fn extreme_epsilons() {
     let p = TreeWorkload::new(10, 8).generate(&mut SmallRng::seed_from_u64(1));
     // Very loose: one stage per epoch.
-    let loose = solve_tree_unit(&p, &SolverConfig::default().with_epsilon(0.9)).unwrap();
+    let run = |epsilon| {
+        let cfg = SolverConfig::default().with_epsilon(epsilon);
+        solve(&p, AutoChoice::TreeUnit, &cfg).unwrap()
+    };
+    let loose = run(0.9);
     loose.solution.verify(&p).unwrap();
     assert!(loose.lambda >= 0.1 - 1e-9);
     // Very tight: λ within 1% of 1.
-    let tight = solve_tree_unit(&p, &SolverConfig::default().with_epsilon(0.01)).unwrap();
+    let tight = run(0.01);
     tight.solution.verify(&p).unwrap();
     assert!(tight.lambda >= 0.99 - 1e-9);
     // Tight costs more stages.
-    assert!(tight.stats.stages > loose.stats.stages);
+    assert!(tight.run.halves()[0].stats.stages > loose.run.halves()[0].stats.stages);
 }
 
 #[test]
@@ -62,12 +64,12 @@ fn two_vertex_network() {
             .unwrap();
     }
     let p = b.build().unwrap();
-    let out = solve_tree_unit(&p, &SolverConfig::default()).unwrap();
+    let out = solve(&p, AutoChoice::TreeUnit, &SolverConfig::default()).unwrap();
     out.solution.verify(&p).unwrap();
     // Only one of the three all-conflicting demands fits; the certified
     // bound still holds and OPT = 3 is within it.
     assert_eq!(out.solution.len(), 1);
-    assert!(out.opt_upper_bound() + 1e-9 >= 3.0);
+    assert!(out.opt_upper_bound + 1e-9 >= 3.0);
 }
 
 #[test]
@@ -80,7 +82,7 @@ fn fully_saturated_clique_workload() {
             .unwrap();
     }
     let p = b.build().unwrap();
-    let out = solve_tree_unit(&p, &SolverConfig::default()).unwrap();
+    let out = solve(&p, AutoChoice::TreeUnit, &SolverConfig::default()).unwrap();
     out.solution.verify(&p).unwrap();
     assert_eq!(out.solution.len(), 1);
     // The second phase must keep the most profitable raised demand or a
@@ -88,7 +90,7 @@ fn fully_saturated_clique_workload() {
     assert!(out.certified_ratio(&p) <= 7.0 / 0.9 + 1e-6);
     let opt = exact_max_profit(&p, 10_000).unwrap();
     assert_eq!(opt.profit(&p), 10.0);
-    assert!(opt.profit(&p) / out.profit(&p) <= 7.0 / 0.9);
+    assert!(opt.profit(&p) / out.solution.profit(&p) <= 7.0 / 0.9);
 }
 
 #[test]
@@ -100,8 +102,9 @@ fn identical_profits_break_ties_deterministically() {
             .unwrap();
     }
     let p = b.build().unwrap();
-    let a = solve_tree_unit(&p, &SolverConfig::default().with_seed(5)).unwrap();
-    let b2 = solve_tree_unit(&p, &SolverConfig::default().with_seed(5)).unwrap();
+    let cfg = SolverConfig::default().with_seed(5);
+    let a = solve(&p, AutoChoice::TreeUnit, &cfg).unwrap();
+    let b2 = solve(&p, AutoChoice::TreeUnit, &cfg).unwrap();
     assert_eq!(a.solution, b2.solution);
     a.solution.verify(&p).unwrap();
 }
@@ -120,7 +123,7 @@ fn star_network_hub_contention() {
     b.add_demand(Demand::pair(VertexId(1), VertexId(5), 1.0), &[t])
         .unwrap();
     let p = b.build().unwrap();
-    let out = solve_tree_unit(&p, &SolverConfig::default()).unwrap();
+    let out = solve(&p, AutoChoice::TreeUnit, &SolverConfig::default()).unwrap();
     out.solution.verify(&p).unwrap();
     // Demands 0 and 1 are spoke-disjoint; 2 shares spoke 0-1 with 0.
     assert!(out.solution.len() >= 2);

@@ -6,10 +6,7 @@ use rand::SeedableRng;
 use treenet::baseline::{
     exact_max_profit, greedy_profit, ps_line_unit, weighted_interval_dp, GreedyOrder, PsConfig,
 };
-use treenet::core::{
-    solve_line_arbitrary, solve_line_unit, solve_sequential_tree, solve_tree_arbitrary,
-    solve_tree_unit, SolverConfig,
-};
+use treenet::core::{solve, solve_sequential_tree, AutoChoice, SolverConfig};
 use treenet::model::fixtures::{figure1, figure2};
 use treenet::model::workload::{HeightMode, LineWorkload, TreeWorkload};
 
@@ -20,10 +17,11 @@ fn figure1_pipeline() {
     // within its bound; exact OPT = 11 ({B, C}).
     let opt = exact_max_profit(&p, 1_000_000).unwrap();
     assert_eq!(opt.profit(&p), 11.0);
-    let ours = solve_line_arbitrary(&p, &SolverConfig::default()).unwrap();
+    let ours = solve(&p, AutoChoice::LineArbitrary, &SolverConfig::default()).unwrap();
     ours.solution.verify(&p).unwrap();
-    assert!(ours.profit(&p) > 0.0);
-    assert!(opt.profit(&p) / ours.profit(&p) <= 23.0 / 0.9);
+    let profit = ours.solution.profit(&p);
+    assert!(profit > 0.0);
+    assert!(opt.profit(&p) / profit <= 23.0 / 0.9);
 }
 
 #[test]
@@ -31,9 +29,9 @@ fn figure2_pipeline() {
     let (p, _) = figure2();
     let opt = exact_max_profit(&p, 1_000_000).unwrap();
     assert_eq!(opt.profit(&p), 4.0);
-    let combined = solve_tree_arbitrary(&p, &SolverConfig::default()).unwrap();
+    let combined = solve(&p, AutoChoice::TreeArbitrary, &SolverConfig::default()).unwrap();
     combined.solution.verify(&p).unwrap();
-    assert!(opt.profit(&p) / combined.profit(&p).max(1e-9) <= 80.0 / 0.9 + 1e-6);
+    assert!(opt.profit(&p) / combined.solution.profit(&p).max(1e-9) <= 80.0 / 0.9 + 1e-6);
 }
 
 #[test]
@@ -44,19 +42,17 @@ fn tree_unit_certified_against_exact_optimum() {
         let p = TreeWorkload::new(14, 10)
             .with_networks(2)
             .generate(&mut SmallRng::seed_from_u64(seed));
-        let out = solve_tree_unit(&p, &SolverConfig::default().with_seed(seed)).unwrap();
+        let cfg = SolverConfig::default().with_seed(seed);
+        let out = solve(&p, AutoChoice::TreeUnit, &cfg).unwrap();
         out.solution.verify(&p).unwrap();
         let opt = exact_max_profit(&p, 20_000_000).unwrap();
-        let ratio = opt.profit(&p) / out.profit(&p).max(1e-9);
+        let ratio = opt.profit(&p) / out.solution.profit(&p).max(1e-9);
         assert!(
             ratio <= 7.0 / 0.9 + 1e-6,
             "seed {seed}: exact ratio {ratio}"
         );
         // The dual bound really does upper-bound OPT (weak duality).
-        assert!(
-            out.opt_upper_bound() + 1e-6 >= opt.profit(&p),
-            "seed {seed}"
-        );
+        assert!(out.opt_upper_bound + 1e-6 >= opt.profit(&p), "seed {seed}");
     }
 }
 
@@ -68,11 +64,12 @@ fn line_unit_certified_against_dp_optimum() {
             .with_window_slack(0)
             .with_len_range(1, 10)
             .generate(&mut SmallRng::seed_from_u64(seed));
-        let out = solve_line_unit(&p, &SolverConfig::default().with_seed(seed)).unwrap();
+        let cfg = SolverConfig::default().with_seed(seed);
+        let out = solve(&p, AutoChoice::LineUnit, &cfg).unwrap();
         let opt = weighted_interval_dp(&p).unwrap();
-        let ratio = opt.profit(&p) / out.profit(&p).max(1e-9);
+        let ratio = opt.profit(&p) / out.solution.profit(&p).max(1e-9);
         assert!(ratio <= 4.0 / 0.9 + 1e-6, "seed {seed}: {ratio}");
-        assert!(out.opt_upper_bound() + 1e-6 >= opt.profit(&p));
+        assert!(out.opt_upper_bound + 1e-6 >= opt.profit(&p));
         // PS also stays within its (weaker) bound.
         let ps = ps_line_unit(
             &p,
@@ -97,7 +94,8 @@ fn our_certified_bound_beats_ps_substantially() {
             .with_resources(2)
             .with_len_range(1, 10)
             .generate(&mut SmallRng::seed_from_u64(seed));
-        let ours = solve_line_unit(&p, &SolverConfig::default().with_seed(seed)).unwrap();
+        let cfg = SolverConfig::default().with_seed(seed);
+        let ours = solve(&p, AutoChoice::LineUnit, &cfg).unwrap();
         let ps = ps_line_unit(
             &p,
             &PsConfig {
@@ -124,7 +122,8 @@ fn arbitrary_height_stack() {
                 hmin: 0.15,
             })
             .generate(&mut SmallRng::seed_from_u64(seed));
-        let combined = solve_tree_arbitrary(&p, &SolverConfig::default().with_seed(seed)).unwrap();
+        let cfg = SolverConfig::default().with_seed(seed);
+        let combined = solve(&p, AutoChoice::TreeArbitrary, &cfg).unwrap();
         combined.solution.verify(&p).unwrap();
         let seq = solve_sequential_tree(&p);
         seq.solution.verify(&p).unwrap();
@@ -148,11 +147,11 @@ fn all_solvers_handle_single_demand() {
     )
     .unwrap();
     let p = b.build().unwrap();
-    let out = solve_tree_unit(&p, &SolverConfig::default()).unwrap();
+    let out = solve(&p, AutoChoice::TreeUnit, &SolverConfig::default()).unwrap();
     assert_eq!(out.solution.len(), 1);
-    assert_eq!(out.profit(&p), 2.0);
+    assert_eq!(out.solution.profit(&p), 2.0);
     let seq = solve_sequential_tree(&p);
     assert_eq!(seq.profit(&p), 2.0);
-    let line = solve_line_unit(&p, &SolverConfig::default()).unwrap();
-    assert_eq!(line.profit(&p), 2.0);
+    let line = solve(&p, AutoChoice::LineUnit, &SolverConfig::default()).unwrap();
+    assert_eq!(line.solution.profit(&p), 2.0);
 }

@@ -73,8 +73,9 @@ proptest! {
         let p = TreeWorkload::new(12, 10)
             .with_networks(2)
             .generate(&mut SmallRng::seed_from_u64(seed));
-        let out =
-            treenet::core::solve_tree_unit(&p, &SolverConfig::default().with_seed(seed)).unwrap();
+        let cfg = SolverConfig::default().with_seed(seed);
+        let run = treenet::core::solve(&p, treenet::core::AutoChoice::TreeUnit, &cfg).unwrap().run;
+        let out = run.halves()[0];
         let raised_order: Vec<InstanceId> =
             out.stack.iter().flat_map(|entry| entry.instances.iter().copied()).collect();
         // Selected ⊆ raised.

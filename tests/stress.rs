@@ -3,7 +3,7 @@
 
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
-use treenet::core::{solve_line_unit, solve_sequential_tree, solve_tree_unit, SolverConfig};
+use treenet::core::{solve, solve_sequential_tree, AutoChoice, SolverConfig};
 use treenet::model::workload::{LineWorkload, TreeWorkload};
 
 #[test]
@@ -13,12 +13,13 @@ fn moderate_tree_instance() {
         .with_networks(4)
         .with_profit_ratio(32.0)
         .generate(&mut SmallRng::seed_from_u64(1));
-    let out = solve_tree_unit(&p, &SolverConfig::default()).unwrap();
+    let out = solve(&p, AutoChoice::TreeUnit, &SolverConfig::default()).unwrap();
     out.solution.verify(&p).unwrap();
     assert!(out.lambda >= 0.9 - 1e-9);
     assert!(out.certified_ratio(&p) <= 7.0 / 0.9 + 1e-6);
     // Epoch count stays logarithmic.
-    assert!(out.stats.epochs as f64 <= 2.0 * (200f64).log2().ceil() + 1.0);
+    let epochs = out.run.halves()[0].stats.epochs;
+    assert!(epochs as f64 <= 2.0 * (200f64).log2().ceil() + 1.0);
 }
 
 #[test]
@@ -28,9 +29,9 @@ fn moderate_line_instance() {
         .with_window_slack(4)
         .with_len_range(1, 40)
         .generate(&mut SmallRng::seed_from_u64(2));
-    let out = solve_line_unit(&p, &SolverConfig::default()).unwrap();
+    let out = solve(&p, AutoChoice::LineUnit, &SolverConfig::default()).unwrap();
     out.solution.verify(&p).unwrap();
-    assert!(out.delta <= 3);
+    assert!(out.run.halves()[0].delta <= 3);
     assert!(out.certified_ratio(&p) <= 4.0 / 0.9 + 1e-6);
 }
 
@@ -41,10 +42,11 @@ fn large_tree_instance() {
         .with_networks(3)
         .with_profit_ratio(64.0)
         .generate(&mut SmallRng::seed_from_u64(3));
-    let out = solve_tree_unit(&p, &SolverConfig::default()).unwrap();
+    let out = solve(&p, AutoChoice::TreeUnit, &SolverConfig::default()).unwrap();
     out.solution.verify(&p).unwrap();
     assert!(out.lambda >= 0.9 - 1e-9);
-    assert!(out.stats.epochs as f64 <= 2.0 * (2048f64).log2().ceil() + 1.0);
+    let epochs = out.run.halves()[0].stats.epochs;
+    assert!(epochs as f64 <= 2.0 * (2048f64).log2().ceil() + 1.0);
     let seq = solve_sequential_tree(&p);
     seq.solution.verify(&p).unwrap();
 }
@@ -57,7 +59,7 @@ fn large_line_instance() {
         .with_window_slack(8)
         .with_len_range(1, 100)
         .generate(&mut SmallRng::seed_from_u64(4));
-    let out = solve_line_unit(&p, &SolverConfig::default()).unwrap();
+    let out = solve(&p, AutoChoice::LineUnit, &SolverConfig::default()).unwrap();
     out.solution.verify(&p).unwrap();
     assert!(out.certified_ratio(&p) <= 4.0 / 0.9 + 1e-6);
 }

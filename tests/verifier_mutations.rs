@@ -3,7 +3,7 @@
 
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
-use treenet::core::{check_interference, solve_tree_unit, RaiseEvent, SolverConfig};
+use treenet::core::{check_interference, solve, AutoChoice, RaiseEvent, SolverConfig};
 use treenet::decomp::{LayeredDecomposition, Strategy, TreeDecomposition};
 use treenet::graph::{Tree, VertexId};
 use treenet::model::workload::TreeWorkload;
@@ -98,9 +98,10 @@ fn interference_checker_rejects_fabricated_traces() {
         );
     }
     // Regardless: the real trace from a real run passes.
-    let out = solve_tree_unit(&p, &SolverConfig::default().with_trace(true)).unwrap();
+    let cfg = SolverConfig::default().with_trace(true);
+    let run = solve(&p, AutoChoice::TreeUnit, &cfg).unwrap().run;
     assert_eq!(
-        check_interference(&p, &layers, out.trace.as_ref().unwrap()),
+        check_interference(&p, &layers, run.halves()[0].trace.as_ref().unwrap()),
         None
     );
 }
