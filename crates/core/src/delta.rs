@@ -28,47 +28,56 @@
 //! may only ever *grow* — an arrival unions, a departure never splits —
 //! which is exactly what a union-find maintains cheaply.
 //!
-//! # Rules and families
+//! # The theorem
 //!
-//! The engine serves all four theorem variants of the paper:
+//! The engine runs one of the paper's four theorems, fixed at
+//! construction ([`DeltaEngine::choice`]) and executed through
+//! [`AutoChoice::layering`] and [`AutoChoice::halves`] — the same map
+//! [`solve`](crate::solve) runs:
 //!
-//! * **Family.** Networks are fixed at construction. When every network
+//! * **Layering.** Networks are fixed at construction. When every network
 //!   is a canonical line the engine layers arrivals by *length class*
-//!   against the public minimum length [`DeltaEngine::lmin`]
-//!   (`Δ ≤ `[`LINE_DELTA_BOUND`]); otherwise it retains the per-network
-//!   ideal tree decompositions and layers arrivals against them
-//!   (`Δ ≤ `[`IDEAL_DELTA_BOUND`]). Both bounds are a-priori, so the
-//!   stage factor ξ cannot drift as arrivals change the measured `Δ`.
-//! * **Rule.** Without an a-priori `hmin` ([`SolverConfig::hmin`]) the
-//!   engine runs the unit rule and rejects non-unit heights. With
-//!   `hmin` fixed it runs the capacitated wide/narrow split of
-//!   Section 6: each component caches a *pair* of solves — the unit
-//!   rule over its wide instances (`h > 1/2`) and the narrow rule
-//!   (`ξ = c/(c+hmin)`) over its narrow ones — and the global schedule
+//!   against the public minimum length [`DeltaEngine::lmin`]; otherwise
+//!   it retains the per-network ideal tree decompositions and layers
+//!   arrivals against them.
+//! * **Halves.** An a-priori `hmin` ([`SolverConfig::hmin`]) selects the
+//!   arbitrary-height theorem (Section 6): each component caches one
+//!   solve per half — the unit rule over its wide instances (`h > 1/2`)
+//!   and the narrow rule over its narrow ones — and the global schedule
 //!   is the per-network combination ([`combine_by_network`]) of the two
-//!   assembled class solutions. The factorization argument applies per
-//!   class: two same-class instances that conflict share an edge, so a
-//!   union-find component over *all* demands is a conflict-closed
-//!   superset within each class, and the per-class unions/min-folds are
-//!   bitwise equal to the global class runs.
+//!   assembled half solutions. Without `hmin` the engine runs the
+//!   unit-height theorem, one half over every instance, and rejects
+//!   non-unit heights. The factorization argument applies per half: two
+//!   same-class instances that conflict share an edge, so a union-find
+//!   component over *all* demands is a conflict-closed superset within
+//!   each class, and the per-half unions/min-folds are bitwise equal to
+//!   the global half runs.
+//! * **Stage factors.** The halves' `ξ` come from the a-priori `Δ`
+//!   bound of the layering ([`LINE_DELTA_BOUND`] or
+//!   [`IDEAL_DELTA_BOUND`]), never from the measured `Δ`: arrivals change
+//!   the measured `Δ`, and a `ξ` that followed it would put warm and cold
+//!   solves on different stage schedules.
 //!
-//! [`DeltaEngine`] exploits this: it keeps a union-find over demands, a
-//! per-component cache of `(λ, selected)` per class, and a dirty set. A
-//! delta invalidates only the touched component; [`DeltaEngine::resolve`]
-//! re-runs the two-phase engine over dirty components only and reuses
-//! every clean component's cached result. The from-scratch oracle
-//! [`DeltaEngine::reference_solve`] re-solves everything with
-//! [`run_two_phase_reference`] and must agree bit-for-bit after **any**
-//! delta sequence — the invariant the proptest oracles and the `treenet
-//! serve` `check` op enforce.
+//! [`DeltaEngine`] exploits the factorization: it keeps a union-find
+//! over demands, a per-component cache of `(λ, selected)` per half, and
+//! a dirty set. A delta invalidates only the touched component;
+//! [`DeltaEngine::resolve`] re-runs the two-phase engine over dirty
+//! components only and reuses every clean component's cached result. The
+//! from-scratch oracle [`DeltaEngine::reference_solve`] re-solves
+//! everything with [`run_two_phase_reference`] and must agree bit-for-bit
+//! after **any** delta sequence — the invariant the proptest oracles and
+//! `treenet-serve`'s `check` op enforce.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
 use crate::framework::{
-    run_two_phase, run_two_phase_reference, FrameworkConfig, FrameworkError, RaiseRule,
+    run_two_phase, run_two_phase_reference, validate_epsilon, FrameworkConfig, FrameworkError,
+    RaiseRule,
 };
-use crate::solvers::{all_canonical_lines, combine_by_network, narrow_xi, unit_xi, SolverConfig};
+use crate::solvers::{
+    all_canonical_lines, combine_by_network, framework_config, AutoChoice, SolverConfig,
+};
 use treenet_decomp::{LayeredDecomposition, Layering, Strategy};
 use treenet_graph::UnionFind;
 use treenet_model::{
@@ -86,23 +95,15 @@ pub const IDEAL_DELTA_BOUND: usize = 6;
 /// (start/mid/end), hence a fixed unit-rule stage factor `ξ = 8/9`.
 pub const LINE_DELTA_BOUND: usize = 3;
 
-/// Which layered decomposition the engine runs on (fixed at
-/// construction from the networks' shapes).
-#[derive(Copy, Clone, Debug, PartialEq, Eq, Hash)]
-pub enum EngineFamily {
-    /// General tree networks: per-network ideal decompositions,
-    /// `Δ ≤ `[`IDEAL_DELTA_BOUND`].
-    Tree,
-    /// Every network is a canonical line: length-class layering keyed on
-    /// the public [`DeltaEngine::lmin`], `Δ ≤ `[`LINE_DELTA_BOUND`].
-    Line,
-}
-
 /// Error raised by [`DeltaEngine`] construction or delta admission.
 #[derive(Clone, Debug, PartialEq)]
 pub enum DeltaEngineError {
     /// The underlying model rejected the delta (see [`ModelError`]).
     Model(ModelError),
+    /// The configuration fails the check [`solve`](crate::solve) applies
+    /// to it: `ε` outside `(0, 1)`, or an a-priori `hmin` outside
+    /// `(0, 1]`.
+    Framework(FrameworkError),
     /// Without an a-priori `hmin` the engine runs the unit-height rule
     /// with a fixed `ξ`; a non-unit height demand cannot be admitted
     /// online (configure [`SolverConfig::with_hmin`] to serve arbitrary
@@ -117,12 +118,6 @@ pub enum DeltaEngineError {
         /// The offending height.
         height: f64,
         /// The a-priori floor fixed at construction.
-        hmin: f64,
-    },
-    /// The configured a-priori `hmin` is not a height (must lie in
-    /// `(0, 1]`).
-    BadHmin {
-        /// The offending value.
         hmin: f64,
     },
     /// A line-family arrival is shorter than the public `Lmin` the
@@ -140,6 +135,7 @@ impl fmt::Display for DeltaEngineError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             DeltaEngineError::Model(e) => write!(f, "{e}"),
+            DeltaEngineError::Framework(e) => write!(f, "{e}"),
             DeltaEngineError::NonUnitHeight { height } => write!(
                 f,
                 "online admission requires unit height, got {height} \
@@ -150,9 +146,6 @@ impl fmt::Display for DeltaEngineError {
                 "height {height} undercuts the a-priori hmin = {hmin} \
                  fixed at engine construction"
             ),
-            DeltaEngineError::BadHmin { hmin } => {
-                write!(f, "a-priori hmin must lie in (0, 1], got {hmin}")
-            }
             DeltaEngineError::InstanceTooShort { len, lmin } => write!(
                 f,
                 "instance length {len} undercuts the public Lmin = {lmin} \
@@ -170,48 +163,37 @@ impl From<ModelError> for DeltaEngineError {
     }
 }
 
-/// The raising mode, decided at construction from [`SolverConfig::hmin`].
+/// One half of the engine's theorem, as [`AutoChoice::halves`] maps it:
+/// the participating height class (`None`: every instance), the raise
+/// rule, and the framework configuration at the half's a-priori `ξ`.
 #[derive(Clone, Debug)]
-enum Mode {
-    /// Unit rule only; non-unit heights are rejected.
-    Unit,
-    /// Wide/narrow split with an a-priori height floor.
-    Capacitated {
-        /// The raw configured floor (admission checks use this).
-        hmin: f64,
-        /// The narrow-rule configuration (`ξ = narrow_xi(Δbound, hmin)`).
-        narrow_config: FrameworkConfig,
-    },
+struct EngineHalf {
+    class: Option<HeightClass>,
+    rule: RaiseRule,
+    config: FrameworkConfig,
 }
 
-/// The cached result of one conflict component's two-phase run.
+impl EngineHalf {
+    /// The members of `instances` in this half's height class, in order.
+    fn participants(&self, problem: &Problem, instances: &[InstanceId]) -> Vec<InstanceId> {
+        instances
+            .iter()
+            .copied()
+            .filter(|&d| {
+                self.class
+                    .is_none_or(|c| problem.demand(problem.instance(d).demand).height_class() == c)
+            })
+            .collect()
+    }
+}
+
+/// The cached result of one conflict component's run of one half.
 #[derive(Clone, Debug)]
 struct ComponentSolve {
     /// The component's λ: min satisfaction over its participants.
     lambda: f64,
     /// The component's selected instances (sorted, as extracted).
     selected: Vec<InstanceId>,
-}
-
-impl ComponentSolve {
-    /// The solve of an empty participant set: λ = 1.0 (the min-fold
-    /// seed), nothing selected — bitwise what [`run_two_phase`] returns
-    /// for no participants, without paying for the run.
-    fn neutral() -> ComponentSolve {
-        ComponentSolve {
-            lambda: 1.0,
-            selected: Vec::new(),
-        }
-    }
-}
-
-/// One component's cache line: the wide-class and narrow-class solves.
-/// In unit mode the whole component solves as the wide class and the
-/// narrow slot stays neutral.
-#[derive(Clone, Debug)]
-struct CacheEntry {
-    wide: ComponentSolve,
-    narrow: ComponentSolve,
 }
 
 /// Cumulative counters of an engine's lifetime, for the serve `stats` op
@@ -237,7 +219,8 @@ pub struct ResolveOutcome {
     /// `1.0` when nothing is live).
     pub lambda: f64,
     /// The assembled feasible solution (union of component selections;
-    /// in capacitated mode, the per-network wide/narrow combination).
+    /// for a wide/narrow split, the per-network combination of the two
+    /// halves).
     pub solution: Solution,
     /// Components re-solved by this call (dirty ones only).
     pub components_resolved: usize,
@@ -247,18 +230,18 @@ pub struct ResolveOutcome {
     pub live_instances: usize,
 }
 
-/// The from-scratch oracle's result, mode-independent: what
-/// [`DeltaEngine::reference_solve`] computed cold. After any delta
-/// sequence and a [`DeltaEngine::resolve`], the warm
+/// The from-scratch oracle's result: what [`DeltaEngine::reference_solve`]
+/// computed cold. After any delta sequence and a
+/// [`DeltaEngine::resolve`], the warm
 /// [`DeltaEngine::lambda`]/[`DeltaEngine::solution`] must equal these
 /// bit-for-bit.
 #[derive(Clone, Debug)]
 pub struct ReferenceSolve {
-    /// The reference λ (in capacitated mode, the min of the wide and
-    /// narrow run λs).
+    /// The reference λ (for a wide/narrow split, the min of the two half
+    /// run λs).
     pub lambda: f64,
-    /// The reference schedule (in capacitated mode, the per-network
-    /// combination of the wide and narrow solutions).
+    /// The reference schedule (for a wide/narrow split, the per-network
+    /// combination of the two half solutions).
     pub solution: Solution,
 }
 
@@ -276,92 +259,113 @@ pub struct DeltaEngine {
     /// Fixed at construction, so arrivals are layered against the same
     /// decompositions (or the same `Lmin`) as the initial batch.
     layering: Layering,
-    mode: Mode,
-    /// The unit/wide-class framework configuration (the narrow-class one
-    /// lives in [`Mode::Capacitated`]).
-    config: FrameworkConfig,
+    choice: AutoChoice,
+    /// The a-priori narrow height floor every admission checks.
+    hmin: Option<f64>,
+    /// The theorem's halves, in [`AutoChoice::halves`] order.
+    halves: Vec<EngineHalf>,
     /// Conflict components over demands: merged on arrival, never split.
     comps: UnionFind,
     /// Component root → member demands (live and departed).
     comp_demands: BTreeMap<u32, Vec<u32>>,
-    /// Component root → cached per-class solves of its live participants.
-    cache: BTreeMap<u32, CacheEntry>,
+    /// Component root → cached solve of its live participants, one per
+    /// half.
+    cache: BTreeMap<u32, Vec<ComponentSolve>>,
     /// Demand keys touched since the last resolve (mapped to their
     /// *current* roots lazily, since later unions can re-root them).
     dirty: BTreeSet<u32>,
     stats: DeltaEngineStats,
 }
 
+/// Admission check for a demand: the theorem's height constraint (unit
+/// heights, or heights at least the a-priori `hmin`) and the line
+/// layering's public `Lmin`, before any state changes.
+fn admit(hmin: Option<f64>, lmin: Option<f64>, demand: &Demand) -> Result<(), DeltaEngineError> {
+    match hmin {
+        None => {
+            if !demand.is_unit_height() {
+                return Err(DeltaEngineError::NonUnitHeight {
+                    height: demand.height,
+                });
+            }
+        }
+        Some(hmin) => {
+            if demand.height_class() == HeightClass::Narrow && demand.height < hmin - EPS {
+                return Err(DeltaEngineError::HeightBelowFloor {
+                    height: demand.height,
+                    hmin,
+                });
+            }
+        }
+    }
+    if let Some(lmin) = lmin {
+        // The instance length is known before materialization: a pair
+        // on a canonical line spans |u - v| slots, a window instance
+        // always spans its processing time. Degenerate (zero-length)
+        // demands fall through to the model's own rejection.
+        let len = match demand.kind {
+            DemandKind::Pair { u, v } => u.0.abs_diff(v.0) as usize,
+            DemandKind::Window { processing, .. } => processing as usize,
+        };
+        if len >= 1 && (len as f64) < lmin {
+            return Err(DeltaEngineError::InstanceTooShort { len, lmin });
+        }
+    }
+    Ok(())
+}
+
 impl DeltaEngine {
     /// Builds the engine over an initial problem.
     ///
-    /// The family is detected from the networks (all canonical lines →
-    /// length-class layering, else [`Strategy::Ideal`] tree
-    /// decompositions) and the stage factors use the a-priori `Δ` bounds
-    /// ([`IDEAL_DELTA_BOUND`]/[`LINE_DELTA_BOUND`]), independent of the
-    /// measured `Δ` — fixed factors are what keep warm and cold solves
-    /// on the same stage schedule while the instance set changes. Of
-    /// `config`, the engine honors `epsilon`, `seed`, `mis_backend` and
-    /// `hmin` (whose presence selects the capacitated wide/narrow mode).
+    /// The theorem ([`DeltaEngine::choice`]) is derived from the inputs:
+    /// the line theorems when every network is a canonical line, else the
+    /// tree theorems on [`Strategy::Ideal`] decompositions; the
+    /// arbitrary-height theorem when `config` fixes an a-priori `hmin`,
+    /// else the unit-height one. The halves' stage factors use the
+    /// a-priori `Δ` bound, never the measured `Δ` (see the module docs).
+    /// Of `config`, the engine honors `epsilon`, `seed`, `mis_backend`
+    /// and `hmin`.
+    ///
+    /// Checks run in this order: `ε`, then the admission check of
+    /// [`DeltaEngine::apply`] over every initial demand, then the
+    /// theorem's halves (which check `hmin`).
     ///
     /// # Errors
     ///
-    /// [`DeltaEngineError::NonUnitHeight`] if no `hmin` is fixed and
-    /// some initial demand has non-unit height;
-    /// [`DeltaEngineError::BadHmin`]/[`DeltaEngineError::HeightBelowFloor`]
-    /// for a bad or violated a-priori floor.
+    /// [`DeltaEngineError::Framework`] for an `ε` outside `(0, 1)` or an
+    /// `hmin` outside `(0, 1]` — the error [`solve`](crate::solve)
+    /// returns for the same config;
+    /// [`DeltaEngineError::NonUnitHeight`] if no `hmin` is fixed and some
+    /// initial demand has non-unit height;
+    /// [`DeltaEngineError::HeightBelowFloor`] for an initial demand under
+    /// the fixed `hmin`.
     pub fn new(problem: Problem, config: &SolverConfig) -> Result<DeltaEngine, DeltaEngineError> {
-        let line_family = all_canonical_lines(&problem);
-        let delta_bound = if line_family {
+        let bad = |reason| DeltaEngineError::Framework(FrameworkError::BadParameters { reason });
+        let lines = all_canonical_lines(&problem);
+        let choice = AutoChoice::of(lines, config.hmin.is_some());
+        validate_epsilon(config.epsilon).map_err(bad)?;
+        let layering = choice.layering(&problem, Strategy::Ideal);
+        for a in problem.demands() {
+            admit(config.hmin, layering.lmin(), problem.demand(a))?;
+        }
+        let delta_bound = if lines {
             LINE_DELTA_BOUND
         } else {
             IDEAL_DELTA_BOUND
         };
-        let base = |xi: f64| FrameworkConfig {
-            epsilon: config.epsilon,
-            xi,
-            seed: config.seed,
-            max_steps_per_stage: Some(1_000_000),
-            record_trace: false,
-            mis_backend: config.mis_backend,
-        };
-        let framework_config = base(unit_xi(delta_bound));
-        let mode = match config.hmin {
-            None => {
-                if let Some(a) = problem
-                    .demands()
-                    .find(|&a| !problem.demand(a).is_unit_height())
-                {
-                    return Err(DeltaEngineError::NonUnitHeight {
-                        height: problem.demand(a).height,
-                    });
-                }
-                Mode::Unit
-            }
-            Some(hmin) => {
-                if !(hmin > 0.0 && hmin <= 1.0) {
-                    return Err(DeltaEngineError::BadHmin { hmin });
-                }
-                if let Some(a) = problem.demands().find(|&a| {
-                    let d = problem.demand(a);
-                    d.height_class() == HeightClass::Narrow && d.height < hmin - EPS
-                }) {
-                    return Err(DeltaEngineError::HeightBelowFloor {
-                        height: problem.demand(a).height,
-                        hmin,
-                    });
-                }
-                Mode::Capacitated {
-                    hmin,
-                    narrow_config: base(narrow_xi(delta_bound, hmin.min(0.5))),
-                }
-            }
-        };
-        let layering = if line_family {
-            Layering::for_lines(&problem)
-        } else {
-            Layering::for_trees(&problem, Strategy::Ideal)
-        };
+        let halves = choice
+            .halves(&problem, delta_bound, config.hmin)
+            .map_err(bad)?
+            .into_iter()
+            .map(|half| EngineHalf {
+                class: half.class,
+                rule: half.rule,
+                config: FrameworkConfig {
+                    record_trace: false,
+                    ..framework_config(config, half.xi)
+                },
+            })
+            .collect();
         let layers = LayeredDecomposition::new(&problem, &layering);
 
         let mut comps = UnionFind::new(problem.demand_count());
@@ -390,8 +394,9 @@ impl DeltaEngine {
             problem,
             layers,
             layering,
-            mode,
-            config: framework_config,
+            choice,
+            hmin: config.hmin,
+            halves,
             comps,
             comp_demands,
             cache: BTreeMap::new(),
@@ -405,41 +410,22 @@ impl DeltaEngine {
         &self.problem
     }
 
-    /// The unit/wide-class framework configuration every solve (warm or
-    /// reference) uses.
-    pub fn framework_config(&self) -> &FrameworkConfig {
-        &self.config
-    }
-
-    /// The narrow-class framework configuration (`None` in unit mode).
-    pub fn narrow_framework_config(&self) -> Option<&FrameworkConfig> {
-        match &self.mode {
-            Mode::Unit => None,
-            Mode::Capacitated { narrow_config, .. } => Some(narrow_config),
-        }
-    }
-
-    /// Which layered decomposition family the engine runs on.
-    pub fn family(&self) -> EngineFamily {
-        match self.layering.lmin() {
-            None => EngineFamily::Tree,
-            Some(_) => EngineFamily::Line,
-        }
+    /// The theorem the engine runs, fixed at construction.
+    pub fn choice(&self) -> AutoChoice {
+        self.choice
     }
 
     /// The public minimum instance length `Lmin` the line length-class
-    /// layering is keyed on (`None` for the tree family). Fixed at
+    /// layering is keyed on (`None` for the tree theorems). Fixed at
     /// construction; arrivals shorter than this are rejected.
     pub fn lmin(&self) -> Option<f64> {
         self.layering.lmin()
     }
 
-    /// The a-priori narrow height floor (`None` in unit mode).
+    /// The a-priori narrow height floor (`None` for the unit-height
+    /// theorems).
     pub fn hmin(&self) -> Option<f64> {
-        match self.mode {
-            Mode::Unit => None,
-            Mode::Capacitated { hmin, .. } => Some(hmin),
-        }
+        self.hmin
     }
 
     /// Lifetime counters.
@@ -453,61 +439,26 @@ impl DeltaEngine {
         self.comp_demands.len()
     }
 
-    /// Admission check for an arriving demand: rule mode (heights) and
-    /// line family (public `Lmin`) constraints, before any state changes.
-    fn admit(&self, demand: &Demand) -> Result<(), DeltaEngineError> {
-        match &self.mode {
-            Mode::Unit => {
-                if !demand.is_unit_height() {
-                    return Err(DeltaEngineError::NonUnitHeight {
-                        height: demand.height,
-                    });
-                }
-            }
-            Mode::Capacitated { hmin, .. } => {
-                if demand.height_class() == HeightClass::Narrow && demand.height < hmin - EPS {
-                    return Err(DeltaEngineError::HeightBelowFloor {
-                        height: demand.height,
-                        hmin: *hmin,
-                    });
-                }
-            }
-        }
-        if let Some(lmin) = self.layering.lmin() {
-            // The instance length is known before materialization: a pair
-            // on a canonical line spans |u - v| slots, a window instance
-            // always spans its processing time. Degenerate (zero-length)
-            // demands fall through to the model's own rejection.
-            let len = match demand.kind {
-                DemandKind::Pair { u, v } => u.0.abs_diff(v.0) as usize,
-                DemandKind::Window { processing, .. } => processing as usize,
-            };
-            if len >= 1 && (len as f64) < lmin {
-                return Err(DeltaEngineError::InstanceTooShort { len, lmin });
-            }
-        }
-        Ok(())
-    }
-
     /// Applies one delta, invalidating exactly the touched component.
     ///
     /// An arrival unions the new demand with every demand it conflicts
     /// with (via the inverted edge index) and layers its new instances
-    /// incrementally (tree family: against the retained decompositions;
-    /// line family: against the public `Lmin`); a departure only
+    /// incrementally (tree theorems: against the retained decompositions;
+    /// line theorems: against the public `Lmin`); a departure only
     /// tombstones and marks dirty. The re-solve itself is deferred to
     /// [`DeltaEngine::resolve`].
     ///
     /// # Errors
     ///
-    /// [`DeltaEngineError::NonUnitHeight`] for non-unit arrivals in unit
-    /// mode, [`DeltaEngineError::HeightBelowFloor`] for arrivals under
-    /// the capacitated floor, [`DeltaEngineError::InstanceTooShort`] for
-    /// line arrivals under `Lmin`, else whatever the model layer rejects
-    /// ([`ModelError`]). A rejected delta leaves the engine unchanged.
+    /// [`DeltaEngineError::NonUnitHeight`] for non-unit arrivals under a
+    /// unit-height theorem, [`DeltaEngineError::HeightBelowFloor`] for
+    /// arrivals under the a-priori `hmin`,
+    /// [`DeltaEngineError::InstanceTooShort`] for line arrivals under
+    /// `Lmin`, else whatever the model layer rejects ([`ModelError`]). A
+    /// rejected delta leaves the engine unchanged.
     pub fn apply(&mut self, delta: ProblemDelta) -> Result<DeltaEffect, DeltaEngineError> {
         if let ProblemDelta::Arrival { demand, .. } = &delta {
-            self.admit(demand)?;
+            admit(self.hmin, self.layering.lmin(), demand)?;
         }
         let arrival = matches!(delta, ProblemDelta::Arrival { .. });
         let effect = self.problem.apply_delta(delta)?;
@@ -565,10 +516,9 @@ impl DeltaEngine {
         Ok(effect)
     }
 
-    /// Warm re-solve: re-runs the two-phase engine over the dirty
-    /// components' live instances only (per height class in capacitated
-    /// mode), keeping every clean component's cached `(λ, selected)`,
-    /// then assembles the global schedule.
+    /// Warm re-solve: re-runs each half of the theorem over the dirty
+    /// components' live instances only, keeping every clean component's
+    /// cached `(λ, selected)`, then assembles the global schedule.
     ///
     /// # Errors
     ///
@@ -595,27 +545,14 @@ impl DeltaEngine {
                 self.cache.remove(&root);
                 continue;
             }
-            let entry = match &self.mode {
-                Mode::Unit => CacheEntry {
-                    wide: self.component_solve(RaiseRule::Unit, &self.config, &participants)?,
-                    narrow: ComponentSolve::neutral(),
-                },
-                Mode::Capacitated { narrow_config, .. } => {
-                    let (wide_ids, narrow_ids) =
-                        HeightClass::split(&self.problem, participants.iter().copied());
-                    CacheEntry {
-                        wide: self.component_solve(RaiseRule::Unit, &self.config, &wide_ids)?,
-                        narrow: self.component_solve(
-                            RaiseRule::Narrow,
-                            narrow_config,
-                            &narrow_ids,
-                        )?,
-                    }
-                }
-            };
+            let solves = self
+                .halves
+                .iter()
+                .map(|half| self.component_solve(half, &participants))
+                .collect::<Result<Vec<_>, _>>()?;
             components_resolved += 1;
             instances_resolved += participants.len();
-            self.cache.insert(root, entry);
+            self.cache.insert(root, solves);
         }
         self.stats.resolves += 1;
         self.stats.components_resolved += components_resolved as u64;
@@ -629,108 +566,106 @@ impl DeltaEngine {
         })
     }
 
-    /// One class run over one component's participants (neutral when the
-    /// class is empty — bitwise what the empty run would return).
+    /// One half's run over one component's live instances. A half with
+    /// no participants short-circuits to λ = 1.0 (the min-fold seed) and
+    /// no selection — bitwise what the empty run returns, without paying
+    /// for it.
     fn component_solve(
         &self,
-        rule: RaiseRule,
-        config: &FrameworkConfig,
-        participants: &[InstanceId],
+        half: &EngineHalf,
+        instances: &[InstanceId],
     ) -> Result<ComponentSolve, FrameworkError> {
+        let participants = half.participants(&self.problem, instances);
         if participants.is_empty() {
-            return Ok(ComponentSolve::neutral());
+            return Ok(ComponentSolve {
+                lambda: 1.0,
+                selected: Vec::new(),
+            });
         }
-        let outcome = run_two_phase(&self.problem, &self.layers, rule, config, participants)?;
+        let outcome = run_two_phase(
+            &self.problem,
+            &self.layers,
+            half.rule,
+            &half.config,
+            &participants,
+        )?;
         Ok(ComponentSolve {
             lambda: outcome.lambda,
             selected: outcome.solution.selected().to_vec(),
         })
     }
 
-    /// The current global λ: min over the cached per-class component λs,
-    /// `1.0` when nothing is cached. Bitwise equal to the reference λ
-    /// after a [`DeltaEngine::resolve`] (min-folds of the same
+    /// The current global λ: min over the cached component λs of every
+    /// half, `1.0` when nothing is cached. Bitwise equal to the reference
+    /// λ after a [`DeltaEngine::resolve`] (min-folds of the same
     /// non-negative satisfaction multiset associate freely).
     pub fn lambda(&self) -> f64 {
         self.cache
             .values()
-            .map(|c| c.wide.lambda.min(c.narrow.lambda))
+            .flatten()
+            .map(|c| c.lambda)
             .fold(1.0f64, f64::min)
     }
 
-    /// The current global schedule: the sorted union of the cached
-    /// component selections; in capacitated mode, the per-network
-    /// combination of the assembled wide and narrow class solutions
-    /// (bitwise the reference combination, since both class unions are).
+    /// The current global schedule: per half, the sorted union of the
+    /// cached component selections; for a wide/narrow split, the
+    /// per-network combination of the two (bitwise the reference
+    /// combination, since both half unions are).
     pub fn solution(&self) -> Solution {
-        let class_union = |pick: fn(&CacheEntry) -> &ComponentSolve| -> Solution {
-            Solution::new(
-                self.cache
-                    .values()
-                    .flat_map(|c| pick(c).selected.iter().copied())
-                    .collect(),
-            )
-        };
-        match self.mode {
-            Mode::Unit => class_union(|c| &c.wide),
-            Mode::Capacitated { .. } => {
-                let wide = class_union(|c| &c.wide);
-                let narrow = class_union(|c| &c.narrow);
-                combine_by_network(&self.problem, &wide, &narrow)
-            }
+        let unions = (0..self.halves.len())
+            .map(|h| {
+                Solution::new(
+                    self.cache
+                        .values()
+                        .flat_map(|c| c[h].selected.iter().copied())
+                        .collect(),
+                )
+            })
+            .collect();
+        self.assemble(unions)
+    }
+
+    /// Assembles the halves' solutions exactly as [`solve`](crate::solve)
+    /// does: a single half is the schedule; a wide/narrow split keeps the
+    /// better half per network ([`combine_by_network`]).
+    fn assemble(&self, halves: Vec<Solution>) -> Solution {
+        let mut halves = halves.into_iter();
+        match (halves.next(), halves.next()) {
+            (Some(wide), Some(narrow)) => combine_by_network(&self.problem, &wide, &narrow),
+            (Some(single), None) => single,
+            _ => unreachable!("every theorem runs one or two halves"),
         }
     }
 
-    /// The mode-independent from-scratch oracle: reference
-    /// (non-incremental) two-phase runs over **all** live instances with
-    /// the engine's own layering and configurations — one unit run in
-    /// unit mode, a wide and a narrow run combined per network in
-    /// capacitated mode. After any delta sequence and a
-    /// [`DeltaEngine::resolve`], its `lambda` and `solution` must equal
-    /// the warm results bit-for-bit.
+    /// The from-scratch oracle: one reference (non-incremental)
+    /// two-phase run per half over **all** live instances of its class,
+    /// with the engine's own layering and configurations, assembled as
+    /// [`DeltaEngine::solution`] assembles the warm halves. After any
+    /// delta sequence and a [`DeltaEngine::resolve`], its `lambda` and
+    /// `solution` must equal the warm results bit-for-bit.
     ///
     /// # Errors
     ///
     /// Propagates [`FrameworkError`].
     pub fn reference_solve(&self) -> Result<ReferenceSolve, FrameworkError> {
         let live = self.problem.live_instances();
-        match &self.mode {
-            Mode::Unit => {
-                let out = run_two_phase_reference(
-                    &self.problem,
-                    &self.layers,
-                    RaiseRule::Unit,
-                    &self.config,
-                    &live,
-                )?;
-                Ok(ReferenceSolve {
-                    lambda: out.lambda,
-                    solution: out.solution,
-                })
-            }
-            Mode::Capacitated { narrow_config, .. } => {
-                let (wide_ids, narrow_ids) =
-                    HeightClass::split(&self.problem, live.iter().copied());
-                let wide = run_two_phase_reference(
-                    &self.problem,
-                    &self.layers,
-                    RaiseRule::Unit,
-                    &self.config,
-                    &wide_ids,
-                )?;
-                let narrow = run_two_phase_reference(
-                    &self.problem,
-                    &self.layers,
-                    RaiseRule::Narrow,
-                    narrow_config,
-                    &narrow_ids,
-                )?;
-                Ok(ReferenceSolve {
-                    lambda: wide.lambda.min(narrow.lambda),
-                    solution: combine_by_network(&self.problem, &wide.solution, &narrow.solution),
-                })
-            }
+        let mut lambda = 1.0f64;
+        let mut solutions = Vec::with_capacity(self.halves.len());
+        for half in &self.halves {
+            let out = run_two_phase_reference(
+                &self.problem,
+                &self.layers,
+                half.rule,
+                &half.config,
+                &half.participants(&self.problem, &live),
+            )?;
+            lambda = lambda.min(out.lambda);
+            solutions.push(out.solution);
         }
+        Ok(ReferenceSolve {
+            lambda,
+            solution: self.assemble(solutions),
+        })
     }
 }
 
@@ -763,7 +698,7 @@ mod tests {
     fn initial_resolve_matches_reference() {
         for seed in 0..4u64 {
             let mut e = engine(seed);
-            assert_eq!(e.family(), EngineFamily::Tree);
+            assert_eq!(e.choice(), AutoChoice::TreeUnit);
             assert_eq!(e.lmin(), None);
             assert_eq!(e.hmin(), None);
             let out = e.resolve().unwrap();
@@ -809,7 +744,7 @@ mod tests {
         }
         let mut e = DeltaEngine::new(b.build().unwrap(), &SolverConfig::default()).unwrap();
         // All networks are canonical lines → length-class layering.
-        assert_eq!(e.family(), EngineFamily::Line);
+        assert_eq!(e.choice(), AutoChoice::LineUnit);
         let first = e.resolve().unwrap();
         assert_eq!(first.components_resolved, e.component_count());
         e.apply(ProblemDelta::Arrival {
@@ -944,11 +879,13 @@ mod tests {
             DeltaEngine::new(p, &SolverConfig::default().with_hmin(0.45)),
             Err(DeltaEngineError::HeightBelowFloor { .. })
         ));
-        // And a nonsensical floor is rejected outright.
+        // And a nonsensical floor is rejected outright, as `solve`
+        // rejects it.
         let p = capacitated_problem(1);
         assert!(matches!(
             DeltaEngine::new(p, &SolverConfig::default().with_hmin(0.0)),
-            Err(DeltaEngineError::BadHmin { .. })
+            Err(DeltaEngineError::Framework(FrameworkError::BadParameters { reason }))
+                if reason.contains("hmin")
         ));
     }
 
@@ -961,7 +898,7 @@ mod tests {
             .generate(&mut SmallRng::seed_from_u64(3));
         let lmin = treenet_decomp::line_lmin(&p);
         let mut e = DeltaEngine::new(p, &SolverConfig::default()).unwrap();
-        assert_eq!(e.family(), EngineFamily::Line);
+        assert_eq!(e.choice(), AutoChoice::LineUnit);
         assert_eq!(e.lmin(), Some(lmin));
         e.resolve().unwrap();
         assert_matches_reference(&e);
@@ -990,9 +927,9 @@ mod tests {
             .with_window_slack(2)
             .with_len_range(2, 10)
             .generate(&mut SmallRng::seed_from_u64(11));
-        for (problem, family) in [(tree, EngineFamily::Tree), (line, EngineFamily::Line)] {
+        for (problem, choice) in [(tree, AutoChoice::TreeUnit), (line, AutoChoice::LineUnit)] {
             let mut e = DeltaEngine::new(problem, &SolverConfig::default()).unwrap();
-            assert_eq!(e.family(), family);
+            assert_eq!(e.choice(), choice);
             let mut rng = SmallRng::seed_from_u64(0x1a7e);
             let vertices = e.problem().network(NetworkId(0)).len() as u32;
             let mut arrived = 0;
@@ -1005,9 +942,9 @@ mod tests {
                 } else {
                     let u = rng.gen_range(0..vertices - 1);
                     let v = rng.gen_range(u + 1..vertices);
-                    let demand = match family {
-                        EngineFamily::Tree => Demand::pair(VertexId(u), VertexId(v), 1.5),
-                        EngineFamily::Line => Demand::window(u, v - 1, (v - u).min(3), 1.5),
+                    let demand = match choice {
+                        AutoChoice::TreeUnit => Demand::pair(VertexId(u), VertexId(v), 1.5),
+                        _ => Demand::window(u, v - 1, (v - u).min(3), 1.5),
                     };
                     let access = e.problem().networks().collect();
                     ProblemDelta::Arrival { demand, access }
@@ -1021,7 +958,7 @@ mod tests {
             }
             assert!(
                 arrived >= 10,
-                "{family:?}: only {arrived} arrivals admitted"
+                "{choice:?}: only {arrived} arrivals admitted"
             );
             let batch = LayeredDecomposition::new(e.problem(), &e.layering);
             assert_eq!(e.layers.len(), batch.len());
@@ -1076,7 +1013,7 @@ mod tests {
             })
             .generate(&mut SmallRng::seed_from_u64(5));
         let mut e = DeltaEngine::new(p, &SolverConfig::default().with_hmin(0.25)).unwrap();
-        assert_eq!(e.family(), EngineFamily::Line);
+        assert_eq!(e.choice(), AutoChoice::LineArbitrary);
         e.resolve().unwrap();
         assert_matches_reference(&e);
         e.apply(ProblemDelta::Arrival {
@@ -1099,8 +1036,6 @@ mod tests {
             hmin: 0.2,
         };
         assert!(e.to_string().contains("hmin"));
-        let e = DeltaEngineError::BadHmin { hmin: -1.0 };
-        assert!(e.to_string().contains("(0, 1]"));
         let e = DeltaEngineError::InstanceTooShort { len: 2, lmin: 4.0 };
         assert!(e.to_string().contains("Lmin"));
         let e = DeltaEngineError::NonUnitHeight { height: 0.5 };

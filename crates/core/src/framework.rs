@@ -609,18 +609,24 @@ fn mark_stale(
     }
 }
 
-/// Rejects an `ε` outside `(0, 1)`.
-pub(crate) fn validate_epsilon(epsilon: f64) -> Result<(), FrameworkError> {
+/// Rejects an `ε` outside `(0, 1)` (NaN included): the one ε check of
+/// the framework, [`solve`](crate::solve), the
+/// [`DeltaEngine`](crate::DeltaEngine) and the runners of
+/// `treenet-dist`. The error value is the human-readable reason (callers
+/// wrap it in their error type).
+///
+/// # Errors
+///
+/// The reason `epsilon` is rejected.
+pub fn validate_epsilon(epsilon: f64) -> Result<(), String> {
     if !(epsilon > 0.0 && epsilon < 1.0) {
-        return Err(FrameworkError::BadParameters {
-            reason: format!("epsilon must lie in (0,1), got {epsilon}"),
-        });
+        return Err(format!("epsilon must lie in (0,1), got {epsilon}"));
     }
     Ok(())
 }
 
 fn validate(config: &FrameworkConfig) -> Result<(), FrameworkError> {
-    validate_epsilon(config.epsilon)?;
+    validate_epsilon(config.epsilon).map_err(|reason| FrameworkError::BadParameters { reason })?;
     if !(config.xi > 0.0 && config.xi < 1.0) {
         return Err(FrameworkError::BadParameters {
             reason: format!("xi must lie in (0,1), got {}", config.xi),

@@ -13,6 +13,7 @@
 //! | [`solve`] with [`AutoChoice::LineUnit`] | Theorem 7.1 — `(4+ε)`-approximation |
 //! | [`solve`] with [`AutoChoice::LineArbitrary`] | Theorem 7.2 — `(23+ε)`-approximation |
 //! | [`AutoChoice::layering`], [`AutoChoice::halves`] | a theorem as data: its layered decomposition (Section 4 / 7) and its raise rules and `ξ` |
+//! | [`DeltaEngine`] | the same theorems online: warm re-solve of the touched conflict components under arrivals and departures, running [`AutoChoice::halves`] at the a-priori `Δ` bound |
 //! | [`solve_sequential_tree`] | Appendix A — 3-approximation (2 for one tree) |
 //!
 //! The schedulers run the *logical* distributed execution: the exact
@@ -50,14 +51,15 @@ mod solvers;
 
 pub use certificate::{certified_ratio, Certificate};
 pub use delta::{
-    DeltaEngine, DeltaEngineError, DeltaEngineStats, EngineFamily, ReferenceSolve, ResolveOutcome,
+    DeltaEngine, DeltaEngineError, DeltaEngineStats, ReferenceSolve, ResolveOutcome,
     IDEAL_DELTA_BOUND, LINE_DELTA_BOUND,
 };
 pub use dual::{DualForm, DualState};
 pub use framework::{
     check_interference, echo_sweep_rounds, mis_tag, prologue_rounds, retransmit_round_bound,
-    run_two_phase, run_two_phase_reference, stages_for, step_comm_rounds, FrameworkConfig,
-    FrameworkError, Outcome, RaiseEvent, RaiseRule, RunStats, StackEntry, SATISFACTION_GUARD,
+    run_two_phase, run_two_phase_reference, stages_for, step_comm_rounds, validate_epsilon,
+    FrameworkConfig, FrameworkError, Outcome, RaiseEvent, RaiseRule, RunStats, StackEntry,
+    SATISFACTION_GUARD,
 };
 pub use sequential::{solve_sequential_tree, SequentialOutcome};
 pub use solvers::{

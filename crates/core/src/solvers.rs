@@ -132,7 +132,7 @@ pub fn narrow_xi(delta: usize, hmin: f64) -> f64 {
     c / (c + hmin)
 }
 
-fn framework_config(config: &SolverConfig, xi: f64) -> FrameworkConfig {
+pub(crate) fn framework_config(config: &SolverConfig, xi: f64) -> FrameworkConfig {
     FrameworkConfig {
         epsilon: config.epsilon,
         xi,
@@ -181,19 +181,20 @@ impl CombinedOutcome {
 }
 
 /// Resolves the `hmin` of a narrow run: the a-priori value when `fixed`
-/// (validated against every narrow participant, then clamped to 1/2),
-/// else the minimum participant height (1/2 when empty — any valid value
-/// does, as an empty run performs no stages).
+/// (checked to be a height, validated against every narrow participant,
+/// then clamped to 1/2), else the minimum participant height (1/2 when
+/// empty — any valid value does, as an empty run performs no stages).
 ///
 /// [`AutoChoice::halves`] derives the narrow `ξ` through this function,
-/// for the logical solver and the distributed runners in `treenet-dist`
-/// alike. The error value is the human-readable reason (callers wrap it
-/// in their error type).
+/// for the logical solver, the distributed runners in `treenet-dist` and
+/// the `DeltaEngine` alike. The error value is the human-readable reason
+/// (callers wrap it in their error type).
 ///
 /// # Errors
 ///
-/// When `fixed` exceeds some participant's height (beyond the model
-/// tolerance), i.e. the a-priori assumption is violated.
+/// When `fixed` lies outside `(0, 1]` (NaN included), or exceeds some
+/// participant's height (beyond the model tolerance), i.e. the a-priori
+/// assumption is violated.
 pub fn resolve_narrow_hmin(
     problem: &Problem,
     participants: &[InstanceId],
@@ -201,6 +202,9 @@ pub fn resolve_narrow_hmin(
 ) -> Result<f64, String> {
     match fixed {
         Some(fixed) => {
+            if !(fixed > 0.0 && fixed <= 1.0) {
+                return Err(format!("a-priori hmin must lie in (0, 1], got {fixed}"));
+            }
             // The a-priori assumption: every narrow demand must respect it.
             if let Some(&offender) = participants
                 .iter()
@@ -300,6 +304,19 @@ pub struct Half {
 }
 
 impl AutoChoice {
+    /// The theorem for a network family and a height split: line length
+    /// classes when every network is a canonical line, tree
+    /// decompositions otherwise; a wide/narrow split when `split`. The
+    /// one table behind [`auto_choice`] and the `DeltaEngine`.
+    pub(crate) fn of(lines: bool, split: bool) -> AutoChoice {
+        match (lines, split) {
+            (true, false) => AutoChoice::LineUnit,
+            (true, true) => AutoChoice::LineArbitrary,
+            (false, false) => AutoChoice::TreeUnit,
+            (false, true) => AutoChoice::TreeArbitrary,
+        }
+    }
+
     /// The layering the theorem runs on: tree decompositions built by
     /// `strategy` (Lemma 4.3, `Δ ≤ 6` for the ideal strategy) or the
     /// Section-7 length classes (`Δ ≤ 3`, `strategy` unused).
@@ -325,12 +342,12 @@ impl AutoChoice {
     /// ignore).
     ///
     /// This is the one theorem → halves map: [`solve`], the in-network
-    /// runner of `treenet-dist` and its driver-counted oracle all run
-    /// exactly these halves, in this order.
+    /// runner of `treenet-dist`, its driver-counted oracle and the
+    /// `DeltaEngine` all run exactly these halves, in this order.
     ///
     /// # Errors
     ///
-    /// The reason an a-priori `hmin` is violated.
+    /// The reason an a-priori `hmin` is not a height or is violated.
     pub fn halves(
         self,
         problem: &Problem,
@@ -411,7 +428,7 @@ impl AutoOutcome {
 }
 
 /// Whether every network of `problem` is a canonical line — the family
-/// test behind [`auto_choice`] and the `DeltaEngine` layering.
+/// test behind [`auto_choice`] and the `DeltaEngine`'s theorem.
 pub(crate) fn all_canonical_lines(problem: &Problem) -> bool {
     problem
         .networks()
@@ -427,12 +444,7 @@ pub(crate) fn all_canonical_lines(problem: &Problem) -> bool {
 /// `treenet-dist::run_distributed_auto`, so the logical and
 /// message-passing dispatches cannot drift.
 pub fn auto_choice(problem: &Problem) -> AutoChoice {
-    match (all_canonical_lines(problem), problem.is_unit_height()) {
-        (true, true) => AutoChoice::LineUnit,
-        (true, false) => AutoChoice::LineArbitrary,
-        (false, true) => AutoChoice::TreeUnit,
-        (false, false) => AutoChoice::TreeArbitrary,
-    }
+    AutoChoice::of(all_canonical_lines(problem), !problem.is_unit_height())
 }
 
 /// Runs the theorem `choice` as the logical distributed execution: lays
@@ -471,7 +483,7 @@ pub fn solve(
     config: &SolverConfig,
 ) -> Result<AutoOutcome, FrameworkError> {
     let layers = LayeredDecomposition::new(problem, &choice.layering(problem, config.strategy));
-    validate_epsilon(config.epsilon)?;
+    validate_epsilon(config.epsilon).map_err(|reason| FrameworkError::BadParameters { reason })?;
     let halves = choice
         .halves(problem, layers.delta(), config.hmin)
         .map_err(|reason| FrameworkError::BadParameters { reason })?;

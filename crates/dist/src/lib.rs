@@ -138,8 +138,8 @@ use std::sync::Arc;
 
 use node::{Mode, ProcessorNode, PublicInfo, SATISFACTION_GUARD};
 use treenet_core::{
-    auto_choice, echo_sweep_rounds, mis_tag, prologue_rounds, stages_for, AutoChoice, RaiseRule,
-    SolverConfig,
+    auto_choice, echo_sweep_rounds, mis_tag, prologue_rounds, stages_for, validate_epsilon,
+    AutoChoice, RaiseRule, SolverConfig,
 };
 use treenet_decomp::{ConvergecastForest, LayeredDecomposition, Strategy};
 use treenet_graph::{RootedTree, VertexId};
@@ -604,11 +604,7 @@ pub(crate) fn plan(
     choice: AutoChoice,
     config: &DistConfig,
 ) -> Result<(Arc<PublicInfo>, Vec<HalfPlan>), DistError> {
-    if !(config.epsilon > 0.0 && config.epsilon < 1.0) {
-        return Err(DistError::BadParameters {
-            reason: format!("epsilon must lie in (0,1), got {}", config.epsilon),
-        });
-    }
+    validate_epsilon(config.epsilon).map_err(|reason| DistError::BadParameters { reason })?;
     let layering = choice.layering(problem, config.strategy);
     let layers = LayeredDecomposition::new(problem, &layering);
     let num_groups = layers.num_groups() as u32;
@@ -1205,7 +1201,7 @@ mod tests {
     use super::*;
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
-    use treenet_core::{solve, solve_auto};
+    use treenet_core::{solve, solve_auto, DeltaEngine};
     use treenet_model::workload::{HeightMode, LineWorkload, TreeWorkload};
 
     fn problem(seed: u64) -> Problem {
@@ -1481,6 +1477,53 @@ mod tests {
                     assert!(
                         matches!(&result, Err(DistError::BadParameters { reason: r }) if r.contains(reason)),
                         "expected a {reason} error, got {result:?}"
+                    );
+                }
+            }
+        }
+    }
+
+    /// An a-priori `hmin` outside `(0, 1]` is refused in-band by every
+    /// arbitrary-height runner and by the online engine, with the same
+    /// `bad parameters` error naming `hmin`.
+    #[test]
+    fn rejects_an_a_priori_hmin_that_is_not_a_height() {
+        for (choice, workload, _) in THEOREMS {
+            if matches!(choice, AutoChoice::TreeUnit | AutoChoice::LineUnit) {
+                continue;
+            }
+            let p = workload(0);
+            for hmin in [0.0, -1.0, f64::NAN] {
+                let cfg = SolverConfig::default().with_hmin(hmin);
+                let dist = DistConfig::from(&cfg);
+                let results = [
+                    (
+                        "solve",
+                        solve(&p, choice, &cfg).map(drop).map_err(|e| e.to_string()),
+                    ),
+                    (
+                        "run_distributed",
+                        run_distributed(&p, choice, &dist)
+                            .map(drop)
+                            .map_err(|e| e.to_string()),
+                    ),
+                    (
+                        "run_distributed_reference",
+                        run_distributed_reference(&p, choice, &dist)
+                            .map(drop)
+                            .map_err(|e| e.to_string()),
+                    ),
+                    (
+                        "DeltaEngine::new",
+                        DeltaEngine::new(p.clone(), &cfg)
+                            .map(drop)
+                            .map_err(|e| e.to_string()),
+                    ),
+                ];
+                for (runner, result) in results {
+                    assert!(
+                        matches!(&result, Err(e) if e.starts_with("bad parameters") && e.contains("hmin")),
+                        "{runner} {choice:?} hmin = {hmin}: {result:?}"
                     );
                 }
             }

@@ -59,10 +59,14 @@ impl Server {
     ///
     /// # Errors
     ///
+    /// Whatever [`DeltaEngine::new`] raises, in its check order:
+    /// [`DeltaEngineError::Framework`] for an `ε` outside `(0, 1)`; then
     /// [`DeltaEngineError::NonUnitHeight`] if the bootstrap problem holds
     /// a non-unit-height demand and the config fixes no `hmin` floor, or
-    /// any other [`DeltaEngineError`] the engine raises at construction
-    /// (bad floor, heights below it, instances shorter than `Lmin`).
+    /// [`DeltaEngineError::HeightBelowFloor`] for a bootstrap demand
+    /// under the floor; then [`DeltaEngineError::Framework`] for an
+    /// `hmin` outside `(0, 1]`. The `Framework` errors are the ones
+    /// [`treenet_core::solve`] returns for the same config.
     pub fn new(problem: Problem, config: &SolverConfig) -> Result<Server, DeltaEngineError> {
         let seeded: Vec<DemandId> = problem.demands().collect();
         let engine = DeltaEngine::new(problem, config)?;
@@ -427,6 +431,24 @@ mod tests {
         s.handle_line(r#"{"op":"withdraw","id":2}"#);
         let r = s.handle_line(r#"{"op":"check"}"#);
         assert!(r.contains(r#""identical":true"#), "{r}");
+    }
+
+    #[test]
+    fn bad_epsilon_is_refused_at_construction() {
+        let build = || {
+            let mut b = ProblemBuilder::new();
+            b.add_network(Tree::line(10)).unwrap();
+            b.add_demand(Demand::pair(VertexId(0), VertexId(4), 1.0), &[NetworkId(0)])
+                .unwrap();
+            b.build().unwrap()
+        };
+        let config = SolverConfig::default().with_epsilon(2.0);
+        let Err(err) = Server::new(build(), &config) else {
+            panic!("a server with epsilon = 2 started");
+        };
+        let choice = treenet_core::auto_choice(&build());
+        let solve_err = treenet_core::solve(&build(), choice, &config).unwrap_err();
+        assert_eq!(err.to_string(), solve_err.to_string());
     }
 
     #[test]
