@@ -23,6 +23,8 @@
 //! * at ≥10⁵ queued demands, the warm median re-solve must be at least
 //!   **5×** faster than the cold solve — in *both* modes: the
 //!   capacitated 10⁵ row holds the same line as the unit one;
+//! * the warm path is scale-free: when a rule's 10⁴ and 10⁵ rows both
+//!   ran, its 10⁵ warm median is at most **2×** its 10⁴ warm median;
 //! * the emitted JSON must re-read through the typed schema.
 
 use rand::rngs::SmallRng;
@@ -36,7 +38,7 @@ use treenet_model::workload::{HeightMode, TreeWorkload};
 use treenet_serve::{OpenLoop, Request, Server};
 
 /// Schema tag checked by the smoke validation (bump on layout changes).
-const SCHEMA: &str = "treenet-bench/serve/v2";
+const SCHEMA: &str = "treenet-bench/serve/v3";
 
 /// Height floor served by capacitated scenarios.
 const HMIN: f64 = 0.25;
@@ -46,6 +48,16 @@ const GATE_DEMANDS: u64 = 100_000;
 
 /// Required warm-vs-cold median speedup at the gate size.
 const GATE_SPEEDUP: f64 = 5.0;
+
+/// Queued-demand count of the rows every row's warm median is compared
+/// against (`scale_ratio`).
+const SCALE_BASE_DEMANDS: u64 = 10_000;
+
+/// Queued-demand count at which the scale gate binds.
+const SCALE_GATE_DEMANDS: u64 = 100_000;
+
+/// Largest allowed `scale_ratio` at the scale gate's size.
+const SCALE_GATE: f64 = 2.0;
 
 /// Which server mode a scenario boots.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -172,6 +184,9 @@ struct ScenarioReport {
     speedup: f64,
     /// Wire-level requests per second over the timed delta stream.
     requests_per_sec: f64,
+    /// `warm_p50_us` over the warm p50 of the same rule's 10⁴ row
+    /// (`None` when that row did not run).
+    scale_ratio: Option<f64>,
     /// Final warm state bit-identical to the from-scratch oracle.
     identical: bool,
 }
@@ -182,6 +197,8 @@ struct ServeReport {
     mode: String,
     gate_demands: u64,
     gate_speedup: f64,
+    scale_gate_demands: u64,
+    scale_gate: f64,
     scenarios: Vec<ScenarioReport>,
 }
 
@@ -278,7 +295,23 @@ fn run_scenario(s: &Scenario) -> ScenarioReport {
         cold_median_us,
         speedup: cold_median_us / warm_p50_us,
         requests_per_sec: (2 * s.deltas) as f64 / total_secs,
+        scale_ratio: None,
         identical,
+    }
+}
+
+/// Fills each row's `scale_ratio` from the same rule's 10⁴ row, if it ran.
+fn record_scale_ratios(rows: &mut [ScenarioReport]) {
+    let base: Vec<(String, f64)> = rows
+        .iter()
+        .filter(|r| r.demands == SCALE_BASE_DEMANDS)
+        .map(|r| (r.rule.clone(), r.warm_p50_us))
+        .collect();
+    for row in rows {
+        row.scale_ratio = base
+            .iter()
+            .find(|(rule, _)| *rule == row.rule)
+            .map(|(_, p50)| row.warm_p50_us / p50);
     }
 }
 
@@ -315,6 +348,17 @@ fn validate_json(path: &str) -> Result<ServeReport, String> {
                 "{path}: scenario {} speedup {:.2}x below the {:.0}x gate",
                 s.scenario, s.speedup, report.gate_speedup
             ));
+        }
+        if let Some(ratio) = s.scale_ratio {
+            if s.demands == report.scale_gate_demands
+                && (ratio.is_nan() || ratio > report.scale_gate)
+            {
+                return Err(format!(
+                    "{path}: scenario {} warm p50 is {ratio:.2}x its 10^4 row's, \
+                     above the {:.0}x scale gate",
+                    s.scenario, report.scale_gate
+                ));
+            }
         }
     }
     Ok(report)
@@ -365,13 +409,14 @@ fn main() {
             "warm p99 [µs]",
             "cold med [µs]",
             "speedup",
+            "scale",
             "req/s",
             "identical",
         ],
     );
-    let mut rows = Vec::new();
-    for s in &scenarios {
-        let row = run_scenario(s);
+    let mut rows: Vec<ScenarioReport> = scenarios.iter().map(|s| run_scenario(s)).collect();
+    record_scale_ratios(&mut rows);
+    for row in &rows {
         table.row(&[
             row.scenario.clone(),
             row.rule.clone(),
@@ -385,10 +430,11 @@ fn main() {
             f2(row.warm_p99_us),
             f2(row.cold_median_us),
             format!("{:.1}x", row.speedup),
+            row.scale_ratio
+                .map_or_else(|| "-".to_string(), |r| format!("{r:.2}x")),
             f2(row.requests_per_sec),
             row.identical.to_string(),
         ]);
-        rows.push(row);
     }
     table.print();
 
@@ -397,6 +443,8 @@ fn main() {
         mode: if smoke { "smoke" } else { "full" }.to_string(),
         gate_demands: GATE_DEMANDS,
         gate_speedup: GATE_SPEEDUP,
+        scale_gate_demands: SCALE_GATE_DEMANDS,
+        scale_gate: SCALE_GATE,
         scenarios: rows,
     };
     let json = serde_json::to_string_pretty(&report).expect("report serializes");

@@ -67,6 +67,25 @@
 //! everything with [`run_two_phase_reference`] and must agree bit-for-bit
 //! after **any** delta sequence — the invariant the proptest oracles and
 //! `treenet-serve`'s `check` op enforce.
+//!
+//! # Cost of a warm write
+//!
+//! Every step of a write is local to the touched component:
+//!
+//! * [`run_two_phase`] works in its participants' frame, so a component's
+//!   run costs what its instances, their paths and their networks' edges
+//!   cost, never what the problem costs;
+//! * the global assembly is kept incrementally, in step with the cache:
+//!   per half, an ordered multiset of the component λs (its first key is
+//!   the global min-fold, bitwise) and the union of the selections ordered
+//!   by `(network, instance)`. A wide/narrow split re-decides the
+//!   per-network combination ([`combine_by_network`]) only on networks
+//!   whose selection changed, and [`Problem`] counts its live instances,
+//!   so [`DeltaEngine::resolve`] reports λ, the schedule's size and the
+//!   live count without assembling the schedule.
+//!   [`DeltaEngine::solution`] assembles it on demand.
+//!
+//! The bootstrap resolve is the sum of the components' local runs.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
@@ -76,13 +95,14 @@ use crate::framework::{
     RaiseRule,
 };
 use crate::solvers::{
-    all_canonical_lines, combine_by_network, framework_config, AutoChoice, SolverConfig,
+    all_canonical_lines, combine_by_network, combine_decision, framework_config, AutoChoice,
+    SolverConfig,
 };
 use treenet_decomp::{LayeredDecomposition, Layering, Strategy};
 use treenet_graph::UnionFind;
 use treenet_model::{
-    DeltaEffect, Demand, DemandKind, HeightClass, InstanceId, ModelError, Problem, ProblemDelta,
-    Solution, EPS,
+    DeltaEffect, Demand, DemandId, DemandKind, HeightClass, InstanceId, ModelError, NetworkId,
+    Problem, ProblemDelta, Solution, EPS,
 };
 
 /// The a-priori critical-set bound of the ideal tree decomposition
@@ -196,6 +216,131 @@ struct ComponentSolve {
     selected: Vec<InstanceId>,
 }
 
+/// One half's share of the global assembly: what the cached components
+/// of that half add up to.
+#[derive(Clone, Debug, Default)]
+struct HalfAssembly {
+    /// The multiset of cached component λs, keyed by their bits. λs are
+    /// non-negative, and non-negative floats order like their bits, so
+    /// the first key is the min-fold of the multiset.
+    lambdas: BTreeMap<u64, usize>,
+    /// The union of the cached selections, ordered by network, then
+    /// instance.
+    selected: BTreeSet<(NetworkId, InstanceId)>,
+}
+
+impl HalfAssembly {
+    /// The profit and the number of this half's selected instances on
+    /// network `t`; the profit sums in ascending instance order, as
+    /// [`combine_by_network`] sums it.
+    fn on_network(&self, problem: &Problem, t: NetworkId) -> (f64, usize) {
+        let range = (t, InstanceId(0))..=(t, InstanceId(u32::MAX));
+        self.selected
+            .range(range)
+            .fold((0.0, 0), |(profit, count), &(_, d)| {
+                (profit + problem.profit_of(d), count + 1)
+            })
+    }
+}
+
+/// The global schedule's λ and size over the cached component solves,
+/// kept in step with the cache so that a resolve touches only what its
+/// dirty components touch.
+#[derive(Clone, Debug)]
+struct Assembly {
+    /// One per half, in [`AutoChoice::halves`] order.
+    halves: Vec<HalfAssembly>,
+    /// Wide/narrow split only: per network, how many instances the
+    /// per-network combination keeps there (absent: none).
+    kept: BTreeMap<NetworkId, usize>,
+    /// Wide/narrow split only: networks whose selection changed since
+    /// `kept` was last brought up to date.
+    changed: BTreeSet<NetworkId>,
+    /// Wide/narrow split only: the sum of `kept`.
+    combined: usize,
+}
+
+impl Assembly {
+    fn new(halves: usize) -> Self {
+        Assembly {
+            halves: vec![HalfAssembly::default(); halves],
+            kept: BTreeMap::new(),
+            changed: BTreeSet::new(),
+            combined: 0,
+        }
+    }
+
+    /// Adds (`add`) or removes one component's solves, one per half.
+    fn update(&mut self, problem: &Problem, solves: &[ComponentSolve], add: bool) {
+        let split = self.halves.len() == 2;
+        for (half, solve) in self.halves.iter_mut().zip(solves) {
+            let bits = solve.lambda.to_bits();
+            if add {
+                *half.lambdas.entry(bits).or_default() += 1;
+            } else if let Some(count) = half.lambdas.get_mut(&bits) {
+                *count -= 1;
+                if *count == 0 {
+                    half.lambdas.remove(&bits);
+                }
+            }
+            for &d in &solve.selected {
+                let key = (problem.instance(d).network, d);
+                if add {
+                    half.selected.insert(key);
+                } else {
+                    half.selected.remove(&key);
+                }
+                if split {
+                    self.changed.insert(key.0);
+                }
+            }
+        }
+    }
+
+    /// The global λ: the min-fold, seeded at `1.0`, of every half's
+    /// smallest component λ.
+    fn lambda(&self) -> f64 {
+        self.halves
+            .iter()
+            .filter_map(|half| half.lambdas.keys().next())
+            .map(|&bits| f64::from_bits(bits))
+            .fold(1.0f64, f64::min)
+    }
+
+    /// The size of the assembled schedule: a single half's selection, or
+    /// what [`combine_by_network`] keeps of a split, re-deciding only the
+    /// networks whose selection changed.
+    fn selected(&mut self, problem: &Problem) -> usize {
+        let [wide, narrow] = &self.halves[..] else {
+            return self.halves[0].selected.len();
+        };
+        for t in std::mem::take(&mut self.changed) {
+            let (wide_profit, wide_count) = wide.on_network(problem, t);
+            let (narrow_profit, narrow_count) = narrow.on_network(problem, t);
+            let keep = if combine_decision(wide_profit, narrow_profit) {
+                wide_count
+            } else {
+                narrow_count
+            };
+            let old = if keep == 0 {
+                self.kept.remove(&t)
+            } else {
+                self.kept.insert(t, keep)
+            };
+            self.combined = self.combined - old.unwrap_or(0) + keep;
+        }
+        self.combined
+    }
+
+    /// Per half, the sorted union of the cached selections.
+    fn unions(&self) -> Vec<Solution> {
+        self.halves
+            .iter()
+            .map(|half| Solution::new(half.selected.iter().map(|&(_, d)| d).collect()))
+            .collect()
+    }
+}
+
 /// Cumulative counters of an engine's lifetime, for the serve `stats` op
 /// and the throughput bench.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -211,17 +356,18 @@ pub struct DeltaEngineStats {
     pub instances_resolved: u64,
 }
 
-/// What a [`DeltaEngine::resolve`] call produced: the globally assembled
-/// schedule plus how much work the warm start actually did.
+/// What a [`DeltaEngine::resolve`] call produced: the global λ and the
+/// size of the global schedule, plus how much work the warm start
+/// actually did. [`DeltaEngine::solution`] assembles the schedule itself.
 #[derive(Clone, Debug)]
 pub struct ResolveOutcome {
     /// Measured slackness λ over all live instances (min of component λs;
     /// `1.0` when nothing is live).
     pub lambda: f64,
-    /// The assembled feasible solution (union of component selections;
-    /// for a wide/narrow split, the per-network combination of the two
-    /// halves).
-    pub solution: Solution,
+    /// The number of instances the global schedule selects (the union of
+    /// component selections; for a wide/narrow split, what the
+    /// per-network combination of the two halves keeps).
+    pub selected: usize,
     /// Components re-solved by this call (dirty ones only).
     pub components_resolved: usize,
     /// Participant instances of the re-solved components.
@@ -271,6 +417,8 @@ pub struct DeltaEngine {
     /// Component root → cached solve of its live participants, one per
     /// half.
     cache: BTreeMap<u32, Vec<ComponentSolve>>,
+    /// What the cached solves add up to, kept in step with `cache`.
+    assembly: Assembly,
     /// Demand keys touched since the last resolve (mapped to their
     /// *current* roots lazily, since later unions can re-root them).
     dirty: BTreeSet<u32>,
@@ -353,7 +501,7 @@ impl DeltaEngine {
         } else {
             IDEAL_DELTA_BOUND
         };
-        let halves = choice
+        let halves: Vec<EngineHalf> = choice
             .halves(&problem, delta_bound, config.hmin)
             .map_err(bad)?
             .into_iter()
@@ -368,6 +516,7 @@ impl DeltaEngine {
             .collect();
         let layers = LayeredDecomposition::new(&problem, &layering);
 
+        let assembly = Assembly::new(halves.len());
         let mut comps = UnionFind::new(problem.demand_count());
         // Demands conflict iff some pair of their instances shares an
         // edge; instances_using lists each edge's users in id order, so
@@ -400,6 +549,7 @@ impl DeltaEngine {
             comps,
             comp_demands,
             cache: BTreeMap::new(),
+            assembly,
             dirty,
             stats: DeltaEngineStats::default(),
         })
@@ -501,7 +651,7 @@ impl DeltaEngine {
             let root = self.comps.find(key);
             let mut members = Vec::new();
             for r in old_roots {
-                self.cache.remove(&r);
+                self.evict(r);
                 if let Some(mut list) = self.comp_demands.remove(&r) {
                     members.append(&mut list);
                 }
@@ -510,39 +660,46 @@ impl DeltaEngine {
             self.comp_demands.insert(root, members);
         } else {
             let root = self.comps.find(effect.demand.0);
-            self.cache.remove(&root);
+            self.evict(root);
         }
         self.dirty.insert(effect.demand.0);
         Ok(effect)
     }
 
+    /// Drops component `root`'s cached solves and their share of the
+    /// assembly.
+    fn evict(&mut self, root: u32) {
+        if let Some(solves) = self.cache.remove(&root) {
+            self.assembly.update(&self.problem, &solves, false);
+        }
+    }
+
     /// Warm re-solve: re-runs each half of the theorem over the dirty
     /// components' live instances only, keeping every clean component's
-    /// cached `(λ, selected)`, then assembles the global schedule.
+    /// cached `(λ, selected)`, then reports the global λ and the size of
+    /// the global schedule from the incrementally kept assembly.
+    ///
+    /// Every dirty component solves before any result is committed, so a
+    /// failed resolve changes nothing: the dirty components stay dirty and
+    /// the next resolve re-solves them.
     ///
     /// # Errors
     ///
     /// Propagates [`FrameworkError`] from a component run.
     pub fn resolve(&mut self) -> Result<ResolveOutcome, FrameworkError> {
-        let dirty: Vec<u32> = std::mem::take(&mut self.dirty).into_iter().collect();
-        let mut roots: BTreeSet<u32> = BTreeSet::new();
-        for d in dirty {
-            roots.insert(self.comps.find(d));
-        }
-        let mut components_resolved = 0usize;
+        let roots: BTreeSet<u32> = self.dirty.iter().map(|&a| self.comps.find(a)).collect();
+        let mut solved = Vec::with_capacity(roots.len());
         let mut instances_resolved = 0usize;
         for root in roots {
-            let members = self.comp_demands.get(&root).cloned().unwrap_or_default();
             let mut participants: Vec<InstanceId> = Vec::new();
-            for a in members {
-                let a = treenet_model::DemandId(a);
-                if !self.problem.is_departed(a) {
-                    participants.extend_from_slice(self.problem.instances_of(a));
+            for &a in self.comp_demands.get(&root).map_or(&[][..], Vec::as_slice) {
+                if !self.problem.is_departed(DemandId(a)) {
+                    participants.extend_from_slice(self.problem.instances_of(DemandId(a)));
                 }
             }
             participants.sort_unstable();
             if participants.is_empty() {
-                self.cache.remove(&root);
+                solved.push((root, None));
                 continue;
             }
             let solves = self
@@ -550,44 +707,43 @@ impl DeltaEngine {
                 .iter()
                 .map(|half| self.component_solve(half, &participants))
                 .collect::<Result<Vec<_>, _>>()?;
-            components_resolved += 1;
             instances_resolved += participants.len();
-            self.cache.insert(root, solves);
+            solved.push((root, Some(solves)));
+        }
+        self.dirty.clear();
+        let mut components_resolved = 0usize;
+        for (root, solves) in solved {
+            self.evict(root);
+            if let Some(solves) = solves {
+                self.assembly.update(&self.problem, &solves, true);
+                self.cache.insert(root, solves);
+                components_resolved += 1;
+            }
         }
         self.stats.resolves += 1;
         self.stats.components_resolved += components_resolved as u64;
         self.stats.instances_resolved += instances_resolved as u64;
         Ok(ResolveOutcome {
             lambda: self.lambda(),
-            solution: self.solution(),
+            selected: self.assembly.selected(&self.problem),
             components_resolved,
             instances_resolved,
-            live_instances: self.problem.live_instances().len(),
+            live_instances: self.problem.live_instance_count(),
         })
     }
 
-    /// One half's run over one component's live instances. A half with
-    /// no participants short-circuits to λ = 1.0 (the min-fold seed) and
-    /// no selection — bitwise what the empty run returns, without paying
-    /// for it.
+    /// One half's run over one component's live instances.
     fn component_solve(
         &self,
         half: &EngineHalf,
         instances: &[InstanceId],
     ) -> Result<ComponentSolve, FrameworkError> {
-        let participants = half.participants(&self.problem, instances);
-        if participants.is_empty() {
-            return Ok(ComponentSolve {
-                lambda: 1.0,
-                selected: Vec::new(),
-            });
-        }
         let outcome = run_two_phase(
             &self.problem,
             &self.layers,
             half.rule,
             &half.config,
-            &participants,
+            &half.participants(&self.problem, instances),
         )?;
         Ok(ComponentSolve {
             lambda: outcome.lambda,
@@ -600,29 +756,15 @@ impl DeltaEngine {
     /// λ after a [`DeltaEngine::resolve`] (min-folds of the same
     /// non-negative satisfaction multiset associate freely).
     pub fn lambda(&self) -> f64 {
-        self.cache
-            .values()
-            .flatten()
-            .map(|c| c.lambda)
-            .fold(1.0f64, f64::min)
+        self.assembly.lambda()
     }
 
-    /// The current global schedule: per half, the sorted union of the
-    /// cached component selections; for a wide/narrow split, the
+    /// The current global schedule, assembled: per half, the sorted union
+    /// of the cached component selections; for a wide/narrow split, the
     /// per-network combination of the two (bitwise the reference
     /// combination, since both half unions are).
     pub fn solution(&self) -> Solution {
-        let unions = (0..self.halves.len())
-            .map(|h| {
-                Solution::new(
-                    self.cache
-                        .values()
-                        .flat_map(|c| c[h].selected.iter().copied())
-                        .collect(),
-                )
-            })
-            .collect();
-        self.assemble(unions)
+        self.assemble(self.assembly.unions())
     }
 
     /// Assembles the halves' solutions exactly as [`solve`](crate::solve)
@@ -703,7 +845,8 @@ mod tests {
             assert_eq!(e.hmin(), None);
             let out = e.resolve().unwrap();
             assert!(out.components_resolved >= 1);
-            assert!(out.solution.verify(e.problem()).is_ok());
+            assert!(e.solution().verify(e.problem()).is_ok());
+            assert_eq!(out.selected, e.solution().len());
             assert_matches_reference(&e);
         }
     }
@@ -780,7 +923,8 @@ mod tests {
         }
         let out = e.resolve().unwrap();
         assert_eq!(out.lambda, 1.0);
-        assert!(out.solution.is_empty());
+        assert_eq!(out.selected, 0);
+        assert!(e.solution().is_empty());
         assert_eq!(out.live_instances, 0);
         assert_matches_reference(&e);
     }
@@ -839,7 +983,8 @@ mod tests {
             let mut e = DeltaEngine::new(p, &SolverConfig::default().with_hmin(0.2)).unwrap();
             assert_eq!(e.hmin(), Some(0.2));
             let out = e.resolve().unwrap();
-            assert!(out.solution.verify(e.problem()).is_ok());
+            assert!(e.solution().verify(e.problem()).is_ok());
+            assert_eq!(out.selected, e.solution().len());
             assert_matches_reference(&e);
             // Warm deltas: a narrow arrival, a wide arrival, a departure.
             e.apply(ProblemDelta::Arrival {
@@ -1027,6 +1172,59 @@ mod tests {
         .unwrap();
         e.resolve().unwrap();
         assert_matches_reference(&e);
+    }
+
+    #[test]
+    fn failed_resolve_keeps_its_dirty_components() {
+        // A component run that fails must leave every dirty component
+        // dirty: the retry re-solves them all instead of serving the
+        // schedule of whatever had been committed (here: nothing).
+        let mut e = engine(3);
+        let budget = e.halves[0].config.max_steps_per_stage;
+        e.halves[0].config.max_steps_per_stage = Some(0);
+        assert!(matches!(
+            e.resolve(),
+            Err(FrameworkError::StageDiverged { .. })
+        ));
+        e.halves[0].config.max_steps_per_stage = budget;
+        let out = e.resolve().unwrap();
+        assert_eq!(out.components_resolved, e.component_count());
+        let reference = e.reference_solve().unwrap();
+        assert_eq!(out.lambda.to_bits(), reference.lambda.to_bits());
+        assert_eq!(out.selected, reference.solution.len());
+        assert!(!reference.solution.is_empty());
+        assert_matches_reference(&e);
+    }
+
+    #[test]
+    fn split_selection_count_follows_the_per_network_combination() {
+        // The incrementally kept size of a wide/narrow schedule equals the
+        // assembled combination's after every resolve of a churn script.
+        let mut e = DeltaEngine::new(
+            capacitated_problem(2),
+            &SolverConfig::default().with_hmin(0.2),
+        )
+        .unwrap();
+        let out = e.resolve().unwrap();
+        assert_eq!(out.selected, e.solution().len());
+        for step in 0..12u32 {
+            let delta = if step % 3 == 2 {
+                ProblemDelta::Departure {
+                    demand: DemandId(step),
+                }
+            } else {
+                let u = step % 7;
+                ProblemDelta::Arrival {
+                    demand: Demand::pair(VertexId(u), VertexId(u + 6), 1.0 + f64::from(step))
+                        .with_height(if step % 2 == 0 { 0.3 } else { 0.9 }),
+                    access: vec![NetworkId(step % 2)],
+                }
+            };
+            e.apply(delta).unwrap();
+            let out = e.resolve().unwrap();
+            assert_eq!(out.selected, e.solution().len(), "step {step}");
+            assert_matches_reference(&e);
+        }
     }
 
     #[test]

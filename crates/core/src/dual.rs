@@ -8,6 +8,20 @@
 //! * arbitrary height: `α(a_d) + h(d)·Σ_{e : d∼e} β(e) ≥ p(d)`,
 //!
 //! and `d` is `ξ`-*satisfied* when the LHS reaches `ξ·p(d)`.
+//!
+//! # Frames
+//!
+//! A [`DualState`] stores values for a *frame*. [`DualState::new`] frames
+//! the whole problem: every demand and every edge, the state the
+//! from-scratch reference runner and the baselines raise.
+//! [`DualState::for_participants`] frames one run's participants: their
+//! demands, the networks they touch (one dense `β` array each) and one
+//! LHS cache slot per participant, so building it costs
+//! `O(|P| + Σ_{touched T} |E(T)|)` whatever the size of the problem. A
+//! run raises only its participants' duals, so every variable outside its
+//! frame is zero: the reads ([`DualState::alpha`], [`DualState::beta`],
+//! [`DualState::lhs`], [`DualState::value`]) answer for every id of the
+//! problem, bit for bit what a whole-problem state would answer.
 
 use treenet_graph::EdgeId;
 use treenet_model::{DemandId, InstanceId, NetworkId, Problem};
@@ -25,43 +39,141 @@ pub enum DualForm {
     Capacitated,
 }
 
-/// The dual variable assignment `⟨α, β⟩`, with an optional per-instance
-/// cache of the dual LHS values.
+/// The demand or network ids a frame holds variables for.
+#[derive(Clone, Debug)]
+enum Ids {
+    /// Every id of the problem: id `i` lives in slot `i`.
+    All,
+    /// A strictly ascending subset: an id lives in the slot of its rank.
+    Listed(Vec<u32>),
+}
+
+impl Ids {
+    fn slot(&self, id: u32) -> Option<usize> {
+        match self {
+            Ids::All => Some(id as usize),
+            Ids::Listed(ids) => ids.binary_search(&id).ok(),
+        }
+    }
+}
+
+/// The dual variable assignment `⟨α, β⟩` over a frame (see the module
+/// docs), with a per-participant cache of the dual LHS values when the
+/// frame is a run's participants.
 ///
 /// The cache exists for the incremental phase-1 engine: instead of
-/// re-walking every instance's path edges on every step, the engine
-/// marks exactly the instances a raise touches as *stale* (found through
-/// [`Problem::instances_using`] — an `O(1)` flag per instance) and
-/// recomputes lazily at the next read, at most once per instance per
-/// step no matter how many raises touched it. Refreshing *recomputes*
-/// the LHS with the same summation order as [`DualState::lhs`], so cached
-/// values are bit-identical to a from-scratch evaluation — the property
-/// that keeps the logical and message-passing executions equal.
+/// re-walking every member's path edges on every step, the engine marks
+/// the epoch members a raise touches as *stale* (an `O(1)` flag per cache
+/// slot) and recomputes at the next read, at most once per member per
+/// step no matter how many raises touched it; other participants are
+/// recomputed when they are next read. Refreshing *recomputes* the LHS
+/// with the same summation order as [`DualState::lhs`], so cached values
+/// are bit-identical to a from-scratch evaluation — the property that
+/// keeps the logical and message-passing executions equal. Cache slot `i`
+/// holds [`DualState::participants`]`[i]`.
 #[derive(Clone, Debug)]
 pub struct DualState {
     form: DualForm,
+    /// Demands with an `α` slot.
+    demands: Ids,
     alpha: Vec<f64>,
+    /// Networks with a dense `β` array.
+    networks: Ids,
     beta: Vec<Vec<f64>>,
-    /// Cached LHS per instance; empty until [`DualState::enable_cache`].
+    /// The cached participants, ascending; empty for a whole-problem
+    /// frame.
+    participants: Vec<InstanceId>,
+    /// Per cache slot: the `α` slot of its demand and the `β` slot of its
+    /// network.
+    var_slots: Vec<(u32, u32)>,
     lhs_cache: Vec<f64>,
-    /// Parallel staleness flags: `dirty[d]` means `lhs_cache[d]` predates
-    /// a raise that touched `d`'s constraint and must be recomputed
-    /// before use.
-    dirty: Vec<bool>,
+    /// `stale[i]` means `lhs_cache[i]` predates a raise that touched the
+    /// constraint and must be recomputed before use.
+    stale: Vec<bool>,
+    /// Whether the problem has a demand and an edge: the dense sums
+    /// [`DualState::value`] reproduces start from `+0.0` exactly then.
+    has_demands: bool,
+    has_edges: bool,
 }
 
 impl DualState {
-    /// All-zero duals for `problem` under the given form.
+    /// All-zero duals for every demand and every edge of `problem`,
+    /// without an LHS cache — the whole-problem frame.
     pub fn new(problem: &Problem, form: DualForm) -> Self {
         DualState {
             form,
+            demands: Ids::All,
             alpha: vec![0.0; problem.demand_count()],
+            networks: Ids::All,
             beta: problem
                 .networks()
                 .map(|t| vec![0.0; problem.network(t).edge_count()])
                 .collect(),
+            participants: Vec::new(),
+            var_slots: Vec::new(),
             lhs_cache: Vec::new(),
-            dirty: Vec::new(),
+            stale: Vec::new(),
+            has_demands: problem.demand_count() > 0,
+            has_edges: problem.vertex_count() > 1,
+        }
+    }
+
+    /// All-zero duals over the participant frame of a run: an `α` per
+    /// participant demand, a dense `β` array per network a participant
+    /// uses, and one fresh LHS cache slot per participant, in order.
+    ///
+    /// Zero duals give every LHS `+0.0` (`α + h·Σβ` over `+0.0` terms),
+    /// so the cache starts filled without walking a path.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `participants` is strictly ascending.
+    pub fn for_participants(
+        problem: &Problem,
+        form: DualForm,
+        participants: &[InstanceId],
+    ) -> Self {
+        assert!(
+            participants.windows(2).all(|w| w[0] < w[1]),
+            "participants must be strictly ascending"
+        );
+        let mut networks: Vec<u32> = participants
+            .iter()
+            .map(|&d| problem.instance(d).network.0)
+            .collect();
+        // A demand's instances often share a network, so dropping repeats
+        // first leaves little to sort.
+        networks.dedup();
+        networks.sort_unstable();
+        networks.dedup();
+        let mut demands: Vec<u32> = Vec::new();
+        let mut var_slots = Vec::with_capacity(participants.len());
+        for &d in participants {
+            let inst = problem.instance(d);
+            // Instance ids are issued demand by demand, so the demands of
+            // ascending participants ascend too.
+            if demands.last() != Some(&inst.demand.0) {
+                debug_assert!(demands.last() < Some(&inst.demand.0));
+                demands.push(inst.demand.0);
+            }
+            let t = networks.partition_point(|&t| t < inst.network.0);
+            var_slots.push(((demands.len() - 1) as u32, t as u32));
+        }
+        DualState {
+            form,
+            alpha: vec![0.0; demands.len()],
+            demands: Ids::Listed(demands),
+            beta: networks
+                .iter()
+                .map(|&t| vec![0.0; problem.network(NetworkId(t)).edge_count()])
+                .collect(),
+            networks: Ids::Listed(networks),
+            participants: participants.to_vec(),
+            var_slots,
+            lhs_cache: vec![0.0; participants.len()],
+            stale: vec![false; participants.len()],
+            has_demands: problem.demand_count() > 0,
+            has_edges: problem.vertex_count() > 1,
         }
     }
 
@@ -70,44 +182,79 @@ impl DualState {
         self.form
     }
 
-    /// `α(a)`.
+    /// `α(a)`; zero outside the frame.
     #[inline]
     pub fn alpha(&self, a: DemandId) -> f64 {
-        self.alpha[a.index()]
+        self.demands.slot(a.0).map_or(0.0, |s| self.alpha[s])
     }
 
-    /// `β(e)` for edge `e` of network `t`.
+    /// `β(e)` for edge `e` of network `t`; zero outside the frame.
     #[inline]
     pub fn beta(&self, t: NetworkId, e: EdgeId) -> f64 {
-        self.beta[t.index()][e.index()]
+        self.networks
+            .slot(t.0)
+            .map_or(0.0, |s| self.beta[s][e.index()])
     }
 
     /// Adds `amount` to `α(a)`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `a` lies outside the frame.
     #[inline]
     pub fn raise_alpha(&mut self, a: DemandId, amount: f64) {
-        self.alpha[a.index()] += amount;
+        let s = self.alpha_slot(a);
+        self.alpha[s] += amount;
     }
 
     /// Adds `amount` to `β(e)` of network `t`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `t` lies outside the frame.
     #[inline]
     pub fn raise_beta(&mut self, t: NetworkId, e: EdgeId, amount: f64) {
-        self.beta[t.index()][e.index()] += amount;
+        let s = self.beta_slot(t);
+        self.beta[s][e.index()] += amount;
+    }
+
+    fn alpha_slot(&self, a: DemandId) -> usize {
+        self.demands
+            .slot(a.0)
+            .unwrap_or_else(|| panic!("demand {a} lies outside the dual's frame"))
+    }
+
+    fn beta_slot(&self, t: NetworkId) -> usize {
+        self.networks
+            .slot(t.0)
+            .unwrap_or_else(|| panic!("network {t} lies outside the dual's frame"))
     }
 
     /// LHS of the dual constraint of instance `d`.
     pub fn lhs(&self, problem: &Problem, d: InstanceId) -> f64 {
         let inst = problem.instance(d);
-        let beta_sum: f64 = inst
-            .path
-            .edges()
-            .iter()
-            .map(|&e| self.beta[inst.network.index()][e.index()])
-            .sum();
+        let beta = self
+            .networks
+            .slot(inst.network.0)
+            .map(|s| &self.beta[s][..]);
+        self.lhs_with(problem, d, self.alpha(inst.demand), beta)
+    }
+
+    /// The LHS of `d` from its `α` and its network's `β` array (`None`
+    /// outside the frame, where every `β` is zero) — the one summation
+    /// order behind every read, cached or not.
+    #[inline]
+    fn lhs_with(&self, problem: &Problem, d: InstanceId, alpha: f64, beta: Option<&[f64]>) -> f64 {
+        let edges = problem.instance(d).path.edges();
+        let beta_sum: f64 = match beta {
+            Some(beta) => edges.iter().map(|&e| beta[e.index()]).sum(),
+            None => edges.iter().map(|_| 0.0).sum(),
+        };
         let scale = match self.form {
             DualForm::Unit => 1.0,
             DualForm::Capacitated => problem.height_of(d),
         };
-        self.alpha[inst.demand.index()] + scale * beta_sum
+        alpha + scale * beta_sum
     }
 
     /// Slack `p(d) - LHS(d)` (negative when over-satisfied).
@@ -121,119 +268,134 @@ impl DualState {
         self.lhs(problem, d) / problem.profit_of(d)
     }
 
-    /// Enables (or resets) the per-instance LHS cache by evaluating
-    /// [`DualState::lhs`] for every instance once. After a raise, mark
-    /// the touched instances with [`DualState::mark_stale`] and refresh
-    /// them before the next read ([`DualState::refresh_if_stale`]).
-    pub fn enable_cache(&mut self, problem: &Problem) {
-        self.lhs_cache = problem
-            .instances()
-            .map(|inst| self.lhs(problem, inst.id))
-            .collect();
-        self.dirty.clear();
-        self.dirty.resize(self.lhs_cache.len(), false);
-    }
-
-    /// Whether the LHS cache is enabled.
-    pub fn cache_enabled(&self) -> bool {
-        !self.lhs_cache.is_empty()
-    }
-
-    /// Flags instance `d`'s cached LHS as stale — `O(1)`, no path walk.
+    /// The `(α, β)` slots of instance `d`'s demand and network.
     ///
     /// # Panics
     ///
-    /// Panics if the cache is disabled or `d` is out of range.
-    #[inline]
-    pub fn mark_stale(&mut self, d: InstanceId) {
-        self.dirty[d.index()] = true;
+    /// Panics if either lies outside the frame.
+    pub(crate) fn var_slots_of(&self, problem: &Problem, d: InstanceId) -> (usize, usize) {
+        let inst = problem.instance(d);
+        (self.alpha_slot(inst.demand), self.beta_slot(inst.network))
     }
 
-    /// Whether instance `d`'s cached LHS is currently stale.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the cache is disabled or `d` is out of range.
+    /// The `(α, β)` slots of cache slot `i`'s demand and network.
     #[inline]
-    pub fn is_stale(&self, d: InstanceId) -> bool {
-        self.dirty[d.index()]
+    pub(crate) fn var_slots(&self, i: usize) -> (usize, usize) {
+        let (a, t) = self.var_slots[i];
+        (a as usize, t as usize)
     }
 
-    /// Recomputes the cached LHS of `d` if (and only if) it is stale —
-    /// the same summation order as [`DualState::lhs`], hence bitwise
-    /// equal to a from-scratch evaluation.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the cache is disabled or `d` is out of range.
+    /// The LHS of `d` whose demand and network sit in `α` slot `a` and
+    /// `β` slot `t`.
     #[inline]
-    pub fn refresh_if_stale(&mut self, problem: &Problem, d: InstanceId) {
-        if self.dirty[d.index()] {
-            self.refresh_cached_lhs(problem, d);
+    pub(crate) fn lhs_in(&self, problem: &Problem, d: InstanceId, (a, t): (usize, usize)) -> f64 {
+        self.lhs_with(problem, d, self.alpha[a], Some(&self.beta[t]))
+    }
+
+    /// Adds `alpha` to `α` slot `a` and `beta` to `β(e)` of `β` slot `t`
+    /// for every `e` in `edges`.
+    #[inline]
+    pub(crate) fn raise_in(
+        &mut self,
+        (a, t): (usize, usize),
+        alpha: f64,
+        edges: &[EdgeId],
+        beta: f64,
+    ) {
+        self.alpha[a] += alpha;
+        let row = &mut self.beta[t];
+        for &e in edges {
+            row[e.index()] += beta;
         }
     }
 
-    /// Unconditionally recomputes and stores the cached LHS of instance
-    /// `d`, clearing its staleness flag.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the cache is disabled or `d` is out of range.
-    #[inline]
-    pub fn refresh_cached_lhs(&mut self, problem: &Problem, d: InstanceId) {
-        self.lhs_cache[d.index()] = self.lhs(problem, d);
-        self.dirty[d.index()] = false;
+    /// The participants whose LHS values are cached, ascending (empty for
+    /// a whole-problem frame); cache slot `i` holds the `i`-th.
+    pub fn participants(&self) -> &[InstanceId] {
+        &self.participants
     }
 
-    /// The cached LHS of instance `d`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the cache is disabled or `d` is out of range. Debug
-    /// builds additionally assert the entry is fresh.
-    #[inline]
-    pub fn cached_lhs(&self, d: InstanceId) -> f64 {
-        debug_assert!(!self.dirty[d.index()], "stale cache read for {d}");
-        self.lhs_cache[d.index()]
+    /// The cache slot of participant `d` (`None` when `d` does not
+    /// participate).
+    pub fn slot(&self, d: InstanceId) -> Option<usize> {
+        self.participants.binary_search(&d).ok()
     }
 
-    /// The satisfaction ratio of `d` from the cache — bitwise equal to
-    /// [`DualState::satisfaction`] whenever the entry is fresh.
+    /// Flags cache slot `i` as stale — `O(1)`, no path walk. Returns
+    /// whether it was fresh before.
     ///
     /// # Panics
     ///
-    /// Panics if the cache is disabled or `d` is out of range. Debug
-    /// builds additionally assert the entry is fresh.
+    /// Panics if `i` is out of range.
     #[inline]
-    pub fn cached_satisfaction(&self, problem: &Problem, d: InstanceId) -> f64 {
-        debug_assert!(!self.dirty[d.index()], "stale cache read for {d}");
-        self.lhs_cache[d.index()] / problem.profit_of(d)
+    pub(crate) fn mark_stale(&mut self, i: usize) -> bool {
+        !std::mem::replace(&mut self.stale[i], true)
     }
 
-    /// [`DualState::min_satisfaction`] read off the cache instead of
-    /// re-walking every path — the memoized λ of the first phase.
-    /// Refreshes stale entries on the way (hence `&mut`).
+    /// Recomputes cache slot `i` if (and only if) it is stale.
+    #[inline]
+    fn refresh_if_stale(&mut self, problem: &Problem, i: usize) {
+        if self.stale[i] {
+            self.refresh_cached_lhs(problem, i);
+        }
+    }
+
+    /// Unconditionally recomputes and stores the LHS in cache slot `i`,
+    /// clearing its staleness flag.
     ///
     /// # Panics
     ///
-    /// Panics if the cache is disabled.
-    pub fn min_satisfaction_cached<'a, I>(&mut self, problem: &Problem, instances: I) -> f64
-    where
-        I: IntoIterator<Item = &'a InstanceId>,
-    {
-        instances
-            .into_iter()
-            .map(|&d| {
-                self.refresh_if_stale(problem, d);
-                self.cached_satisfaction(problem, d)
+    /// Panics if `i` is out of range.
+    #[inline]
+    pub fn refresh_cached_lhs(&mut self, problem: &Problem, i: usize) {
+        self.lhs_cache[i] = self.lhs_in(problem, self.participants[i], self.var_slots(i));
+        self.stale[i] = false;
+    }
+
+    /// The satisfaction ratio in cache slot `i` — bitwise equal to
+    /// [`DualState::satisfaction`] of its participant whenever the slot
+    /// is fresh.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i` is out of range. Debug builds additionally assert the
+    /// slot is fresh.
+    #[inline]
+    pub fn cached_satisfaction(&self, problem: &Problem, i: usize) -> f64 {
+        debug_assert!(!self.stale[i], "stale cache read for slot {i}");
+        self.lhs_cache[i] / problem.profit_of(self.participants[i])
+    }
+
+    /// [`DualState::min_satisfaction`] over the participants, read off the
+    /// cache instead of re-walking every path — the memoized λ of the
+    /// first phase. Refreshes stale slots on the way (hence `&mut`).
+    pub fn min_satisfaction_cached(&mut self, problem: &Problem) -> f64 {
+        (0..self.participants.len())
+            .map(|i| {
+                self.refresh_if_stale(problem, i);
+                self.cached_satisfaction(problem, i)
             })
             .fold(1.0f64, f64::min)
     }
 
-    /// The dual objective `val(α, β) = Σ_a α(a) + Σ_e β(e)`.
+    /// The dual objective `val(α, β) = Σ_a α(a) + Σ_e β(e)`, summed in
+    /// dense order (demands, then networks edge by edge).
     pub fn value(&self) -> f64 {
-        let a: f64 = self.alpha.iter().sum();
-        let b: f64 = self.beta.iter().map(|per| per.iter().sum::<f64>()).sum();
+        // Every variable is a sum of positive raises onto +0.0, so it is
+        // never -0.0, and adding +0.0 to a partial sum that is not -0.0
+        // changes nothing. The dense sums therefore equal the frame's
+        // entries summed from +0.0 — or the empty sum, -0.0, when the
+        // dense array has no entry at all.
+        let zero = |dense_nonempty: bool| if dense_nonempty { 0.0 } else { -0.0 };
+        let a = self
+            .alpha
+            .iter()
+            .fold(zero(self.has_demands), |s, &x| s + x);
+        let b = self
+            .beta
+            .iter()
+            .map(|per| per.iter().sum::<f64>())
+            .fold(zero(self.has_edges), |s, x| s + x);
         a + b
     }
 
@@ -332,40 +494,79 @@ mod tests {
     #[test]
     fn cache_tracks_recomputation_bitwise() {
         let p = problem();
-        let mut dual = DualState::new(&p, DualForm::Unit);
-        assert!(!dual.cache_enabled());
-        dual.enable_cache(&p);
-        assert!(dual.cache_enabled());
-        assert_eq!(dual.cached_lhs(InstanceId(0)), 0.0);
+        let ids = [InstanceId(0), InstanceId(1)];
+        let mut dual = DualState::for_participants(&p, DualForm::Unit, &ids);
+        assert_eq!(dual.participants(), &ids);
+        for (i, &d) in ids.iter().enumerate() {
+            assert_eq!(dual.slot(d), Some(i));
+            // The zero-filled cache is what a path walk computes.
+            assert_eq!(
+                dual.cached_satisfaction(&p, i).to_bits(),
+                dual.satisfaction(&p, d).to_bits()
+            );
+        }
         dual.raise_alpha(DemandId(0), 1.25);
         dual.raise_beta(NetworkId(0), EdgeId(1), 0.375);
-        for d in [InstanceId(0), InstanceId(1)] {
-            assert!(!dual.is_stale(d));
-            dual.mark_stale(d);
-            assert!(dual.is_stale(d));
-            dual.refresh_if_stale(&p, d);
-            assert!(!dual.is_stale(d));
-            // A second refresh_if_stale is a no-op; the unconditional
-            // variant recomputes to the same bits.
-            dual.refresh_if_stale(&p, d);
-            dual.refresh_cached_lhs(&p, d);
+        for (i, &d) in ids.iter().enumerate() {
+            assert!(dual.mark_stale(i));
+            assert!(!dual.mark_stale(i), "already stale");
+            dual.refresh_if_stale(&p, i);
+            assert!(dual.mark_stale(i), "refreshed");
+            // The unconditional refresh recomputes to the same bits.
+            dual.refresh_cached_lhs(&p, i);
             assert_eq!(
-                dual.cached_lhs(d).to_bits(),
-                dual.lhs(&p, d).to_bits(),
-                "{d}"
-            );
-            assert_eq!(
-                dual.cached_satisfaction(&p, d).to_bits(),
+                dual.cached_satisfaction(&p, i).to_bits(),
                 dual.satisfaction(&p, d).to_bits(),
                 "{d}"
             );
         }
-        let ids = [InstanceId(0), InstanceId(1)];
         assert_eq!(
-            dual.min_satisfaction_cached(&p, &ids).to_bits(),
+            dual.min_satisfaction_cached(&p).to_bits(),
             dual.min_satisfaction(&p, &ids).to_bits()
         );
-        assert_eq!(dual.min_satisfaction_cached(&p, &[]), 1.0);
+        let mut empty = DualState::for_participants(&p, DualForm::Unit, &[]);
+        assert_eq!(empty.min_satisfaction_cached(&p), 1.0);
+    }
+
+    #[test]
+    fn participant_frame_reads_zero_outside() {
+        // Frame = instance 1 only (demand 1, network 0). Reads of
+        // demand 0 and of instance 0 fall outside and must match a
+        // whole-problem state bit for bit.
+        let p = problem();
+        let mut framed = DualState::for_participants(&p, DualForm::Capacitated, &[InstanceId(1)]);
+        let mut whole = DualState::new(&p, DualForm::Capacitated);
+        for dual in [&mut framed, &mut whole] {
+            dual.raise_alpha(DemandId(1), 0.75);
+            dual.raise_beta(NetworkId(0), EdgeId(2), 1.5);
+        }
+        assert_eq!(framed.alpha(DemandId(0)), 0.0);
+        for d in [InstanceId(0), InstanceId(1)] {
+            assert_eq!(framed.lhs(&p, d).to_bits(), whole.lhs(&p, d).to_bits());
+        }
+        for e in 0..4 {
+            let e = EdgeId(e);
+            assert_eq!(framed.beta(NetworkId(0), e), whole.beta(NetworkId(0), e));
+        }
+        assert_eq!(framed.value().to_bits(), whole.value().to_bits());
+        // An empty frame sums to the dense +0.0, not the empty sum -0.0.
+        let empty = DualState::for_participants(&p, DualForm::Unit, &[]);
+        assert_eq!(empty.value().to_bits(), 0.0f64.to_bits());
+    }
+
+    #[test]
+    #[should_panic(expected = "outside the dual's frame")]
+    fn raising_outside_the_frame_is_refused() {
+        let p = problem();
+        let mut dual = DualState::for_participants(&p, DualForm::Unit, &[InstanceId(1)]);
+        dual.raise_alpha(DemandId(0), 1.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "strictly ascending")]
+    fn unsorted_participants_are_refused() {
+        let p = problem();
+        let _ = DualState::for_participants(&p, DualForm::Unit, &[InstanceId(1), InstanceId(0)]);
     }
 
     #[test]

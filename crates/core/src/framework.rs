@@ -21,11 +21,22 @@
 //! # The incremental phase-1 engine
 //!
 //! [`run_two_phase`] does *not* rebuild its MIS input from scratch on
-//! every step. It builds one CSR [`ConflictGraph`] per epoch group,
-//! filters it through a reusable [`ActiveSubgraph`] view, and tracks
-//! satisfaction through the [`DualState`] LHS cache refreshed via the
-//! [`Problem::instances_using`] inverted index. Per-step work is
-//! proportional to the *active* set, not the group. Three invariants
+//! every step, and it does no work sized by the problem. Once per call it
+//! builds a **participant frame**, the [`DualState`] over the
+//! participants ([`DualState::for_participants`]: an `α` per participant
+//! demand, a dense `β` array per touched network, an LHS cache slot per
+//! participant, started at `+0.0` without walking a path), and buckets the
+//! participants by epoch group. The conflict-graph grouping
+//! ([`ConflictGraph::build`] sorts its members instead of bucketing them
+//! into problem-sized tables) and the phase-2 [`SolutionTracker`] touch
+//! only what the participants touch, so a call costs
+//! `O(|P| + Σ_{d∈P} |path(d)| + Σ_{touched T} |E(T)|)` plus the work of
+//! its steps.
+//!
+//! Per epoch it builds one CSR [`ConflictGraph`] over the group's active
+//! members, filters it through a reusable [`ActiveSubgraph`] view, and
+//! tracks their satisfaction through the frame's LHS cache. Per-step work
+//! is proportional to the *active* set, not the group. Three invariants
 //! keep the execution bit-identical to the from-scratch formulation
 //! (preserved as [`run_two_phase_reference`]) and therefore to the
 //! message-passing run in `treenet-dist`:
@@ -36,20 +47,24 @@
 //!    MIS draws depend only on canonical keys and adjacency content, so
 //!    every draw — and the order of the raised set — is unchanged.
 //! 2. **Refresh-by-recompute.** A raise never *adds deltas into* a cached
-//!    LHS; it re-evaluates [`DualState::lhs`] (same summation order as
-//!    the distributed nodes) for exactly the instances whose constraint
-//!    the raise touched: the demand's siblings (α) and the instances
-//!    using a raised critical edge (β). All other cached values are
-//!    untouched and remain exact because their constraint is unchanged.
+//!    LHS; it re-evaluates the LHS (same summation order as
+//!    [`DualState::lhs`] and the distributed nodes) of every epoch member
+//!    whose constraint the raise may have touched: the raised member and
+//!    its epoch-graph neighbours, which are its demand's members (α) and,
+//!    by the layered property, every member overlapping it — each uses
+//!    one of its critical edges (β). A participant outside the epoch is
+//!    re-evaluated when it is next read instead: at its own epoch's
+//!    filter, or by the final λ read.
 //! 3. **Monotone activity.** Duals only grow, so a member leaves the
 //!    unsatisfied set and never returns within a stage; stage boundaries
 //!    re-sweep the cached satisfactions against the new threshold — the
 //!    same predicate, same guard, same float compares as the reference.
 //!
 //! λ is read off the cache at the end of phase 1
-//! ([`DualState::min_satisfaction_cached`]) instead of re-walking every
-//! path, and communication rounds are accounted through the shared
-//! [`step_comm_rounds`] formula also used by `treenet-dist`.
+//! ([`DualState::min_satisfaction_cached`]) once the slots that may
+//! predate a raise are re-walked, and communication rounds are accounted
+//! through the shared [`step_comm_rounds`] formula also used by
+//! `treenet-dist`.
 
 use crate::certificate::certified_ratio;
 use crate::dual::{DualForm, DualState};
@@ -119,6 +134,10 @@ impl RaiseRule {
     ///
     /// Public so oracle tests and alternative runners can replay the
     /// exact raising arithmetic of the framework.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `d`'s demand or network lies outside `dual`'s frame.
     pub fn raise(
         self,
         problem: &Problem,
@@ -126,16 +145,25 @@ impl RaiseRule {
         d: InstanceId,
         critical: &[treenet_graph::EdgeId],
     ) -> f64 {
-        let inst = problem.instance(d);
-        let slack = dual.slack(problem, d);
+        let slots = dual.var_slots_of(problem, d);
+        self.raise_in(problem, dual, d, slots, critical)
+    }
+
+    /// [`RaiseRule::raise`] for `d` whose demand and network sit in the
+    /// given `(α, β)` slots of `dual`.
+    fn raise_in(
+        self,
+        problem: &Problem,
+        dual: &mut DualState,
+        d: InstanceId,
+        slots: (usize, usize),
+        critical: &[treenet_graph::EdgeId],
+    ) -> f64 {
+        let slack = problem.profit_of(d) - dual.lhs_in(problem, d, slots);
         debug_assert!(slack > 0.0, "raised instances must be unsatisfied");
         let pi = critical.len() as f64;
         let delta = self.delta_for(slack, problem.height_of(d), pi);
-        let beta_inc = self.beta_increment(pi, delta);
-        dual.raise_alpha(inst.demand, delta);
-        for &e in critical {
-            dual.raise_beta(inst.network, e, beta_inc);
-        }
+        dual.raise_in(slots, delta, critical, self.beta_increment(pi, delta));
         delta
     }
 }
@@ -216,7 +244,8 @@ pub struct RunStats {
 pub struct Outcome {
     /// The feasible solution extracted by the second phase.
     pub solution: Solution,
-    /// The dual assignment at the end of the first phase.
+    /// The dual assignment at the end of the first phase, held in the
+    /// run's participant frame (reads answer every id; zero outside).
     pub dual: DualState,
     /// Round/step counters.
     pub stats: RunStats,
@@ -388,13 +417,18 @@ pub fn prologue_rounds(height: u32) -> u64 {
 }
 
 /// Runs the two-phase framework over `participants` (pass all instances
-/// for the plain algorithm; subsets are used by the wide/narrow combiner).
+/// for the plain algorithm; subsets are used by the wide/narrow combiner
+/// and the online engine's components).
 ///
 /// # Errors
 ///
 /// [`FrameworkError::BadParameters`] for out-of-range `ε`/`ξ`;
 /// [`FrameworkError::StageDiverged`] if a stage exceeds the step budget
 /// (indicates a broken layered decomposition).
+///
+/// # Panics
+///
+/// Panics unless `participants` is strictly ascending.
 pub fn run_two_phase(
     problem: &Problem,
     layers: &LayeredDecomposition,
@@ -406,14 +440,15 @@ pub fn run_two_phase(
     // b = smallest integer with ξ^b ≤ ε.
     let stages_per_epoch = stages_for(config.epsilon, config.xi);
 
-    let mut dual = DualState::new(problem, rule.dual_form());
-    dual.enable_cache(problem);
+    // The participant frame: everything below is indexed by cache slot
+    // (the participant's position), never by a problem-wide id.
+    let mut dual = DualState::for_participants(problem, rule.dual_form(), participants);
     let mut stats = RunStats::default();
     let mut stack: Vec<StackEntry> = Vec::new();
     let mut trace: Option<Vec<RaiseEvent>> = config.record_trace.then(Vec::new);
 
     let num_groups = layers.num_groups() as u32;
-    let groups = group_members(layers, participants, num_groups);
+    let groups = Groups::new(layers, participants);
 
     // Scratch shared across every epoch/stage/step — after the first
     // steps at the high-water mark, the steady-state step loop performs
@@ -423,17 +458,17 @@ pub fn run_two_phase(
     let mut mis_buf: Vec<u32> = Vec::new();
     let mut epoch_keys: Vec<u64> = Vec::new();
     let mut is_unsat: Vec<bool> = Vec::new();
-    let mut member_of: Vec<u32> = vec![OUTSIDE; problem.instance_count()];
     // Current-epoch members whose cached LHS went stale during the step;
     // refreshed (once each) and re-bucketed at the step boundary.
     let mut stale_members: Vec<u32> = Vec::new();
     // Members that can still participate in the current epoch (below the
-    // final stage threshold at epoch start).
-    let mut active_members: Vec<InstanceId> = Vec::new();
+    // final stage threshold at epoch start): their slots and ids.
+    let mut active_members: Vec<u32> = Vec::new();
+    let mut active_ids: Vec<InstanceId> = Vec::new();
 
     // ---- First phase: epochs / stages / steps (Figure 7). ----
     for k in 1..=num_groups {
-        let members = &groups[k as usize];
+        let members = groups.of(k);
         if members.is_empty() {
             continue;
         }
@@ -445,24 +480,28 @@ pub fn run_two_phase(
         // the potential participants enter the epoch graph.
         let final_threshold = 1.0 - config.xi.powi(stages_per_epoch as i32);
         active_members.clear();
-        for &d in members {
-            dual.refresh_if_stale(problem, d);
-            if dual.cached_satisfaction(problem, d) < final_threshold - SATISFACTION_GUARD {
-                active_members.push(d);
+        for &i in members {
+            // A member was never active before its own epoch, so its slot
+            // still holds the zero fill: exact until the first raise.
+            if stats.raises > 0 {
+                dual.refresh_cached_lhs(problem, i as usize);
+            }
+            if dual.cached_satisfaction(problem, i as usize) < final_threshold - SATISFACTION_GUARD
+            {
+                active_members.push(i);
             }
         }
-        // Epoch setup — one conflict-graph build, one key table, one
-        // member index for the whole epoch; every step below is a filter.
-        let graph = ConflictGraph::build(problem, &active_members);
+        active_ids.clear();
+        active_ids.extend(active_members.iter().map(|&i| participants[i as usize]));
+        // Epoch setup — one conflict-graph build and one key table for the
+        // whole epoch; every step below is a filter.
+        let graph = ConflictGraph::build(problem, &active_ids);
         epoch_keys.clear();
         epoch_keys.extend(
-            active_members
+            active_ids
                 .iter()
                 .map(|&d| problem.instance(d).canonical_key()),
         );
-        for (i, &d) in active_members.iter().enumerate() {
-            member_of[d.index()] = i as u32;
-        }
         is_unsat.clear();
         is_unsat.resize(active_members.len(), false);
 
@@ -473,9 +512,10 @@ pub fn run_two_phase(
             // the potential participants against the new threshold — no
             // path walks (the cache is fresh for epoch members).
             let mut unsat_count = 0usize;
-            for (i, &d) in active_members.iter().enumerate() {
-                let unsat = dual.cached_satisfaction(problem, d) < threshold - SATISFACTION_GUARD;
-                is_unsat[i] = unsat;
+            for (x, &i) in active_members.iter().enumerate() {
+                let unsat =
+                    dual.cached_satisfaction(problem, i as usize) < threshold - SATISFACTION_GUARD;
+                is_unsat[x] = unsat;
                 unsat_count += unsat as usize;
             }
             let mut steps_this_stage = 0u64;
@@ -503,13 +543,13 @@ pub fn run_two_phase(
                 stats.mis_rounds += rounds;
                 // Raise every MIS member; they are pairwise non-conflicting
                 // so the raises commute (the parallelism of the framework).
-                let raised: Vec<InstanceId> = mis_buf
-                    .iter()
-                    .map(|&v| active_members[view.base_vertex(v as usize)])
-                    .collect();
-                for &d in &raised {
+                let mut raised: Vec<InstanceId> = Vec::with_capacity(mis_buf.len());
+                for &v in &mis_buf {
+                    let x = view.base_vertex(v as usize);
+                    let (i, d) = (active_members[x] as usize, active_ids[x]);
                     let critical = layers.critical_of(d);
-                    let delta = rule.raise(problem, &mut dual, d, critical);
+                    let slots = dual.var_slots(i);
+                    let delta = rule.raise_in(problem, &mut dual, d, slots, critical);
                     stats.raises += 1;
                     if let Some(t) = trace.as_mut() {
                         t.push(RaiseEvent {
@@ -518,32 +558,30 @@ pub fn run_two_phase(
                             at: (k, j, steps_this_stage),
                         });
                     }
-                    // Mark exactly the constraints this raise touched as
-                    // stale — the demand's siblings (α) and every
-                    // instance using a raised critical edge (β). Marking
-                    // is an O(1) flag; the path re-walk happens at most
-                    // once per instance per step, in the boundary sweep
-                    // below.
-                    let inst = problem.instance(d);
-                    let network = inst.network;
-                    for &sib in problem.instances_of(inst.demand) {
-                        mark_stale(&mut dual, &member_of, &mut stale_members, sib);
-                    }
-                    for &e in critical {
-                        for &user in problem.instances_using(network, e) {
-                            mark_stale(&mut dual, &member_of, &mut stale_members, user);
+                    raised.push(d);
+                    // Mark the epoch members whose constraint this raise
+                    // touched as stale: the member itself and its epoch
+                    // graph neighbours — its demand's members (α) and, by
+                    // the layered property, every member overlapping it,
+                    // each of which uses one of its critical edges (β).
+                    // Marking is an O(1) flag; the path re-walk happens at
+                    // most once per member per step, in the boundary sweep
+                    // below. Other participants are re-walked when next
+                    // read: at their own epoch's filter or the final λ.
+                    debug_assert!(critical.iter().all(|&e| problem.instance(d).active_on(e)));
+                    for &y in std::iter::once(&(x as u32)).chain(graph.neighbors(x)) {
+                        if dual.mark_stale(active_members[y as usize] as usize) {
+                            stale_members.push(y);
                         }
                     }
                 }
                 // Step-boundary sweep: refresh each stale member once and
                 // move it between the unsatisfied/satisfied buckets.
-                // (Non-members stay flagged and refresh lazily at their
-                // epoch's stage sweep or the final λ read.)
-                for &idx in &stale_members {
-                    let d = active_members[idx as usize];
-                    dual.refresh_if_stale(problem, d);
-                    let now = dual.cached_satisfaction(problem, d) < threshold - SATISFACTION_GUARD;
-                    let was = &mut is_unsat[idx as usize];
+                for &x in &stale_members {
+                    let i = active_members[x as usize] as usize;
+                    dual.refresh_cached_lhs(problem, i);
+                    let now = dual.cached_satisfaction(problem, i) < threshold - SATISFACTION_GUARD;
+                    let was = &mut is_unsat[x as usize];
                     if *was != now {
                         *was = now;
                         if now {
@@ -564,15 +602,19 @@ pub fn run_two_phase(
             stats.steps += steps_this_stage;
             stats.max_steps_in_stage = stats.max_steps_in_stage.max(steps_this_stage);
         }
-        // Release the member index for the next epoch.
-        for &d in &active_members {
-            member_of[d.index()] = OUTSIDE;
-        }
     }
 
     let solution = extract_solution(problem, &stack, &mut stats);
-    // λ memoized from the cache — bitwise equal to re-walking every path.
-    let lambda = dual.min_satisfaction_cached(problem, participants);
+    // λ off the cache, once every slot is exact again: the last epoch's
+    // active members (ascending) were kept exact; any other slot may
+    // predate a raise.
+    let mut exact = active_members.iter().peekable();
+    for i in 0..participants.len() {
+        if exact.next_if(|&&x| x as usize == i).is_none() {
+            dual.refresh_cached_lhs(problem, i);
+        }
+    }
+    let lambda = dual.min_satisfaction_cached(problem);
     Ok(Outcome {
         solution,
         dual,
@@ -583,30 +625,6 @@ pub fn run_two_phase(
         trace,
         stack,
     })
-}
-
-/// Sentinel in the epoch member index for instances outside the current
-/// epoch group.
-const OUTSIDE: u32 = u32::MAX;
-
-/// Flags `d`'s cached LHS as stale after a raise; when `d` belongs to the
-/// current epoch group (and was not already flagged this step), its
-/// member index is queued for the step-boundary refresh sweep.
-#[inline]
-fn mark_stale(
-    dual: &mut DualState,
-    member_of: &[u32],
-    stale_members: &mut Vec<u32>,
-    d: InstanceId,
-) {
-    if dual.is_stale(d) {
-        return;
-    }
-    dual.mark_stale(d);
-    let idx = member_of[d.index()];
-    if idx != OUTSIDE {
-        stale_members.push(idx);
-    }
 }
 
 /// Rejects an `ε` outside `(0, 1)` (NaN included): the one ε check of
@@ -635,17 +653,38 @@ fn validate(config: &FrameworkConfig) -> Result<(), FrameworkError> {
     Ok(())
 }
 
-/// Buckets `participants` into their epoch groups (index 0 unused).
-fn group_members(
-    layers: &LayeredDecomposition,
-    participants: &[InstanceId],
-    num_groups: u32,
-) -> Vec<Vec<InstanceId>> {
-    let mut groups: Vec<Vec<InstanceId>> = vec![Vec::new(); num_groups as usize + 1];
-    for &d in participants {
-        groups[layers.group_of(d) as usize].push(d);
+/// The positions of a run's participants bucketed by epoch group,
+/// ascending within each group: one counting sort into a CSR, with no
+/// allocation per group.
+struct Groups {
+    /// Group `k`'s positions are `slots[first[k]..first[k + 1]]`.
+    first: Vec<usize>,
+    slots: Vec<u32>,
+}
+
+impl Groups {
+    fn new(layers: &LayeredDecomposition, participants: &[InstanceId]) -> Self {
+        let mut first = vec![0usize; layers.num_groups() + 2];
+        for &d in participants {
+            first[layers.group_of(d) as usize + 1] += 1;
+        }
+        for k in 1..first.len() {
+            first[k] += first[k - 1];
+        }
+        let mut next = first.clone();
+        let mut slots = vec![0u32; participants.len()];
+        for (i, &d) in participants.iter().enumerate() {
+            let g = layers.group_of(d) as usize;
+            slots[next[g]] = i as u32;
+            next[g] += 1;
+        }
+        Groups { first, slots }
     }
-    groups
+
+    /// The positions in group `k` (1-based).
+    fn of(&self, k: u32) -> &[u32] {
+        &self.slots[self.first[k as usize]..self.first[k as usize + 1]]
+    }
 }
 
 /// The second phase: reverse greedy over the stack, one communication
@@ -689,10 +728,14 @@ pub fn run_two_phase_reference(
     let mut trace: Option<Vec<RaiseEvent>> = config.record_trace.then(Vec::new);
 
     let num_groups = layers.num_groups() as u32;
-    let groups = group_members(layers, participants, num_groups);
+    let groups = Groups::new(layers, participants);
 
     for k in 1..=num_groups {
-        let members = &groups[k as usize];
+        let members: Vec<InstanceId> = groups
+            .of(k)
+            .iter()
+            .map(|&i| participants[i as usize])
+            .collect();
         if members.is_empty() {
             continue;
         }

@@ -168,14 +168,22 @@ fn diverges(seed: u64, script: &[Op]) -> Option<String> {
                         warm.lambda, reference.lambda
                     ));
                 }
-                if warm.solution.selected() != reference.solution.selected() {
+                let solution = engine.solution();
+                if warm.selected != solution.len() {
+                    return Some(format!(
+                        "op {i}: resolve reported {} selected, the schedule holds {}",
+                        warm.selected,
+                        solution.len()
+                    ));
+                }
+                if solution.selected() != reference.solution.selected() {
                     return Some(format!(
                         "op {i}: schedules diverged: warm {:?} vs reference {:?}",
-                        warm.solution.selected(),
+                        solution.selected(),
                         reference.solution.selected()
                     ));
                 }
-                if warm.solution.verify(engine.problem()).is_err() {
+                if solution.verify(engine.problem()).is_err() {
                     return Some(format!("op {i}: warm solution infeasible"));
                 }
             }

@@ -123,8 +123,10 @@ fn tree_stage_factors_are_the_a_priori_bound() {
                 }
             };
             let expected = bootstrap(IDEAL_DELTA_BOUND);
+            let solution = engine.solution();
+            assert_eq!(warm.selected, solution.len());
             assert_eq!(
-                (warm.lambda.to_bits(), warm.solution),
+                (warm.lambda.to_bits(), solution),
                 expected,
                 "hmin {hmin:?} seed {seed}"
             );

@@ -45,8 +45,8 @@ fn replay_phase1(
         groups[layers.group_of(d) as usize].push(d);
     }
 
-    let mut dual = DualState::new(problem, rule.dual_form());
-    dual.enable_cache(problem);
+    // Every instance participates, so the cache holds one slot each.
+    let mut dual = DualState::for_participants(problem, rule.dual_form(), &participants);
     let mut view = ActiveSubgraph::new();
     let mut scratch = MisScratch::default();
     let mut mis_inc: Vec<u32> = Vec::new();
@@ -75,7 +75,8 @@ fn replay_phase1(
                 // bitwise for every member, every step.
                 for &d in members.iter() {
                     prop_assert_eq!(
-                        dual.cached_satisfaction(problem, d).to_bits(),
+                        dual.cached_satisfaction(problem, dual.slot(d).unwrap())
+                            .to_bits(),
                         dual.satisfaction(problem, d).to_bits(),
                         "epoch {} stage {} step {}: stale cache for {}",
                         k,
@@ -98,7 +99,10 @@ fn replay_phase1(
                 // Incremental side: filter the epoch graph.
                 let active: Vec<bool> = members
                     .iter()
-                    .map(|&d| dual.cached_satisfaction(problem, d) < threshold - SATISFACTION_GUARD)
+                    .map(|&d| {
+                        dual.cached_satisfaction(problem, dual.slot(d).unwrap())
+                            < threshold - SATISFACTION_GUARD
+                    })
                     .collect();
                 view.rebuild(&epoch_graph, &epoch_keys, &active);
 
@@ -137,11 +141,11 @@ fn replay_phase1(
                     let inst = problem.instance(d);
                     let network = inst.network;
                     for &sib in problem.instances_of(inst.demand) {
-                        dual.refresh_cached_lhs(problem, sib);
+                        dual.refresh_cached_lhs(problem, dual.slot(sib).unwrap());
                     }
                     for &e in critical {
                         for &user in problem.instances_using(network, e) {
-                            dual.refresh_cached_lhs(problem, user);
+                            dual.refresh_cached_lhs(problem, dual.slot(user).unwrap());
                         }
                     }
                 }
@@ -151,8 +155,7 @@ fn replay_phase1(
     }
     // λ read from the cache equals the re-walked minimum, bitwise.
     prop_assert_eq!(
-        dual.min_satisfaction_cached(problem, &participants)
-            .to_bits(),
+        dual.min_satisfaction_cached(problem).to_bits(),
         dual.min_satisfaction(problem, &participants).to_bits()
     );
     Ok(())

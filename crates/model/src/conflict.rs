@@ -58,29 +58,34 @@ impl ConflictGraph {
     /// vertex `i` is `members[i]`).
     ///
     /// Pairwise tests are grouped by network and by demand, so the cost is
-    /// `O(Σ_T k_T² + Σ_a k_a²)` bitmask comparisons rather than a blind
-    /// `O(k²)` over everything. The pair list feeds a degree-count pass
-    /// that sizes the CSR arrays exactly — no per-vertex `Vec` growth.
+    /// `O(k log k + Σ_T k_T² + Σ_a k_a²)` for `k` members, with no table
+    /// sized by the problem: sorting the members by network and by demand
+    /// lays each group out as one run. The pair list feeds a degree-count
+    /// pass that sizes the CSR arrays exactly — no per-vertex `Vec`
+    /// growth.
     pub fn build(problem: &Problem, members: &[InstanceId]) -> Self {
         let k = members.len();
-        // Group members (as dense local indices) by network and by demand
-        // for the pairwise tests.
-        let mut by_network: Vec<Vec<u32>> = vec![Vec::new(); problem.network_count()];
-        let mut by_demand: Vec<Vec<u32>> = vec![Vec::new(); problem.demand_count()];
-        for (i, &d) in members.iter().enumerate() {
-            let inst = problem.instance(d);
-            by_network[inst.network.index()].push(i as u32);
-            by_demand[inst.demand.index()].push(i as u32);
-        }
+        // (group key, local index) pairs; sorted, equal keys form a run.
+        let keyed = |key: fn(&crate::DemandInstance) -> u32| {
+            let mut keyed: Vec<(u32, u32)> = members
+                .iter()
+                .enumerate()
+                .map(|(i, &d)| (key(problem.instance(d)), i as u32))
+                .collect();
+            keyed.sort_unstable();
+            keyed
+        };
+        let by_network = keyed(|inst| inst.network.0);
+        let by_demand = keyed(|inst| inst.demand.0);
         // Discover each conflicting pair exactly once: overlapping pairs of
-        // distinct demands come from the per-network groups (an instance
+        // distinct demands come from the per-network runs (an instance
         // lives on exactly one network), same-demand pairs from the
-        // per-demand groups (skipped in the network pass).
+        // per-demand runs (skipped in the network pass).
         let mut pairs: Vec<(u32, u32)> = Vec::new();
-        for group in &by_network {
-            for (x, &i) in group.iter().enumerate() {
+        for group in by_network.chunk_by(|x, y| x.0 == y.0) {
+            for (x, &(_, i)) in group.iter().enumerate() {
                 let di = problem.instance(members[i as usize]);
-                for &j in &group[x + 1..] {
+                for &(_, j) in &group[x + 1..] {
                     let dj = problem.instance(members[j as usize]);
                     if di.demand == dj.demand {
                         continue;
@@ -91,9 +96,9 @@ impl ConflictGraph {
                 }
             }
         }
-        for group in &by_demand {
-            for (x, &i) in group.iter().enumerate() {
-                for &j in &group[x + 1..] {
+        for group in by_demand.chunk_by(|x, y| x.0 == y.0) {
+            for (x, &(_, i)) in group.iter().enumerate() {
+                for &(_, j) in &group[x + 1..] {
                     pairs.push((i, j));
                 }
             }

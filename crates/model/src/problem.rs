@@ -314,12 +314,6 @@ impl ProblemBuilder {
             .iter()
             .map(|t| RootedTree::new(t, VertexId(0)))
             .collect();
-        let words_per_network: Vec<usize> = self
-            .networks
-            .iter()
-            .map(|t| t.edge_count().div_ceil(64).max(1))
-            .collect();
-
         let mut instances: Vec<DemandInstance> = Vec::new();
         let mut by_demand: Vec<Vec<InstanceId>> = vec![Vec::new(); self.demands.len()];
         let mut by_network: Vec<Vec<InstanceId>> = vec![Vec::new(); self.networks.len()];
@@ -331,8 +325,8 @@ impl ProblemBuilder {
                 a,
                 demand,
                 &self.access[ai],
+                &self.networks,
                 &rooted,
-                &words_per_network,
                 &mut instances,
                 &mut by_demand[ai],
                 &mut by_network,
@@ -344,6 +338,8 @@ impl ProblemBuilder {
 
         Ok(Problem {
             departed: vec![false; self.demands.len()],
+            live_demands: self.demands.len(),
+            live_instances: instances.len(),
             networks: self.networks,
             rooted,
             demands: self.demands,
@@ -410,8 +406,8 @@ fn materialize_demand(
     a: DemandId,
     demand: &Demand,
     access: &[NetworkId],
+    networks: &[Tree],
     rooted: &[RootedTree],
-    words_per_network: &[usize],
     instances: &mut Vec<DemandInstance>,
     demand_row: &mut Vec<InstanceId>,
     by_network: &mut [Vec<InstanceId>],
@@ -427,7 +423,7 @@ fn materialize_demand(
                     t,
                     path,
                     None,
-                    words_per_network[t.index()],
+                    edge_words(&networks[t.index()]),
                 ));
                 demand_row.push(id);
                 by_network[t.index()].push(id);
@@ -453,7 +449,7 @@ fn materialize_demand(
                         t,
                         path,
                         Some(s),
-                        words_per_network[t.index()],
+                        edge_words(&networks[t.index()]),
                     ));
                     demand_row.push(id);
                     by_network[t.index()].push(id);
@@ -461,6 +457,11 @@ fn materialize_demand(
             }
         }
     }
+}
+
+/// The number of 64-bit words of an instance edge bitmask on `tree`.
+fn edge_words(tree: &Tree) -> usize {
+    tree.edge_count().div_ceil(64).max(1)
 }
 
 /// Per-network inverted index in CSR layout: for each edge, the instances
@@ -599,6 +600,11 @@ pub struct Problem {
     /// and its instances stay materialized (ids are append-only-stable);
     /// online solvers simply exclude them from the participant set.
     departed: Vec<bool>,
+    /// Number of live demands, kept by [`Problem::apply_delta`].
+    live_demands: usize,
+    /// Number of instances of live demands, kept by
+    /// [`Problem::apply_delta`].
+    live_instances: usize,
 }
 
 impl Problem {
@@ -808,9 +814,15 @@ impl Problem {
         !self.departed[self.instances[d.index()].demand.index()]
     }
 
-    /// Number of live (non-departed) demands.
+    /// Number of live (non-departed) demands, in `O(1)`.
     pub fn live_demand_count(&self) -> usize {
-        self.departed.iter().filter(|&&gone| !gone).count()
+        self.live_demands
+    }
+
+    /// Number of instances of live demands — the length of
+    /// [`Problem::live_instances`] — in `O(1)`.
+    pub fn live_instance_count(&self) -> usize {
+        self.live_instances
     }
 
     /// Iterator over live demand ids, in id order.
@@ -882,19 +894,14 @@ impl Problem {
 
         // All checks passed — mutate. Everything below is infallible, so
         // a rejected arrival above left the problem untouched.
-        let words_per_network: Vec<usize> = self
-            .networks
-            .iter()
-            .map(|t| t.edge_count().div_ceil(64).max(1))
-            .collect();
         let first_new = self.instances.len();
         let mut row = Vec::new();
         materialize_demand(
             a,
             &demand,
             &acc,
+            &self.networks,
             &self.rooted,
-            &words_per_network,
             &mut self.instances,
             &mut row,
             &mut self.by_network,
@@ -903,6 +910,8 @@ impl Problem {
         self.demands.push(demand);
         self.by_demand.push(row);
         self.departed.push(false);
+        self.live_demands += 1;
+        self.live_instances += new_instances.len();
         debug_assert_eq!(self.instances.len() - first_new, new_instances.len());
 
         // Incremental index maintenance: only the networks this demand
@@ -930,6 +939,8 @@ impl Problem {
             return Err(ModelError::AlreadyDeparted { demand: a });
         }
         self.departed[a.index()] = true;
+        self.live_demands -= 1;
+        self.live_instances -= self.by_demand[a.index()].len();
         Ok(DeltaEffect {
             demand: a,
             new_instances: Vec::new(),
@@ -1177,6 +1188,8 @@ mod tests {
         let batch = two_line_problem();
         let grown = grown_two_line_problem();
         assert_eq!(grown.instance_count(), batch.instance_count());
+        assert_eq!(grown.live_instance_count(), batch.instance_count());
+        assert_eq!(grown.live_demand_count(), batch.demand_count());
         for (a, b) in grown.instances().zip(batch.instances()) {
             assert_eq!(a.id, b.id);
             assert_eq!(a.demand, b.demand);
@@ -1220,6 +1233,7 @@ mod tests {
         assert_eq!(p.instance_count(), 4);
         let live = p.live_instances();
         assert_eq!(live.len(), 2);
+        assert_eq!(p.live_instance_count(), 2);
         assert!(live.iter().all(|&d| p.is_live_instance(d)));
         assert!(!p.is_live_instance(p.instances_of(DemandId(0))[0]));
         // The inverted index is untouched by a departure.

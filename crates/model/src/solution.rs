@@ -1,6 +1,7 @@
 //! Solutions and feasibility checking.
 
 use crate::{DemandId, InstanceId, NetworkId, Problem, EPS};
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use treenet_graph::EdgeId;
 
@@ -222,41 +223,44 @@ impl FromIterator<InstanceId> for Solution {
 /// second phase.
 ///
 /// Unlike [`Solution::can_add`] (quadratic, used by verifiers), the tracker
-/// maintains per-edge residual capacities and a per-demand flag.
+/// maintains per-edge residual capacities and the set of used demands. It
+/// allocates only for the networks and demands it touches, so a tracker
+/// over a few instances of a large problem costs what those instances
+/// cost.
 #[derive(Clone, Debug)]
 pub struct SolutionTracker<'p> {
     problem: &'p Problem,
-    residual: Vec<Vec<f64>>,
-    demand_used: Vec<bool>,
-    solution: Solution,
+    /// Residual capacity per edge of every network an added instance
+    /// uses; an untouched network has residual 1 on every edge.
+    residual: BTreeMap<NetworkId, Vec<f64>>,
+    used: BTreeSet<DemandId>,
+    /// The added instances, in insertion order.
+    selected: Vec<InstanceId>,
 }
 
 impl<'p> SolutionTracker<'p> {
     /// Creates an empty tracker for `problem`.
     pub fn new(problem: &'p Problem) -> Self {
-        let residual = problem
-            .networks()
-            .map(|t| vec![1.0f64; problem.network(t).edge_count()])
-            .collect();
         SolutionTracker {
             problem,
-            residual,
-            demand_used: vec![false; problem.demand_count()],
-            solution: Solution::empty(),
+            residual: BTreeMap::new(),
+            used: BTreeSet::new(),
+            selected: Vec::new(),
         }
     }
 
     /// Whether instance `d` still fits.
     pub fn fits(&self, d: InstanceId) -> bool {
         let inst = self.problem.instance(d);
-        if self.demand_used[inst.demand.index()] {
+        if self.used.contains(&inst.demand) {
             return false;
         }
         let h = self.problem.height_of(d);
+        let residual = self.residual.get(&inst.network);
         inst.path
             .edges()
             .iter()
-            .all(|&e| self.residual[inst.network.index()][e.index()] + EPS >= h)
+            .all(|&e| residual.map_or(1.0, |r| r[e.index()]) + EPS >= h)
     }
 
     /// Adds instance `d` if it fits; returns whether it was added.
@@ -264,24 +268,24 @@ impl<'p> SolutionTracker<'p> {
         if !self.fits(d) {
             return false;
         }
-        let inst = self.problem.instance(d);
-        let h = self.problem.height_of(d);
+        let problem = self.problem;
+        let inst = problem.instance(d);
+        let h = problem.height_of(d);
+        let residual = self
+            .residual
+            .entry(inst.network)
+            .or_insert_with(|| vec![1.0f64; problem.network(inst.network).edge_count()]);
         for &e in inst.path.edges() {
-            self.residual[inst.network.index()][e.index()] -= h;
+            residual[e.index()] -= h;
         }
-        self.demand_used[inst.demand.index()] = true;
-        self.solution.push(d);
+        self.used.insert(inst.demand);
+        self.selected.push(d);
         true
-    }
-
-    /// The solution built so far.
-    pub fn solution(&self) -> &Solution {
-        &self.solution
     }
 
     /// Consumes the tracker, returning the built solution.
     pub fn into_solution(self) -> Solution {
-        self.solution
+        Solution::new(self.selected)
     }
 }
 

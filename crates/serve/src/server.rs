@@ -195,7 +195,7 @@ impl Server {
                 op,
                 vec![
                     ("lambda", num(out.lambda)),
-                    ("selected", num(out.solution.len() as f64)),
+                    ("selected", num(out.selected as f64)),
                     ("components_resolved", num(out.components_resolved as f64)),
                     ("instances_resolved", num(out.instances_resolved as f64)),
                     ("live_instances", num(out.live_instances as f64)),
@@ -253,7 +253,7 @@ impl Server {
                 ("lambda", num(self.engine.lambda())),
                 (
                     "live_instances",
-                    num(self.engine.problem().live_instances().len() as f64),
+                    num(self.engine.problem().live_instance_count() as f64),
                 ),
                 ("components", num(self.engine.component_count() as f64)),
             ],
@@ -303,7 +303,7 @@ impl Server {
                 ),
                 (
                     "live_instances",
-                    num(self.engine.problem().live_instances().len() as f64),
+                    num(self.engine.problem().live_instance_count() as f64),
                 ),
             ],
         )
