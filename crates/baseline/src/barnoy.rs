@@ -17,52 +17,29 @@
 //! serialized — the distributed algorithms trade a constant factor for
 //! polylogarithmic rounds.
 
-use treenet_core::{certified_ratio, DualForm, DualState, RaiseRule};
+use treenet_core::{DualState, RaiseRule, SequentialOutcome};
+use treenet_graph::EdgeId;
 use treenet_model::{HeightClass, InstanceId, Problem, Solution, SolutionTracker};
-
-/// Result of a Bar-Noy-style sequential run.
-#[derive(Clone, Debug)]
-pub struct BarNoyOutcome {
-    /// The extracted feasible solution.
-    pub solution: Solution,
-    /// Final dual assignment (fully satisfied, λ = 1).
-    pub dual: DualState,
-    /// Per-raise objective cap: 2 for the unit rule (Δ = 1), 3 for the
-    /// narrow rule (2Δ²+1).
-    pub objective_cap: f64,
-    /// Number of raises (single pass: ≤ instance count).
-    pub raises: u64,
-}
-
-impl BarNoyOutcome {
-    /// Profit of the solution.
-    pub fn profit(&self, problem: &Problem) -> f64 {
-        self.solution.profit(problem)
-    }
-
-    /// Upper bound on `p(OPT)` over the participating instances (λ = 1).
-    pub fn opt_upper_bound(&self) -> f64 {
-        self.dual.value()
-    }
-
-    /// Certified approximation factor.
-    pub fn certified_ratio(&self, problem: &Problem) -> f64 {
-        certified_ratio(self.opt_upper_bound(), self.profit(problem))
-    }
-}
 
 /// Numeric guard for "already satisfied" checks.
 const GUARD: f64 = 1e-9;
+
+/// The end slot `e(d)`: the last edge of `d`'s path, its single critical
+/// edge.
+fn end_slot(problem: &Problem, d: InstanceId) -> EdgeId {
+    *problem
+        .instance(d)
+        .path
+        .edges()
+        .last()
+        .expect("demands use ≥ 1 slot")
+}
 
 /// End-time order over instances: last path edge index ascending, ties by
 /// canonical key for determinism.
 fn end_time_order(problem: &Problem, participants: &[InstanceId]) -> Vec<InstanceId> {
     let mut order = participants.to_vec();
-    order.sort_by_key(|&d| {
-        let inst = problem.instance(d);
-        let end = inst.path.edges().last().expect("demands use ≥ 1 slot").0;
-        (end, inst.canonical_key())
-    });
+    order.sort_by_key(|&d| (end_slot(problem, d), problem.instance(d).canonical_key()));
     order
 }
 
@@ -70,57 +47,33 @@ fn sequential_pass(
     problem: &Problem,
     rule: RaiseRule,
     participants: &[InstanceId],
-) -> BarNoyOutcome {
+) -> SequentialOutcome {
     for t in problem.networks() {
         assert!(
             problem.network(t).is_canonical_line(),
             "Bar-Noy algorithms require canonical line networks"
         );
     }
-    let form = match rule {
-        RaiseRule::Unit => DualForm::Unit,
-        RaiseRule::Narrow => DualForm::Capacitated,
-    };
-    let mut dual = DualState::new(problem, form);
+    let mut dual = DualState::new(problem, rule.dual_form());
     let mut stack: Vec<InstanceId> = Vec::new();
-    let mut raises = 0u64;
     for d in end_time_order(problem, participants) {
-        let slack = dual.slack(problem, d);
-        if slack <= GUARD * problem.profit_of(d) {
+        if dual.slack(problem, d) <= GUARD * problem.profit_of(d) {
             continue;
         }
-        let inst = problem.instance(d);
-        let end = *inst.path.edges().last().expect("non-empty path");
-        match rule {
-            RaiseRule::Unit => {
-                // δ = s/(|π|+1) with |π| = 1.
-                let delta = slack / 2.0;
-                dual.raise_alpha(inst.demand, delta);
-                dual.raise_beta(inst.network, end, delta);
-            }
-            RaiseRule::Narrow => {
-                // δ = s/(1 + 2h·|π|²), β += 2|π|δ with |π| = 1.
-                let h = problem.height_of(d);
-                let delta = slack / (1.0 + 2.0 * h);
-                dual.raise_alpha(inst.demand, delta);
-                dual.raise_beta(inst.network, end, 2.0 * delta);
-            }
-        }
-        raises += 1;
+        // π(d) = {e(d)}, so |π| = 1 and the objective cap is the rule's
+        // at Δ = 1.
+        rule.raise(problem, &mut dual, d, &[end_slot(problem, d)]);
         stack.push(d);
     }
     let mut tracker = SolutionTracker::new(problem);
     for &d in stack.iter().rev() {
         let _ = tracker.try_add(d);
     }
-    BarNoyOutcome {
+    SequentialOutcome {
         solution: tracker.into_solution(),
         dual,
-        objective_cap: match rule {
-            RaiseRule::Unit => 2.0,
-            RaiseRule::Narrow => 3.0,
-        },
-        raises,
+        raises: stack.len() as u64,
+        objective_cap: rule.objective_cap(1),
     }
 }
 
@@ -144,7 +97,7 @@ fn sequential_pass(
 /// assert!(outcome.solution.verify(&problem).is_ok());
 /// assert!(outcome.certified_ratio(&problem) <= 2.0 + 1e-9);
 /// ```
-pub fn barnoy_line_unit(problem: &Problem) -> BarNoyOutcome {
+pub fn barnoy_line_unit(problem: &Problem) -> SequentialOutcome {
     let all: Vec<InstanceId> = problem.instances().map(|d| d.id).collect();
     sequential_pass(problem, RaiseRule::Unit, &all)
 }
@@ -159,7 +112,9 @@ pub fn barnoy_line_unit(problem: &Problem) -> BarNoyOutcome {
 /// # Panics
 ///
 /// Panics if some network is not a canonical line.
-pub fn barnoy_line_arbitrary(problem: &Problem) -> (Solution, BarNoyOutcome, BarNoyOutcome) {
+pub fn barnoy_line_arbitrary(
+    problem: &Problem,
+) -> (Solution, SequentialOutcome, SequentialOutcome) {
     let (wide_ids, narrow_ids) = HeightClass::split(problem, problem.instances().map(|d| d.id));
     let wide = sequential_pass(problem, RaiseRule::Unit, &wide_ids);
     let narrow = sequential_pass(problem, RaiseRule::Narrow, &narrow_ids);

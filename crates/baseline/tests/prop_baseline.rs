@@ -23,7 +23,7 @@ proptest! {
             .with_window_slack(slack)
             .with_len_range(1, 8)
             .generate(&mut SmallRng::seed_from_u64(seed));
-        let ps = ps_line_unit(&p, &PsConfig { seed, ..PsConfig::default() });
+        let ps = ps_line_unit(&p, &PsConfig { seed, ..PsConfig::default() }).unwrap();
         prop_assert!(ps.solution.verify(&p).is_ok());
         prop_assert!(ps.certified_ratio(&p) <= 4.0 * 5.1 + 1e-6);
         let bn = barnoy_line_unit(&p);
@@ -45,7 +45,7 @@ proptest! {
         for order in [GreedyOrder::Profit, GreedyOrder::Density, GreedyOrder::Shortest] {
             prop_assert!(po + 1e-9 >= greedy_profit(&p, order).profit(&p));
         }
-        prop_assert!(po + 1e-9 >= ps_line_unit(&p, &PsConfig::default()).profit(&p));
+        prop_assert!(po + 1e-9 >= ps_line_unit(&p, &PsConfig::default()).unwrap().profit(&p));
         prop_assert!(po + 1e-9 >= barnoy_line_unit(&p).profit(&p));
     }
 

@@ -36,7 +36,8 @@ fn main() {
                 seed,
                 ..PsConfig::default()
             },
-        );
+        )
+        .unwrap();
         ours_lambda.push(ours.lambda);
         ps_lambda.push(ps.lambda);
         ours_cert.push(ours.certified_ratio(&p));

@@ -41,7 +41,8 @@ fn main() {
                     seed,
                     ..PsConfig::default()
                 },
-            );
+            )
+            .unwrap();
             let greedy = greedy_profit(&p, GreedyOrder::Density);
             let po = ours.solution.profit(&p);
             let pp = ps.profit(&p);

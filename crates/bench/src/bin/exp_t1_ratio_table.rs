@@ -146,7 +146,8 @@ fn main() {
                 seed,
                 ..PsConfig::default()
             },
-        );
+        )
+        .unwrap();
         ps.solution.verify(&lp).unwrap();
         entries.push((1, ps.certified_ratio(&lp), vs_opt(&lp, ps.profit(&lp))));
 
@@ -163,21 +164,16 @@ fn main() {
         ours.solution.verify(&la).unwrap();
         let profit = ours.solution.profit(&la);
         entries.push((2, ours.certified_ratio(&la), vs_opt(&la, profit)));
-        let (ps_sol, ps_w, ps_n) = ps_line_arbitrary(
+        let ps = ps_line_arbitrary(
             &la,
             &PsConfig {
                 seed,
                 ..PsConfig::default()
             },
-        );
-        ps_sol.verify(&la).unwrap();
-        let ps_bound = ps_w.opt_upper_bound() + ps_n.opt_upper_bound();
-        let ps_profit = ps_sol.profit(&la);
-        entries.push((
-            3,
-            certified_ratio(ps_bound, ps_profit),
-            vs_opt(&la, ps_profit),
-        ));
+        )
+        .unwrap();
+        ps.solution.verify(&la).unwrap();
+        entries.push((3, ps.certified_ratio(&la), vs_opt(&la, ps.profit(&la))));
 
         // Sequential Bar-Noy baselines on the same line workloads.
         let bn = barnoy_line_unit(&lp);

@@ -10,11 +10,14 @@
 
 use crate::certificate::certified_ratio;
 use crate::dual::{DualForm, DualState};
+use crate::framework::RaiseRule;
 use treenet_decomp::{capture_node, root_fixing};
 use treenet_graph::{EdgeId, VertexId};
 use treenet_model::{InstanceId, Problem, Solution, SolutionTracker};
 
-/// Result of the sequential algorithm.
+/// Result of a sequential single-pass run: Appendix A's
+/// [`solve_sequential_tree`], and the Bar-Noy line baselines of
+/// `treenet-baseline` (`barnoy_line_unit`, `barnoy_line_arbitrary`).
 #[derive(Clone, Debug)]
 pub struct SequentialOutcome {
     /// The feasible solution extracted by the second phase.
@@ -24,7 +27,8 @@ pub struct SequentialOutcome {
     /// Number of raise operations (= stack pushes).
     pub raises: u64,
     /// The per-raise objective cap: 3 in general, 2 for a single tree
-    /// (where `α` is not raised).
+    /// (where `α` is not raised); for Bar-Noy, the raise rule's cap at
+    /// `Δ = 1` (2 unit, 3 narrow).
     pub objective_cap: f64,
 }
 
@@ -95,19 +99,14 @@ pub fn solve_sequential_tree(problem: &Problem) -> SequentialOutcome {
                 continue; // already satisfied by earlier raises
             }
             debug_assert!(!pi.is_empty(), "capture node always has a wing");
-            let inst = problem.instance(*d);
             if single_tree {
                 // Appendix A, single-network special case: skip α.
                 let delta = slack / pi.len() as f64;
                 for &e in pi {
-                    dual.raise_beta(inst.network, e, delta);
+                    dual.raise_beta(t, e, delta);
                 }
             } else {
-                let delta = slack / (pi.len() as f64 + 1.0);
-                dual.raise_alpha(inst.demand, delta);
-                for &e in pi {
-                    dual.raise_beta(inst.network, e, delta);
-                }
+                RaiseRule::Unit.raise(problem, &mut dual, *d, pi);
             }
             raises += 1;
             stack.push(*d);

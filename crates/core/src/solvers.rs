@@ -144,7 +144,9 @@ pub(crate) fn framework_config(config: &SolverConfig, xi: f64) -> FrameworkConfi
 }
 
 /// Result of an arbitrary-height run: the wide and narrow sub-runs plus
-/// the combined solution (Theorem 6.3 / 7.2).
+/// the combined solution — of Theorem 6.3 / 7.2 ([`solve`]), and of the
+/// Panconesi–Sozio wide/narrow baseline (`treenet_baseline::ps_line_arbitrary`,
+/// its two halves at the one-stage schedule).
 #[derive(Clone, Debug)]
 pub struct CombinedOutcome {
     /// The per-network combination of the two solutions.

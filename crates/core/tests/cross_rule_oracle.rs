@@ -9,7 +9,9 @@
 //!    bimodal, mixed bimodal), demanding byte-identical λ (`to_bits`),
 //!    selections, stats, stack, and raise traces. The capacitated cell
 //!    is the wide unit-rule run plus the narrow rule run over the
-//!    height-class split, each pinned separately.
+//!    height-class split, each pinned separately. Every run is pinned
+//!    twice: at the theorem's `ξ`, and at the one-stage schedule the
+//!    Panconesi–Sozio baseline runs (`ε = ξ = 1 - 1/5.1`).
 //! 2. **Dynamic cells** — random arrival/departure/resolve scripts
 //!    through [`DeltaEngine`] (unit and capacitated modes, tree and
 //!    line families) against [`DeltaEngine::reference_solve`], bitwise
@@ -40,6 +42,9 @@ use treenet_model::{
 
 const VERTICES: usize = 16;
 const HMIN: f64 = 0.25;
+/// `ε = ξ` of the one-stage schedule: a single stage per epoch at
+/// threshold `1/5.1`, the Panconesi–Sozio drop-out at `ε = 0.1`.
+const ONE_STAGE: f64 = 1.0 - 1.0 / 5.1;
 
 /// One axis of the grid: which network family the cell runs on.
 #[derive(Copy, Clone, Debug, PartialEq)]
@@ -97,14 +102,14 @@ fn static_problem(family: Family, rule: RuleCell, seed: u64) -> Problem {
 }
 
 /// Runs one (rule, participant-set) pair through the incremental engine
-/// and the preserved from-scratch reference, asserting byte identity of
-/// every observable: solution, stats, stack, trace (δ by `to_bits`),
-/// and λ.
+/// and the preserved from-scratch reference at stage schedule
+/// `(ε, ξ)`, asserting byte identity of every observable: solution,
+/// stats, stack, trace (δ by `to_bits`), and λ.
 fn compare_run(
     problem: &Problem,
     layers: &LayeredDecomposition,
     rule: RaiseRule,
-    xi: f64,
+    (epsilon, xi): (f64, f64),
     participants: &[InstanceId],
     backend: MisBackend,
     seed: u64,
@@ -113,6 +118,7 @@ fn compare_run(
         seed,
         record_trace: true,
         mis_backend: backend,
+        epsilon,
         xi,
         ..FrameworkConfig::default()
     };
@@ -141,7 +147,8 @@ fn compare_run(
 /// One static grid cell. The capacitated cell splits participants by
 /// height class and pins the wide (unit-rule) and narrow (narrow-rule)
 /// runs separately — exactly the two runs the combined solvers and the
-/// capacitated `DeltaEngine` compose.
+/// capacitated `DeltaEngine` compose. Each run is pinned at the
+/// theorem's `ξ` (with the default `ε`) and at the one-stage schedule.
 fn check_static_cell(
     family: Family,
     rule: RuleCell,
@@ -154,48 +161,32 @@ fn check_static_cell(
         Family::Line => LayeredDecomposition::for_lines(&problem),
     };
     let all: Vec<InstanceId> = problem.instances().map(|d| d.id).collect();
-    match rule {
-        RuleCell::Unit => compare_run(
-            &problem,
-            &layers,
-            RaiseRule::Unit,
-            unit_xi(layers.delta()),
-            &all,
-            backend,
-            seed,
-        ),
-        RuleCell::Narrow => compare_run(
-            &problem,
-            &layers,
-            RaiseRule::Narrow,
-            narrow_xi(layers.delta(), HMIN),
-            &all,
-            backend,
-            seed,
-        ),
+    let unit = (RaiseRule::Unit, unit_xi(layers.delta()));
+    let narrow = (RaiseRule::Narrow, narrow_xi(layers.delta(), HMIN));
+    let runs = match rule {
+        RuleCell::Unit => vec![(unit, all)],
+        RuleCell::Narrow => vec![(narrow, all)],
         RuleCell::Capacitated => {
-            let (wide, narrow) =
+            let (wide_ids, narrow_ids) =
                 HeightClass::split(&problem, problem.instances().map(|inst| inst.id));
+            vec![(unit, wide_ids), (narrow, narrow_ids)]
+        }
+    };
+    let epsilon = FrameworkConfig::default().epsilon;
+    for ((raise, xi), participants) in &runs {
+        for schedule in [(epsilon, *xi), (ONE_STAGE, ONE_STAGE)] {
             compare_run(
                 &problem,
                 &layers,
-                RaiseRule::Unit,
-                unit_xi(layers.delta()),
-                &wide,
+                *raise,
+                schedule,
+                participants,
                 backend,
                 seed,
             )?;
-            compare_run(
-                &problem,
-                &layers,
-                RaiseRule::Narrow,
-                narrow_xi(layers.delta(), HMIN),
-                &narrow,
-                backend,
-                seed,
-            )
         }
     }
+    Ok(())
 }
 
 // ---------------------------------------------------------------------

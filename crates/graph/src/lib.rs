@@ -34,8 +34,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-/// Tree statistics and Graphviz export.
-pub mod analysis;
 /// Components, neighborhoods and balancers (Section 4 primitives).
 pub mod component;
 /// Random and structured tree families for tests and experiments.

@@ -465,9 +465,10 @@ fn edge_words(tree: &Tree) -> usize {
 }
 
 /// Per-network inverted index in CSR layout: for each edge, the instances
-/// whose routing path uses it, in instance-id order. This is what lets a
-/// dual raise of `β(e)` touch only the affected instances instead of
-/// rescanning a whole group (the incremental phase-1 engine's hot path).
+/// whose routing path uses it, in instance-id order. The `DeltaEngine`
+/// of `treenet-core` unions conflict components through it (at
+/// bootstrap and on each arrival); the phase-1 engine does not read it,
+/// as its dual-LHS staleness follows the epoch conflict graph.
 #[derive(Clone, Debug)]
 struct EdgeIndex {
     offsets: Vec<u32>,
@@ -699,9 +700,9 @@ impl Problem {
     }
 
     /// The instances whose routing path uses edge `e` of network `t`
-    /// (the paper's `{d : d ∼ e}`), in instance-id order. A raise of
-    /// `β(e)` changes the dual LHS of exactly these instances — the
-    /// inverted index behind the incremental phase-1 engine.
+    /// (the paper's `{d : d ∼ e}`), in instance-id order: the users a
+    /// raise of `β(e)` touches, and what the `DeltaEngine` unions into
+    /// one conflict component.
     ///
     /// # Panics
     ///

@@ -173,37 +173,8 @@ impl Solution {
         Ok(())
     }
 
-    /// Whether adding `d` keeps the solution feasible — the test used by
-    /// the framework's second phase. `O(path · |selected|)` via conflict
-    /// checks for unit heights; capacitated problems use residual loads
-    /// computed on the fly.
-    pub fn can_add(&self, problem: &Problem, d: InstanceId) -> bool {
-        let inst = problem.instance(d);
-        let h = problem.height_of(d);
-        // Same-demand exclusion.
-        for &other in &self.selected {
-            if problem.instance(other).demand == inst.demand {
-                return false;
-            }
-        }
-        // Capacity along the path.
-        for &e in inst.path.edges() {
-            let mut used = h;
-            for &other in &self.selected {
-                let o = problem.instance(other);
-                if o.network == inst.network && o.active_on(e) {
-                    used += problem.height_of(other);
-                }
-            }
-            if used > 1.0 + EPS {
-                return false;
-            }
-        }
-        true
-    }
-
-    /// Adds an instance without checking feasibility (callers use
-    /// [`Solution::can_add`] first; verification can be done at the end).
+    /// Adds an instance without checking feasibility (verification can
+    /// be done at the end).
     pub fn push(&mut self, d: InstanceId) {
         match self.selected.binary_search(&d) {
             Ok(_) => {}
@@ -222,11 +193,10 @@ impl FromIterator<InstanceId> for Solution {
 /// instance in `O(path)` per operation — the workhorse of every solver's
 /// second phase.
 ///
-/// Unlike [`Solution::can_add`] (quadratic, used by verifiers), the tracker
-/// maintains per-edge residual capacities and the set of used demands. It
-/// allocates only for the networks and demands it touches, so a tracker
-/// over a few instances of a large problem costs what those instances
-/// cost.
+/// The tracker maintains per-edge residual capacities and the set of
+/// used demands, so a fit test never scans the selection. It allocates
+/// only for the networks and demands it touches, so a tracker over a
+/// few instances of a large problem costs what those instances cost.
 #[derive(Clone, Debug)]
 pub struct SolutionTracker<'p> {
     problem: &'p Problem,
@@ -378,25 +348,15 @@ mod tests {
     }
 
     #[test]
-    fn can_add_matches_verify() {
-        let p = overlapping_problem();
-        let mut s = Solution::new(vec![InstanceId(0)]);
-        assert!(!s.can_add(&p, InstanceId(1)));
-        assert!(s.can_add(&p, InstanceId(2)));
-        s.push(InstanceId(2));
-        assert!(s.verify(&p).is_ok());
-        // Same-demand rejection.
-        assert!(!s.can_add(&p, InstanceId(0)));
-    }
-
-    #[test]
-    fn tracker_agrees_with_can_add() {
+    fn tracker_matches_verify() {
         let p = overlapping_problem();
         let mut tracker = SolutionTracker::new(&p);
         assert!(tracker.try_add(InstanceId(0)));
         assert!(!tracker.try_add(InstanceId(1)));
         assert!(tracker.fits(InstanceId(2)));
         assert!(tracker.try_add(InstanceId(2)));
+        // An added instance's demand is used.
+        assert!(!tracker.fits(InstanceId(0)));
         let s = tracker.into_solution();
         assert!(s.verify(&p).is_ok());
         assert_eq!(s.selected(), &[InstanceId(0), InstanceId(2)]);

@@ -78,7 +78,7 @@ pub use engine::{
     ClassMetrics, Context, Engine, EngineError, Envelope, MailboxArena, Metrics, Protocol,
     ShardPlan, MESSAGE_CLASSES,
 };
-pub use reliable::{ClassLoss, LossModel, ACK_BITS, DEFAULT_ARQ_WINDOW};
+pub use reliable::{LossModel, ACK_BITS, DEFAULT_ARQ_WINDOW};
 pub use topology::Topology;
 
 /// Size accounting for messages, in bits.

@@ -1,6 +1,6 @@
 //! Reliable delivery over lossy links: per-edge sequence numbers, a
 //! sliding send window with eager pipelined retransmission, proactive
-//! repetition on known-lossy classes, cumulative+SACK acknowledgements
+//! repetition under a known drop rate, cumulative+SACK acknowledgements
 //! and duplicate suppression, beneath the synchronous round abstraction.
 //!
 //! The paper's schedulers assume reliable synchronous delivery. This
@@ -24,11 +24,11 @@
 //!   reconstructs the full (virtual) sequence from its monotone
 //!   watermark, serial-number-arithmetic style, which is exact as long as
 //!   fewer than 2¹⁵ packets of one edge are in flight at once (asserted).
-//! * **Proactive repetition.** On a traffic class whose configured drop
-//!   probability is nonzero, the first transmission is a salvo of
-//!   several identical copies (enough to push the residual per-packet
-//!   loss probability below ~0.2%, capped by the send window). Redundant
-//!   copies are charged to
+//! * **Proactive repetition.** When the configured drop probability is
+//!   nonzero, every first transmission is a salvo of several identical
+//!   copies (enough to push the residual per-packet loss probability
+//!   below ~0.2%, capped by the send window). Redundant copies are
+//!   charged to
 //!   [`Metrics::retransmits`](crate::Metrics::retransmits), roll only
 //!   the drop process, and are suppressed by the receiver's sequence
 //!   tracking when the packet already landed. This is what keeps most
@@ -108,7 +108,7 @@ pub const ACK_BITS: u64 = 96;
 pub const DEFAULT_ARQ_WINDOW: u32 = 6;
 
 /// Residual per-packet loss probability the proactive-repetition salvo
-/// aims for on classes with a nonzero drop probability.
+/// aims for under a nonzero drop probability.
 const SPRAY_RESIDUAL_TARGET: f64 = 2e-3;
 
 /// Hard cap on salvo size, independent of the window.
@@ -133,38 +133,26 @@ fn unwrap_wire(reference: u64, wire: u16) -> u64 {
         .expect("wire sequence outside the ±2^15 reconstruction horizon")
 }
 
-/// Per-traffic-class loss probabilities of one [`LossModel`].
+/// The loss probabilities of one [`LossModel`], alike on every traffic
+/// class.
 #[derive(Copy, Clone, Debug, PartialEq)]
-pub struct ClassLoss {
+struct ClassLoss {
     /// Probability a transmission is silently dropped.
-    pub drop: f64,
+    drop: f64,
     /// Probability a delivered transmission arrives twice (the copy is
     /// suppressed by the receiver's sequence tracking).
-    pub duplicate: f64,
+    duplicate: f64,
     /// Probability a transmission is delayed by one slot.
-    pub delay: f64,
+    delay: f64,
 }
 
 impl ClassLoss {
     /// No loss at all.
-    pub const NONE: ClassLoss = ClassLoss {
+    const NONE: ClassLoss = ClassLoss {
         drop: 0.0,
         duplicate: 0.0,
         delay: 0.0,
     };
-
-    /// Bernoulli drops with probability `p`, nothing else.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `0 ≤ p ≤ 1`.
-    pub fn dropping(p: f64) -> Self {
-        ClassLoss {
-            drop: p,
-            ..ClassLoss::NONE
-        }
-        .validated()
-    }
 
     fn validated(self) -> Self {
         for (label, p) in [
@@ -185,8 +173,8 @@ impl ClassLoss {
     }
 }
 
-/// A seeded, per-traffic-class loss process for the reliable-delivery
-/// sublayer (see the module docs). Enable with
+/// A seeded loss process for the reliable-delivery sublayer (see the
+/// module docs), alike on every traffic class. Enable with
 /// [`Engine::with_loss_model`](crate::Engine::with_loss_model).
 ///
 /// Besides the Bernoulli processes, the model supports *deterministic*
@@ -201,8 +189,9 @@ pub struct LossModel {
     /// Seed of the loss RNG — an independent stream from the engine's
     /// delivery-shuffle RNG (see the module docs on the stream split).
     pub seed: u64,
-    classes: [ClassLoss; MESSAGE_CLASSES],
-    acks: ClassLoss,
+    /// The loss process of every data transmission; acks roll it without
+    /// duplication ([`LossModel::ack_loss`]).
+    loss: ClassLoss,
     forced_drops: Vec<u64>,
     class_windows: Vec<(usize, u64, u64)>,
 }
@@ -214,8 +203,7 @@ impl LossModel {
     pub fn lossless(seed: u64) -> Self {
         LossModel {
             seed,
-            classes: [ClassLoss::NONE; MESSAGE_CLASSES],
-            acks: ClassLoss::NONE,
+            loss: ClassLoss::NONE,
             forced_drops: Vec::new(),
             class_windows: Vec::new(),
         }
@@ -228,27 +216,28 @@ impl LossModel {
     ///
     /// Panics unless `0 ≤ p ≤ 1`.
     pub fn bernoulli(p: f64, seed: u64) -> Self {
-        let class = ClassLoss::dropping(p);
         LossModel {
             seed,
-            classes: [class; MESSAGE_CLASSES],
-            acks: class,
+            loss: ClassLoss {
+                drop: p,
+                ..ClassLoss::NONE
+            }
+            .validated(),
             forced_drops: Vec::new(),
             class_windows: Vec::new(),
         }
     }
 
     /// Sets the duplication probability on every class (builder style).
+    /// Acks are cumulative and idempotent, so they never duplicate.
     ///
     /// # Panics
     ///
     /// Panics unless `0 ≤ p ≤ 1`.
     #[must_use]
     pub fn with_duplicates(mut self, p: f64) -> Self {
-        for class in &mut self.classes {
-            class.duplicate = p;
-            *class = class.validated();
-        }
+        self.loss.duplicate = p;
+        self.loss = self.loss.validated();
         self
     }
 
@@ -260,39 +249,18 @@ impl LossModel {
     /// Panics unless `0 ≤ p ≤ 1`.
     #[must_use]
     pub fn with_delays(mut self, p: f64) -> Self {
-        for class in &mut self.classes {
-            class.delay = p;
-            *class = class.validated();
+        self.loss.delay = p;
+        self.loss = self.loss.validated();
+        self
+    }
+
+    /// The loss process of the link-layer acks: the data process without
+    /// duplication.
+    fn ack_loss(&self) -> ClassLoss {
+        ClassLoss {
+            duplicate: 0.0,
+            ..self.loss
         }
-        self.acks.delay = p;
-        self.acks = self.acks.validated();
-        self
-    }
-
-    /// Overrides the loss process of one traffic class (builder style).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `class ≥ MESSAGE_CLASSES` or a probability is out of
-    /// range.
-    #[must_use]
-    pub fn with_class(mut self, class: usize, loss: ClassLoss) -> Self {
-        assert!(class < MESSAGE_CLASSES, "class {class} out of range");
-        self.classes[class] = loss.validated();
-        self
-    }
-
-    /// Overrides the loss process of the link-layer acks (builder
-    /// style). Acks are cumulative and idempotent, so their duplication
-    /// probability is ignored.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a probability is out of range.
-    #[must_use]
-    pub fn with_ack_loss(mut self, loss: ClassLoss) -> Self {
-        self.acks = loss.validated();
-        self
     }
 
     /// Deterministically drops the original transmissions with these
@@ -325,8 +293,7 @@ impl LossModel {
     /// Whether the model can never lose anything — used by the engine to
     /// prove the passthrough claim in debug assertions.
     pub fn is_lossless(&self) -> bool {
-        self.classes.iter().all(ClassLoss::is_lossless)
-            && self.acks.is_lossless()
+        self.loss.is_lossless()
             && self.forced_drops.is_empty()
             && self.class_windows.iter().all(|&(_, _, len)| len == 0)
     }
@@ -339,12 +306,12 @@ impl LossModel {
     }
 }
 
-/// Salvo size for one class under the given send window: enough copies
-/// to push the residual drop probability below
+/// Salvo size under the given drop probability and send window: enough
+/// copies to push the residual drop probability below
 /// [`SPRAY_RESIDUAL_TARGET`], capped by [`SPRAY_MAX_COPIES`] and by
 /// `window - 1` so at least one eager repair copy always fits inside the
-/// window. Lossless classes (and the stop-and-wait window of 1) send
-/// exactly one copy.
+/// window. A zero drop probability (and the stop-and-wait window of 1)
+/// sends exactly one copy.
 fn salvo_copies(drop: f64, window: u32) -> u32 {
     if window <= 1 || drop <= 0.0 {
         return 1;
@@ -469,9 +436,9 @@ pub struct Reliable<M> {
     /// Per-packet in-flight transmission budget (≥ 1); see
     /// [`Engine::with_arq_window`](crate::Engine::with_arq_window).
     window: u32,
-    /// Salvo size per traffic class, derived from the model's drop
-    /// probabilities and the window.
-    salvo: [u32; MESSAGE_CLASSES],
+    /// Salvo size, derived from the model's drop probability and the
+    /// window.
+    salvo: u32,
     rng: SmallRng,
     /// Link state per directed edge, in ascending `(from, to)` order so
     /// every slot's RNG consumption is deterministic.
@@ -499,7 +466,7 @@ impl<M: Clone + MessageSize> Reliable<M> {
         let mut layer = Reliable {
             model,
             window,
-            salvo: [1; MESSAGE_CLASSES],
+            salvo: 1,
             rng,
             links: BTreeMap::new(),
             delayed_data: Vec::new(),
@@ -514,13 +481,11 @@ impl<M: Clone + MessageSize> Reliable<M> {
     /// Re-derives the window-dependent state (the salvo schedule).
     pub(crate) fn set_window(&mut self, window: u32) {
         self.window = window.max(1);
-        for (class, salvo) in self.salvo.iter_mut().enumerate() {
-            *salvo = salvo_copies(self.model.classes[class].drop, self.window);
-        }
+        self.salvo = salvo_copies(self.model.loss.drop, self.window);
     }
 
     /// Rolls the loss process for one transmission. Probabilities of
-    /// zero consume no randomness, so a lossless class leaves the RNG
+    /// zero consume no randomness, so a lossless model leaves the RNG
     /// stream untouched (part of the determinism contract).
     fn fate(rng: &mut SmallRng, loss: &ClassLoss) -> Fate {
         if loss.drop > 0.0 && rng.gen_bool(loss.drop) {
@@ -620,8 +585,8 @@ impl<M: Clone + MessageSize> Reliable<M> {
                 self.originals += 1;
                 self.class_originals[class] += 1;
                 let forced = self.model.forces_drop(global_index, class, class_index);
-                let loss = self.model.classes[class];
-                let copies = self.salvo[class];
+                let loss = self.model.loss;
+                let copies = self.salvo;
                 let link = self
                     .links
                     .entry((from as u32, to as u32))
@@ -796,7 +761,7 @@ impl<M: Clone + MessageSize> Reliable<M> {
                     metrics.acks += 1;
                     metrics.ack_bits += ACK_BITS;
                 }
-                match Self::fate(&mut self.rng, &self.model.acks) {
+                match Self::fate(&mut self.rng, &self.model.ack_loss()) {
                     Fate::Drop => metrics.dropped += 1,
                     Fate::Delay => {
                         metrics.delayed += 1;
@@ -831,8 +796,7 @@ impl<M: Clone + MessageSize> Reliable<M> {
             for (from, to, wire, msg, class, bits) in resends {
                 metrics.retransmits += 1;
                 metrics.by_class[class].retransmits += 1;
-                let loss = self.model.classes[class];
-                match Self::fate(&mut self.rng, &loss) {
+                match Self::fate(&mut self.rng, &self.model.loss) {
                     Fate::Drop => metrics.dropped += 1,
                     Fate::Delay => {
                         metrics.delayed += 1;
@@ -920,17 +884,29 @@ mod tests {
     use super::*;
 
     #[test]
-    fn class_loss_validates_probabilities() {
-        let loss = ClassLoss::dropping(0.5);
-        assert_eq!(loss.drop, 0.5);
-        assert!(ClassLoss::NONE.is_lossless());
-        assert!(!loss.is_lossless());
+    fn acks_roll_the_data_process_without_duplication() {
+        let model = LossModel::bernoulli(0.5, 0)
+            .with_duplicates(0.3)
+            .with_delays(0.2);
+        let data = ClassLoss {
+            drop: 0.5,
+            duplicate: 0.3,
+            delay: 0.2,
+        };
+        assert_eq!(model.loss, data);
+        assert_eq!(
+            model.ack_loss(),
+            ClassLoss {
+                duplicate: 0.0,
+                ..data
+            }
+        );
     }
 
     #[test]
     #[should_panic(expected = "probability must lie in [0,1]")]
-    fn class_loss_rejects_bad_probability() {
-        let _ = ClassLoss::dropping(1.5);
+    fn loss_model_rejects_bad_probability() {
+        let _ = LossModel::bernoulli(1.5, 0);
     }
 
     #[test]
@@ -982,7 +958,7 @@ mod tests {
 
     #[test]
     fn salvo_schedule_matches_the_residual_target() {
-        // Lossless classes and the stop-and-wait window send one copy.
+        // No drops, or the stop-and-wait window: one copy.
         assert_eq!(salvo_copies(0.0, 6), 1);
         assert_eq!(salvo_copies(0.2, 1), 1);
         // ceil(ln 0.002 / ln p): 0.2 → 4 copies, 0.05 → 3, 0.01 → 2.

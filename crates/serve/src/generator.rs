@@ -15,16 +15,15 @@ use crate::protocol::{Request, Shape};
 /// and start at a configurable floor (set it above the server's
 /// bootstrap demand count).
 ///
-/// In pod-local mode demand `id` is confined to network `id % networks`,
-/// which keeps conflict components small and independent — the regime
-/// where warm re-solves shine.
+/// Demand `id` is confined to network `id % networks` (pod-local
+/// routing), which keeps conflict components small and independent —
+/// the regime where warm re-solves shine.
 #[derive(Clone, Debug)]
 pub struct OpenLoop {
     rng: SmallRng,
     vertices: u32,
     networks: u32,
     depart_percent: u32,
-    pod_local: bool,
     /// `Some((hmin, narrow_percent))` emits capacitated submits: with
     /// probability `narrow_percent` a narrow height in `[hmin, 1/2]`,
     /// otherwise a wide height in `(1/2, 1]`. `None` emits unit-height
@@ -36,7 +35,7 @@ pub struct OpenLoop {
 
 impl OpenLoop {
     /// A generator over `networks` tree-networks on `vertices` vertices.
-    /// Defaults: 30% departures, pod-local routing, ids from 0.
+    /// Defaults: 30% departures, ids from 0.
     pub fn new(seed: u64, vertices: u32, networks: u32) -> OpenLoop {
         assert!(vertices >= 2, "need at least one edge to route over");
         assert!(networks >= 1, "need at least one network");
@@ -45,7 +44,6 @@ impl OpenLoop {
             vertices,
             networks,
             depart_percent: 30,
-            pod_local: true,
             heights: None,
             next_id: 0,
             live: Vec::new(),
@@ -71,13 +69,6 @@ impl OpenLoop {
     #[must_use]
     pub fn with_depart_percent(mut self, percent: u32) -> OpenLoop {
         self.depart_percent = percent.min(100);
-        self
-    }
-
-    /// Routes demands over a random network instead of pod-locally.
-    #[must_use]
-    pub fn with_pod_local(mut self, pod_local: bool) -> OpenLoop {
-        self.pod_local = pod_local;
         self
     }
 
@@ -111,11 +102,7 @@ impl OpenLoop {
         if v == u {
             v = (v + 1) % self.vertices;
         }
-        let network = if self.pod_local {
-            (id % u64::from(self.networks)) as u32
-        } else {
-            self.rng.gen_range(0..self.networks)
-        };
+        let network = (id % u64::from(self.networks)) as u32;
         let height = self.heights.map(|(hmin, narrow_percent)| {
             if self.rng.gen_range(0..100u32) < narrow_percent {
                 hmin + (0.5 - hmin) * self.rng.gen::<f64>()

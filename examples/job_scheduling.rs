@@ -66,8 +66,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         unreachable!("Theorem 7.2 splits wide and narrow jobs");
     };
     ours.solution.verify(&problem)?;
-    let (ps_solution, ps_wide, ps_narrow) = ps_line_arbitrary(&problem, &PsConfig::default());
-    ps_solution.verify(&problem)?;
+    let ps = ps_line_arbitrary(&problem, &PsConfig::default())?;
+    ps.solution.verify(&problem)?;
 
     println!("\nours (Theorem 7.2):");
     println!(
@@ -86,15 +86,17 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         ours.narrow.solution.len()
     );
 
-    let ps_bound = ps_wide.opt_upper_bound() + ps_narrow.opt_upper_bound();
-    let ps_profit = ps_solution.profit(&problem);
+    let ps_profit = ps.profit(&problem);
     println!("\nPanconesi–Sozio style baseline (distributed, single-stage):");
     println!(
         "  scheduled {} jobs, profit {:.1}",
-        ps_solution.len(),
+        ps.solution.len(),
         ps_profit
     );
-    println!("  certified ratio {:.3}", ps_bound / ps_profit.max(1e-9));
+    println!(
+        "  certified ratio {:.3}",
+        ps.opt_upper_bound() / ps_profit.max(1e-9)
+    );
 
     // The sequential state of the art the paper starts from: Bar-Noy et
     // al.'s 5-approximation — tightest certificate, but inherently serial.

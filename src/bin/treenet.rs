@@ -193,7 +193,8 @@ fn solve(args: &Args) -> Result<(), String> {
                     seed,
                     ..PsConfig::default()
                 },
-            );
+            )
+            .map_err(|e| e.to_string())?;
             print_solution(&problem, &outcome.solution);
             println!(
                 "certified ratio = {:.4} (λ = {:.4})",

@@ -90,6 +90,36 @@ fn line_workloads_and_ps_baseline() {
 }
 
 #[test]
+fn ps_line_refuses_an_epsilon_outside_the_unit_interval() {
+    let dir = tempdir();
+    let spec = dir.join("ps-epsilon.json");
+    let out = bin()
+        .args([
+            "generate", "--kind", "line", "--n", "12", "--m", "6", "--seed", "1",
+        ])
+        .arg(&spec)
+        .output()
+        .unwrap();
+    assert!(out.status.success());
+    for epsilon in ["-4.5", "NaN", "2"] {
+        let out = bin()
+            .args(["solve", "--algorithm", "ps-line", "--epsilon", epsilon])
+            .arg(&spec)
+            .output()
+            .unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "ε = {epsilon}: {stderr}");
+        assert!(
+            stderr.contains(&format!(
+                "error: bad parameters: epsilon must lie in (0,1), got {epsilon}"
+            )),
+            "ε = {epsilon}: {stderr}"
+        );
+        assert!(out.stdout.is_empty(), "ε = {epsilon}");
+    }
+}
+
+#[test]
 fn helpful_errors() {
     // Unknown command.
     let out = bin().arg("frobnicate").output().unwrap();

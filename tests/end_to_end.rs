@@ -77,7 +77,8 @@ fn line_unit_certified_against_dp_optimum() {
                 seed,
                 ..PsConfig::default()
             },
-        );
+        )
+        .unwrap();
         let ps_ratio = opt.profit(&p) / ps.profit(&p).max(1e-9);
         assert!(ps_ratio <= 4.0 * 5.1 + 1e-6, "seed {seed}: PS {ps_ratio}");
     }
@@ -102,7 +103,8 @@ fn our_certified_bound_beats_ps_substantially() {
                 seed,
                 ..PsConfig::default()
             },
-        );
+        )
+        .unwrap();
         ours_total += ours.certified_ratio(&p);
         ps_total += ps.certified_ratio(&p);
     }
