@@ -13,7 +13,7 @@ use treenet_core::{
     run_two_phase, validate_epsilon, CombinedOutcome, FrameworkConfig, FrameworkError, Outcome,
     RaiseRule,
 };
-use treenet_decomp::LayeredDecomposition;
+use treenet_decomp::{LayeredDecomposition, Layering};
 use treenet_model::{HeightClass, InstanceId, Problem};
 
 /// Configuration of the PS baseline.
@@ -66,13 +66,10 @@ impl PsConfig {
 ///
 /// # Errors
 ///
-/// [`FrameworkError::BadParameters`] unless `ε` lies in `(0, 1)`;
+/// [`FrameworkError::BadParameters`] unless `ε` lies in `(0, 1)`, then
+/// if some network is not a canonical line;
 /// [`FrameworkError::StageDiverged`] if an epoch exceeds
 /// [`PsConfig::max_steps_per_epoch`].
-///
-/// # Panics
-///
-/// Panics if some network is not a canonical line.
 ///
 /// # Example
 ///
@@ -90,7 +87,7 @@ impl PsConfig {
 /// ```
 pub fn ps_line_unit(problem: &Problem, config: &PsConfig) -> Result<Outcome, FrameworkError> {
     let framework = config.framework_config()?;
-    let layers = LayeredDecomposition::for_lines(problem);
+    let layers = line_layers(problem)?;
     let all: Vec<InstanceId> = problem.instances().map(|d| d.id).collect();
     run_two_phase(problem, &layers, RaiseRule::Unit, &framework, &all)
 }
@@ -104,16 +101,12 @@ pub fn ps_line_unit(problem: &Problem, config: &PsConfig) -> Result<Outcome, Fra
 /// # Errors
 ///
 /// As [`ps_line_unit`].
-///
-/// # Panics
-///
-/// Panics if some network is not a canonical line.
 pub fn ps_line_arbitrary(
     problem: &Problem,
     config: &PsConfig,
 ) -> Result<CombinedOutcome, FrameworkError> {
     let framework = config.framework_config()?;
-    let layers = LayeredDecomposition::for_lines(problem);
+    let layers = line_layers(problem)?;
     let (wide_ids, narrow_ids) = HeightClass::split(problem, problem.instances().map(|d| d.id));
     let wide = run_two_phase(problem, &layers, RaiseRule::Unit, &framework, &wide_ids)?;
     let narrow = run_two_phase(problem, &layers, RaiseRule::Narrow, &framework, &narrow_ids)?;
@@ -125,13 +118,21 @@ pub fn ps_line_arbitrary(
     })
 }
 
+/// The length-class layering of `problem`, refused in-band when some
+/// network is not a canonical line.
+fn line_layers(problem: &Problem) -> Result<LayeredDecomposition, FrameworkError> {
+    let layering =
+        Layering::for_lines(problem).map_err(|reason| FrameworkError::BadParameters { reason })?;
+    Ok(LayeredDecomposition::new(problem, &layering))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
     use treenet_core::stages_for;
-    use treenet_model::workload::{HeightMode, LineWorkload};
+    use treenet_model::workload::{HeightMode, LineWorkload, TreeWorkload};
 
     #[test]
     fn feasible_with_ps_lambda() {
@@ -197,6 +198,22 @@ mod tests {
                     "ε = {epsilon}: {err:?}"
                 );
             }
+        }
+    }
+
+    #[test]
+    fn tree_networks_are_refused() {
+        let p = TreeWorkload::new(16, 12).generate(&mut SmallRng::seed_from_u64(3));
+        assert!(p.networks().any(|t| !p.network(t).is_canonical_line()));
+        let config = PsConfig::default();
+        for err in [
+            ps_line_unit(&p, &config).err(),
+            ps_line_arbitrary(&p, &config).err(),
+        ] {
+            assert!(
+                matches!(err, Some(FrameworkError::BadParameters { .. })),
+                "{err:?}"
+            );
         }
     }
 

@@ -492,7 +492,7 @@ impl DeltaEngine {
         let lines = all_canonical_lines(&problem);
         let choice = AutoChoice::of(lines, config.hmin.is_some());
         validate_epsilon(config.epsilon).map_err(bad)?;
-        let layering = choice.layering(&problem, Strategy::Ideal);
+        let layering = choice.layering(&problem, Strategy::Ideal).map_err(bad)?;
         for a in problem.demands() {
             admit(config.hmin, layering.lmin(), problem.demand(a))?;
         }
@@ -622,12 +622,12 @@ impl DeltaEngine {
             // of the grown problem would.
             for &d in &effect.new_instances {
                 let inst = self.problem.instance(d);
-                let (g, pi) = self.layering.layer(
+                self.layers.push_instance(
+                    &self.layering,
                     self.problem.rooted(inst.network),
                     inst.network,
                     &inst.path,
                 );
-                self.layers.push_instance(g, pi);
             }
 
             // Union with every demand sharing an edge. Each counterparty's

@@ -59,6 +59,15 @@
 //!    unsatisfied set and never returns within a stage; stage boundaries
 //!    re-sweep the cached satisfactions against the new threshold — the
 //!    same predicate, same guard, same float compares as the reference.
+//!    A stage sweeps only when the epoch *floor* is below its threshold:
+//!    the least cached satisfaction of an active member, taken by the
+//!    epoch filter and re-taken by every sweep. Otherwise the sweep would
+//!    find no one unsatisfied, so the stage costs `O(1)` and still counts
+//!    in [`RunStats::stages`]. Satisfaction only grows, so a floor taken
+//!    before later raises is only ever low: after a stage that stepped,
+//!    the next stage sweeps and re-takes it. The narrow rule's
+//!    `ξ = c/(c+hmin)` schedules hundreds of stages per epoch for a
+//!    handful of steps, so most stages are empty.
 //!
 //! λ is read off the cache at the end of phase 1
 //! ([`DualState::min_satisfaction_cached`]) once the slots that may
@@ -480,15 +489,22 @@ pub fn run_two_phase(
         // the potential participants enter the epoch graph.
         let final_threshold = 1.0 - config.xi.powi(stages_per_epoch as i32);
         active_members.clear();
+        // The epoch floor: the least cached satisfaction of an active
+        // member as of the last pass over them (this filter or a stage
+        // sweep). Satisfaction only grows, so a floor taken before later
+        // raises can only be low: a stage whose threshold it meets has
+        // no one unsatisfied and nothing to sweep.
+        let mut floor = f64::INFINITY;
         for &i in members {
             // A member was never active before its own epoch, so its slot
             // still holds the zero fill: exact until the first raise.
             if stats.raises > 0 {
                 dual.refresh_cached_lhs(problem, i as usize);
             }
-            if dual.cached_satisfaction(problem, i as usize) < final_threshold - SATISFACTION_GUARD
-            {
+            let satisfaction = dual.cached_satisfaction(problem, i as usize);
+            if satisfaction < final_threshold - SATISFACTION_GUARD {
                 active_members.push(i);
+                floor = floor.min(satisfaction);
             }
         }
         active_ids.clear();
@@ -508,15 +524,25 @@ pub fn run_two_phase(
         for j in 1..=stages_per_epoch {
             stats.stages += 1;
             let threshold = 1.0 - config.xi.powi(j as i32);
+            if floor >= threshold - SATISFACTION_GUARD {
+                // No member is below the threshold: the sweep would find
+                // no one unsatisfied and the stage would take no step.
+                // (`floor` is never NaN: `f64::min` skips NaN operands.)
+                continue;
+            }
             // Stage sweep: one pass over cached satisfactions re-buckets
             // the potential participants against the new threshold — no
-            // path walks (the cache is fresh for epoch members).
+            // path walks (the cache is fresh for epoch members) — and
+            // re-takes the floor. If the stage steps, that floor is below
+            // this threshold, so the next stage sweeps again.
             let mut unsat_count = 0usize;
+            floor = f64::INFINITY;
             for (x, &i) in active_members.iter().enumerate() {
-                let unsat =
-                    dual.cached_satisfaction(problem, i as usize) < threshold - SATISFACTION_GUARD;
+                let satisfaction = dual.cached_satisfaction(problem, i as usize);
+                let unsat = satisfaction < threshold - SATISFACTION_GUARD;
                 is_unsat[x] = unsat;
                 unsat_count += unsat as usize;
+                floor = floor.min(satisfaction);
             }
             let mut steps_this_stage = 0u64;
             while unsat_count > 0 {

@@ -323,13 +323,14 @@ impl AutoChoice {
     /// `strategy` (Lemma 4.3, `Δ ≤ 6` for the ideal strategy) or the
     /// Section-7 length classes (`Δ ≤ 3`, `strategy` unused).
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// For a line theorem, if some network is not a canonical line.
-    pub fn layering(self, problem: &Problem, strategy: Strategy) -> Layering {
+    /// For a line theorem, the reason some network is not a canonical
+    /// line ([`Layering::for_lines`]).
+    pub fn layering(self, problem: &Problem, strategy: Strategy) -> Result<Layering, String> {
         match self {
             AutoChoice::TreeUnit | AutoChoice::TreeArbitrary => {
-                Layering::for_trees(problem, strategy)
+                Ok(Layering::for_trees(problem, strategy))
             }
             AutoChoice::LineUnit | AutoChoice::LineArbitrary => Layering::for_lines(problem),
         }
@@ -461,13 +462,10 @@ pub fn auto_choice(problem: &Problem) -> AutoChoice {
 ///
 /// # Errors
 ///
-/// [`FrameworkError::BadParameters`] for an `ε` outside `(0, 1)` or,
-/// after that check, a violated a-priori `hmin`;
+/// [`FrameworkError::BadParameters`] for an `ε` outside `(0, 1)`, then
+/// for a line theorem on a network that is not a canonical line, then
+/// for a violated a-priori `hmin`;
 /// [`FrameworkError::StageDiverged`] for a diverging stage.
-///
-/// # Panics
-///
-/// For a line theorem, if some network is not a canonical line.
 ///
 /// # Example
 ///
@@ -484,11 +482,13 @@ pub fn solve(
     choice: AutoChoice,
     config: &SolverConfig,
 ) -> Result<AutoOutcome, FrameworkError> {
-    let layers = LayeredDecomposition::new(problem, &choice.layering(problem, config.strategy));
-    validate_epsilon(config.epsilon).map_err(|reason| FrameworkError::BadParameters { reason })?;
+    let bad = |reason| FrameworkError::BadParameters { reason };
+    validate_epsilon(config.epsilon).map_err(bad)?;
+    let layering = choice.layering(problem, config.strategy).map_err(bad)?;
+    let layers = LayeredDecomposition::new(problem, &layering);
     let halves = choice
         .halves(problem, layers.delta(), config.hmin)
-        .map_err(|reason| FrameworkError::BadParameters { reason })?;
+        .map_err(bad)?;
     let mut runs = Vec::with_capacity(halves.len());
     for half in &halves {
         let framework = framework_config(config, half.xi);

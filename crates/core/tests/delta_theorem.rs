@@ -83,8 +83,10 @@ fn tree_stage_factors_are_the_a_priori_bound() {
             let mut engine = DeltaEngine::new(p.clone(), &config).unwrap();
             let warm = engine.resolve().unwrap();
 
-            let layers =
-                LayeredDecomposition::new(&p, &engine.choice().layering(&p, Strategy::Ideal));
+            let layers = LayeredDecomposition::new(
+                &p,
+                &engine.choice().layering(&p, Strategy::Ideal).unwrap(),
+            );
             assert!(
                 layers.delta() < IDEAL_DELTA_BOUND,
                 "seed {seed}: measured Δ = {} cannot tell the bound from the measurement",

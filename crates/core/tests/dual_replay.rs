@@ -156,7 +156,8 @@ fn every_read_matches_a_dense_replay() {
         for seed in 0..6u64 {
             let p = problem(choice, seed);
             let config = SolverConfig::default().with_seed(seed).with_trace(true);
-            let layers = LayeredDecomposition::new(&p, &choice.layering(&p, config.strategy));
+            let layers =
+                LayeredDecomposition::new(&p, &choice.layering(&p, config.strategy).unwrap());
             let out = solve(&p, choice, &config).unwrap();
             let mut raised = 0;
             for (h, half) in out.run.halves().into_iter().enumerate() {

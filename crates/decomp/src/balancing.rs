@@ -2,7 +2,7 @@
 //! pivot size up to `⌈log n⌉` — classic centroid decomposition.
 
 use crate::TreeDecomposition;
-use treenet_graph::component::{find_balancer, split_at, Membership};
+use treenet_graph::component::{find_balancer, split_at, Membership, Scratch};
 use treenet_graph::{Tree, VertexId};
 
 /// Builds the balancing decomposition (`BuildBalTD` in the paper): pick a
@@ -28,14 +28,15 @@ pub fn balancing(tree: &Tree) -> TreeDecomposition {
     let n = tree.len();
     let mut parent: Vec<Option<VertexId>> = vec![None; n];
     let mut membership = Membership::new(n);
+    let mut scratch = Scratch::new(n);
     let all: Vec<VertexId> = tree.vertices().collect();
     // Explicit work list of (component, parent-of-its-balancer) to avoid
     // deep recursion on adversarial shapes.
     let mut work: Vec<(Vec<VertexId>, Option<VertexId>)> = vec![(all, None)];
     while let Some((comp, attach)) = work.pop() {
         membership.mark(&comp);
-        let z = find_balancer(tree, &comp, &membership);
-        let parts = split_at(tree, &comp, &membership, z);
+        let z = find_balancer(tree, &comp, &membership, &mut scratch);
+        let parts = split_at(tree, &comp, &membership, z, &mut scratch);
         membership.clear(&comp);
         parent[z.index()] = attach;
         for part in parts {

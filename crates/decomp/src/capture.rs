@@ -4,7 +4,7 @@
 //! `H`:
 //!
 //! * the **capture node** `µ(d)` is the minimum-depth `H`-node on
-//!   `path(d)` (unique by LCA closure);
+//!   `path(d)` (unique by LCA closure): `LCA_H` of the path's end-points;
 //! * the **bending point** of `path(d)` w.r.t. an outside vertex `u` is
 //!   the unique path vertex whose route to `u` avoids the rest of the path
 //!   — computed as `median_T(endpoints, u)`;
@@ -15,17 +15,15 @@
 use crate::TreeDecomposition;
 use treenet_graph::{EdgeId, RootedTree, TreePath, VertexId};
 
-/// The capture node `µ(d)`: the path vertex with minimum `H`-depth.
+/// The capture node `µ(d)`: the path vertex with minimum `H`-depth,
+/// found in `O(depth H)` as `ℓ = LCA_H(source, target)`.
 ///
-/// # Panics
-///
-/// Panics if the path is empty.
+/// Why `ℓ` is that vertex: LCA closure puts `ℓ` on the path, and both
+/// end-points lie in `C(ℓ)`, which is connected in `T`, so the whole path
+/// lies inside `C(ℓ)`. Every other vertex of `C(ℓ)` is a strict
+/// `H`-descendant of `ℓ`, so `ℓ` is the unique minimum-depth path vertex.
 pub fn capture_node(h: &TreeDecomposition, path: &TreePath) -> VertexId {
-    *path
-        .vertices()
-        .iter()
-        .min_by_key(|v| h.node_depth(**v))
-        .expect("paths contain at least one vertex")
+    h.lca(path.source(), path.target())
 }
 
 /// The bending point of `path` w.r.t. vertex `u`: the unique path vertex
@@ -42,15 +40,56 @@ pub fn bending_point(rooted: &RootedTree, path: &TreePath, u: VertexId) -> Verte
 /// plus wings of the bending points w.r.t. each pivot of the capture
 /// node's component. Sorted and deduplicated; size at most `2(θ + 1)`.
 pub fn critical_edges(h: &TreeDecomposition, rooted: &RootedTree, path: &TreePath) -> Vec<EdgeId> {
-    let mu = capture_node(h, path);
-    let mut critical = path.wings(mu);
-    for &u in h.pivot(mu) {
-        let y = bending_point(rooted, path, u);
-        critical.extend(path.wings(y));
-    }
-    critical.sort_unstable();
-    critical.dedup();
+    let mut critical = Vec::new();
+    push_critical_edges(h, rooted, path, capture_node(h, path), &mut critical);
     critical
+}
+
+/// Appends [`critical_edges`] of `path`, whose capture node is `mu`, to
+/// `out`, without allocating.
+pub(crate) fn push_critical_edges(
+    h: &TreeDecomposition,
+    rooted: &RootedTree,
+    path: &TreePath,
+    mu: VertexId,
+    out: &mut Vec<EdgeId>,
+) {
+    let start = out.len();
+    push_wings(rooted, path, mu, out);
+    for &u in h.pivot(mu) {
+        push_wings(rooted, path, bending_point(rooted, path, u), out);
+    }
+    out[start..].sort_unstable();
+    let mut kept = start;
+    for i in start..out.len() {
+        if kept == start || out[i] != out[kept - 1] {
+            out[kept] = out[i];
+            kept += 1;
+        }
+    }
+    out.truncate(kept);
+}
+
+/// Appends [`TreePath::wings`] of the path vertex `y`, locating `y` from
+/// `rooted`'s depths instead of scanning the path: a path `s ↝ t` climbs
+/// from `s` to `LCA_T(s, t)`, then descends to `t`. So `y` sits
+/// `depth(s) − depth(y)` edges in when it is an ancestor of `s`, and
+/// `depth(t) − depth(y)` edges before the end otherwise.
+fn push_wings(rooted: &RootedTree, path: &TreePath, y: VertexId, out: &mut Vec<EdgeId>) {
+    let (s, t) = (path.source(), path.target());
+    let i = if rooted.is_ancestor_or_self(y, s) {
+        (rooted.depth(s) - rooted.depth(y)) as usize
+    } else {
+        path.len() - (rooted.depth(t) - rooted.depth(y)) as usize
+    };
+    debug_assert_eq!(path.vertices()[i], y, "{y} must lie on the path");
+    let edges = path.edges();
+    if i > 0 {
+        out.push(edges[i - 1]);
+    }
+    if i < edges.len() {
+        out.push(edges[i]);
+    }
 }
 
 #[cfg(test)]

@@ -13,7 +13,7 @@
 //! `⟨depth ≤ 2⌈log n⌉ + 1, θ ≤ 2⟩`.
 
 use crate::TreeDecomposition;
-use treenet_graph::component::{find_balancer, neighborhood, split_at, Membership};
+use treenet_graph::component::{find_balancer, neighborhood, split_at, Membership, Scratch};
 use treenet_graph::{RootedTree, Tree, VertexId};
 
 /// Builds the ideal tree decomposition of `tree` (Lemma 4.1).
@@ -53,6 +53,7 @@ pub fn ideal_with_stats(tree: &Tree) -> (TreeDecomposition, IdealStats) {
         rooted: &rooted,
         parent: vec![None; n],
         membership: Membership::new(n),
+        scratch: Scratch::new(n),
         stats: IdealStats::default(),
     };
     // Top level: a balancer g of the whole vertex set becomes the root;
@@ -60,8 +61,8 @@ pub fn ideal_with_stats(tree: &Tree) -> (TreeDecomposition, IdealStats) {
     // recursion's precondition.
     let all: Vec<VertexId> = tree.vertices().collect();
     builder.membership.mark(&all);
-    let g = find_balancer(tree, &all, &builder.membership);
-    let parts = split_at(tree, &all, &builder.membership, g);
+    let g = find_balancer(tree, &all, &builder.membership, &mut builder.scratch);
+    let parts = split_at(tree, &all, &builder.membership, g, &mut builder.scratch);
     builder.membership.clear(&all);
     builder.stats.balancers += 1;
     for part in parts {
@@ -77,6 +78,9 @@ struct IdealBuilder<'t> {
     rooted: &'t RootedTree,
     parent: Vec<Option<VertexId>>,
     membership: Membership,
+    /// Per-vertex scratch shared by every balancer and split of the
+    /// recursion.
+    scratch: Scratch,
     stats: IdealStats,
 }
 
@@ -110,8 +114,8 @@ impl IdealBuilder<'_> {
                 (u, uprime)
             })
             .collect();
-        let z = find_balancer(self.tree, &comp, &self.membership);
-        let parts = split_at(self.tree, &comp, &self.membership, z);
+        let z = find_balancer(self.tree, &comp, &self.membership, &mut self.scratch);
+        let parts = split_at(self.tree, &comp, &self.membership, z, &mut self.scratch);
         self.membership.clear(&comp);
         self.stats.balancers += 1;
 
@@ -160,7 +164,13 @@ impl IdealBuilder<'_> {
                     .map(|&(x, _)| x)
                     .find(|&x| self.membership.contains(x))
                     .expect("z is adjacent to every split piece");
-                let subparts = split_at(self.tree, &p1, &self.membership, junction);
+                let subparts = split_at(
+                    self.tree,
+                    &p1,
+                    &self.membership,
+                    junction,
+                    &mut self.scratch,
+                );
                 self.membership.clear(&p1);
 
                 // j is the root; z hangs below j; the subpart containing w

@@ -7,8 +7,9 @@
 //! algorithm processes one group per epoch; the group count bounds the
 //! epoch count and `Δ = max |π(d)|` drives the approximation ratio.
 
+use crate::capture::push_critical_edges;
 use crate::line::{length_class, line_lmin};
-use crate::{capture_node, critical_edges, Strategy, TreeDecomposition};
+use crate::{capture_node, Strategy, TreeDecomposition};
 use std::fmt;
 use treenet_graph::{EdgeId, RootedTree, TreePath};
 use treenet_model::{InstanceId, NetworkId, Problem};
@@ -59,20 +60,23 @@ impl Layering {
     /// The line layering of Section 7: length classes keyed on the
     /// public [`line_lmin`] (`Δ ≤ 3`, `⌈log(Lmax/Lmin)⌉ + 1` groups).
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if some network is not a canonical line (window problems
-    /// built through [`treenet_model::ProblemBuilder`] guarantee this).
-    pub fn for_lines(problem: &Problem) -> Self {
-        for t in problem.networks() {
-            assert!(
-                problem.network(t).is_canonical_line(),
-                "line layered decomposition requires canonical line networks"
-            );
+    /// The reason, if some network is not a canonical line (window
+    /// problems built through [`treenet_model::ProblemBuilder`] never
+    /// fail).
+    pub fn for_lines(problem: &Problem) -> Result<Self, String> {
+        if let Some(t) = problem
+            .networks()
+            .find(|&t| !problem.network(t).is_canonical_line())
+        {
+            return Err(format!(
+                "line layered decomposition requires canonical line networks; {t} is not one"
+            ));
         }
-        Layering(Family::Line {
+        Ok(Layering(Family::Line {
             lmin: line_lmin(problem),
-        })
+        }))
     }
 
     /// The public `Lmin` a line layering is keyed on (`None` for a tree
@@ -84,14 +88,15 @@ impl Layering {
         }
     }
 
-    /// The 1-based epoch group and the sorted critical edges `π(d)` of
-    /// one instance routed along `path` in `network`, whose rooted view
-    /// is `rooted`.
+    /// The 1-based epoch group of one instance routed along `path` in
+    /// `network`, whose rooted view is `rooted`; appends the instance's
+    /// sorted critical edges `π(d)` to `critical`.
     ///
     /// Tree layering: groups by reversed capture depth (deepest captures
-    /// first, Lemma 4.2), critical edges per [`critical_edges`]. Line
-    /// layering: group `⌊log₂(len/Lmin)⌋ + 1`, critical slots
-    /// start/mid/end.
+    /// first, Lemma 4.2), critical edges per
+    /// [`critical_edges`](crate::critical_edges), with the capture node
+    /// computed once. Line layering: group `⌊log₂(len/Lmin)⌋ + 1`,
+    /// critical slots start/mid/end.
     ///
     /// # Panics
     ///
@@ -101,7 +106,8 @@ impl Layering {
         rooted: &RootedTree,
         network: NetworkId,
         path: &TreePath,
-    ) -> (u32, Vec<EdgeId>) {
+        critical: &mut Vec<EdgeId>,
+    ) -> u32 {
         match &self.0 {
             Family::Tree {
                 decompositions,
@@ -109,10 +115,10 @@ impl Layering {
             } => {
                 let decomposition = &decompositions[network.index()];
                 let mu = capture_node(decomposition, path);
-                let group = depths[network.index()] - decomposition.node_depth(mu) + 1;
-                (group, critical_edges(decomposition, rooted, path))
+                push_critical_edges(decomposition, rooted, path, mu, critical);
+                depths[network.index()] - decomposition.node_depth(mu) + 1
             }
-            Family::Line { lmin } => length_class(*lmin, path.edges()),
+            Family::Line { lmin } => length_class(*lmin, path.edges(), critical),
         }
     }
 }
@@ -124,9 +130,10 @@ impl Layering {
 pub struct LayeredDecomposition {
     /// 1-based group index per instance (`G_k`; `k = 1` is raised first).
     group: Vec<u32>,
-    /// Critical edges `π(d)` per instance (edges of the instance's own
-    /// network), sorted.
-    critical: Vec<Vec<EdgeId>>,
+    /// The critical edges `π(d)` (edges of `d`'s own network, sorted) as
+    /// CSR: `critical[offsets[d]..offsets[d + 1]]`.
+    offsets: Vec<usize>,
+    critical: Vec<EdgeId>,
     /// Number of groups `ℓmax`.
     num_groups: usize,
     /// `Δ = max_d |π(d)|`.
@@ -158,11 +165,23 @@ impl std::error::Error for LayeredError {}
 impl LayeredDecomposition {
     /// Layers every instance of `problem` by [`Layering::layer`].
     pub fn new(problem: &Problem, layering: &Layering) -> Self {
-        let (group, critical) = problem
-            .instances()
-            .map(|inst| layering.layer(problem.rooted(inst.network), inst.network, &inst.path))
-            .unzip();
-        Self::from_parts(group, critical)
+        let mut layers = LayeredDecomposition {
+            group: Vec::with_capacity(problem.instance_count()),
+            offsets: Vec::with_capacity(problem.instance_count() + 1),
+            critical: Vec::new(),
+            num_groups: 0,
+            delta: 0,
+        };
+        layers.offsets.push(0);
+        for inst in problem.instances() {
+            layers.push_instance(
+                layering,
+                problem.rooted(inst.network),
+                inst.network,
+                &inst.path,
+            );
+        }
+        layers
     }
 
     /// The tree-network layered decomposition of Lemma 4.3 over
@@ -182,18 +201,8 @@ impl LayeredDecomposition {
     ///
     /// Panics if some network is not a canonical line.
     pub fn for_lines(problem: &Problem) -> Self {
-        Self::new(problem, &Layering::for_lines(problem))
-    }
-
-    fn from_parts(group: Vec<u32>, critical: Vec<Vec<EdgeId>>) -> Self {
-        let num_groups = group.iter().copied().max().unwrap_or(0) as usize;
-        let delta = critical.iter().map(Vec::len).max().unwrap_or(0);
-        LayeredDecomposition {
-            group,
-            critical,
-            num_groups,
-            delta,
-        }
+        let layering = Layering::for_lines(problem).unwrap_or_else(|reason| panic!("{reason}"));
+        Self::new(problem, &layering)
     }
 
     /// Builds a decomposition from raw parts **without any validity
@@ -201,26 +210,43 @@ impl LayeredDecomposition {
     /// deliberately broken inputs. Not for production use.
     #[doc(hidden)]
     pub fn from_parts_for_tests(group: Vec<u32>, critical: Vec<Vec<EdgeId>>) -> Self {
-        Self::from_parts(group, critical)
+        let mut offsets = vec![0];
+        offsets.extend(critical.iter().scan(0, |end, pi| {
+            *end += pi.len();
+            Some(*end)
+        }));
+        LayeredDecomposition {
+            num_groups: group.iter().copied().max().unwrap_or(0) as usize,
+            delta: critical.iter().map(Vec::len).max().unwrap_or(0),
+            group,
+            offsets,
+            critical: critical.concat(),
+        }
     }
 
-    /// Appends the layer assignment of one newly materialized instance —
-    /// the incremental counterpart of [`LayeredDecomposition::new`] for
-    /// online arrivals.
+    /// Layers one more instance, the next id, by [`Layering::layer`]:
+    /// [`LayeredDecomposition::new`] pushes every instance this way, and
+    /// the online engine pushes the instances an arrival materialized, in
+    /// order.
     ///
-    /// Instances must be pushed in id order (the caller appends exactly
-    /// the instances an arrival materialized, in order). `num_groups` and
-    /// `delta` are running maxima, so they only grow; the two-phase
-    /// engine skips empty groups, so a stale-high group count changes no
-    /// observable behavior. Compute `(group, critical)` with
-    /// [`Layering::layer`] against the *same* [`Layering`] used at build
-    /// time — the networks and `Lmin` are fixed, so layer assignments of
-    /// existing instances never change.
-    pub fn push_instance(&mut self, group: u32, critical: Vec<EdgeId>) {
+    /// `num_groups` and `delta` are running maxima, so they only grow;
+    /// the two-phase engine skips empty groups, so a stale-high group
+    /// count changes no observable behavior. Pass the *same* [`Layering`]
+    /// the decomposition was built with — the networks and `Lmin` are
+    /// fixed, so layer assignments of existing instances never change.
+    pub fn push_instance(
+        &mut self,
+        layering: &Layering,
+        rooted: &RootedTree,
+        network: NetworkId,
+        path: &TreePath,
+    ) {
+        let start = self.critical.len();
+        let group = layering.layer(rooted, network, path, &mut self.critical);
         self.num_groups = self.num_groups.max(group as usize);
-        self.delta = self.delta.max(critical.len());
+        self.delta = self.delta.max(self.critical.len() - start);
         self.group.push(group);
-        self.critical.push(critical);
+        self.offsets.push(self.critical.len());
     }
 
     /// Number of instances covered (== the problem's instance count).
@@ -252,7 +278,7 @@ impl LayeredDecomposition {
     /// Panics if `d` is out of range.
     #[inline]
     pub fn critical_of(&self, d: InstanceId) -> &[EdgeId] {
-        &self.critical[d.index()]
+        &self.critical[self.offsets[d.index()]..self.offsets[d.index() + 1]]
     }
 
     /// Number of groups `ℓmax` (= number of epochs).
@@ -439,7 +465,7 @@ mod tests {
                 Demand::pair(VertexId(0), VertexId(17), 2.5),
             ),
             (
-                Layering::for_lines(&line),
+                Layering::for_lines(&line).unwrap(),
                 line,
                 Demand::window(5, 30, 6, 2.5),
             ),
@@ -457,8 +483,7 @@ mod tests {
             assert!(!effect.new_instances.is_empty());
             for &d in &effect.new_instances {
                 let inst = p.instance(d);
-                let (g, pi) = layering.layer(p.rooted(inst.network), inst.network, &inst.path);
-                layers.push_instance(g, pi);
+                layers.push_instance(&layering, p.rooted(inst.network), inst.network, &inst.path);
             }
             let batch = LayeredDecomposition::new(&p, &layering);
             assert_eq!(layers.len(), batch.len());

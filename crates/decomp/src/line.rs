@@ -24,27 +24,33 @@ pub fn line_lmin(problem: &Problem) -> f64 {
     lmin.max(1) as f64
 }
 
-/// The length-class group index and critical slots of one line instance
-/// given its path edges (in path order) and the public `Lmin`:
-/// group `⌊log₂(len/Lmin)⌋ + 1`, critical slots start/mid/end (`Δ ≤ 3`).
+/// The length-class group index of one line instance given its path
+/// edges (in path order) and the public `Lmin`, appending its critical
+/// slots to `critical`: group `⌊log₂(len/Lmin)⌋ + 1`, critical slots
+/// start/mid/end, ascending and distinct (`Δ ≤ 3`).
 ///
 /// # Panics
 ///
 /// Panics if `edges` is empty.
-pub(crate) fn length_class(lmin: f64, edges: &[EdgeId]) -> (u32, Vec<EdgeId>) {
+pub(crate) fn length_class(lmin: f64, edges: &[EdgeId], critical: &mut Vec<EdgeId>) -> u32 {
     let len = edges.len();
     assert!(len >= 1, "demand instances use at least one timeslot");
     // Class index: ⌊log₂(len / Lmin)⌋ + 1, computed from the exact length
     // ratio to avoid floating-point edge cases at powers of two.
     let ratio = (len as f64 / lmin).log2().floor() as u32;
-    // Slots are edge indices on the canonical line.
-    let s = edges[0];
-    let e = edges[len - 1];
+    // Slots are edge indices on the canonical line; the path may run
+    // either way along it, and `lo ≤ mid ≤ hi`.
+    let (s, e) = (edges[0], edges[len - 1]);
+    let (lo, hi) = (s.min(e), s.max(e));
     let mid = EdgeId((s.0 + e.0) / 2);
-    let mut pi = vec![s, mid, e];
-    pi.sort_unstable();
-    pi.dedup();
-    (ratio + 1, pi)
+    critical.push(lo);
+    if mid != lo {
+        critical.push(mid);
+    }
+    if hi != mid {
+        critical.push(hi);
+    }
+    ratio + 1
 }
 
 #[cfg(test)]

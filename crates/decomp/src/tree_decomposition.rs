@@ -23,7 +23,10 @@ pub struct TreeDecomposition {
     children: Vec<Vec<VertexId>>,
     tin: Vec<u32>,
     tout: Vec<u32>,
-    pivot: Vec<Vec<VertexId>>,
+    /// The pivot sets as CSR: `χ(z)` is
+    /// `pivots[pivot_offsets[z]..pivot_offsets[z + 1]]`, sorted.
+    pivot_offsets: Vec<usize>,
+    pivots: Vec<VertexId>,
 }
 
 /// Why a claimed tree decomposition is invalid.
@@ -134,33 +137,41 @@ impl TreeDecomposition {
             children,
             tin,
             tout,
-            pivot: Vec::new(),
+            pivot_offsets: Vec::new(),
+            pivots: Vec::new(),
         };
-        decomposition.pivot = decomposition.compute_pivots(tree);
+        decomposition.compute_pivots(tree);
         decomposition
     }
 
-    /// Recomputes `χ(z) = Γ[C(z)]` for every node. `O(depth · Σ deg)`.
-    fn compute_pivots(&self, tree: &Tree) -> Vec<Vec<VertexId>> {
-        let n = tree.len();
-        let mut pivot: Vec<Vec<VertexId>> = vec![Vec::new(); n];
-        for z in tree.vertices() {
-            let mut out = Vec::new();
-            // Iterate over C(z) via an H-subtree walk.
-            let mut stack = vec![z];
-            while let Some(u) = stack.pop() {
-                for &(w, _) in tree.neighbors(u) {
-                    if !self.in_component(z, w) {
-                        out.push(w);
-                    }
+    /// Computes `χ(z) = Γ[C(z)]` for every node from the edges of `T`.
+    /// An edge `(a, b)` leaves `C(z)` exactly for the nodes `z` on the
+    /// `H`-path from `a` (or `b`) up to, not including, `LCA_H(a, b)`,
+    /// and each such `z` gains the other end-point as a pivot. So the
+    /// cost is `O(Σ_z |χ(z)|)` plus one `H`-LCA per edge. (In a valid
+    /// decomposition `LCA_H(a, b)` is `a` or `b`.)
+    fn compute_pivots(&mut self, tree: &Tree) {
+        let mut pairs: Vec<(VertexId, VertexId)> = Vec::new();
+        for (_, (a, b)) in tree.edges() {
+            let top = self.lca(a, b);
+            for (inside, outside) in [(a, b), (b, a)] {
+                let mut z = inside;
+                while z != top {
+                    pairs.push((z, outside));
+                    z = self.parent[z.index()].expect("nodes below an LCA have a parent");
                 }
-                stack.extend(self.children[u.index()].iter().copied());
             }
-            out.sort_unstable();
-            out.dedup();
-            pivot[z.index()] = out;
         }
-        pivot
+        pairs.sort_unstable();
+        pairs.dedup();
+        self.pivot_offsets = vec![0; tree.len() + 1];
+        for &(z, _) in &pairs {
+            self.pivot_offsets[z.index() + 1] += 1;
+        }
+        for z in 0..tree.len() {
+            self.pivot_offsets[z + 1] += self.pivot_offsets[z];
+        }
+        self.pivots = pairs.into_iter().map(|(_, u)| u).collect();
     }
 
     /// The root `g` of `H`.
@@ -225,28 +236,26 @@ impl TreeDecomposition {
     /// The pivot set `χ(z) = Γ[C(z)]`, sorted.
     #[inline]
     pub fn pivot(&self, z: VertexId) -> &[VertexId] {
-        &self.pivot[z.index()]
+        &self.pivots[self.pivot_offsets[z.index()]..self.pivot_offsets[z.index() + 1]]
     }
 
     /// The pivot size `θ = max_z |χ(z)|`.
     pub fn pivot_size(&self) -> usize {
-        self.pivot.iter().map(Vec::len).max().unwrap_or(0)
+        self.pivot_offsets
+            .windows(2)
+            .map(|w| w[1] - w[0])
+            .max()
+            .unwrap_or(0)
     }
 
-    /// `LCA_H(x, y)` by depth-stepping (decomposition depths are small —
-    /// `O(log n)` for balancing/ideal — so no lifting table is needed).
+    /// `LCA_H(x, y)`: the first `H`-ancestor of `x` (itself included)
+    /// whose component holds `y`, found by climbing with the `O(1)`
+    /// Euler-interval test (decomposition depths are small — `O(log n)`
+    /// for balancing/ideal — so no lifting table is needed).
     pub fn lca(&self, x: VertexId, y: VertexId) -> VertexId {
         let mut a = x;
-        let mut b = y;
-        while self.depth[a.index()] > self.depth[b.index()] {
-            a = self.parent[a.index()].expect("deeper node has a parent");
-        }
-        while self.depth[b.index()] > self.depth[a.index()] {
-            b = self.parent[b.index()].expect("deeper node has a parent");
-        }
-        while a != b {
-            a = self.parent[a.index()].expect("distinct nodes below the root");
-            b = self.parent[b.index()].expect("distinct nodes below the root");
+        while !self.in_component(a, y) {
+            a = self.parent[a.index()].expect("the root's component holds every node");
         }
         a
     }
@@ -274,7 +283,7 @@ impl TreeDecomposition {
             }
             let expected = treenet_graph::component::neighborhood(tree, &comp, &membership);
             membership.clear(&comp);
-            if expected != self.pivot[z.index()] {
+            if expected != self.pivot(z) {
                 return Err(DecompositionError::PivotMismatch { node: z });
             }
         }

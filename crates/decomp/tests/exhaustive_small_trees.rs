@@ -4,8 +4,9 @@
 //! pivot ≤ 2, depth within the Lemma 4.1 bound, and satisfies both
 //! defining properties — no sampling gaps on small cases.
 
-use treenet_decomp::{ideal_depth_bound, ideal_with_stats, Strategy};
+use treenet_decomp::{capture_node, critical_edges, ideal_depth_bound, ideal_with_stats, Strategy};
 use treenet_graph::generators::prufer_to_tree;
+use treenet_graph::{RootedTree, VertexId};
 
 /// Iterates all Prüfer sequences of length `n - 2` over `n` labels.
 fn for_all_trees(n: usize, mut f: impl FnMut(treenet_graph::Tree)) {
@@ -84,4 +85,54 @@ fn all_strategies_verified_on_all_trees_of_five() {
                 .unwrap_or_else(|e| panic!("{} failed: {e}", strategy.name()));
         });
     }
+}
+
+#[test]
+fn capture_node_is_the_lca_on_all_trees_up_to_seven() {
+    // The layering takes the capture node µ(d) as LCA_H(u, v). Pin that
+    // against the definition, the minimum-depth H-node on path(u, v),
+    // found by scanning the path, for every vertex pair of every labeled
+    // tree up to n = 7 under all three strategies. Pin the critical edges
+    // built from it too, against the wings of the scanned capture node
+    // and of the path vertex nearest each pivot.
+    let mut pairs = 0usize;
+    for n in 3..=7usize {
+        for_all_trees(n, |tree| {
+            let rooted = RootedTree::new(&tree, VertexId(0));
+            for strategy in Strategy::ALL {
+                let h = strategy.build(&tree);
+                for u in tree.vertices() {
+                    for v in tree.vertices() {
+                        let path = rooted.path(u, v);
+                        let scanned = *path
+                            .vertices()
+                            .iter()
+                            .min_by_key(|&&x| h.node_depth(x))
+                            .unwrap();
+                        assert_eq!(h.lca(u, v), scanned, "{} {u} {v}", strategy.name());
+                        assert_eq!(capture_node(&h, &path), scanned);
+                        let mut expected = path.wings(scanned);
+                        for &pivot in h.pivot(scanned) {
+                            let nearest = *path
+                                .vertices()
+                                .iter()
+                                .min_by_key(|&&y| rooted.distance(pivot, y))
+                                .unwrap();
+                            expected.extend(path.wings(nearest));
+                        }
+                        expected.sort_unstable();
+                        expected.dedup();
+                        assert_eq!(critical_edges(&h, &rooted, &path), expected);
+                        pairs += 1;
+                    }
+                }
+            }
+        });
+    }
+    assert_eq!(
+        pairs,
+        (3..=7usize)
+            .map(|n| 3 * n.pow(n as u32 - 2) * n * n)
+            .sum::<usize>()
+    );
 }

@@ -605,7 +605,9 @@ pub(crate) fn plan(
     config: &DistConfig,
 ) -> Result<(Arc<PublicInfo>, Vec<HalfPlan>), DistError> {
     validate_epsilon(config.epsilon).map_err(|reason| DistError::BadParameters { reason })?;
-    let layering = choice.layering(problem, config.strategy);
+    let layering = choice
+        .layering(problem, config.strategy)
+        .map_err(|reason| DistError::BadParameters { reason })?;
     let layers = LayeredDecomposition::new(problem, &layering);
     let num_groups = layers.num_groups() as u32;
     let halves = choice
@@ -1156,15 +1158,11 @@ fn execute_in_network(
 ///
 /// # Errors
 ///
-/// [`DistError::BadParameters`] for an out-of-range `ε` or, after that
-/// check, a violated a-priori `hmin`; [`DistError::StageDiverged`] if a
-/// stage exceeds the step budget; [`DistError::MisBudgetExhausted`] if
-/// the MIS backend stops making progress (impossible for the shipped
-/// backends).
-///
-/// # Panics
-///
-/// For a line theorem, if some network is not a canonical line.
+/// [`DistError::BadParameters`] for an out-of-range `ε`, then for a line
+/// theorem on a network that is not a canonical line, then for a
+/// violated a-priori `hmin`; [`DistError::StageDiverged`] if a stage
+/// exceeds the step budget; [`DistError::MisBudgetExhausted`] if the MIS
+/// backend stops making progress (impossible for the shipped backends).
 pub fn run_distributed(
     problem: &Problem,
     choice: AutoChoice,
@@ -1439,6 +1437,23 @@ mod tests {
                         "{choice:?} ε = {eps}"
                     );
                 }
+            }
+        }
+    }
+
+    #[test]
+    fn line_theorems_refuse_tree_networks() {
+        let p = mixed_tree_problem(0);
+        assert!(p.networks().any(|t| !p.network(t).is_canonical_line()));
+        for choice in [AutoChoice::LineUnit, AutoChoice::LineArbitrary] {
+            for result in [
+                run_distributed(&p, choice, &DistConfig::default()),
+                run_distributed_reference(&p, choice, &DistConfig::default()),
+            ] {
+                assert!(
+                    matches!(result, Err(DistError::BadParameters { .. })),
+                    "{choice:?}"
+                );
             }
         }
     }

@@ -151,9 +151,10 @@ impl PublicInfo {
     ) -> InstView {
         // Group and critical edges come from the same per-instance
         // definition the logical LayeredDecomposition uses.
-        let (group, critical) = self
-            .layering
-            .layer(&self.rooted[network.index()], network, &path);
+        let mut critical = Vec::new();
+        let group =
+            self.layering
+                .layer(&self.rooted[network.index()], network, &path, &mut critical);
         let key = treenet_model::canonical_instance_key(descriptor.id, network, start);
         let mut sorted_edges: Vec<EdgeId> = path.edges().to_vec();
         sorted_edges.sort_unstable();

@@ -181,10 +181,6 @@ fn execute_reference(
 /// # Errors
 ///
 /// Same contract as [`crate::run_distributed`].
-///
-/// # Panics
-///
-/// For a line theorem, if some network is not a canonical line.
 pub fn run_distributed_reference(
     problem: &Problem,
     choice: AutoChoice,

@@ -11,9 +11,9 @@
 //!   induced subtree into components of size at most `⌊|C|/2⌋` (a centroid).
 //!
 //! Functions here take a scratch
-//! [`Membership`](crate::component::Membership) buffer so that recursive
-//! decomposition code can reuse allocations; a convenience constructor
-//! builds one per call for one-off use.
+//! [`Membership`](crate::component::Membership) buffer, and the balancer
+//! and split routines a [`Scratch`](crate::component::Scratch), so that
+//! recursive decomposition code allocates its per-vertex arrays once.
 
 use crate::{Tree, VertexId};
 
@@ -127,6 +127,63 @@ pub fn neighborhood(tree: &Tree, members: &[VertexId], membership: &Membership) 
     out
 }
 
+/// Per-vertex scratch for [`split_at`] and [`find_balancer`], sized to
+/// the tree once and passed down a recursive decomposition, so that a
+/// call on component `C` costs `O(|C|)` rather than allocating arrays
+/// sized to the whole tree.
+///
+/// Every entry a call reads is one it wrote earlier in the same call,
+/// so no call needs the arrays reset.
+#[derive(Clone, Debug)]
+pub struct Scratch {
+    /// The DFS parent of each vertex visited inside the current
+    /// component (a DFS root is its own parent).
+    parent: Vec<VertexId>,
+    /// Subtree sizes below each visited vertex, within the component.
+    size: Vec<u32>,
+    /// Visited vertices in DFS discovery order.
+    order: Vec<VertexId>,
+    stack: Vec<VertexId>,
+}
+
+impl Scratch {
+    /// Scratch for a tree with `n` vertices.
+    pub fn new(n: usize) -> Self {
+        Scratch {
+            parent: vec![VertexId(0); n],
+            size: vec![0; n],
+            order: Vec::new(),
+            stack: Vec::new(),
+        }
+    }
+
+    /// Visits the members reachable from `start` without passing `from`,
+    /// appending them to `out` in DFS discovery order. Inside a tree a
+    /// visited vertex's only visited neighbour is its DFS parent, so
+    /// skipping the parent is all the "seen" test the walk needs.
+    fn walk(
+        &mut self,
+        tree: &Tree,
+        membership: &Membership,
+        start: VertexId,
+        from: VertexId,
+        out: &mut Vec<VertexId>,
+    ) {
+        self.parent[start.index()] = from;
+        self.stack.push(start);
+        while let Some(u) = self.stack.pop() {
+            out.push(u);
+            let up = self.parent[u.index()];
+            for &(v, _) in tree.neighbors(u) {
+                if v != up && membership.contains(v) {
+                    self.parent[v.index()] = u;
+                    self.stack.push(v);
+                }
+            }
+        }
+    }
+}
+
 /// Splits component `C` by removing `z ∈ C`: returns the vertex sets of the
 /// connected components of the induced subtree on `C \ {z}`.
 ///
@@ -142,34 +199,22 @@ pub fn split_at(
     members: &[VertexId],
     membership: &Membership,
     z: VertexId,
+    scratch: &mut Scratch,
 ) -> Vec<Vec<VertexId>> {
     assert!(
         membership.contains(z),
         "split vertex {z} must belong to the component"
     );
-    let mut seen = vec![false; tree.len()];
-    seen[z.index()] = true;
-    let mut comps = Vec::new();
     let _ = members;
-    for &(start, _) in tree.neighbors(z) {
-        if !membership.contains(start) || seen[start.index()] {
-            continue;
-        }
-        let mut comp = Vec::new();
-        let mut stack = vec![start];
-        seen[start.index()] = true;
-        while let Some(u) = stack.pop() {
-            comp.push(u);
-            for &(v, _) in tree.neighbors(u) {
-                if membership.contains(v) && !seen[v.index()] {
-                    seen[v.index()] = true;
-                    stack.push(v);
-                }
-            }
-        }
-        comps.push(comp);
-    }
-    comps
+    tree.neighbors(z)
+        .iter()
+        .filter(|&&(start, _)| membership.contains(start))
+        .map(|&(start, _)| {
+            let mut comp = Vec::new();
+            scratch.walk(tree, membership, start, z, &mut comp);
+            comp
+        })
+        .collect()
 }
 
 /// Finds a **balancer** (centroid) of the component `C`: a vertex whose
@@ -182,7 +227,12 @@ pub fn split_at(
 /// # Panics
 ///
 /// Panics if `members` is empty.
-pub fn find_balancer(tree: &Tree, members: &[VertexId], membership: &Membership) -> VertexId {
+pub fn find_balancer(
+    tree: &Tree,
+    members: &[VertexId],
+    membership: &Membership,
+    scratch: &mut Scratch,
+) -> VertexId {
     assert!(
         !members.is_empty(),
         "cannot find a balancer of an empty component"
@@ -194,39 +244,29 @@ pub fn find_balancer(tree: &Tree, members: &[VertexId], membership: &Membership)
     // DFS from members[0] computing subtree sizes restricted to C, then
     // descend towards the heaviest side until no side exceeds total/2.
     let root = members[0];
-    // Order vertices so parents precede children (within C).
-    let mut parent: Vec<Option<VertexId>> = vec![None; tree.len()];
-    let mut order = Vec::with_capacity(total);
-    let mut seen = vec![false; tree.len()];
-    let mut stack = vec![root];
-    seen[root.index()] = true;
-    while let Some(u) = stack.pop() {
-        order.push(u);
-        for &(v, _) in tree.neighbors(u) {
-            if membership.contains(v) && !seen[v.index()] {
-                seen[v.index()] = true;
-                parent[v.index()] = Some(u);
-                stack.push(v);
-            }
-        }
-    }
+    let mut order = std::mem::take(&mut scratch.order);
+    order.clear();
+    scratch.walk(tree, membership, root, root, &mut order);
     debug_assert_eq!(
         order.len(),
         total,
         "members must form a connected component"
     );
-    let mut size = vec![1usize; tree.len()];
-    for &u in order.iter().rev() {
-        if let Some(p) = parent[u.index()] {
-            size[p.index()] += size[u.index()];
-        }
+    for &u in &order {
+        scratch.size[u.index()] = 1;
     }
+    for &u in order[1..].iter().rev() {
+        let p = scratch.parent[u.index()];
+        scratch.size[p.index()] += scratch.size[u.index()];
+    }
+    scratch.order = order;
     // Walk from the root to the centroid.
-    let half = total / 2;
+    let half = (total / 2) as u32;
     let mut u = root;
     'walk: loop {
+        let up = scratch.parent[u.index()];
         for &(v, _) in tree.neighbors(u) {
-            if membership.contains(v) && parent[v.index()] == Some(u) && size[v.index()] > half {
+            if v != up && membership.contains(v) && scratch.size[v.index()] > half {
                 u = v;
                 continue 'walk;
             }
@@ -244,7 +284,7 @@ pub fn is_balancer(
     z: VertexId,
 ) -> bool {
     let half = members.len() / 2;
-    split_at(tree, members, membership, z)
+    split_at(tree, members, membership, z, &mut Scratch::new(tree.len()))
         .iter()
         .all(|c| c.len() <= half)
 }
@@ -303,7 +343,7 @@ mod tests {
         let mut m = Membership::new(7);
         let comp = all(7);
         m.mark(&comp);
-        let mut parts = split_at(&t, &comp, &m, VertexId(3));
+        let mut parts = split_at(&t, &comp, &m, VertexId(3), &mut Scratch::new(t.len()));
         parts.iter_mut().for_each(|p| p.sort_unstable());
         parts.sort();
         assert_eq!(
@@ -321,7 +361,7 @@ mod tests {
         let mut m = Membership::new(4);
         let comp = all(4);
         m.mark(&comp);
-        let parts = split_at(&t, &comp, &m, VertexId(0));
+        let parts = split_at(&t, &comp, &m, VertexId(0), &mut Scratch::new(t.len()));
         assert_eq!(parts.len(), 3);
         assert!(parts.iter().all(|p| p.len() == 1));
     }
@@ -333,7 +373,7 @@ mod tests {
         let mut m = Membership::new(3);
         let comp = vec![VertexId(0), VertexId(1)];
         m.mark(&comp);
-        let _ = split_at(&t, &comp, &m, VertexId(2));
+        let _ = split_at(&t, &comp, &m, VertexId(2), &mut Scratch::new(t.len()));
     }
 
     #[test]
@@ -342,7 +382,7 @@ mod tests {
         let mut m = Membership::new(9);
         let comp = all(9);
         m.mark(&comp);
-        let z = find_balancer(&t, &comp, &m);
+        let z = find_balancer(&t, &comp, &m, &mut Scratch::new(t.len()));
         assert!(is_balancer(&t, &comp, &m, z));
         assert_eq!(z, VertexId(4));
         // The end vertex is not a balancer.
@@ -355,7 +395,10 @@ mod tests {
         let mut m = Membership::new(6);
         let comp = all(6);
         m.mark(&comp);
-        assert_eq!(find_balancer(&t, &comp, &m), VertexId(0));
+        assert_eq!(
+            find_balancer(&t, &comp, &m, &mut Scratch::new(t.len())),
+            VertexId(0)
+        );
     }
 
     #[test]
@@ -365,7 +408,7 @@ mod tests {
         let mut m = Membership::new(10);
         let comp: Vec<VertexId> = (3..8).map(VertexId).collect();
         m.mark(&comp);
-        let z = find_balancer(&t, &comp, &m);
+        let z = find_balancer(&t, &comp, &m, &mut Scratch::new(t.len()));
         assert!(is_balancer(&t, &comp, &m, z));
         assert_eq!(z, VertexId(5));
     }
@@ -376,7 +419,10 @@ mod tests {
         let mut m = Membership::new(3);
         let comp = vec![VertexId(1)];
         m.mark(&comp);
-        assert_eq!(find_balancer(&t, &comp, &m), VertexId(1));
+        assert_eq!(
+            find_balancer(&t, &comp, &m, &mut Scratch::new(t.len())),
+            VertexId(1)
+        );
         assert!(is_balancer(&t, &comp, &m, VertexId(1)));
     }
 
@@ -387,7 +433,7 @@ mod tests {
         let mut m = Membership::new(7);
         let full = all(7);
         m.mark(&full);
-        let z = find_balancer(&t, &full, &m);
+        let z = find_balancer(&t, &full, &m, &mut Scratch::new(t.len()));
         assert!(is_balancer(&t, &full, &m, z));
     }
 }

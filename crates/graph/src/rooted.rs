@@ -234,18 +234,20 @@ impl RootedTree {
     /// bending point of the path `a ↝ b` with respect to `u` is
     /// `median(a, b, u)`.
     pub fn median(&self, a: VertexId, b: VertexId, c: VertexId) -> VertexId {
+        // The median is the deepest of the three pairwise LCAs; the other
+        // two coincide at the shallowest. When `c` hangs outside the
+        // subtree of `ab = lca(a, b)`, both LCAs with `c` are above `ab`.
+        // Otherwise `ab` is one of them, and the other is the median.
         let ab = self.lca(a, b);
-        let bc = self.lca(b, c);
-        let ac = self.lca(a, c);
-        // Exactly one of the three pairwise LCAs is the deepest; it is the
-        // median. (Two of them always coincide at the shallowest point.)
-        let mut best = ab;
-        for w in [bc, ac] {
-            if self.depth(w) > self.depth(best) {
-                best = w;
-            }
+        if !self.is_ancestor_or_self(ab, c) {
+            return ab;
         }
-        best
+        let ac = self.lca(a, c);
+        if ac != ab {
+            ac
+        } else {
+            self.lca(b, c)
+        }
     }
 
     /// The unique path from `u` to `v` with vertex and edge sequences.

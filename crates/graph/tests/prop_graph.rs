@@ -4,7 +4,7 @@ use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use treenet_graph::component::{
-    find_balancer, is_balancer, is_component, neighborhood, split_at, Membership,
+    find_balancer, is_balancer, is_component, neighborhood, split_at, Membership, Scratch,
 };
 use treenet_graph::generators::{prufer_to_tree, random_tree, TreeFamily};
 use treenet_graph::{RootedTree, VertexId};
@@ -91,9 +91,10 @@ proptest! {
         let mut membership = Membership::new(n);
         membership.mark(&members);
         prop_assert!(is_component(&tree, &members, &membership));
-        let z = find_balancer(&tree, &members, &membership);
+        let mut scratch = Scratch::new(n);
+        let z = find_balancer(&tree, &members, &membership, &mut scratch);
         prop_assert!(is_balancer(&tree, &members, &membership, z));
-        let parts = split_at(&tree, &members, &membership, z);
+        let parts = split_at(&tree, &members, &membership, z, &mut scratch);
         let total: usize = parts.iter().map(Vec::len).sum();
         prop_assert_eq!(total, n - 1);
         for part in &parts {

@@ -120,6 +120,36 @@ fn ps_line_refuses_an_epsilon_outside_the_unit_interval() {
 }
 
 #[test]
+fn line_theorems_refuse_a_tree_network() {
+    let dir = tempdir();
+    let spec = dir.join("tree-for-lines.json");
+    let out = bin()
+        .args([
+            "generate", "--kind", "tree", "--n", "16", "--m", "12", "--seed", "3",
+        ])
+        .arg(&spec)
+        .output()
+        .unwrap();
+    assert!(out.status.success());
+    for algo in ["line-unit", "line-arbitrary", "ps-line"] {
+        let out = bin()
+            .args(["solve", "--algorithm", algo])
+            .arg(&spec)
+            .output()
+            .unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{algo}: {stderr}");
+        assert!(
+            stderr.contains(
+                "error: bad parameters: line layered decomposition requires canonical line networks"
+            ),
+            "{algo}: {stderr}"
+        );
+        assert!(out.stdout.is_empty(), "{algo}");
+    }
+}
+
+#[test]
 fn helpful_errors() {
     // Unknown command.
     let out = bin().arg("frobnicate").output().unwrap();
