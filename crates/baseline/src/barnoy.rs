@@ -17,7 +17,8 @@
 //! serialized — the distributed algorithms trade a constant factor for
 //! polylogarithmic rounds.
 
-use treenet_core::{DualState, RaiseRule, SequentialOutcome};
+use treenet_core::{DualState, FrameworkError, RaiseRule, SequentialOutcome};
+use treenet_decomp::Layering;
 use treenet_graph::EdgeId;
 use treenet_model::{HeightClass, InstanceId, Problem, Solution, SolutionTracker};
 
@@ -43,17 +44,19 @@ fn end_time_order(problem: &Problem, participants: &[InstanceId]) -> Vec<Instanc
     order
 }
 
+/// Refuses a problem with a network that is not a canonical line, with
+/// [`Layering::for_lines`]' reason, as the PS baselines do.
+fn require_lines(problem: &Problem) -> Result<(), FrameworkError> {
+    Layering::for_lines(problem)
+        .map(drop)
+        .map_err(|reason| FrameworkError::BadParameters { reason })
+}
+
 fn sequential_pass(
     problem: &Problem,
     rule: RaiseRule,
     participants: &[InstanceId],
 ) -> SequentialOutcome {
-    for t in problem.networks() {
-        assert!(
-            problem.network(t).is_canonical_line(),
-            "Bar-Noy algorithms require canonical line networks"
-        );
-    }
     let mut dual = DualState::new(problem, rule.dual_form());
     let mut stack: Vec<InstanceId> = Vec::new();
     for d in end_time_order(problem, participants) {
@@ -80,9 +83,10 @@ fn sequential_pass(
 /// The sequential **2-approximation** for the unit height case of
 /// line-networks with windows (\[4, 5\] in the paper).
 ///
-/// # Panics
+/// # Errors
 ///
-/// Panics if some network is not a canonical line.
+/// [`FrameworkError::BadParameters`] if some network is not a canonical
+/// line.
 ///
 /// # Example
 ///
@@ -93,13 +97,14 @@ fn sequential_pass(
 ///
 /// let mut rng = rand::rngs::SmallRng::seed_from_u64(1);
 /// let problem = LineWorkload::new(30, 15).with_window_slack(2).generate(&mut rng);
-/// let outcome = barnoy_line_unit(&problem);
+/// let outcome = barnoy_line_unit(&problem).unwrap();
 /// assert!(outcome.solution.verify(&problem).is_ok());
 /// assert!(outcome.certified_ratio(&problem) <= 2.0 + 1e-9);
 /// ```
-pub fn barnoy_line_unit(problem: &Problem) -> SequentialOutcome {
+pub fn barnoy_line_unit(problem: &Problem) -> Result<SequentialOutcome, FrameworkError> {
+    require_lines(problem)?;
     let all: Vec<InstanceId> = problem.instances().map(|d| d.id).collect();
-    sequential_pass(problem, RaiseRule::Unit, &all)
+    Ok(sequential_pass(problem, RaiseRule::Unit, &all))
 }
 
 /// The sequential **5-approximation** for the arbitrary height case of
@@ -109,17 +114,18 @@ pub fn barnoy_line_unit(problem: &Problem) -> SequentialOutcome {
 ///
 /// Returns `(combined, wide outcome, narrow outcome)`.
 ///
-/// # Panics
+/// # Errors
 ///
-/// Panics if some network is not a canonical line.
+/// As [`barnoy_line_unit`].
 pub fn barnoy_line_arbitrary(
     problem: &Problem,
-) -> (Solution, SequentialOutcome, SequentialOutcome) {
+) -> Result<(Solution, SequentialOutcome, SequentialOutcome), FrameworkError> {
+    require_lines(problem)?;
     let (wide_ids, narrow_ids) = HeightClass::split(problem, problem.instances().map(|d| d.id));
     let wide = sequential_pass(problem, RaiseRule::Unit, &wide_ids);
     let narrow = sequential_pass(problem, RaiseRule::Narrow, &narrow_ids);
     let combined = treenet_core::combine_by_network(problem, &wide.solution, &narrow.solution);
-    (combined, wide, narrow)
+    Ok((combined, wide, narrow))
 }
 
 #[cfg(test)]
@@ -138,7 +144,7 @@ mod tests {
                 .with_window_slack(3)
                 .with_len_range(1, 10)
                 .generate(&mut SmallRng::seed_from_u64(seed));
-            let out = barnoy_line_unit(&p);
+            let out = barnoy_line_unit(&p).unwrap();
             assert!(out.solution.verify(&p).is_ok(), "seed {seed}");
             assert!(
                 out.certified_ratio(&p) <= 2.0 + 1e-9,
@@ -159,7 +165,7 @@ mod tests {
                 .with_window_slack(0)
                 .with_len_range(1, 8)
                 .generate(&mut SmallRng::seed_from_u64(seed));
-            let out = barnoy_line_unit(&p);
+            let out = barnoy_line_unit(&p).unwrap();
             let opt = weighted_interval_dp(&p).unwrap();
             assert!(
                 opt.profit(&p) <= 2.0 * out.profit(&p) + 1e-9,
@@ -181,7 +187,7 @@ mod tests {
                     hmin: 0.2,
                 })
                 .generate(&mut SmallRng::seed_from_u64(seed));
-            let (combined, wide, narrow) = barnoy_line_arbitrary(&p);
+            let (combined, wide, narrow) = barnoy_line_arbitrary(&p).unwrap();
             assert!(combined.verify(&p).is_ok(), "seed {seed}");
             let bound = wide.opt_upper_bound() + narrow.opt_upper_bound();
             let profit = combined.profit(&p);
@@ -203,7 +209,7 @@ mod tests {
         let p = LineWorkload::new(24, 12)
             .with_window_slack(4)
             .generate(&mut SmallRng::seed_from_u64(3));
-        let out = barnoy_line_unit(&p);
+        let out = barnoy_line_unit(&p).unwrap();
         assert!(out.raises as usize <= p.instance_count());
         assert_eq!(out.objective_cap, 2.0);
     }
@@ -211,13 +217,12 @@ mod tests {
     #[test]
     fn end_time_order_is_deterministic() {
         let p = LineWorkload::new(24, 12).generate(&mut SmallRng::seed_from_u64(5));
-        let a = barnoy_line_unit(&p);
-        let b = barnoy_line_unit(&p);
+        let a = barnoy_line_unit(&p).unwrap();
+        let b = barnoy_line_unit(&p).unwrap();
         assert_eq!(a.solution, b.solution);
     }
 
     #[test]
-    #[should_panic(expected = "canonical line")]
     fn rejects_tree_networks() {
         let mut b = treenet_model::ProblemBuilder::new();
         let star = treenet_graph::Tree::from_edges(4, &[(0, 1), (0, 2), (0, 3)]).unwrap();
@@ -232,6 +237,11 @@ mod tests {
         )
         .unwrap();
         let p = b.build().unwrap();
-        let _ = barnoy_line_unit(&p);
+        for err in [barnoy_line_unit(&p).err(), barnoy_line_arbitrary(&p).err()] {
+            assert!(matches!(
+                err,
+                Some(FrameworkError::BadParameters { reason }) if reason.contains("canonical line")
+            ));
+        }
     }
 }

@@ -26,7 +26,7 @@ proptest! {
         let ps = ps_line_unit(&p, &PsConfig { seed, ..PsConfig::default() }).unwrap();
         prop_assert!(ps.solution.verify(&p).is_ok());
         prop_assert!(ps.certified_ratio(&p) <= 4.0 * 5.1 + 1e-6);
-        let bn = barnoy_line_unit(&p);
+        let bn = barnoy_line_unit(&p).unwrap();
         prop_assert!(bn.solution.verify(&p).is_ok());
         prop_assert!(bn.certified_ratio(&p) <= 2.0 + 1e-9);
     }
@@ -46,7 +46,7 @@ proptest! {
             prop_assert!(po + 1e-9 >= greedy_profit(&p, order).profit(&p));
         }
         prop_assert!(po + 1e-9 >= ps_line_unit(&p, &PsConfig::default()).unwrap().profit(&p));
-        prop_assert!(po + 1e-9 >= barnoy_line_unit(&p).profit(&p));
+        prop_assert!(po + 1e-9 >= barnoy_line_unit(&p).unwrap().profit(&p));
     }
 
     /// On single-resource unit-height fixed intervals, the DP and the
@@ -62,7 +62,7 @@ proptest! {
         let dp = weighted_interval_dp(&p).unwrap();
         let bb = exact_max_profit(&p, 10_000_000).unwrap();
         prop_assert!((dp.profit(&p) - bb.profit(&p)).abs() < 1e-9);
-        let bn = barnoy_line_unit(&p);
+        let bn = barnoy_line_unit(&p).unwrap();
         prop_assert!(dp.profit(&p) <= 2.0 * bn.profit(&p) + 1e-9);
     }
 
@@ -75,7 +75,7 @@ proptest! {
             .with_len_range(1, 6)
             .with_heights(HeightMode::Bimodal { narrow_frac: 0.5, hmin: 0.15 })
             .generate(&mut SmallRng::seed_from_u64(seed));
-        let (combined, wide, narrow) = barnoy_line_arbitrary(&p);
+        let (combined, wide, narrow) = barnoy_line_arbitrary(&p).unwrap();
         prop_assert!(combined.verify(&p).is_ok());
         let profit = combined.profit(&p);
         prop_assume!(profit > 0.0);

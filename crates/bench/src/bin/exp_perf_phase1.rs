@@ -4,7 +4,13 @@
 //! (`run_two_phase_reference`) across a tree/line × rule × size × ε
 //! scenario grid (unit, narrow, and capacitated raise rules), asserts
 //! the engines stay bit-identical while the clock runs, and writes the
-//! results to `BENCH_phase1.json` (schema `phase1/v2`).
+//! results to `BENCH_phase1.json` (schema `phase1/v3`). Each row also
+//! times `ProblemSpec::build` of its problem, the problem/instance build
+//! layer every solve starts from.
+//!
+//! The engines are timed rep by rep in alternating order, each keeping
+//! its best over the same reps, so a slow host episode slows both sides
+//! of a speedup alike instead of one of them.
 //!
 //! Usage:
 //!
@@ -28,11 +34,12 @@ use treenet_core::{
     narrow_xi, run_two_phase, run_two_phase_reference, unit_xi, FrameworkConfig, Outcome, RaiseRule,
 };
 use treenet_decomp::{LayeredDecomposition, Strategy};
+use treenet_model::spec::ProblemSpec;
 use treenet_model::workload::{HeightMode, LineWorkload, TreeWorkload};
 use treenet_model::{HeightClass, InstanceId, Problem};
 
 /// Schema tag checked by the smoke validation (bump on layout changes).
-const SCHEMA: &str = "treenet-bench/phase1/v2";
+const SCHEMA: &str = "treenet-bench/phase1/v3";
 
 /// Narrow-height floor of the narrow/capacitated scenarios.
 const HMIN: f64 = 0.25;
@@ -369,6 +376,7 @@ struct ScenarioReport {
     epsilon: f64,
     instances: u64,
     steps: u64,
+    build_ms: f64,
     reference_ms: f64,
     incremental_ms: f64,
     speedup: f64,
@@ -425,28 +433,29 @@ const MAX_REPEATS: u32 = 20_000;
 /// Accumulated wall time after which the timing loop is satisfied, ms.
 const MIN_TOTAL_MS: f64 = 20.0;
 
-/// Best-of-N wall time in milliseconds, plus the last outcome. Runs at
-/// least `min_repeats` times and keeps repeating until the accumulated
-/// time crosses [`MIN_TOTAL_MS`] (capped at [`MAX_REPEATS`]), so
-/// microsecond-scale scenarios are timed over hundreds of runs instead
-/// of a noise-dominated handful, while second-scale scenarios stop at
-/// `min_repeats`.
-fn time_best<T>(min_repeats: u32, mut run: impl FnMut() -> T) -> (f64, T) {
-    let mut best = f64::INFINITY;
-    let mut total = 0.0;
-    let mut last = None;
-    for rep in 0..MAX_REPEATS {
+/// The best and the accumulated wall time of one timed measurement, ms.
+struct Clock {
+    best: f64,
+    total: f64,
+}
+
+impl Clock {
+    fn new() -> Self {
+        Clock {
+            best: f64::INFINITY,
+            total: 0.0,
+        }
+    }
+
+    /// Times one run; its result is returned, and dropped, off the clock.
+    fn time<T>(&mut self, run: impl FnOnce() -> T) -> T {
         let t0 = Instant::now();
         let outcome = run();
         let elapsed = t0.elapsed().as_secs_f64() * 1e3;
-        best = best.min(elapsed);
-        total += elapsed;
-        last = Some(outcome);
-        if rep + 1 >= min_repeats && total >= MIN_TOTAL_MS {
-            break;
-        }
+        self.best = self.best.min(elapsed);
+        self.total += elapsed;
+        outcome
     }
-    (best, last.expect("min_repeats >= 1"))
 }
 
 /// How many framework runs a scenario requires: one for the unit and narrow
@@ -478,26 +487,53 @@ fn runs_for(
     }
 }
 
+/// Times the row's problem build and both engines rep by rep, each keeping
+/// its best over the same reps; the engines alternate which runs first.
+/// Runs at least `min_repeats` reps and keeps repeating until every
+/// measurement has accumulated [`MIN_TOTAL_MS`] (capped at
+/// [`MAX_REPEATS`]), so microsecond-scale scenarios are timed over
+/// hundreds of runs instead of a noise-dominated handful, while
+/// second-scale scenarios stop at `min_repeats`.
 fn run_scenario(s: &Scenario, repeats: u32) -> ScenarioReport {
     let problem = problem_for(s);
+    let spec = ProblemSpec::from_problem(&problem);
     let layers = layers_for(&problem, s.family);
     let runs = runs_for(s, &problem, layers.delta());
-    let (reference_ms, oracles) = time_best(repeats, || -> Vec<Outcome> {
+    let reference = || -> Vec<Outcome> {
         runs.iter()
             .map(|(rule, config, participants)| {
                 run_two_phase_reference(&problem, &layers, *rule, config, participants)
                     .expect("reference run")
             })
             .collect()
-    });
-    let (incremental_ms, fasts) = time_best(repeats, || -> Vec<Outcome> {
+    };
+    let incremental = || -> Vec<Outcome> {
         runs.iter()
             .map(|(rule, config, participants)| {
                 run_two_phase(&problem, &layers, *rule, config, participants)
                     .expect("incremental run")
             })
             .collect()
-    });
+    };
+    let (mut build_clock, mut reference_clock, mut incremental_clock) =
+        (Clock::new(), Clock::new(), Clock::new());
+    let (mut oracles, mut fasts) = (Vec::new(), Vec::new());
+    for rep in 0..MAX_REPEATS {
+        let rebuilt = build_clock.time(|| spec.build().expect("the row's spec rebuilds"));
+        assert_eq!(rebuilt.instance_count(), problem.instance_count());
+        drop(rebuilt);
+        if rep % 2 == 0 {
+            oracles = reference_clock.time(reference);
+            fasts = incremental_clock.time(incremental);
+        } else {
+            fasts = incremental_clock.time(incremental);
+            oracles = reference_clock.time(reference);
+        }
+        let clocks = [&build_clock, &reference_clock, &incremental_clock];
+        if rep + 1 >= repeats && clocks.iter().all(|c| c.total >= MIN_TOTAL_MS) {
+            break;
+        }
+    }
     // The clock only counts if the engines stay bit-identical, run by
     // run (for capacitated scenarios: the wide and the narrow run).
     for (fast, oracle) in fasts.iter().zip(oracles.iter()) {
@@ -524,9 +560,10 @@ fn run_scenario(s: &Scenario, repeats: u32) -> ScenarioReport {
         epsilon: s.epsilon,
         instances: problem.instance_count() as u64,
         steps: fasts.iter().map(|f| f.stats.steps).sum(),
-        reference_ms,
-        incremental_ms,
-        speedup: reference_ms / incremental_ms,
+        build_ms: build_clock.best,
+        reference_ms: reference_clock.best,
+        incremental_ms: incremental_clock.best,
+        speedup: reference_clock.best / incremental_clock.best,
     }
 }
 
@@ -555,7 +592,7 @@ fn validate_json(path: &str) -> Result<Phase1Report, String> {
         if !(s.speedup.is_finite() && s.speedup > 0.0) {
             return Err(format!("{path}: scenario {} has bad speedup", s.name));
         }
-        if s.reference_ms < 0.0 || s.incremental_ms < 0.0 {
+        if s.build_ms < 0.0 || s.reference_ms < 0.0 || s.incremental_ms < 0.0 {
             return Err(format!("{path}: scenario {} has negative timing", s.name));
         }
         // The headline claim is "never slower than from scratch"; a
@@ -579,7 +616,9 @@ fn main() {
         .clone()
         .unwrap_or_else(|| "BENCH_phase1.json".to_string());
 
-    let repeats: u32 = if smoke { 1 } else { 3 };
+    // At least five reps in a full run: second-scale rows stop at the
+    // minimum, and their min over five reps is steadier than over three.
+    let repeats: u32 = if smoke { 1 } else { 5 };
     let scenarios: Vec<&Scenario> = GRID
         .iter()
         .filter(|s| (!smoke || s.smoke) && args.selects(s.name))
@@ -600,6 +639,7 @@ fn main() {
             "eps",
             "instances",
             "steps",
+            "build [ms]",
             "reference [ms]",
             "incremental [ms]",
             "speedup",
@@ -617,6 +657,7 @@ fn main() {
             format!("{}", row.epsilon),
             row.instances.to_string(),
             row.steps.to_string(),
+            f2(row.build_ms),
             f2(row.reference_ms),
             f2(row.incremental_ms),
             format!("{:.2}x", row.speedup),

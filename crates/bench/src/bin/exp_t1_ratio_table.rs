@@ -176,10 +176,10 @@ fn main() {
         entries.push((3, ps.certified_ratio(&la), vs_opt(&la, ps.profit(&la))));
 
         // Sequential Bar-Noy baselines on the same line workloads.
-        let bn = barnoy_line_unit(&lp);
+        let bn = barnoy_line_unit(&lp).unwrap();
         bn.solution.verify(&lp).unwrap();
         entries.push((4, bn.certified_ratio(&lp), vs_opt(&lp, bn.profit(&lp))));
-        let (bn_sol, bn_w, bn_n) = barnoy_line_arbitrary(&la);
+        let (bn_sol, bn_w, bn_n) = barnoy_line_arbitrary(&la).unwrap();
         bn_sol.verify(&la).unwrap();
         let bn_bound = bn_w.opt_upper_bound() + bn_n.opt_upper_bound();
         let bn_profit = bn_sol.profit(&la);

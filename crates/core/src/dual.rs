@@ -71,6 +71,15 @@ impl Ids {
 /// are bit-identical to a from-scratch evaluation — the property that
 /// keeps the logical and message-passing executions equal. Cache slot `i`
 /// holds [`DualState::participants`]`[i]`.
+///
+/// Every slot holds a *lower bound* on its participant's current LHS:
+/// either the `+0.0` fill or an exact LHS from an earlier refresh. Duals
+/// only grow, and every float operation of the fixed-order `α + h·Σβ`
+/// (and the `/p` of a satisfaction) is monotone, so an LHS computed from
+/// smaller duals is never larger. A slot that is fresh and was refreshed
+/// since the last raise touching it is exact; the final λ of
+/// [`run_two_phase`](crate::run_two_phase) re-walks only the slots whose
+/// bound could lower it and flags the rest stale.
 #[derive(Clone, Debug)]
 pub struct DualState {
     form: DualForm,
@@ -87,8 +96,10 @@ pub struct DualState {
     /// network.
     var_slots: Vec<(u32, u32)>,
     lhs_cache: Vec<f64>,
-    /// `stale[i]` means `lhs_cache[i]` predates a raise that touched the
-    /// constraint and must be recomputed before use.
+    /// `stale[i]` means `lhs_cache[i]` may predate a raise that touched
+    /// the constraint: it is only a lower bound and must be recomputed
+    /// before use. Inside a run, only the current epoch's members are
+    /// flagged; after it, every slot the final λ did not re-walk is.
     stale: Vec<bool>,
     /// Whether the problem has a demand and an edge: the dense sums
     /// [`DualState::value`] reproduces start from `+0.0` exactly then.
@@ -352,6 +363,12 @@ impl DualState {
         self.stale[i] = false;
     }
 
+    /// Cache slot `i`'s stored LHS and whether it is flagged stale.
+    #[cfg(test)]
+    pub(crate) fn cache_entry(&self, i: usize) -> (f64, bool) {
+        (self.lhs_cache[i], self.stale[i])
+    }
+
     /// The satisfaction ratio in cache slot `i` — bitwise equal to
     /// [`DualState::satisfaction`] of its participant whenever the slot
     /// is fresh.
@@ -367,8 +384,8 @@ impl DualState {
     }
 
     /// [`DualState::min_satisfaction`] over the participants, read off the
-    /// cache instead of re-walking every path — the memoized λ of the
-    /// first phase. Refreshes stale slots on the way (hence `&mut`).
+    /// cache instead of re-walking every path. Refreshes stale slots on
+    /// the way (hence `&mut`).
     pub fn min_satisfaction_cached(&mut self, problem: &Problem) -> f64 {
         (0..self.participants.len())
             .map(|i| {
@@ -376,6 +393,37 @@ impl DualState {
                 self.cached_satisfaction(problem, i)
             })
             .fold(1.0f64, f64::min)
+    }
+
+    /// The memoized λ of the first phase: [`DualState::min_satisfaction`]
+    /// over the participants, bit for bit, given that the `exact` slots
+    /// (ascending) are fresh; every other slot is a lower bound (see the
+    /// type docs).
+    ///
+    /// λ starts as the exact minimum over `exact`. Another slot is
+    /// re-walked only if its bound is below the running minimum, as
+    /// otherwise it cannot lower λ, and is flagged stale if not. All
+    /// satisfactions are non-negative and never NaN, so their minimum
+    /// does not depend on the order of the fold.
+    pub(crate) fn min_satisfaction_bounded(&mut self, problem: &Problem, exact: &[u32]) -> f64 {
+        let mut lambda = exact
+            .iter()
+            .map(|&i| self.cached_satisfaction(problem, i as usize))
+            .fold(1.0f64, f64::min);
+        let mut exact = exact.iter().peekable();
+        for i in 0..self.participants.len() {
+            if exact.next_if(|&&x| x as usize == i).is_some() {
+                continue;
+            }
+            let bound = self.lhs_cache[i] / problem.profit_of(self.participants[i]);
+            if bound < lambda {
+                self.refresh_cached_lhs(problem, i);
+                lambda = lambda.min(self.cached_satisfaction(problem, i));
+            } else {
+                self.stale[i] = true;
+            }
+        }
+        lambda
     }
 
     /// The dual objective `val(α, β) = Σ_a α(a) + Σ_e β(e)`, summed in

@@ -54,7 +54,7 @@
 //!    by the layered property, every member overlapping it — each uses
 //!    one of its critical edges (β). A participant outside the epoch is
 //!    re-evaluated when it is next read instead: at its own epoch's
-//!    filter, or by the final λ read.
+//!    filter, or by the final λ read if it can lower λ.
 //! 3. **Monotone activity.** Duals only grow, so a member leaves the
 //!    unsatisfied set and never returns within a stage; stage boundaries
 //!    re-sweep the cached satisfactions against the new threshold — the
@@ -69,10 +69,17 @@
 //!    `ξ = c/(c+hmin)` schedules hundreds of stages per epoch for a
 //!    handful of steps, so most stages are empty.
 //!
-//! λ is read off the cache at the end of phase 1
-//! ([`DualState::min_satisfaction_cached`]) once the slots that may
-//! predate a raise are re-walked, and communication rounds are accounted
-//! through the shared [`step_comm_rounds`] formula also used by
+//! λ is read off the cache at the end of phase 1. Every cache slot holds
+//! a lower bound on its satisfaction: the `+0.0` fill or an exact LHS
+//! from an earlier refresh, since duals only grow and every float
+//! operation of the fixed-order `α + h·Σβ` and the `/p` is monotone. The
+//! last epoch's active members were kept exact, so λ starts as their
+//! minimum; any other slot is re-walked only if its bound is below the
+//! running minimum, and is flagged stale otherwise. The minimum of
+//! non-negative, non-NaN values does not depend on the order of the fold,
+//! so λ is bit for bit the minimum over freshly walked paths, while only a
+//! handful of the stale slots are walked. Communication rounds are
+//! accounted through the shared [`step_comm_rounds`] formula also used by
 //! `treenet-dist`.
 
 use crate::certificate::certified_ratio;
@@ -593,7 +600,8 @@ pub fn run_two_phase(
                     // Marking is an O(1) flag; the path re-walk happens at
                     // most once per member per step, in the boundary sweep
                     // below. Other participants are re-walked when next
-                    // read: at their own epoch's filter or the final λ.
+                    // read: at their own epoch's filter or, if they can
+                    // lower it, the final λ.
                     debug_assert!(critical.iter().all(|&e| problem.instance(d).active_on(e)));
                     for &y in std::iter::once(&(x as u32)).chain(graph.neighbors(x)) {
                         if dual.mark_stale(active_members[y as usize] as usize) {
@@ -631,16 +639,10 @@ pub fn run_two_phase(
     }
 
     let solution = extract_solution(problem, &stack, &mut stats);
-    // λ off the cache, once every slot is exact again: the last epoch's
-    // active members (ascending) were kept exact; any other slot may
-    // predate a raise.
-    let mut exact = active_members.iter().peekable();
-    for i in 0..participants.len() {
-        if exact.next_if(|&&x| x as usize == i).is_none() {
-            dual.refresh_cached_lhs(problem, i);
-        }
-    }
-    let lambda = dual.min_satisfaction_cached(problem);
+    // λ off the cache: the last epoch's active members (ascending) were
+    // kept exact; every other slot is a lower bound, re-walked only if it
+    // is below the running minimum.
+    let lambda = dual.min_satisfaction_bounded(problem, &active_members);
     Ok(Outcome {
         solution,
         dual,
@@ -959,6 +961,31 @@ mod tests {
                 profit
             );
         }
+    }
+
+    #[test]
+    fn final_lambda_rewalks_only_slots_that_can_lower_it() {
+        let mut stale = 0;
+        for seed in 0..10u64 {
+            let p = small_problem(seed);
+            let (_, outcome) = run(&p, seed);
+            let dual = &outcome.dual;
+            let mut least = 1.0f64;
+            for (i, &d) in dual.participants().iter().enumerate() {
+                let dense = dual.satisfaction(&p, d);
+                let (lhs, flagged) = dual.cache_entry(i);
+                let cached = lhs / p.profit_of(d);
+                assert!(cached <= dense, "seed {seed} slot {i}: {cached} > {dense}");
+                if flagged {
+                    stale += 1;
+                } else {
+                    assert_eq!(cached.to_bits(), dense.to_bits(), "seed {seed} slot {i}");
+                }
+                least = least.min(dense);
+            }
+            assert_eq!(outcome.lambda.to_bits(), least.to_bits(), "seed {seed}");
+        }
+        assert!(stale > 0, "every slot was re-walked");
     }
 
     #[test]

@@ -188,6 +188,68 @@ mod tests {
         assert_eq!(p.wings(VertexId(9)), vec![]);
     }
 
+    /// The path `u ↝ v` by parent pointers alone: climb both ends to the
+    /// root, drop the shared suffix, and join the two climbs.
+    fn parent_walk(rooted: &crate::RootedTree, u: VertexId, v: VertexId) -> TreePath {
+        let climb = |mut x: VertexId| {
+            let mut chain = vec![x];
+            while let Some(p) = rooted.parent(x) {
+                chain.push(p);
+                x = p;
+            }
+            chain
+        };
+        let (mut vertices, mut down) = (climb(u), climb(v));
+        // Both climbs end at the root; drop what they share above the LCA.
+        while vertices.len() > 1
+            && down.len() > 1
+            && vertices[vertices.len() - 2] == down[down.len() - 2]
+        {
+            vertices.pop();
+            down.pop();
+        }
+        down.pop();
+        vertices.extend(down.iter().rev());
+        let edges = vertices
+            .windows(2)
+            .map(|w| match rooted.parent(w[0]) {
+                Some(p) if p == w[1] => rooted.parent_edge(w[0]).unwrap(),
+                _ => rooted.parent_edge(w[1]).unwrap(),
+            })
+            .collect();
+        TreePath::new(vertices, edges)
+    }
+
+    #[test]
+    fn rooted_paths_are_exactly_sized_parent_walks() {
+        use crate::generators::{balanced_binary, caterpillar, random_tree, spider};
+        use crate::{RootedTree, Tree};
+        use rand::rngs::SmallRng;
+        use rand::SeedableRng;
+        let mut rng = SmallRng::seed_from_u64(23);
+        let trees = [
+            Tree::from_edges(1, &[]).unwrap(),
+            Tree::line(9),
+            balanced_binary(15, &mut rng),
+            caterpillar(14, &mut rng),
+            spider(13, &mut rng),
+            random_tree(20, &mut rng),
+        ];
+        for tree in &trees {
+            for root in [0, tree.len() as u32 / 2] {
+                let rooted = RootedTree::new(tree, VertexId(root));
+                for u in tree.vertices() {
+                    for v in tree.vertices() {
+                        let p = rooted.path(u, v);
+                        assert_eq!(p, parent_walk(&rooted, u, v), "{u} ↝ {v}");
+                        assert_eq!(p.vertices.capacity(), p.vertices.len(), "{u} ↝ {v}");
+                        assert_eq!(p.edges.capacity(), p.edges.len(), "{u} ↝ {v}");
+                    }
+                }
+            }
+        }
+    }
+
     #[test]
     fn overlap_is_edge_sharing() {
         let p = vp(&[0, 1, 2], &[0, 1]);

@@ -251,29 +251,30 @@ impl RootedTree {
     }
 
     /// The unique path from `u` to `v` with vertex and edge sequences.
+    ///
+    /// Both sequences are allocated once at their exact length,
+    /// `d(u) + d(v) − 2·d(lca)` edges: the ascent from `u` is written
+    /// forward and the descent to `v` backward from `v`.
     pub fn path(&self, u: VertexId, v: VertexId) -> TreePath {
         let w = self.lca(u, v);
-        // Ascend from u to w.
-        let mut vertices = Vec::new();
-        let mut edges = Vec::new();
+        let up = (self.depth(u) - self.depth(w)) as usize;
+        let len = up + (self.depth(v) - self.depth(w)) as usize;
+        let mut vertices = vec![w; len + 1];
+        let mut edges = vec![EdgeId(0); len];
+        // Ascend from u to w into positions 0..up.
         let mut x = u;
-        while x != w {
-            vertices.push(x);
-            edges.push(self.parent_edge(x).expect("non-root while ascending"));
+        for i in 0..up {
+            vertices[i] = x;
+            edges[i] = self.parent_edge(x).expect("non-root while ascending");
             x = self.parent(x).expect("non-root while ascending");
         }
-        vertices.push(w);
-        // Ascend from v to w, then reverse that suffix.
-        let mut tail_vertices = Vec::new();
-        let mut tail_edges = Vec::new();
+        // Ascend from v to w into positions len..up, last first.
         let mut y = v;
-        while y != w {
-            tail_vertices.push(y);
-            tail_edges.push(self.parent_edge(y).expect("non-root while ascending"));
+        for i in (up..len).rev() {
+            vertices[i + 1] = y;
+            edges[i] = self.parent_edge(y).expect("non-root while ascending");
             y = self.parent(y).expect("non-root while ascending");
         }
-        vertices.extend(tail_vertices.into_iter().rev());
-        edges.extend(tail_edges.into_iter().rev());
         TreePath::new(vertices, edges)
     }
 }

@@ -309,20 +309,44 @@ impl ProblemBuilder {
         if self.networks.is_empty() {
             return Err(ModelError::NoNetworks);
         }
+        for (ai, demand) in self.demands.iter().enumerate() {
+            validate_demand_shape(
+                DemandId(ai as u32),
+                demand,
+                &self.access[ai],
+                &self.networks,
+            )?;
+        }
         let rooted: Vec<RootedTree> = self
             .networks
             .iter()
             .map(|t| RootedTree::new(t, VertexId(0)))
             .collect();
-        let mut instances: Vec<DemandInstance> = Vec::new();
-        let mut by_demand: Vec<Vec<InstanceId>> = vec![Vec::new(); self.demands.len()];
-        let mut by_network: Vec<Vec<InstanceId>> = vec![Vec::new(); self.networks.len()];
+        // Every list is sized exactly before the first instance exists, so
+        // none is regrown mid-build and each instance's path and edge mask
+        // are allocated back to back, in instance order.
+        let mut network_sizes = vec![0usize; self.networks.len()];
+        let mut by_demand: Vec<Vec<InstanceId>> = self
+            .demands
+            .iter()
+            .zip(&self.access)
+            .map(|(demand, access)| {
+                let per_network = instances_per_network(demand);
+                for &t in access {
+                    network_sizes[t.index()] += per_network;
+                }
+                Vec::with_capacity(per_network * access.len())
+            })
+            .collect();
+        let mut by_network: Vec<Vec<InstanceId>> = network_sizes
+            .iter()
+            .map(|&size| Vec::with_capacity(size))
+            .collect();
+        let mut instances: Vec<DemandInstance> = Vec::with_capacity(network_sizes.iter().sum());
 
         for (ai, demand) in self.demands.iter().enumerate() {
-            let a = DemandId(ai as u32);
-            validate_demand_shape(a, demand, &self.access[ai], &self.networks)?;
             materialize_demand(
-                a,
+                DemandId(ai as u32),
                 demand,
                 &self.access[ai],
                 &self.networks,
@@ -435,10 +459,7 @@ fn materialize_demand(
             processing,
         } => {
             for &t in access {
-                // One instance per feasible start timeslot: the
-                // execution segment [s, s + ρ - 1] must fit inside
-                // [release, deadline].
-                for s in release..=(deadline + 1 - processing) {
+                for s in window_starts(release, deadline, processing) {
                     let vertices: Vec<VertexId> = (s..=s + processing).map(VertexId).collect();
                     let edges: Vec<EdgeId> = (s..s + processing).map(EdgeId).collect();
                     let path = TreePath::new(vertices, edges);
@@ -456,6 +477,25 @@ fn materialize_demand(
                 }
             }
         }
+    }
+}
+
+/// The start timeslots of a window demand, one instance each: the
+/// execution segment `[s, s + ρ - 1]` must fit inside `[release, deadline]`.
+fn window_starts(release: u32, deadline: u32, processing: u32) -> std::ops::Range<u32> {
+    release..deadline + 2 - processing
+}
+
+/// How many instances a (pre-validated) demand materializes on each
+/// network it accesses: one for a pair, one per start for a window.
+fn instances_per_network(demand: &Demand) -> usize {
+    match demand.kind {
+        DemandKind::Pair { .. } => 1,
+        DemandKind::Window {
+            release,
+            deadline,
+            processing,
+        } => window_starts(release, deadline, processing).len(),
     }
 }
 
@@ -896,7 +936,7 @@ impl Problem {
         // All checks passed — mutate. Everything below is infallible, so
         // a rejected arrival above left the problem untouched.
         let first_new = self.instances.len();
-        let mut row = Vec::new();
+        let mut row = Vec::with_capacity(instances_per_network(&demand) * acc.len());
         materialize_demand(
             a,
             &demand,
@@ -1083,6 +1123,27 @@ mod tests {
     }
 
     #[test]
+    fn build_sizes_every_list_exactly() {
+        let mut b = ProblemBuilder::new();
+        let t0 = b.add_network(Tree::line(11)).unwrap();
+        let t1 = b.add_network(Tree::line(11)).unwrap();
+        let _idle = b.add_network(Tree::line(11)).unwrap();
+        b.add_demand(Demand::pair(VertexId(0), VertexId(3), 4.0), &[t0, t1])
+            .unwrap();
+        b.add_demand(Demand::window(2, 6, 3, 1.0), &[t1, t0])
+            .unwrap();
+        b.add_demand(Demand::window(0, 9, 1, 2.0), &[t0]).unwrap();
+        b.add_demand(Demand::pair(VertexId(7), VertexId(2), 1.0), &[t1])
+            .unwrap();
+        let p = b.build().unwrap();
+        assert_eq!(p.instance_count(), 2 + 2 * 3 + 10 + 1);
+        assert_eq!(p.instances.capacity(), p.instances.len());
+        for row in p.by_network.iter().chain(&p.by_demand) {
+            assert_eq!(row.capacity(), row.len());
+        }
+    }
+
+    #[test]
     fn window_on_non_line_is_rejected() {
         let mut b = ProblemBuilder::new();
         let star = Tree::from_edges(4, &[(0, 1), (0, 2), (0, 3)]).unwrap();
@@ -1135,6 +1196,24 @@ mod tests {
         assert!(matches!(
             b.build(),
             Err(ModelError::EndpointOutOfRange { .. })
+        ));
+    }
+
+    #[test]
+    fn build_reports_the_first_invalid_demand() {
+        let mut b = ProblemBuilder::new();
+        let t = b.add_network(Tree::line(5)).unwrap(); // 4 timeslots: 0..3
+        b.add_demand(Demand::pair(VertexId(0), VertexId(1), 1.0), &[t])
+            .unwrap();
+        b.add_demand(Demand::window(1, 4, 2, 1.0), &[t]).unwrap();
+        b.add_demand(Demand::pair(VertexId(0), VertexId(9), 1.0), &[t])
+            .unwrap();
+        assert!(matches!(
+            b.build(),
+            Err(ModelError::WindowOutOfRange {
+                demand: DemandId(1),
+                ..
+            })
         ));
     }
 

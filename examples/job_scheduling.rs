@@ -100,7 +100,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // The sequential state of the art the paper starts from: Bar-Noy et
     // al.'s 5-approximation — tightest certificate, but inherently serial.
-    let (bn_solution, bn_wide, bn_narrow) = barnoy_line_arbitrary(&problem);
+    let (bn_solution, bn_wide, bn_narrow) = barnoy_line_arbitrary(&problem)?;
     bn_solution.verify(&problem)?;
     let bn_bound = bn_wide.opt_upper_bound() + bn_narrow.opt_upper_bound();
     let bn_profit = bn_solution.profit(&problem);
