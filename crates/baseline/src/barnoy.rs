@@ -17,13 +17,10 @@
 //! serialized — the distributed algorithms trade a constant factor for
 //! polylogarithmic rounds.
 
-use treenet_core::{DualState, FrameworkError, RaiseRule, SequentialOutcome};
+use treenet_core::{DualState, FrameworkError, RaiseRule, SequentialOutcome, SATISFACTION_GUARD};
 use treenet_decomp::Layering;
 use treenet_graph::EdgeId;
 use treenet_model::{HeightClass, InstanceId, Problem, Solution, SolutionTracker};
-
-/// Numeric guard for "already satisfied" checks.
-const GUARD: f64 = 1e-9;
 
 /// The end slot `e(d)`: the last edge of `d`'s path, its single critical
 /// edge.
@@ -60,7 +57,7 @@ fn sequential_pass(
     let mut dual = DualState::new(problem, rule.dual_form());
     let mut stack: Vec<InstanceId> = Vec::new();
     for d in end_time_order(problem, participants) {
-        if dual.slack(problem, d) <= GUARD * problem.profit_of(d) {
+        if dual.slack(problem, d) <= SATISFACTION_GUARD * problem.profit_of(d) {
             continue;
         }
         // π(d) = {e(d)}, so |π| = 1 and the objective cap is the rule's

@@ -7,7 +7,7 @@ use rand::{Rng, SeedableRng};
 use treenet_bench::report::f2;
 use treenet_bench::stats::{correlation, summarize};
 use treenet_bench::{seeds, Scale, Table};
-use treenet_mis::{luby_mis, verify_mis};
+use treenet_mis::{verify_mis, MisBackend, MisScratch};
 use treenet_model::conflict::ConflictGraph;
 use treenet_model::workload::TreeWorkload;
 use treenet_model::InstanceId;
@@ -23,6 +23,15 @@ fn erdos_renyi(n: usize, p: f64, rng: &mut SmallRng) -> Vec<Vec<u32>> {
         }
     }
     adj
+}
+
+/// One Luby MIS over the whole graph: the set and the iteration count.
+fn luby(adj: &[Vec<u32>], keys: &[u64], seed: u64, tag: u64) -> (Vec<u32>, u64) {
+    let mut mis = Vec::new();
+    let all = vec![true; adj.len()];
+    let mut scratch = MisScratch::default();
+    let rounds = MisBackend::Luby.run(adj, keys, &all, seed, tag, &mut scratch, &mut mis);
+    (mis, rounds)
 }
 
 fn main() {
@@ -57,9 +66,9 @@ fn main() {
             degs.push(2.0 * g.edge_count() as f64 / g.len().max(1) as f64);
             let adj: Vec<Vec<u32>> = (0..g.len()).map(|v| g.neighbors(v).to_vec()).collect();
             let keys: Vec<u64> = (0..g.len() as u64).collect();
-            let out = luby_mis(&adj, &keys, seed, 1);
-            assert!(verify_mis(&adj, &out.mis));
-            iters.push(out.rounds as f64);
+            let (mis, rounds) = luby(&adj, &keys, seed, 1);
+            assert!(verify_mis(&adj, &mis));
+            iters.push(rounds as f64);
         }
         let s = summarize(&iters);
         let bound = 4.0 * (size.max(2) as f64).log2();
@@ -83,9 +92,9 @@ fn main() {
             let mut rng = SmallRng::seed_from_u64(seed);
             let adj = erdos_renyi(n, (8.0 / n as f64).min(0.5), &mut rng);
             let keys: Vec<u64> = (0..n as u64).collect();
-            let out = luby_mis(&adj, &keys, seed, 2);
-            assert!(verify_mis(&adj, &out.mis));
-            iters.push(out.rounds as f64);
+            let (mis, rounds) = luby(&adj, &keys, seed, 2);
+            assert!(verify_mis(&adj, &mis));
+            iters.push(rounds as f64);
         }
         let s = summarize(&iters);
         table.row(&[

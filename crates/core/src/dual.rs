@@ -343,14 +343,6 @@ impl DualState {
         !std::mem::replace(&mut self.stale[i], true)
     }
 
-    /// Recomputes cache slot `i` if (and only if) it is stale.
-    #[inline]
-    fn refresh_if_stale(&mut self, problem: &Problem, i: usize) {
-        if self.stale[i] {
-            self.refresh_cached_lhs(problem, i);
-        }
-    }
-
     /// Unconditionally recomputes and stores the LHS in cache slot `i`,
     /// clearing its staleness flag.
     ///
@@ -381,18 +373,6 @@ impl DualState {
     pub fn cached_satisfaction(&self, problem: &Problem, i: usize) -> f64 {
         debug_assert!(!self.stale[i], "stale cache read for slot {i}");
         self.lhs_cache[i] / problem.profit_of(self.participants[i])
-    }
-
-    /// [`DualState::min_satisfaction`] over the participants, read off the
-    /// cache instead of re-walking every path. Refreshes stale slots on
-    /// the way (hence `&mut`).
-    pub fn min_satisfaction_cached(&mut self, problem: &Problem) -> f64 {
-        (0..self.participants.len())
-            .map(|i| {
-                self.refresh_if_stale(problem, i);
-                self.cached_satisfaction(problem, i)
-            })
-            .fold(1.0f64, f64::min)
     }
 
     /// The memoized λ of the first phase: [`DualState::min_satisfaction`]
@@ -558,9 +538,9 @@ mod tests {
         for (i, &d) in ids.iter().enumerate() {
             assert!(dual.mark_stale(i));
             assert!(!dual.mark_stale(i), "already stale");
-            dual.refresh_if_stale(&p, i);
+            dual.refresh_cached_lhs(&p, i);
             assert!(dual.mark_stale(i), "refreshed");
-            // The unconditional refresh recomputes to the same bits.
+            // A second refresh recomputes to the same bits.
             dual.refresh_cached_lhs(&p, i);
             assert_eq!(
                 dual.cached_satisfaction(&p, i).to_bits(),
@@ -568,12 +548,8 @@ mod tests {
                 "{d}"
             );
         }
-        assert_eq!(
-            dual.min_satisfaction_cached(&p).to_bits(),
-            dual.min_satisfaction(&p, &ids).to_bits()
-        );
         let mut empty = DualState::for_participants(&p, DualForm::Unit, &[]);
-        assert_eq!(empty.min_satisfaction_cached(&p), 1.0);
+        assert_eq!(empty.min_satisfaction_bounded(&p, &[]), 1.0);
     }
 
     #[test]

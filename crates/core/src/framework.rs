@@ -34,18 +34,21 @@
 //! its steps.
 //!
 //! Per epoch it builds one CSR [`ConflictGraph`] over the group's active
-//! members, filters it through a reusable [`ActiveSubgraph`] view, and
-//! tracks their satisfaction through the frame's LHS cache. Per-step work
-//! is proportional to the *active* set, not the group. Three invariants
-//! keep the execution bit-identical to the from-scratch formulation
-//! (preserved as [`run_two_phase_reference`]) and therefore to the
-//! message-passing run in `treenet-dist`:
+//! members and tracks their satisfaction through the frame's LHS cache.
+//! Each step runs the MIS on that graph masked to the still-unsatisfied
+//! members, as `treenet-dist`'s processors do (a satisfied instance never
+//! announces itself), so a step builds nothing. Three invariants keep the
+//! execution bit-identical to the from-scratch formulation (preserved as
+//! [`run_two_phase_reference`]) and therefore to the message-passing run
+//! in `treenet-dist`:
 //!
-//! 1. **Order-preserving relabeling.** The active view assigns step-local
-//!    indices in ascending epoch order, so its adjacency is byte-identical
-//!    to `ConflictGraph::build` over the filtered member subsequence;
-//!    MIS draws depend only on canonical keys and adjacency content, so
-//!    every draw — and the order of the raised set — is unchanged.
+//! 1. **The mask is the induced subgraph.** A Luby iteration's win test
+//!    skips inactive neighbours and deactivating an inactive vertex does
+//!    nothing, so each iteration picks the same winners as on the graph
+//!    the reference rebuilds over the unsatisfied members. Winners are
+//!    collected in ascending epoch order and draws depend only on
+//!    canonical keys, so the raised set, its order and the iteration
+//!    count are unchanged.
 //! 2. **Refresh-by-recompute.** A raise never *adds deltas into* a cached
 //!    LHS; it re-evaluates the LHS (same summation order as
 //!    [`DualState::lhs`] and the distributed nodes) of every epoch member
@@ -87,7 +90,7 @@ use crate::dual::{DualForm, DualState};
 use std::fmt;
 use treenet_decomp::LayeredDecomposition;
 use treenet_mis::{CsrAdjacency, MisBackend, MisScratch};
-use treenet_model::conflict::{ActiveSubgraph, ConflictGraph};
+use treenet_model::conflict::ConflictGraph;
 use treenet_model::{InstanceId, Problem, Solution, SolutionTracker};
 
 /// How dual variables are raised for a demand instance with slack `s` and
@@ -341,7 +344,8 @@ impl std::error::Error for FrameworkError {}
 /// `ξ`-unsatisfied only if its LHS is below `ξ·p(d)` by more than this
 /// relative guard, keeping float jitter from spinning the step loop.
 /// Public because the message-passing nodes in `treenet-dist` must apply
-/// the *same* guard for participation decisions to be bit-identical.
+/// the *same* guard for participation decisions to be bit-identical (the
+/// sequential and Bar-Noy solvers share it too).
 pub const SATISFACTION_GUARD: f64 = 1e-9;
 
 /// Communication rounds of one framework step: two per Luby iteration
@@ -469,7 +473,6 @@ pub fn run_two_phase(
     // Scratch shared across every epoch/stage/step — after the first
     // steps at the high-water mark, the steady-state step loop performs
     // no allocation beyond the raised sets it hands to the stack.
-    let mut view = ActiveSubgraph::new();
     let mut mis_scratch = MisScratch::default();
     let mut mis_buf: Vec<u32> = Vec::new();
     let mut epoch_keys: Vec<u64> = Vec::new();
@@ -494,7 +497,7 @@ pub fn run_two_phase(
         // unsatisfied at any stage of this epoch — raises from earlier
         // epochs typically retire most of a group before it starts. Only
         // the potential participants enter the epoch graph.
-        let final_threshold = 1.0 - config.xi.powi(stages_per_epoch as i32);
+        let final_threshold = stage_threshold(config.xi, stages_per_epoch);
         active_members.clear();
         // The epoch floor: the least cached satisfaction of an active
         // member as of the last pass over them (this filter or a stage
@@ -517,8 +520,9 @@ pub fn run_two_phase(
         active_ids.clear();
         active_ids.extend(active_members.iter().map(|&i| participants[i as usize]));
         // Epoch setup — one conflict-graph build and one key table for the
-        // whole epoch; every step below is a filter.
+        // whole epoch; every step below masks it.
         let graph = ConflictGraph::build(problem, &active_ids);
+        let adjacency = CsrAdjacency::new(graph.offsets(), graph.adjacency());
         epoch_keys.clear();
         epoch_keys.extend(
             active_ids
@@ -530,7 +534,7 @@ pub fn run_two_phase(
 
         for j in 1..=stages_per_epoch {
             stats.stages += 1;
-            let threshold = 1.0 - config.xi.powi(j as i32);
+            let threshold = stage_threshold(config.xi, j);
             if floor >= threshold - SATISFACTION_GUARD {
                 // No member is below the threshold: the sweep would find
                 // no one unsatisfied and the stage would take no step.
@@ -558,16 +562,14 @@ pub fn run_two_phase(
                         return Err(FrameworkError::StageDiverged { epoch: k, stage: j });
                     }
                 }
-                // MIS of the active subgraph (the still-unsatisfied
-                // members), with common randomness tagged by
-                // (epoch, stage, step). The view's adjacency and
-                // canonical-key table are byte-identical to a
-                // from-scratch build over the filtered members.
-                view.rebuild(&graph, &epoch_keys, &is_unsat);
+                // MIS of the still-unsatisfied members — the epoch graph
+                // masked by `is_unsat` — with common randomness tagged by
+                // (epoch, stage, step).
                 let tag = mis_tag(k, j, steps_this_stage);
-                let rounds = config.mis_backend.run_with(
-                    &CsrAdjacency::new(view.offsets(), view.adjacency()),
-                    view.keys(),
+                let rounds = config.mis_backend.run(
+                    &adjacency,
+                    &epoch_keys,
+                    &is_unsat,
                     config.seed,
                     tag,
                     &mut mis_scratch,
@@ -577,8 +579,8 @@ pub fn run_two_phase(
                 // Raise every MIS member; they are pairwise non-conflicting
                 // so the raises commute (the parallelism of the framework).
                 let mut raised: Vec<InstanceId> = Vec::with_capacity(mis_buf.len());
-                for &v in &mis_buf {
-                    let x = view.base_vertex(v as usize);
+                for &x in &mis_buf {
+                    let x = x as usize;
                     let (i, d) = (active_members[x] as usize, active_ids[x]);
                     let critical = layers.critical_of(d);
                     let slots = dual.var_slots(i);
@@ -757,6 +759,8 @@ pub fn run_two_phase_reference(
 
     let num_groups = layers.num_groups() as u32;
     let groups = Groups::new(layers, participants);
+    let mut mis_scratch = MisScratch::default();
+    let mut mis: Vec<u32> = Vec::new();
 
     for k in 1..=num_groups {
         let members: Vec<InstanceId> = groups
@@ -770,7 +774,7 @@ pub fn run_two_phase_reference(
         stats.epochs += 1;
         for j in 1..=stages_per_epoch {
             stats.stages += 1;
-            let threshold = 1.0 - config.xi.powi(j as i32);
+            let threshold = stage_threshold(config.xi, j);
             let mut steps_this_stage = 0u64;
             loop {
                 // U = group members still (1-ξ^j)-unsatisfied.
@@ -788,9 +792,6 @@ pub fn run_two_phase_reference(
                     }
                 }
                 let graph = ConflictGraph::build(problem, &unsatisfied);
-                let adj: Vec<Vec<u32>> = (0..graph.len())
-                    .map(|v| graph.neighbors(v).to_vec())
-                    .collect();
                 // Canonical keys (not dense ids) so the message-passing
                 // implementation draws identical common randomness.
                 let keys: Vec<u64> = graph
@@ -799,13 +800,18 @@ pub fn run_two_phase_reference(
                     .map(|&d| problem.instance(d).canonical_key())
                     .collect();
                 let tag = mis_tag(k, j, steps_this_stage);
-                let outcome = config.mis_backend.run(&adj, &keys, config.seed, tag);
-                stats.mis_rounds += outcome.rounds;
-                let raised: Vec<InstanceId> = outcome
-                    .mis
-                    .iter()
-                    .map(|&v| graph.instance(v as usize))
-                    .collect();
+                let rounds = config.mis_backend.run(
+                    &CsrAdjacency::new(graph.offsets(), graph.adjacency()),
+                    &keys,
+                    &vec![true; graph.len()],
+                    config.seed,
+                    tag,
+                    &mut mis_scratch,
+                    &mut mis,
+                );
+                stats.mis_rounds += rounds;
+                let raised: Vec<InstanceId> =
+                    mis.iter().map(|&v| graph.instance(v as usize)).collect();
                 for &d in &raised {
                     let delta = rule.raise(problem, &mut dual, d, layers.critical_of(d));
                     stats.raises += 1;
@@ -821,7 +827,7 @@ pub fn run_two_phase_reference(
                     at: (k, j, steps_this_stage),
                     instances: raised,
                 });
-                stats.comm_rounds += step_comm_rounds(outcome.rounds);
+                stats.comm_rounds += step_comm_rounds(rounds);
                 steps_this_stage += 1;
             }
             stats.steps += steps_this_stage;
@@ -860,6 +866,15 @@ pub fn stages_for(epsilon: f64, xi: f64) -> u32 {
     assert!(epsilon > 0.0 && epsilon < 1.0, "epsilon in (0,1)");
     assert!(xi > 0.0 && xi < 1.0, "xi in (0,1)");
     (epsilon.ln() / xi.ln()).ceil().max(1.0) as u32
+}
+
+/// Stage `stage`'s satisfaction threshold `1 - ξ^stage` (1-based; stage
+/// [`stages_for`] is the epoch's final one). The single definition of
+/// the schedule's targets, shared with `treenet-dist`'s runners so every
+/// participation decision compares against the same bits.
+#[inline]
+pub fn stage_threshold(xi: f64, stage: u32) -> f64 {
+    1.0 - xi.powi(stage as i32)
 }
 
 /// Checks the interference property (Section 3.2) on a recorded trace:

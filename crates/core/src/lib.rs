@@ -57,9 +57,9 @@ pub use delta::{
 pub use dual::{DualForm, DualState};
 pub use framework::{
     check_interference, echo_sweep_rounds, mis_tag, prologue_rounds, retransmit_round_bound,
-    run_two_phase, run_two_phase_reference, stages_for, step_comm_rounds, validate_epsilon,
-    FrameworkConfig, FrameworkError, Outcome, RaiseEvent, RaiseRule, RunStats, StackEntry,
-    SATISFACTION_GUARD,
+    run_two_phase, run_two_phase_reference, stage_threshold, stages_for, step_comm_rounds,
+    validate_epsilon, FrameworkConfig, FrameworkError, Outcome, RaiseEvent, RaiseRule, RunStats,
+    StackEntry, SATISFACTION_GUARD,
 };
 pub use sequential::{solve_sequential_tree, SequentialOutcome};
 pub use solvers::{

@@ -10,7 +10,7 @@
 
 use crate::certificate::certified_ratio;
 use crate::dual::{DualForm, DualState};
-use crate::framework::RaiseRule;
+use crate::framework::{RaiseRule, SATISFACTION_GUARD};
 use treenet_decomp::{capture_node, root_fixing};
 use treenet_graph::{EdgeId, VertexId};
 use treenet_model::{InstanceId, Problem, Solution, SolutionTracker};
@@ -48,10 +48,6 @@ impl SequentialOutcome {
         certified_ratio(self.opt_upper_bound(), self.profit(problem))
     }
 }
-
-/// Numeric guard: an instance counts as unsatisfied while its LHS is
-/// below `p(d)` by more than this relative tolerance.
-const GUARD: f64 = 1e-9;
 
 /// Runs the sequential Appendix-A algorithm on a (unit-height)
 /// tree-network problem.
@@ -95,7 +91,7 @@ pub fn solve_sequential_tree(problem: &Problem) -> SequentialOutcome {
 
         for (_, d, pi) in &ordered {
             let slack = dual.slack(problem, *d);
-            if slack <= GUARD * problem.profit_of(*d) {
+            if slack <= SATISFACTION_GUARD * problem.profit_of(*d) {
                 continue; // already satisfied by earlier raises
             }
             debug_assert!(!pi.is_empty(), "capture node always has a wing");

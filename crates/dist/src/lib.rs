@@ -136,10 +136,10 @@ mod reference;
 use std::fmt;
 use std::sync::Arc;
 
-use node::{Mode, ProcessorNode, PublicInfo, SATISFACTION_GUARD};
+use node::{Mode, ProcessorNode, PublicInfo, MAX_INSTANCES_PER_PROCESSOR, SATISFACTION_GUARD};
 use treenet_core::{
-    auto_choice, echo_sweep_rounds, mis_tag, prologue_rounds, stages_for, validate_epsilon,
-    AutoChoice, RaiseRule, SolverConfig,
+    auto_choice, echo_sweep_rounds, mis_tag, prologue_rounds, stage_threshold, stages_for,
+    validate_epsilon, AutoChoice, RaiseRule, SolverConfig,
 };
 use treenet_decomp::{ConvergecastForest, LayeredDecomposition, Strategy};
 use treenet_graph::{RootedTree, VertexId};
@@ -496,8 +496,10 @@ impl DistAutoOutcome {
 /// Distributed-run failure.
 #[derive(Clone, Debug, PartialEq)]
 pub enum DistError {
-    /// `ε` outside `(0, 1)`, or an a-priori `hmin` violated by a narrow
-    /// demand.
+    /// `ε` outside `(0, 1)`, a line theorem on a network that is not a
+    /// canonical line, an a-priori `hmin` violated by a narrow demand, or
+    /// a demand with more instances than one processor can own (64, the
+    /// width of its participation mask).
     BadParameters {
         /// Human-readable reason.
         reason: String,
@@ -598,7 +600,8 @@ struct HalfPlan {
 /// first half, the narrow one for the second — and the public
 /// information every processor knows: the theorem's layering, the
 /// rooted networks, the seed, the MIS backend and the convergecast
-/// forest.
+/// forest. Refuses, after the theorem's own checks, a demand with more
+/// instances than its processor can own.
 pub(crate) fn plan(
     problem: &Problem,
     choice: AutoChoice,
@@ -613,6 +616,18 @@ pub(crate) fn plan(
     let halves = choice
         .halves(problem, layers.delta(), config.hmin)
         .map_err(|reason| DistError::BadParameters { reason })?;
+    if let Some(a) = problem
+        .demands()
+        .find(|&a| problem.instances_of(a).len() > MAX_INSTANCES_PER_PROCESSOR)
+    {
+        return Err(DistError::BadParameters {
+            reason: format!(
+                "demand {a} has {} instances, but a processor owns at most \
+                 {MAX_INSTANCES_PER_PROCESSOR} (the width of its participation mask)",
+                problem.instances_of(a).len()
+            ),
+        });
+    }
     let plans = halves
         .into_iter()
         .zip([RunTag::Primary, RunTag::Narrow])
@@ -747,7 +762,7 @@ impl HalfDriver {
 
     /// Stage `stage`'s satisfaction threshold `1 - ξ^stage`.
     fn threshold_for(&self, stage: u32) -> f64 {
-        1.0 - self.plan.xi.powi(stage as i32)
+        stage_threshold(self.plan.xi, stage)
     }
 
     /// The driver's pacing hint: this half's summed unsatisfied count
@@ -1160,9 +1175,11 @@ fn execute_in_network(
 ///
 /// [`DistError::BadParameters`] for an out-of-range `ε`, then for a line
 /// theorem on a network that is not a canonical line, then for a
-/// violated a-priori `hmin`; [`DistError::StageDiverged`] if a stage
-/// exceeds the step budget; [`DistError::MisBudgetExhausted`] if the MIS
-/// backend stops making progress (impossible for the shipped backends).
+/// violated a-priori `hmin`, then for a demand with more than 64
+/// instances (one processor's mask width); [`DistError::StageDiverged`]
+/// if a stage exceeds the step budget; [`DistError::MisBudgetExhausted`]
+/// if the MIS backend stops making progress (impossible for the shipped
+/// backends).
 pub fn run_distributed(
     problem: &Problem,
     choice: AutoChoice,
@@ -1200,7 +1217,9 @@ mod tests {
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
     use treenet_core::{solve, solve_auto, DeltaEngine};
+    use treenet_graph::Tree;
     use treenet_model::workload::{HeightMode, LineWorkload, TreeWorkload};
+    use treenet_model::{Demand, DemandId, ProblemBuilder};
 
     fn problem(seed: u64) -> Problem {
         TreeWorkload::new(10, 8)
@@ -1455,6 +1474,32 @@ mod tests {
                     "{choice:?}"
                 );
             }
+        }
+    }
+
+    /// A demand with more instances than a processor's participation
+    /// mask holds is refused by every runner, although the logical solver
+    /// schedules it.
+    #[test]
+    fn refuses_a_demand_wider_than_the_participation_mask() {
+        let mut b = ProblemBuilder::new();
+        let t = b.add_network(Tree::line(80)).unwrap();
+        b.add_demand(Demand::window(0, 75, 1, 2.0), &[t]).unwrap();
+        let p = b.build().unwrap();
+        assert_eq!(p.instances_of(DemandId(0)).len(), 76);
+        assert!(solve(&p, AutoChoice::LineUnit, &SolverConfig::default()).is_ok());
+        let cfg = DistConfig::default();
+        for result in [
+            run_distributed(&p, AutoChoice::LineUnit, &cfg),
+            run_distributed_auto(&p, &cfg),
+            run_distributed_reference(&p, AutoChoice::LineUnit, &cfg),
+        ] {
+            assert!(
+                matches!(&result, Err(DistError::BadParameters { reason })
+                    if reason.contains("demand a0 has 76 instances")
+                        && reason.contains("at most 64")),
+                "{result:?}"
+            );
         }
     }
 

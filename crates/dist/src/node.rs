@@ -67,6 +67,11 @@ use treenet_netsim::{Context, Envelope, MessageSize, Protocol};
 /// participation decisions are bit-identical by construction.
 pub(crate) use treenet_core::SATISFACTION_GUARD;
 
+/// The most instances one processor can own: the width of the
+/// [`DistMsg::Active`] participation mask. The runners refuse a demand
+/// with more before they build any node.
+pub(crate) const MAX_INSTANCES_PER_PROCESSOR: usize = u64::BITS as usize;
+
 /// Which sub-run a namespaced protocol message belongs to. Solo runners
 /// and the wide half of a merged wide/narrow execution use
 /// [`RunTag::Primary`]; the narrow half uses [`RunTag::Narrow`]. The tag
@@ -536,8 +541,8 @@ impl ProcessorNode {
             "canonical enumeration matches the problem"
         );
         assert!(
-            views.len() <= 64,
-            "at most 64 instances per processor (mask width)"
+            views.len() <= MAX_INSTANCES_PER_PROCESSOR,
+            "at most {MAX_INSTANCES_PER_PROCESSOR} instances per processor (mask width)"
         );
         let mut beta = BTreeMap::new();
         let mut residual = BTreeMap::new();
@@ -808,7 +813,7 @@ impl ProcessorNode {
     }
 
     /// Win test for own instance `i` against the frozen activity view —
-    /// exactly the central `luby_mis`/`deterministic_mis` predicate.
+    /// exactly the predicate of the central `MisBackend::run`.
     fn wins(&self, i: usize) -> bool {
         let backend = self.public.backend;
         let (seed, tag, it) = (self.public.seed, self.mis_namespace, self.iteration);
@@ -920,7 +925,7 @@ impl ProcessorNode {
             match &env.msg {
                 DistMsg::Active { run, mask } if *run == self.tag => {
                     if let Some(views) = self.neighbors.get(&env.from) {
-                        for idx in 0..views.len().min(64) {
+                        for idx in 0..views.len().min(MAX_INSTANCES_PER_PROCESSOR) {
                             if mask & (1 << idx) != 0 {
                                 self.neighbor_active.insert((env.from, idx as u8), true);
                             }

@@ -19,7 +19,7 @@ use crate::{
     build_engine, descriptor_of, plan, DistAutoOutcome, DistConfig, DistError, DistRunReport,
     DistSchedule, HalfPlan, StepRecord,
 };
-use treenet_core::{combine_by_network, mis_tag, stages_for, AutoChoice};
+use treenet_core::{combine_by_network, mis_tag, stage_threshold, stages_for, AutoChoice};
 use treenet_model::{Problem, Solution};
 use treenet_netsim::Metrics;
 
@@ -67,7 +67,7 @@ fn execute_reference(
             continue;
         }
         for stage in 1..=stages_per_epoch {
-            let threshold = 1.0 - half.xi.powi(stage as i32);
+            let threshold = stage_threshold(half.xi, stage);
             let mut step_in_stage = 0u64;
             loop {
                 let unsatisfied: usize = engine

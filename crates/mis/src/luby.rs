@@ -1,10 +1,10 @@
 //! Central, round-faithful Luby MIS and the greedy baseline.
 //!
-//! Both round-faithful algorithms run over any [`Adjacency`] view —
-//! slice-of-`Vec` adjacency or a zero-copy [`CsrAdjacency`] — and accept
-//! a reusable [`MisScratch`] plus an output buffer, so a caller looping
-//! over many MIS computations (the two-phase framework's step loop)
-//! allocates nothing in steady state.
+//! [`MisBackend::run`] runs either round-faithful algorithm over any
+//! [`Adjacency`] view — slice-of-`Vec` adjacency or a zero-copy
+//! [`CsrAdjacency`] — restricted to the vertices an activity mask
+//! selects, with a reusable [`MisScratch`] and output buffer, so the
+//! two-phase framework's step loop builds and allocates nothing.
 
 /// Read-only adjacency view the round-faithful MIS algorithms run over.
 ///
@@ -70,70 +70,15 @@ impl Adjacency for CsrAdjacency<'_> {
     }
 }
 
-/// Reusable per-run state for the round-faithful MIS algorithms. Create
-/// once, pass to every call: buffers are retained at their high-water
-/// capacity so steady-state runs allocate nothing.
+/// Reusable per-run state of [`MisBackend::run`]. Create once, pass to
+/// every call: buffers are retained at their high-water capacity so
+/// steady-state runs allocate nothing.
 #[derive(Clone, Debug, Default)]
 pub struct MisScratch {
-    active: Vec<bool>,
-}
-
-/// The shared round-faithful engine: per iteration every still-active
-/// vertex whose `beats(it, own_key, neighbor_key)` test wins against its
-/// whole active neighborhood joins the MIS and deactivates its closed
-/// neighborhood. `mis` receives the winners (sorted at the end); returns
-/// the iteration count. This is the single implementation behind
-/// [`luby_mis`] and [`deterministic_mis`], so the two can't drift.
-fn run_rounds<A: Adjacency + ?Sized>(
-    adj: &A,
-    keys: &[u64],
-    beats: impl Fn(u64, u64, u64) -> bool,
-    scratch: &mut MisScratch,
-    mis: &mut Vec<u32>,
-) -> u64 {
-    let n = adj.len();
-    assert_eq!(keys.len(), n, "one key per vertex");
-    let active = &mut scratch.active;
-    active.clear();
-    active.resize(n, true);
-    let mut remaining = n;
-    mis.clear();
-    let mut it = 0u64;
-    while remaining > 0 {
-        // `mis` doubles as the winner accumulator: this iteration's
-        // winners are `mis[round_start..]`.
-        let round_start = mis.len();
-        for v in 0..n {
-            if !active[v] {
-                continue;
-            }
-            let wins = adj.neighbors(v).iter().all(|&w| {
-                let w = w as usize;
-                !active[w] || beats(it, keys[v], keys[w])
-            });
-            if wins {
-                mis.push(v as u32);
-            }
-        }
-        debug_assert!(mis.len() > round_start, "some vertex always wins");
-        for &winner in &mis[round_start..] {
-            let v = winner as usize;
-            if active[v] {
-                active[v] = false;
-                remaining -= 1;
-            }
-            for &w in adj.neighbors(v) {
-                let w = w as usize;
-                if active[w] {
-                    active[w] = false;
-                    remaining -= 1;
-                }
-            }
-        }
-        it += 1;
-    }
-    mis.sort_unstable();
-    it
+    /// Whether each vertex still competes.
+    alive: Vec<bool>,
+    /// The competing vertices, ascending.
+    live: Vec<u32>,
 }
 
 /// The per-(vertex, iteration) random value used by Luby's algorithm,
@@ -166,16 +111,6 @@ pub fn luby_value(seed: u64, tag: u64, vertex_key: u64, iteration: u64) -> u64 {
     x
 }
 
-/// Result of a Luby run.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct LubyOutcome {
-    /// Local vertex indices in the MIS, sorted.
-    pub mis: Vec<u32>,
-    /// Number of Luby iterations executed (each costs a constant number
-    /// of communication rounds in the distributed implementation).
-    pub rounds: u64,
-}
-
 /// Whether vertex `v` beats vertex `w` in iteration `it` (strictly smaller
 /// value; ties broken by vertex key, which is unique).
 #[inline]
@@ -183,49 +118,6 @@ fn beats(seed: u64, tag: u64, it: u64, v_key: u64, w_key: u64) -> bool {
     let a = luby_value(seed, tag, v_key, it);
     let b = luby_value(seed, tag, w_key, it);
     (a, v_key) < (b, w_key)
-}
-
-/// Centralized, round-faithful simulation of Luby's MIS.
-///
-/// `adj[v]` lists the neighbors of local vertex `v` (indices into the same
-/// array); `keys[v]` is a globally unique stable key (e.g. the demand
-/// instance id) feeding the common-randomness hash.
-///
-/// Per iteration, every still-active vertex draws [`luby_value`]; local
-/// minima join the MIS and deactivate their neighborhood. Terminates in
-/// `O(log N)` iterations in expectation and at most `N` always (each
-/// iteration removes at least the globally smallest active vertex).
-///
-/// # Panics
-///
-/// Panics if `keys.len() != adj.len()` or a neighbor index is out of
-/// range.
-pub fn luby_mis(adj: &[Vec<u32>], keys: &[u64], seed: u64, tag: u64) -> LubyOutcome {
-    let mut mis = Vec::new();
-    let rounds = luby_mis_with(adj, keys, seed, tag, &mut MisScratch::default(), &mut mis);
-    LubyOutcome { mis, rounds }
-}
-
-/// [`luby_mis`] over any [`Adjacency`] view with caller-supplied scratch
-/// and output buffers — the allocation-free form used by the incremental
-/// phase-1 engine. `mis` is cleared, filled with the sorted MIS, and the
-/// Luby iteration count is returned. Produces exactly the same MIS and
-/// round count as [`luby_mis`] on equal adjacency content.
-pub fn luby_mis_with<A: Adjacency + ?Sized>(
-    adj: &A,
-    keys: &[u64],
-    seed: u64,
-    tag: u64,
-    scratch: &mut MisScratch,
-    mis: &mut Vec<u32>,
-) -> u64 {
-    run_rounds(
-        adj,
-        keys,
-        |it, v_key, w_key| beats(seed, tag, it, v_key, w_key),
-        scratch,
-        mis,
-    )
 }
 
 /// Which MIS algorithm the schedulers plug in for the `Time(MIS)` factor.
@@ -254,7 +146,7 @@ pub enum MisBackend {
     /// iteration-budget bail-out paths of the runners (every shipped
     /// backend removes at least one vertex per iteration, making those
     /// paths otherwise unreachable). It has no central simulation:
-    /// [`MisBackend::run`]/[`MisBackend::run_with`] panic.
+    /// [`MisBackend::run`] panics.
     #[doc(hidden)]
     AdversarialStall,
 }
@@ -269,40 +161,85 @@ impl MisBackend {
         }
     }
 
-    /// Runs the selected algorithm (`seed`/`tag` ignored by the
-    /// deterministic backend).
-    pub fn run(self, adj: &[Vec<u32>], keys: &[u64], seed: u64, tag: u64) -> LubyOutcome {
-        let mut mis = Vec::new();
-        let rounds = self.run_with(adj, keys, seed, tag, &mut MisScratch::default(), &mut mis);
-        LubyOutcome { mis, rounds }
-    }
-
-    /// Runs the selected algorithm over any [`Adjacency`] view with
-    /// caller-supplied scratch and output buffers — bit-identical results
-    /// to [`MisBackend::run`] on equal adjacency content, with no
-    /// steady-state allocation. Returns the iteration count; the sorted
-    /// MIS lands in `mis`.
-    pub fn run_with<A: Adjacency + ?Sized>(
+    /// An MIS of the subgraph of `adj` induced on the vertices with
+    /// `active[v]`, computed round-faithfully: `mis` is cleared and
+    /// receives it as ascending indices of `adj`, and the iteration count
+    /// is returned. Per iteration every still-active vertex that
+    /// [`beats`](MisBackend::beats) its whole active neighborhood joins
+    /// and deactivates its closed neighborhood. Inactive vertices neither
+    /// compete nor block, so the outcome equals a run on the induced
+    /// subgraph relabeled in ascending order.
+    ///
+    /// `keys[v]` is vertex `v`'s globally unique stable key (e.g. its
+    /// instance id); `seed` and `tag` feed [`luby_value`]. Luby takes
+    /// `O(log N)` iterations in expectation; both backends take at most
+    /// `N`, since each iteration removes at least the smallest active
+    /// vertex. The deterministic backend yields the sequential greedy MIS
+    /// by increasing key (tested), at a worst-case `O(N)` round cost.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `keys` or `active` differ in length from `adj`, if a
+    /// neighbor is out of range, or for the test-only `AdversarialStall`.
+    // Graph, keys, mask, the common randomness and the caller's reused
+    // buffers: every argument is an input of the one MIS entry point.
+    #[allow(clippy::too_many_arguments)]
+    pub fn run<A: Adjacency + ?Sized>(
         self,
         adj: &A,
         keys: &[u64],
+        active: &[bool],
         seed: u64,
         tag: u64,
         scratch: &mut MisScratch,
         mis: &mut Vec<u32>,
     ) -> u64 {
-        match self {
-            MisBackend::Luby => luby_mis_with(adj, keys, seed, tag, scratch, mis),
-            MisBackend::DeterministicGreedy => deterministic_mis_with(adj, keys, scratch, mis),
-            MisBackend::AdversarialStall => panic!(
-                "AdversarialStall is a test-only adversary for the distributed \
-                 runners' budget paths and has no central simulation"
-            ),
+        assert!(
+            self != MisBackend::AdversarialStall,
+            "AdversarialStall is a test-only adversary for the distributed \
+             runners' budget paths and has no central simulation"
+        );
+        let n = adj.len();
+        assert_eq!(keys.len(), n, "one key per vertex");
+        assert_eq!(active.len(), n, "one activity flag per vertex");
+        let MisScratch { alive, live } = scratch;
+        alive.clear();
+        alive.extend_from_slice(active);
+        live.clear();
+        live.extend((0..n as u32).filter(|&v| active[v as usize]));
+        mis.clear();
+        let mut it = 0u64;
+        while !live.is_empty() {
+            // `mis` doubles as the winner accumulator: this iteration's
+            // winners are `mis[round_start..]`, ascending.
+            let round_start = mis.len();
+            for &v in live.iter() {
+                let v = v as usize;
+                let wins = adj.neighbors(v).iter().all(|&w| {
+                    let w = w as usize;
+                    !alive[w] || self.beats(seed, tag, it, keys[v], keys[w])
+                });
+                if wins {
+                    mis.push(v as u32);
+                }
+            }
+            debug_assert!(mis.len() > round_start, "some vertex always wins");
+            for &winner in &mis[round_start..] {
+                let v = winner as usize;
+                alive[v] = false;
+                for &w in adj.neighbors(v) {
+                    alive[w as usize] = false;
+                }
+            }
+            live.retain(|&v| alive[v as usize]);
+            it += 1;
         }
+        mis.sort_unstable();
+        it
     }
 
     /// Whether vertex with key `v_key` beats `w_key` in iteration `it`
-    /// under this backend — shared by the central simulations and the
+    /// under this backend — shared by [`MisBackend::run`] and the
     /// message-passing nodes so executions stay bit-identical.
     #[inline]
     pub fn beats(self, seed: u64, tag: u64, it: u64, v_key: u64, w_key: u64) -> bool {
@@ -314,52 +251,22 @@ impl MisBackend {
     }
 }
 
-/// Deterministic distributed MIS by the local-minimum-key rule,
-/// round-faithful: per iteration, every active vertex whose key is
-/// smaller than all active neighbors' keys joins; closed neighborhoods
-/// deactivate. Equals the sequential greedy MIS over keys in increasing
-/// order (tested), at a worst-case `O(N)` round cost — the deterministic
-/// trade-off the paper alludes to.
-///
-/// # Panics
-///
-/// Panics if `keys.len() != adj.len()`.
-pub fn deterministic_mis(adj: &[Vec<u32>], keys: &[u64]) -> LubyOutcome {
-    let mut mis = Vec::new();
-    let rounds = deterministic_mis_with(adj, keys, &mut MisScratch::default(), &mut mis);
-    LubyOutcome { mis, rounds }
-}
-
-/// [`deterministic_mis`] over any [`Adjacency`] view with caller-supplied
-/// scratch and output buffers (see [`luby_mis_with`]).
-pub fn deterministic_mis_with<A: Adjacency + ?Sized>(
-    adj: &A,
-    keys: &[u64],
-    scratch: &mut MisScratch,
-    mis: &mut Vec<u32>,
-) -> u64 {
-    run_rounds(adj, keys, |_, v_key, w_key| v_key < w_key, scratch, mis)
-}
-
 /// Deterministic greedy MIS: scan vertices in index order, take any vertex
 /// whose neighbors are all untaken. The classic sequential baseline.
 pub fn greedy_mis(adj: &[Vec<u32>]) -> Vec<u32> {
     let n = adj.len();
-    let mut taken = vec![false; n];
     let mut blocked = vec![false; n];
     let mut mis = Vec::new();
     for v in 0..n {
         if blocked[v] {
             continue;
         }
-        taken[v] = true;
         mis.push(v as u32);
         blocked[v] = true;
         for &w in &adj[v] {
             blocked[w as usize] = true;
         }
     }
-    let _ = taken;
     mis
 }
 
@@ -402,15 +309,34 @@ mod tests {
             .collect()
     }
 
+    /// An unmasked run: the MIS and the iteration count.
+    fn run(
+        backend: MisBackend,
+        adj: &[Vec<u32>],
+        keys: &[u64],
+        seed: u64,
+        tag: u64,
+    ) -> (Vec<u32>, u64) {
+        let mut mis = Vec::new();
+        let active = vec![true; adj.len()];
+        let mut scratch = MisScratch::default();
+        let rounds = backend.run(adj, keys, &active, seed, tag, &mut scratch, &mut mis);
+        (mis, rounds)
+    }
+
+    fn luby(adj: &[Vec<u32>], keys: &[u64], seed: u64, tag: u64) -> (Vec<u32>, u64) {
+        run(MisBackend::Luby, adj, keys, seed, tag)
+    }
+
     #[test]
     fn luby_on_path_is_valid() {
         for n in [1usize, 2, 3, 10, 57] {
             let adj = path_graph(n);
             let keys: Vec<u64> = (0..n as u64).map(|k| k + 1000).collect();
             for seed in 0..10u64 {
-                let out = luby_mis(&adj, &keys, seed, 7);
-                assert!(verify_mis(&adj, &out.mis), "n={n} seed={seed}");
-                assert!(out.rounds >= 1 || n == 0);
+                let (mis, rounds) = luby(&adj, &keys, seed, 7);
+                assert!(verify_mis(&adj, &mis), "n={n} seed={seed}");
+                assert!(rounds >= 1);
             }
         }
     }
@@ -419,23 +345,19 @@ mod tests {
     fn luby_is_deterministic_per_seed_and_tag() {
         let adj = path_graph(20);
         let keys: Vec<u64> = (0..20).collect();
-        let a = luby_mis(&adj, &keys, 5, 1);
-        let b = luby_mis(&adj, &keys, 5, 1);
+        let a = luby(&adj, &keys, 5, 1);
+        let b = luby(&adj, &keys, 5, 1);
         assert_eq!(a, b);
-        let c = luby_mis(&adj, &keys, 5, 2);
+        let c = luby(&adj, &keys, 5, 2);
         // Different tags are independent draws; on a 20-path they almost
         // surely differ.
-        assert_ne!(a.mis, c.mis);
+        assert_ne!(a.0, c.0);
     }
 
     #[test]
     fn empty_and_singleton_graphs() {
-        let out = luby_mis(&[], &[], 1, 1);
-        assert!(out.mis.is_empty());
-        assert_eq!(out.rounds, 0);
-        let out = luby_mis(&[vec![]], &[9], 1, 1);
-        assert_eq!(out.mis, vec![0]);
-        assert_eq!(out.rounds, 1);
+        assert_eq!(luby(&[], &[], 1, 1), (vec![], 0));
+        assert_eq!(luby(&[vec![]], &[9], 1, 1), (vec![0], 1));
     }
 
     #[test]
@@ -445,10 +367,29 @@ mod tests {
             .map(|v| (0..n as u32).filter(|&w| w as usize != v).collect())
             .collect();
         let keys: Vec<u64> = (0..n as u64).collect();
-        let out = luby_mis(&adj, &keys, 3, 3);
-        assert_eq!(out.mis.len(), 1);
-        assert_eq!(out.rounds, 1);
-        assert!(verify_mis(&adj, &out.mis));
+        let (mis, rounds) = luby(&adj, &keys, 3, 3);
+        assert_eq!(mis.len(), 1);
+        assert_eq!(rounds, 1);
+        assert!(verify_mis(&adj, &mis));
+    }
+
+    #[test]
+    fn mask_restricts_the_competition() {
+        // Path 0-1-2-3 with keys = indices: unmasked, the local-minimum
+        // rule takes 0, then 2; with vertex 0 masked out it runs on 1-2-3
+        // and takes 1, then 3 — vertex 0 neither joins nor blocks.
+        let adj = path_graph(4);
+        let keys = [0, 1, 2, 3];
+        let mut scratch = MisScratch::default();
+        let mut mis = Vec::new();
+        let backend = MisBackend::DeterministicGreedy;
+        let rounds = backend.run(&adj[..], &keys, &[true; 4], 0, 0, &mut scratch, &mut mis);
+        assert_eq!((&mis[..], rounds), (&[0, 2][..], 2));
+        let rest = [false, true, true, true];
+        let rounds = backend.run(&adj[..], &keys, &rest, 0, 0, &mut scratch, &mut mis);
+        assert_eq!((&mis[..], rounds), (&[1, 3][..], 2));
+        let rounds = backend.run(&adj[..], &keys, &[false; 4], 0, 0, &mut scratch, &mut mis);
+        assert_eq!((mis.len(), rounds), (0, 0));
     }
 
     #[test]
@@ -483,62 +424,13 @@ mod tests {
             let keys: Vec<u64> = (0..n as u64).collect();
             let mut total = 0u64;
             for seed in 0..20u64 {
-                total += luby_mis(&adj, &keys, seed, 0).rounds;
+                total += luby(&adj, &keys, seed, 0).1;
             }
             let avg = total as f64 / 20.0;
             assert!(
                 avg <= 4.0 * (n as f64).log2().max(1.0),
                 "n={n}: avg Luby rounds {avg}"
             );
-        }
-    }
-
-    fn to_csr(adj: &[Vec<u32>]) -> (Vec<u32>, Vec<u32>) {
-        let mut offsets = vec![0u32];
-        let mut flat = Vec::new();
-        for row in adj {
-            flat.extend_from_slice(row);
-            offsets.push(flat.len() as u32);
-        }
-        (offsets, flat)
-    }
-
-    #[test]
-    fn csr_view_equals_vec_adjacency() {
-        for n in [0usize, 1, 2, 7, 30] {
-            let adj = path_graph(n);
-            let keys: Vec<u64> = (0..n as u64).map(|k| k ^ 0xabcd).collect();
-            let (offsets, flat) = to_csr(&adj);
-            let csr = CsrAdjacency::new(&offsets, &flat);
-            assert_eq!(Adjacency::len(&csr), n);
-            let mut scratch = MisScratch::default();
-            let mut mis = Vec::new();
-            for seed in 0..5u64 {
-                let reference = luby_mis(&adj, &keys, seed, 9);
-                let rounds = luby_mis_with(&csr, &keys, seed, 9, &mut scratch, &mut mis);
-                assert_eq!(mis, reference.mis, "n={n} seed={seed}");
-                assert_eq!(rounds, reference.rounds, "n={n} seed={seed}");
-                let det_ref = deterministic_mis(&adj, &keys);
-                let det_rounds = deterministic_mis_with(&csr, &keys, &mut scratch, &mut mis);
-                assert_eq!(mis, det_ref.mis);
-                assert_eq!(det_rounds, det_ref.rounds);
-            }
-        }
-    }
-
-    #[test]
-    fn run_with_matches_run_for_both_backends() {
-        let adj = path_graph(12);
-        let keys: Vec<u64> = (0..12u64).map(|k| 500 - k).collect();
-        let (offsets, flat) = to_csr(&adj);
-        let csr = CsrAdjacency::new(&offsets, &flat);
-        let mut scratch = MisScratch::default();
-        let mut mis = Vec::new();
-        for backend in [MisBackend::Luby, MisBackend::DeterministicGreedy] {
-            let reference = backend.run(&adj, &keys, 3, 4);
-            let rounds = backend.run_with(&csr, &keys, 3, 4, &mut scratch, &mut mis);
-            assert_eq!(mis, reference.mis);
-            assert_eq!(rounds, reference.rounds);
         }
     }
 
@@ -557,26 +449,6 @@ mod tests {
         assert_ne!(v, luby_value(2, 2, 3, 4));
         assert_eq!(v, luby_value(1, 2, 3, 4));
     }
-}
-
-#[cfg(test)]
-mod backend_tests {
-    use super::*;
-
-    fn path_graph(n: usize) -> Vec<Vec<u32>> {
-        (0..n)
-            .map(|v| {
-                let mut nb = Vec::new();
-                if v > 0 {
-                    nb.push(v as u32 - 1);
-                }
-                if v + 1 < n {
-                    nb.push(v as u32 + 1);
-                }
-                nb
-            })
-            .collect()
-    }
 
     #[test]
     fn deterministic_equals_sequential_greedy_by_key() {
@@ -585,38 +457,38 @@ mod backend_tests {
         for n in [1usize, 2, 5, 12, 33] {
             let adj = path_graph(n);
             let keys: Vec<u64> = (0..n as u64).collect();
-            let det = deterministic_mis(&adj, &keys);
-            assert_eq!(det.mis, greedy_mis(&adj), "n={n}");
-            assert!(verify_mis(&adj, &det.mis));
+            let (mis, _) = run(MisBackend::DeterministicGreedy, &adj, &keys, 0, 0);
+            assert_eq!(mis, greedy_mis(&adj), "n={n}");
+            assert!(verify_mis(&adj, &mis));
         }
     }
 
     #[test]
     fn deterministic_respects_key_order_not_index_order() {
+        let det =
+            |adj: &[Vec<u32>], keys: &[u64]| run(MisBackend::DeterministicGreedy, adj, keys, 0, 0);
         // Reversed keys flip the greedy orientation on a 3-path:
         // keys (2,1,0) → vertex 2 wins, then vertex 0.
-        let adj = path_graph(3);
-        let det = deterministic_mis(&adj, &[2, 1, 0]);
-        assert_eq!(det.mis, vec![0, 2]);
+        assert_eq!(det(&path_graph(3), &[2, 1, 0]).0, vec![0, 2]);
         // Decreasing chain realizes the worst-case round count: keys
         // strictly decreasing along the path → one winner per round.
         let n = 9;
         let adj = path_graph(n);
         let keys: Vec<u64> = (0..n as u64).rev().collect();
-        let det = deterministic_mis(&adj, &keys);
-        assert!(verify_mis(&adj, &det.mis));
-        assert_eq!(det.rounds, 5, "decreasing keys serialize the rounds");
+        let (mis, rounds) = det(&adj, &keys);
+        assert!(verify_mis(&adj, &mis));
+        assert_eq!(rounds, 5, "decreasing keys serialize the rounds");
     }
 
     #[test]
     fn backend_dispatch() {
         let adj = path_graph(8);
         let keys: Vec<u64> = (0..8).collect();
-        let a = MisBackend::Luby.run(&adj, &keys, 3, 4);
-        let b = MisBackend::DeterministicGreedy.run(&adj, &keys, 3, 4);
-        assert!(verify_mis(&adj, &a.mis));
-        assert!(verify_mis(&adj, &b.mis));
-        assert_eq!(b.mis, greedy_mis(&adj));
+        let (a, _) = run(MisBackend::Luby, &adj, &keys, 3, 4);
+        let (b, _) = run(MisBackend::DeterministicGreedy, &adj, &keys, 3, 4);
+        assert!(verify_mis(&adj, &a));
+        assert!(verify_mis(&adj, &b));
+        assert_eq!(b, greedy_mis(&adj));
         assert_eq!(MisBackend::Luby.name(), "luby");
         assert_eq!(MisBackend::DeterministicGreedy.name(), "det-greedy");
         assert_eq!(MisBackend::default(), MisBackend::Luby);

@@ -8,13 +8,9 @@
 //! [`ConflictGraph`](crate::conflict::ConflictGraph) stores the
 //! adjacency in CSR layout (one flat neighbor array plus per-vertex
 //! offsets), built with a degree-count pass so nothing is reallocated.
-//! [`ActiveSubgraph`](crate::conflict::ActiveSubgraph) is a reusable
-//! *view* onto a conflict graph: given an activity bitmap it produces
-//! the induced subgraph on the active vertices — byte-identical to a
-//! from-scratch [`ConflictGraph::build`](crate::conflict::ConflictGraph::build)
-//! over the same members — while
-//! reusing its internal buffers, so repeated filtering (the per-step MIS
-//! input of the two-phase framework) allocates nothing in steady state.
+//! The two-phase framework builds one per epoch and hands its CSR arrays
+//! to the MIS with an activity mask over the still-unsatisfied members,
+//! so a step builds no graph of its own.
 
 use crate::{InstanceId, Problem};
 
@@ -187,152 +183,6 @@ impl ConflictGraph {
     pub fn degree(&self, i: usize) -> usize {
         (self.offsets[i + 1] - self.offsets[i]) as usize
     }
-
-    /// Checks that `set` (local indices) is an independent set.
-    pub fn is_independent(&self, set: &[u32]) -> bool {
-        let mut marked = vec![false; self.len()];
-        for &i in set {
-            marked[i as usize] = true;
-        }
-        set.iter().all(|&i| {
-            self.neighbors(i as usize)
-                .iter()
-                .all(|&j| !marked[j as usize])
-        })
-    }
-
-    /// Checks that `set` (local indices) is a *maximal* independent set:
-    /// independent, and every vertex outside has a neighbor inside.
-    pub fn is_maximal_independent(&self, set: &[u32]) -> bool {
-        if !self.is_independent(set) {
-            return false;
-        }
-        let mut marked = vec![false; self.len()];
-        for &i in set {
-            marked[i as usize] = true;
-        }
-        (0..self.len()).all(|v| marked[v] || self.neighbors(v).iter().any(|&j| marked[j as usize]))
-    }
-}
-
-/// Sentinel marking an inactive vertex in [`ActiveSubgraph`]'s dense map.
-const INACTIVE: u32 = u32::MAX;
-
-/// A reusable *active-subgraph view* over a [`ConflictGraph`].
-///
-/// [`ActiveSubgraph::rebuild`] filters the graph down to the vertices
-/// marked active, producing the induced subgraph in CSR layout with
-/// step-local dense indices `0..active_len()`, assigned in ascending
-/// base-vertex order. Because base adjacency lists are sorted and the
-/// dense relabeling is order-preserving, the produced adjacency is
-/// **byte-identical** to `ConflictGraph::build` over the same member
-/// subsequence — the invariant the incremental phase-1 engine relies on
-/// (and that `crates/core/tests/incremental_oracle.rs` checks).
-///
-/// All buffers are retained across calls: after the first rebuild at the
-/// high-water mark, further rebuilds allocate nothing. Deactivating a
-/// vertex between steps is `O(degree)` work at the next rebuild (its
-/// neighbors each skip one entry) rather than a full reconstruction.
-#[derive(Clone, Debug, Default)]
-pub struct ActiveSubgraph {
-    /// Base-vertex → step-local index, or `INACTIVE`.
-    dense: Vec<u32>,
-    /// Step-local index → base vertex, ascending.
-    verts: Vec<u32>,
-    /// CSR offsets of the induced subgraph (`active_len() + 1` entries).
-    offsets: Vec<u32>,
-    /// Flat CSR neighbor array of the induced subgraph.
-    adj: Vec<u32>,
-    /// Per-step-local-vertex keys, copied from the base key table.
-    keys: Vec<u64>,
-}
-
-impl ActiveSubgraph {
-    /// Creates an empty view (buffers grow on first use).
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Rebuilds the view as the subgraph of `graph` induced on the
-    /// vertices with `active[v] == true`, relabeled to dense step-local
-    /// indices. `base_keys[v]` supplies the per-vertex MIS key of base
-    /// vertex `v`; the view exposes the active ones via [`Self::keys`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `active.len()` or `base_keys.len()` differ from
-    /// `graph.len()`.
-    pub fn rebuild(&mut self, graph: &ConflictGraph, base_keys: &[u64], active: &[bool]) {
-        let n = graph.len();
-        assert_eq!(active.len(), n, "one activity flag per vertex");
-        assert_eq!(base_keys.len(), n, "one key per vertex");
-        self.dense.clear();
-        self.dense.resize(n, INACTIVE);
-        self.verts.clear();
-        self.keys.clear();
-        for (v, &alive) in active.iter().enumerate() {
-            if alive {
-                self.dense[v] = self.verts.len() as u32;
-                self.verts.push(v as u32);
-                self.keys.push(base_keys[v]);
-            }
-        }
-        self.offsets.clear();
-        self.adj.clear();
-        self.offsets.push(0);
-        for &v in &self.verts {
-            for &w in graph.neighbors(v as usize) {
-                let dw = self.dense[w as usize];
-                if dw != INACTIVE {
-                    self.adj.push(dw);
-                }
-            }
-            self.offsets.push(self.adj.len() as u32);
-        }
-    }
-
-    /// Number of active vertices in the current view.
-    pub fn active_len(&self) -> usize {
-        self.verts.len()
-    }
-
-    /// Whether the current view has no active vertices.
-    pub fn is_empty(&self) -> bool {
-        self.verts.is_empty()
-    }
-
-    /// The base (epoch-local) vertex behind step-local vertex `i`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i` is out of range.
-    pub fn base_vertex(&self, i: usize) -> usize {
-        self.verts[i] as usize
-    }
-
-    /// CSR offsets of the induced subgraph (`active_len() + 1` entries).
-    pub fn offsets(&self) -> &[u32] {
-        &self.offsets
-    }
-
-    /// Flat CSR neighbor array of the induced subgraph.
-    pub fn adjacency(&self) -> &[u32] {
-        &self.adj
-    }
-
-    /// Per-step-local-vertex MIS keys.
-    pub fn keys(&self) -> &[u64] {
-        &self.keys
-    }
-
-    /// Neighbors of step-local vertex `i`, sorted ascending.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i` is out of range.
-    pub fn neighbors(&self, i: usize) -> &[u32] {
-        &self.adj[self.offsets[i] as usize..self.offsets[i + 1] as usize]
-    }
 }
 
 #[cfg(test)]
@@ -389,20 +239,6 @@ mod tests {
     }
 
     #[test]
-    fn independence_checks() {
-        let (p, ids) = sample();
-        let g = ConflictGraph::build(&p, &ids);
-        assert!(g.is_independent(&[1, 3]));
-        assert!(!g.is_independent(&[0, 1]));
-        // {a0@t1, a1@t0, a2@t1}: wait, a0@t1 and a2@t1 don't overlap —
-        // {1, 2, 3} is independent and maximal (0 conflicts with 1 and 2).
-        assert!(g.is_maximal_independent(&[1, 2, 3]));
-        // {1, 3} is independent but not maximal (2 has no neighbor inside).
-        assert!(!g.is_maximal_independent(&[1, 3]));
-        assert!(!g.is_maximal_independent(&[0, 1]));
-    }
-
-    #[test]
     fn subset_graphs_use_local_indices() {
         let (p, ids) = sample();
         let g = ConflictGraph::build(&p, &[ids[0], ids[2]]);
@@ -418,61 +254,5 @@ mod tests {
         let g = ConflictGraph::build(&p, &[]);
         assert!(g.is_empty());
         assert_eq!(g.edge_count(), 0);
-        assert!(g.is_independent(&[]));
-        assert!(g.is_maximal_independent(&[]));
-    }
-
-    #[test]
-    fn active_view_matches_fresh_build() {
-        let (p, ids) = sample();
-        let g = ConflictGraph::build(&p, &ids);
-        let keys: Vec<u64> = (0..ids.len() as u64).map(|k| k * 10).collect();
-        let mut view = ActiveSubgraph::new();
-        // Every subset of the four vertices: the view must equal a
-        // from-scratch build over the kept subsequence, byte for byte.
-        for mask in 0u32..16 {
-            let active: Vec<bool> = (0..4).map(|v| mask & (1 << v) != 0).collect();
-            view.rebuild(&g, &keys, &active);
-            let kept: Vec<InstanceId> = (0..4).filter(|&v| active[v]).map(|v| ids[v]).collect();
-            let fresh = ConflictGraph::build(&p, &kept);
-            assert_eq!(view.active_len(), fresh.len(), "mask {mask}");
-            assert_eq!(view.offsets(), fresh.offsets(), "mask {mask}");
-            assert_eq!(view.adjacency(), fresh.adjacency(), "mask {mask}");
-            for i in 0..fresh.len() {
-                assert_eq!(ids[view.base_vertex(i)], fresh.instance(i), "mask {mask}");
-                assert_eq!(view.neighbors(i), fresh.neighbors(i), "mask {mask}");
-                assert_eq!(view.keys()[i], keys[view.base_vertex(i)], "mask {mask}");
-            }
-        }
-        assert!(view.is_empty() == (view.active_len() == 0));
-    }
-
-    #[test]
-    fn active_view_reuses_buffers() {
-        let (p, ids) = sample();
-        let g = ConflictGraph::build(&p, &ids);
-        let keys = vec![0u64; 4];
-        let mut view = ActiveSubgraph::new();
-        view.rebuild(&g, &keys, &[true; 4]);
-        let cap = (
-            view.dense.capacity(),
-            view.verts.capacity(),
-            view.offsets.capacity(),
-            view.adj.capacity(),
-            view.keys.capacity(),
-        );
-        // Shrinking rebuilds stay within the high-water capacities.
-        view.rebuild(&g, &keys, &[true, false, true, false]);
-        view.rebuild(&g, &keys, &[false; 4]);
-        assert_eq!(
-            cap,
-            (
-                view.dense.capacity(),
-                view.verts.capacity(),
-                view.offsets.capacity(),
-                view.adj.capacity(),
-                view.keys.capacity(),
-            )
-        );
     }
 }
