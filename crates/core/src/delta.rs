@@ -60,13 +60,14 @@
 //!
 //! [`DeltaEngine`] exploits the factorization: it keeps a union-find
 //! over demands, a per-component cache of `(λ, selected)` per half, and
-//! a dirty set. A delta invalidates only the touched component;
-//! [`DeltaEngine::resolve`] re-runs the two-phase engine over dirty
-//! components only and reuses every clean component's cached result. The
-//! from-scratch oracle [`DeltaEngine::reference_solve`] re-solves
-//! everything with [`run_two_phase_reference`] and must agree bit-for-bit
-//! after **any** delta sequence — the invariant the proptest oracles and
-//! `treenet-serve`'s `check` op enforce.
+//! a dirty set. The union-find is fed by one anchor per network edge, so
+//! an arrival unions in O(|path|). A delta invalidates only the touched
+//! component; [`DeltaEngine::resolve`] re-runs the two-phase engine over
+//! dirty components only and reuses every clean component's cached
+//! result. The from-scratch oracle [`DeltaEngine::reference_solve`]
+//! re-solves everything with [`run_two_phase_reference`] and must agree
+//! bit-for-bit after **any** delta sequence — the invariant the proptest
+//! oracles and `treenet-serve`'s `check` op enforce.
 //!
 //! # Cost of a warm write
 //!
@@ -99,7 +100,7 @@ use crate::solvers::{
     SolverConfig,
 };
 use treenet_decomp::{LayeredDecomposition, Layering, Strategy};
-use treenet_graph::UnionFind;
+use treenet_graph::{EdgeId, UnionFind};
 use treenet_model::{
     DeltaEffect, Demand, DemandId, DemandKind, HeightClass, InstanceId, ModelError, NetworkId,
     Problem, ProblemDelta, Solution, EPS,
@@ -341,6 +342,47 @@ impl Assembly {
     }
 }
 
+/// One anchor per network edge, flat over all networks: some demand
+/// with an instance on that edge, or [`EdgeAnchors::NONE`] until one
+/// uses it. Every instance, at bootstrap and on arrival, is unioned with
+/// the anchor of each edge on its path, and components never split, so
+/// the components are exactly the conflict components.
+#[derive(Clone, Debug)]
+struct EdgeAnchors {
+    /// Where network `t`'s edges start in `anchors`.
+    offsets: Vec<usize>,
+    /// The anchor demand of every edge, network by network.
+    anchors: Vec<u32>,
+}
+
+impl EdgeAnchors {
+    /// The anchor of an edge no demand has used yet.
+    const NONE: u32 = u32::MAX;
+
+    fn new(problem: &Problem) -> Self {
+        let mut offsets = Vec::with_capacity(problem.network_count());
+        let mut edges = 0;
+        for t in problem.networks() {
+            offsets.push(edges);
+            edges += problem.network(t).edge_count();
+        }
+        EdgeAnchors {
+            offsets,
+            anchors: vec![Self::NONE; edges],
+        }
+    }
+
+    /// The anchor of edge `e` of network `t`; `demand` becomes it if the
+    /// edge has none yet.
+    fn anchor(&mut self, t: NetworkId, e: EdgeId, demand: u32) -> u32 {
+        let slot = &mut self.anchors[self.offsets[t.index()] + e.index()];
+        if *slot == Self::NONE {
+            *slot = demand;
+        }
+        *slot
+    }
+}
+
 /// Cumulative counters of an engine's lifetime, for the serve `stats` op
 /// and the throughput bench.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -412,6 +454,8 @@ pub struct DeltaEngine {
     halves: Vec<EngineHalf>,
     /// Conflict components over demands: merged on arrival, never split.
     comps: UnionFind,
+    /// The demand each network edge's users are unioned with.
+    anchors: EdgeAnchors,
     /// Component root → member demands (live and departed).
     comp_demands: BTreeMap<u32, Vec<u32>>,
     /// Component root → cached solve of its live participants, one per
@@ -519,17 +563,13 @@ impl DeltaEngine {
         let assembly = Assembly::new(halves.len());
         let mut comps = UnionFind::new(problem.demand_count());
         // Demands conflict iff some pair of their instances shares an
-        // edge; instances_using lists each edge's users in id order, so
-        // unioning consecutive users links exactly the conflicting
-        // demands, in O(Σ path lengths).
-        for t in problem.networks() {
-            for e in 0..problem.network(t).edge_count() {
-                let users = problem.instances_using(t, treenet_graph::EdgeId(e as u32));
-                for pair in users.windows(2) {
-                    let a = problem.instance(pair[0]).demand.0;
-                    let b = problem.instance(pair[1]).demand.0;
-                    comps.union(a, b);
-                }
+        // edge; unioning every instance with its edges' anchors links
+        // exactly the conflicting demands, in O(Σ path lengths).
+        let mut anchors = EdgeAnchors::new(&problem);
+        for inst in problem.instances() {
+            let a = inst.demand.0;
+            for &e in inst.path.edges() {
+                comps.union(anchors.anchor(inst.network, e, a), a);
             }
         }
         let mut comp_demands: BTreeMap<u32, Vec<u32>> = BTreeMap::new();
@@ -547,6 +587,7 @@ impl DeltaEngine {
             hmin: config.hmin,
             halves,
             comps,
+            anchors,
             comp_demands,
             cache: BTreeMap::new(),
             assembly,
@@ -591,8 +632,9 @@ impl DeltaEngine {
 
     /// Applies one delta, invalidating exactly the touched component.
     ///
-    /// An arrival unions the new demand with every demand it conflicts
-    /// with (via the inverted edge index) and layers its new instances
+    /// An arrival unions the new demand with the anchor of every edge its
+    /// instances use (so with every demand it conflicts with, in
+    /// O(|path|) per instance) and layers its new instances
     /// incrementally (tree theorems: against the retained decompositions;
     /// line theorems: against the public `Lmin`); a departure only
     /// tombstones and marks dirty. The re-solve itself is deferred to
@@ -630,22 +672,18 @@ impl DeltaEngine {
                 );
             }
 
-            // Union with every demand sharing an edge. Each counterparty's
-            // root is recorded *before* its union so the final root is
-            // always among `old_roots`.
+            // Union with the anchor of every edge on the new paths: every
+            // earlier user of an edge is already in its anchor's component.
+            // Each anchor's root is recorded *before* its union so the
+            // final root is always among `old_roots`.
             let mut old_roots: BTreeSet<u32> = BTreeSet::new();
             old_roots.insert(self.comps.find(key));
             for &d in &effect.new_instances {
-                let network = self.problem.instance(d).network;
-                let edges: Vec<treenet_graph::EdgeId> =
-                    self.problem.instance(d).path.edges().to_vec();
-                for e in edges {
-                    for i in 0..self.problem.instances_using(network, e).len() {
-                        let other = self.problem.instances_using(network, e)[i];
-                        let other = self.problem.instance(other).demand.0;
-                        old_roots.insert(self.comps.find(other));
-                        self.comps.union(key, other);
-                    }
+                let inst = self.problem.instance(d);
+                for &e in inst.path.edges() {
+                    let anchor = self.anchors.anchor(inst.network, e, key);
+                    old_roots.insert(self.comps.find(anchor));
+                    self.comps.union(key, anchor);
                 }
             }
             let root = self.comps.find(key);
@@ -1113,6 +1151,112 @@ mod tests {
             }
             assert_eq!(e.layers.num_groups(), batch.num_groups());
             assert_eq!(e.layers.delta(), batch.delta());
+        }
+    }
+
+    /// Asserts that two demands share an engine component iff the
+    /// pairwise conflicting relation over every instance ever admitted
+    /// (departed included) connects them, and that the member lists
+    /// follow the union-find. The bit-identity oracles cannot see an
+    /// over-merged component: a conflict-closed superset solves the same.
+    fn assert_components_are_conflict_components(e: &DeltaEngine) {
+        let problem = e.problem();
+        let mut oracle = UnionFind::new(problem.demand_count());
+        for a in problem.instances() {
+            for b in problem.instances().skip(a.id.index() + 1) {
+                if problem.conflicting(a.id, b.id) {
+                    oracle.union(a.demand.0, b.demand.0);
+                }
+            }
+        }
+        let mut comps = e.comps.clone();
+        let m = problem.demand_count() as u32;
+        for a in 0..m {
+            for b in a + 1..m {
+                let engine = comps.find(a) == comps.find(b);
+                assert_eq!(engine, oracle.find(a) == oracle.find(b), "a{a} and a{b}");
+            }
+            assert!(e.comp_demands[&comps.find(a)].binary_search(&a).is_ok());
+        }
+        assert_eq!(e.component_count(), oracle.set_count());
+    }
+
+    #[test]
+    fn components_are_exactly_the_conflict_components() {
+        use rand::Rng;
+        // Six single-network pods, so the problems start with several
+        // components and most arrivals (one network each) stay apart.
+        let tree = |heights| {
+            TreeWorkload::new(24, 16)
+                .with_networks(1)
+                .with_pods(6)
+                .with_heights(heights)
+                .generate(&mut SmallRng::seed_from_u64(17))
+        };
+        let line = |heights| {
+            LineWorkload::new(40, 16)
+                .with_resources(1)
+                .with_pods(6)
+                .with_window_slack(2)
+                .with_len_range(2, 6)
+                .with_heights(heights)
+                .generate(&mut SmallRng::seed_from_u64(17))
+        };
+        let bimodal = HeightMode::Bimodal {
+            narrow_frac: 0.5,
+            hmin: 0.25,
+        };
+        let unit = SolverConfig::default();
+        let capacitated = SolverConfig::default().with_hmin(0.25);
+        let cases = [
+            (tree(HeightMode::Unit), &unit),
+            (tree(bimodal), &capacitated),
+            (line(HeightMode::Unit), &unit),
+            (line(bimodal), &capacitated),
+        ];
+        for (problem, config) in cases {
+            let mut e = DeltaEngine::new(problem, config).unwrap();
+            let choice = e.choice();
+            assert!(e.component_count() > 1, "{choice:?}");
+            assert_components_are_conflict_components(&e);
+            let mut rng = SmallRng::seed_from_u64(0xa9c4);
+            let vertices = e.problem().network(NetworkId(0)).len() as u32;
+            let networks = e.problem().network_count() as u32;
+            let mut arrived = 0;
+            for step in 0..48 {
+                let delta = if step % 4 == 3 {
+                    let a = rng.gen_range(0..e.problem().demand_count() as u32);
+                    ProblemDelta::Departure {
+                        demand: DemandId(a),
+                    }
+                } else {
+                    let u = rng.gen_range(0..vertices - 1);
+                    let v = rng.gen_range(u + 1..(u + 8).min(vertices));
+                    let lines = matches!(choice, AutoChoice::LineUnit | AutoChoice::LineArbitrary);
+                    let mut demand = if lines && step % 2 == 0 {
+                        Demand::window(u, v - 1, (v - u).min(3), 1.5)
+                    } else {
+                        Demand::pair(VertexId(u), VertexId(v), 1.5)
+                    };
+                    if config.hmin.is_some() {
+                        demand = demand.with_height(if rng.gen_bool(0.5) { 0.3 } else { 0.9 });
+                    }
+                    let t = rng.gen_range(0..networks);
+                    let access = if step % 8 == 0 {
+                        vec![NetworkId(t), NetworkId((t + 1) % networks)]
+                    } else {
+                        vec![NetworkId(t)]
+                    };
+                    ProblemDelta::Arrival { demand, access }
+                };
+                let is_arrival = matches!(delta, ProblemDelta::Arrival { .. });
+                if e.apply(delta).is_ok() && is_arrival {
+                    arrived += 1;
+                }
+                assert_components_are_conflict_components(&e);
+            }
+            assert!(arrived >= 12, "{choice:?}: only {arrived} arrivals");
+            assert!(e.component_count() > 1, "{choice:?}");
         }
     }
 

@@ -144,17 +144,20 @@ fn replay_phase1(
                 prop_assert_eq!(masked_rounds, fresh_rounds);
 
                 // Raise the MIS members (shared arithmetic), then refresh
-                // the touched constraints through the inverted index.
+                // the touched constraints: the demand's instances and every
+                // instance on the network active on a critical edge.
                 for &d in &raised {
                     let critical = layers.critical_of(d);
                     let _ = rule.raise(problem, &mut dual, d, critical);
                     let inst = problem.instance(d);
-                    let network = inst.network;
                     for &sib in problem.instances_of(inst.demand) {
                         dual.refresh_cached_lhs(problem, dual.slot(sib).unwrap());
                     }
-                    for &e in critical {
-                        for &user in problem.instances_using(network, e) {
+                    for &user in problem.instances_on(inst.network) {
+                        if critical
+                            .iter()
+                            .any(|&e| problem.instance(user).active_on(e))
+                        {
                             dual.refresh_cached_lhs(problem, dual.slot(user).unwrap());
                         }
                     }

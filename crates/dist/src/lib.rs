@@ -142,7 +142,6 @@ use treenet_core::{
     validate_epsilon, AutoChoice, RaiseRule, SolverConfig,
 };
 use treenet_decomp::{ConvergecastForest, LayeredDecomposition, Strategy};
-use treenet_graph::{RootedTree, VertexId};
 use treenet_mis::MisBackend;
 use treenet_model::{HeightClass, Problem, Solution};
 use treenet_netsim::{Engine, LossModel, Metrics, Topology};
@@ -642,7 +641,7 @@ pub(crate) fn plan(
     let public = Arc::new(PublicInfo {
         rooted: problem
             .networks()
-            .map(|t| RootedTree::new(problem.network(t), VertexId(0)))
+            .map(|t| problem.rooted(t).clone())
             .collect(),
         layering,
         seed: config.seed,
@@ -1217,7 +1216,7 @@ mod tests {
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
     use treenet_core::{solve, solve_auto, DeltaEngine};
-    use treenet_graph::Tree;
+    use treenet_graph::{Tree, VertexId};
     use treenet_model::workload::{HeightMode, LineWorkload, TreeWorkload};
     use treenet_model::{Demand, DemandId, ProblemBuilder};
 

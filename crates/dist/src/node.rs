@@ -58,9 +58,9 @@ use std::sync::Arc;
 
 use treenet_core::RaiseRule;
 use treenet_decomp::{ConvergecastForest, Layering};
-use treenet_graph::{EdgeId, RootedTree, TreePath, VertexId};
+use treenet_graph::{EdgeId, RootedTree, TreePath};
 use treenet_mis::MisBackend;
-use treenet_model::{Demand, DemandId, DemandKind, InstanceId, NetworkId};
+use treenet_model::{Demand, DemandId, InstanceId, NetworkId};
 use treenet_netsim::{Context, Envelope, MessageSize, Protocol};
 
 /// Satisfaction comparison guard — imported from the framework so
@@ -125,24 +125,11 @@ impl PublicInfo {
     pub fn views(&self, descriptor: &Descriptor) -> Vec<InstView> {
         let mut views = Vec::new();
         for &t in &descriptor.access {
-            match descriptor.demand.kind {
-                DemandKind::Pair { u, v } => {
-                    let path = self.rooted[t.index()].path(u, v);
-                    views.push(self.make_view(descriptor, t, path, None));
-                }
-                DemandKind::Window {
-                    release,
-                    deadline,
-                    processing,
-                } => {
-                    for s in release..=(deadline + 1 - processing) {
-                        let vertices: Vec<VertexId> = (s..=s + processing).map(VertexId).collect();
-                        let edges: Vec<EdgeId> = (s..s + processing).map(EdgeId).collect();
-                        let path = TreePath::new(vertices, edges);
-                        views.push(self.make_view(descriptor, t, path, Some(s)));
-                    }
-                }
-            }
+            descriptor
+                .demand
+                .for_each_instance_path(&self.rooted[t.index()], |path, start| {
+                    views.push(self.make_view(descriptor, t, path, start));
+                });
         }
         views
     }

@@ -118,16 +118,6 @@ impl TreePath {
             }
         }
     }
-
-    /// Whether this path and `other` share at least one edge — the paper's
-    /// *overlapping* relation for two demand instances on the same
-    /// tree-network.
-    pub fn overlaps(&self, other: &TreePath) -> bool {
-        // Quadratic scan; path lengths are O(n) and this is only used by
-        // verifiers and small-instance code. Hot paths use the model layer's
-        // edge bitsets instead.
-        self.edges.iter().any(|e| other.edges.contains(e))
-    }
 }
 
 #[cfg(test)]
@@ -248,19 +238,5 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn overlap_is_edge_sharing() {
-        let p = vp(&[0, 1, 2], &[0, 1]);
-        let q = vp(&[1, 2, 3], &[1, 2]);
-        let r = vp(&[3, 4], &[3]);
-        assert!(p.overlaps(&q));
-        assert!(q.overlaps(&p));
-        assert!(!p.overlaps(&r));
-        // Sharing only a vertex is NOT overlapping (edge-disjoint paths may
-        // share vertices in the unit-height tree problem).
-        let s = vp(&[2, 9], &[9]);
-        assert!(!p.overlaps(&s));
     }
 }

@@ -90,20 +90,6 @@ impl UnionFind {
         x
     }
 
-    /// Like [`UnionFind::find`] but without compression, usable through a
-    /// shared reference.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x` is out of range.
-    pub fn find_immutable(&self, x: u32) -> u32 {
-        let mut x = x;
-        while self.parent[x as usize] != x {
-            x = self.parent[x as usize];
-        }
-        x
-    }
-
     /// Merges the sets of `a` and `b`; returns the surviving root, and
     /// whether the call actually merged two distinct sets.
     ///
@@ -128,25 +114,6 @@ impl UnionFind {
         self.sets -= 1;
         (big, true)
     }
-
-    /// Whether `a` and `b` are in the same set.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `a` or `b` is out of range.
-    pub fn same_set(&mut self, a: u32, b: u32) -> bool {
-        self.find(a) == self.find(b)
-    }
-
-    /// Size of `x`'s set.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x` is out of range.
-    pub fn set_size(&mut self, x: u32) -> u32 {
-        let r = self.find(x);
-        self.size[r as usize]
-    }
 }
 
 #[cfg(test)]
@@ -161,16 +128,14 @@ mod tests {
         assert!(!uf.is_empty());
         for x in 0..5 {
             assert_eq!(uf.find(x), x);
-            assert_eq!(uf.set_size(x), 1);
         }
         let (_, merged) = uf.union(0, 1);
         assert!(merged);
         let (_, merged) = uf.union(0, 1);
         assert!(!merged);
         assert_eq!(uf.set_count(), 4);
-        assert!(uf.same_set(0, 1));
-        assert!(!uf.same_set(0, 2));
-        assert_eq!(uf.set_size(1), 2);
+        assert_eq!(uf.find(0), uf.find(1));
+        assert_ne!(uf.find(0), uf.find(2));
     }
 
     #[test]
@@ -184,7 +149,7 @@ mod tests {
         let c = uf.make_set();
         assert_eq!(c, 2);
         assert_eq!(uf.set_count(), 2);
-        assert!(!uf.same_set(a, c));
+        assert_ne!(uf.find(a), uf.find(c));
     }
 
     #[test]
@@ -201,7 +166,6 @@ mod tests {
         let mut y = build();
         for k in 0..8 {
             assert_eq!(x.find(k), y.find(k));
-            assert_eq!(x.find(k), x.find_immutable(k));
         }
         // Equal-size tie goes to the smaller key.
         let mut uf = UnionFind::new(2);
@@ -218,8 +182,6 @@ mod tests {
         let root = uf.find(0);
         for x in 0..100 {
             assert_eq!(uf.find(x), root);
-            assert_eq!(uf.find_immutable(x), root);
         }
-        assert_eq!(uf.set_size(42), 100);
     }
 }

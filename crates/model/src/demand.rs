@@ -2,7 +2,7 @@
 
 use crate::{InstanceId, Problem};
 use serde::{Deserialize, Serialize};
-use treenet_graph::VertexId;
+use treenet_graph::{EdgeId, RootedTree, TreePath, VertexId};
 
 /// What a demand asks for: a fixed vertex pair, or (on line-networks) a
 /// window with a processing time (Section 7 of the paper).
@@ -132,6 +132,33 @@ impl Demand {
         }
     }
 
+    /// Calls `f` with the path and start slot of each instance this
+    /// demand materializes on `network`, in canonical order (a pair has
+    /// one, with no start; a window one per feasible start, ascending):
+    /// the one definition [`Problem`] and the distributed processors
+    /// share. The demand must be valid: a window's starts assume
+    /// `release + processing ≤ deadline + 1`.
+    pub fn for_each_instance_path(
+        &self,
+        network: &RootedTree,
+        mut f: impl FnMut(TreePath, Option<u32>),
+    ) {
+        match self.kind {
+            DemandKind::Pair { u, v } => f(network.path(u, v), None),
+            DemandKind::Window {
+                release,
+                deadline,
+                processing,
+            } => {
+                for s in window_starts(release, deadline, processing) {
+                    let vertices = (s..=s + processing).map(VertexId).collect();
+                    let edges = (s..s + processing).map(EdgeId).collect();
+                    f(TreePath::new(vertices, edges), Some(s));
+                }
+            }
+        }
+    }
+
     /// Validates profit, height and (for windows) the window shape.
     pub(crate) fn validate(&self) -> Result<(), String> {
         if !(self.profit > 0.0 && self.profit.is_finite()) {
@@ -157,7 +184,8 @@ impl Demand {
                 if processing == 0 {
                     return Err("processing time must be at least one timeslot".into());
                 }
-                if release + processing > deadline + 1 {
+                // In u64: near `u32::MAX` the u32 sums would wrap.
+                if u64::from(release) + u64::from(processing) > u64::from(deadline) + 1 {
                     return Err(format!(
                         "window [{release}, {deadline}] too short for processing time {processing}"
                     ));
@@ -166,6 +194,13 @@ impl Demand {
         }
         Ok(())
     }
+}
+
+/// The start timeslots of a (valid) window demand, one instance each:
+/// the execution segment `[s, s + ρ - 1]` must fit inside
+/// `[release, deadline]`.
+pub(crate) fn window_starts(release: u32, deadline: u32, processing: u32) -> std::ops::Range<u32> {
+    release..deadline + 2 - processing
 }
 
 #[cfg(test)]

@@ -1,6 +1,6 @@
 //! Validated problem instances with materialized demand instances.
 
-use crate::demand::{Demand, DemandKind};
+use crate::demand::{window_starts, Demand, DemandKind};
 use crate::{DemandId, InstanceId, NetworkId};
 use std::fmt;
 use treenet_graph::{EdgeId, RootedTree, Tree, TreePath, VertexId};
@@ -357,9 +357,6 @@ impl ProblemBuilder {
             );
         }
 
-        let edge_counts: Vec<usize> = self.networks.iter().map(Tree::edge_count).collect();
-        let by_edge = EdgeIndex::build_all(&edge_counts, &instances);
-
         Ok(Problem {
             departed: vec![false; self.demands.len()],
             live_demands: self.demands.len(),
@@ -371,7 +368,6 @@ impl ProblemBuilder {
             instances,
             by_demand,
             by_network,
-            by_edge,
         })
     }
 }
@@ -436,54 +432,21 @@ fn materialize_demand(
     demand_row: &mut Vec<InstanceId>,
     by_network: &mut [Vec<InstanceId>],
 ) {
-    match demand.kind {
-        DemandKind::Pair { u, v } => {
-            for &t in access {
-                let path = rooted[t.index()].path(u, v);
-                let id = InstanceId(instances.len() as u32);
-                instances.push(DemandInstance::new(
-                    id,
-                    a,
-                    t,
-                    path,
-                    None,
-                    edge_words(&networks[t.index()]),
-                ));
-                demand_row.push(id);
-                by_network[t.index()].push(id);
-            }
-        }
-        DemandKind::Window {
-            release,
-            deadline,
-            processing,
-        } => {
-            for &t in access {
-                for s in window_starts(release, deadline, processing) {
-                    let vertices: Vec<VertexId> = (s..=s + processing).map(VertexId).collect();
-                    let edges: Vec<EdgeId> = (s..s + processing).map(EdgeId).collect();
-                    let path = TreePath::new(vertices, edges);
-                    let id = InstanceId(instances.len() as u32);
-                    instances.push(DemandInstance::new(
-                        id,
-                        a,
-                        t,
-                        path,
-                        Some(s),
-                        edge_words(&networks[t.index()]),
-                    ));
-                    demand_row.push(id);
-                    by_network[t.index()].push(id);
-                }
-            }
-        }
+    for &t in access {
+        demand.for_each_instance_path(&rooted[t.index()], |path, start| {
+            let id = InstanceId(instances.len() as u32);
+            instances.push(DemandInstance::new(
+                id,
+                a,
+                t,
+                path,
+                start,
+                edge_words(&networks[t.index()]),
+            ));
+            demand_row.push(id);
+            by_network[t.index()].push(id);
+        });
     }
-}
-
-/// The start timeslots of a window demand, one instance each: the
-/// execution segment `[s, s + ρ - 1]` must fit inside `[release, deadline]`.
-fn window_starts(release: u32, deadline: u32, processing: u32) -> std::ops::Range<u32> {
-    release..deadline + 2 - processing
 }
 
 /// How many instances a (pre-validated) demand materializes on each
@@ -502,90 +465,6 @@ fn instances_per_network(demand: &Demand) -> usize {
 /// The number of 64-bit words of an instance edge bitmask on `tree`.
 fn edge_words(tree: &Tree) -> usize {
     tree.edge_count().div_ceil(64).max(1)
-}
-
-/// Per-network inverted index in CSR layout: for each edge, the instances
-/// whose routing path uses it, in instance-id order. The `DeltaEngine`
-/// of `treenet-core` unions conflict components through it (at
-/// bootstrap and on each arrival); the phase-1 engine does not read it,
-/// as its dual-LHS staleness follows the epoch conflict graph.
-#[derive(Clone, Debug)]
-struct EdgeIndex {
-    offsets: Vec<u32>,
-    ids: Vec<InstanceId>,
-}
-
-impl EdgeIndex {
-    /// Builds the index of every network with one counting pass and one
-    /// fill pass over the full instance list, dispatching each path edge
-    /// into its network's slots.
-    fn build_all(edge_counts: &[usize], instances: &[DemandInstance]) -> Vec<Self> {
-        let mut indexes: Vec<EdgeIndex> = edge_counts
-            .iter()
-            .map(|&edges| EdgeIndex {
-                offsets: vec![0u32; edges + 1],
-                ids: Vec::new(),
-            })
-            .collect();
-        for inst in instances {
-            let offsets = &mut indexes[inst.network.index()].offsets;
-            for &e in inst.path.edges() {
-                offsets[e.index() + 1] += 1;
-            }
-        }
-        let mut cursors: Vec<Vec<u32>> = Vec::with_capacity(indexes.len());
-        for index in &mut indexes {
-            let edges = index.offsets.len() - 1;
-            for e in 0..edges {
-                index.offsets[e + 1] += index.offsets[e];
-            }
-            index.ids = vec![InstanceId(0); *index.offsets.last().unwrap_or(&0) as usize];
-            cursors.push(index.offsets[..edges].to_vec());
-        }
-        // Instances are scanned in id order, so each per-edge slice ends up
-        // sorted by instance id.
-        for inst in instances {
-            let q = inst.network.index();
-            let cursor = &mut cursors[q];
-            let ids = &mut indexes[q].ids;
-            for &e in inst.path.edges() {
-                ids[cursor[e.index()] as usize] = inst.id;
-                cursor[e.index()] += 1;
-            }
-        }
-        indexes
-    }
-
-    /// Rebuilds the index of a single network from that network's own
-    /// instance list — the incremental counterpart of [`EdgeIndex::build_all`]
-    /// used after an arrival delta, so a delta pays for the *affected*
-    /// networks only instead of a full-problem reindex.
-    fn build_one(edges: usize, members: &[InstanceId], instances: &[DemandInstance]) -> Self {
-        let mut offsets = vec![0u32; edges + 1];
-        for &d in members {
-            for &e in instances[d.index()].path.edges() {
-                offsets[e.index() + 1] += 1;
-            }
-        }
-        for e in 0..edges {
-            offsets[e + 1] += offsets[e];
-        }
-        let mut ids = vec![InstanceId(0); *offsets.last().unwrap_or(&0) as usize];
-        let mut cursor = offsets[..edges].to_vec();
-        // `members` is in instance-id order, so each per-edge slice ends
-        // up sorted by instance id — same invariant as `build_all`.
-        for &d in members {
-            for &e in instances[d.index()].path.edges() {
-                ids[cursor[e.index()] as usize] = d;
-                cursor[e.index()] += 1;
-            }
-        }
-        EdgeIndex { offsets, ids }
-    }
-
-    fn users(&self, e: EdgeId) -> &[InstanceId] {
-        &self.ids[self.offsets[e.index()] as usize..self.offsets[e.index() + 1] as usize]
-    }
 }
 
 /// One online change to a [`Problem`]: a demand arriving (with its
@@ -621,8 +500,6 @@ pub struct DeltaEffect {
     /// Instances materialized by an arrival, in id order (empty for a
     /// departure).
     pub new_instances: Vec<InstanceId>,
-    /// The networks whose edge load can change: the demand's access list.
-    pub networks: Vec<NetworkId>,
 }
 
 /// A validated problem instance: networks, demands with accessibility, and
@@ -636,7 +513,6 @@ pub struct Problem {
     instances: Vec<DemandInstance>,
     by_demand: Vec<Vec<InstanceId>>,
     by_network: Vec<Vec<InstanceId>>,
-    by_edge: Vec<EdgeIndex>,
     /// Tombstones: `departed[a]` iff demand `a` has departed. The demand
     /// and its instances stay materialized (ids are append-only-stable);
     /// online solvers simply exclude them from the participant set.
@@ -737,18 +613,6 @@ impl Problem {
     /// Panics if `t` is out of range.
     pub fn instances_on(&self, t: NetworkId) -> &[InstanceId] {
         &self.by_network[t.index()]
-    }
-
-    /// The instances whose routing path uses edge `e` of network `t`
-    /// (the paper's `{d : d ∼ e}`), in instance-id order: the users a
-    /// raise of `β(e)` touches, and what the `DeltaEngine` unions into
-    /// one conflict component.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `t` or `e` is out of range.
-    pub fn instances_using(&self, t: NetworkId, e: EdgeId) -> &[InstanceId] {
-        self.by_edge[t.index()].users(e)
     }
 
     /// The networks accessible to the processor owning demand `a`
@@ -891,8 +755,7 @@ impl Problem {
     /// An **arrival** is validated exactly like
     /// [`ProblemBuilder::add_demand`] + [`ProblemBuilder::build`] (so the
     /// grown problem is bit-identical to one built from scratch with the
-    /// same demand sequence), then materialized append-only; only the
-    /// accessed networks' inverted edge indexes are rebuilt. A
+    /// same demand sequence), then materialized append-only. A
     /// **departure** sets a tombstone and touches no index at all.
     ///
     /// # Errors
@@ -954,21 +817,10 @@ impl Problem {
         self.live_demands += 1;
         self.live_instances += new_instances.len();
         debug_assert_eq!(self.instances.len() - first_new, new_instances.len());
-
-        // Incremental index maintenance: only the networks this demand
-        // accesses gained instances, so only their CSR indexes change.
-        for &t in &acc {
-            self.by_edge[t.index()] = EdgeIndex::build_one(
-                self.networks[t.index()].edge_count(),
-                &self.by_network[t.index()],
-                &self.instances,
-            );
-        }
-        self.access.push(acc.clone());
+        self.access.push(acc);
         Ok(DeltaEffect {
             demand: a,
             new_instances,
-            networks: acc,
         })
     }
 
@@ -985,7 +837,6 @@ impl Problem {
         Ok(DeltaEffect {
             demand: a,
             new_instances: Vec::new(),
-            networks: self.access[a.index()].clone(),
         })
     }
 
@@ -1074,23 +925,6 @@ mod tests {
         assert!(!p.conflicting(d0[1], d2));
         // Reflexive by convention.
         assert!(p.conflicting(d1, d1));
-    }
-
-    #[test]
-    fn edge_index_inverts_paths() {
-        let p = two_line_problem();
-        for t in p.networks() {
-            for e in 0..p.network(t).edge_count() {
-                let e = EdgeId(e as u32);
-                let users = p.instances_using(t, e);
-                // Sorted by instance id, and exactly the active_on set.
-                assert!(users.windows(2).all(|w| w[0] < w[1]));
-                for inst in p.instances() {
-                    let expected = inst.network == t && inst.active_on(e);
-                    assert_eq!(users.contains(&inst.id), expected, "{t} {e:?}");
-                }
-            }
-        }
     }
 
     #[test]
@@ -1218,6 +1052,33 @@ mod tests {
     }
 
     #[test]
+    fn window_bounds_near_u32_max_are_refused_for_the_right_reason() {
+        // `release + processing` and `deadline + 1` wrap in u32: each
+        // window is refused for its real reason, by the builder and by an
+        // arrival alike, never admitted without an instance or panicking.
+        let windows = [
+            (u32::MAX, 5, 1, "too short"),
+            (u32::MAX - 1, 5, 2, "too short"),
+            (0, u32::MAX, 1, "exceeds 5 timeslots"),
+        ];
+        for (release, deadline, processing, reason) in windows {
+            let demand = Demand::window(release, deadline, processing, 1.0);
+            let mut b = ProblemBuilder::new();
+            let t = b.add_network(Tree::line(6)).unwrap();
+            let built = b.add_demand(demand, &[t]).and_then(|_| b.build());
+            let mut p = two_line_problem();
+            let arrived = p.apply_delta(ProblemDelta::Arrival {
+                demand,
+                access: vec![t],
+            });
+            for err in [built.unwrap_err(), arrived.unwrap_err()] {
+                assert!(err.to_string().contains(reason), "{err}");
+            }
+            assert_eq!(p.demand_count(), 3);
+        }
+    }
+
+    #[test]
     fn build_requires_networks() {
         assert!(matches!(
             ProblemBuilder::new().build(),
@@ -1251,7 +1112,6 @@ mod tests {
             })
             .unwrap();
         assert_eq!(eff.demand, DemandId(1));
-        assert_eq!(eff.networks, vec![t0]);
         let eff = p
             .apply_delta(ProblemDelta::Arrival {
                 demand: Demand::pair(VertexId(4), VertexId(5), 1.0),
@@ -1279,10 +1139,6 @@ mod tests {
         }
         for t in batch.networks() {
             assert_eq!(grown.instances_on(t), batch.instances_on(t));
-            for e in 0..batch.network(t).edge_count() {
-                let e = EdgeId(e as u32);
-                assert_eq!(grown.instances_using(t, e), batch.instances_using(t, e));
-            }
         }
         for a in batch.demands() {
             assert_eq!(grown.instances_of(a), batch.instances_of(a));
@@ -1299,7 +1155,6 @@ mod tests {
                 demand: DemandId(0),
             })
             .unwrap();
-        assert_eq!(eff.networks, vec![NetworkId(0), NetworkId(1)]);
         assert!(eff.new_instances.is_empty());
         assert!(p.is_departed(DemandId(0)));
         assert!(!p.is_departed(DemandId(1)));
@@ -1316,8 +1171,6 @@ mod tests {
         assert_eq!(p.live_instance_count(), 2);
         assert!(live.iter().all(|&d| p.is_live_instance(d)));
         assert!(!p.is_live_instance(p.instances_of(DemandId(0))[0]));
-        // The inverted index is untouched by a departure.
-        assert!(!p.instances_using(NetworkId(0), EdgeId(0)).is_empty());
     }
 
     #[test]

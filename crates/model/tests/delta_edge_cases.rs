@@ -5,18 +5,18 @@
 //! The invariant under test is the one the incremental engines rely on:
 //! a problem grown online (arrivals + departure tombstones) must be
 //! structurally identical — demands, access lists, materialized
-//! instances, inverted edge indexes, live mask, and the conflicting
+//! instances, per-network instance lists, live mask, and the conflicting
 //! relation the conflict union-find is built from — to a problem built
 //! from scratch with the same demand sequence and the same departures.
 
-use treenet_graph::{EdgeId, Tree, VertexId};
+use treenet_graph::{Tree, VertexId};
 use treenet_model::{
     Demand, DemandId, ModelError, NetworkId, Problem, ProblemBuilder, ProblemDelta,
 };
 
 /// Full structural comparison of two problems: everything an
-/// incremental solver observes, including the per-edge inverted index
-/// and the pairwise conflicting relation (the union-find's input).
+/// incremental solver observes, including the per-network instance
+/// lists and the pairwise conflicting relation (the union-find's input).
 fn assert_same_build(grown: &Problem, fresh: &Problem) {
     assert_eq!(grown.network_count(), fresh.network_count());
     assert_eq!(grown.demand_count(), fresh.demand_count());
@@ -42,18 +42,8 @@ fn assert_same_build(grown: &Problem, fresh: &Problem) {
         fresh.live_demands().collect::<Vec<_>>()
     );
     assert_eq!(grown.live_instances(), fresh.live_instances());
-    // Inverted edge indexes — what `instances_using` serves to the
-    // incremental dual refresh and the component union-find.
     for t in grown.networks() {
         assert_eq!(grown.instances_on(t), fresh.instances_on(t));
-        for e in 0..grown.network(t).edge_count() {
-            let e = EdgeId(e as u32);
-            assert_eq!(
-                grown.instances_using(t, e),
-                fresh.instances_using(t, e),
-                "users of {t:?}/{e:?}"
-            );
-        }
     }
     // The conflicting relation itself.
     let n = grown.instance_count() as u32;

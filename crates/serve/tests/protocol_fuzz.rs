@@ -217,6 +217,20 @@ fn hostile_interleaving_keeps_the_connection_usable() {
             "{response}"
         );
     }
+    // Window bounds near u32::MAX, where u32 sums wrap: each is refused
+    // in-band for its real reason, never admitted with no instance.
+    let windows = [
+        (u32::MAX, 5, 1, "too short"),
+        (u32::MAX - 1, 5, 2, "too short"),
+        (0, u32::MAX, 1, "exceeds"),
+    ];
+    for (id, (release, deadline, processing, reason)) in (900..).zip(windows) {
+        let response = s.handle_line(&format!(
+            r#"{{"op":"submit","id":{id},"release":{release},"deadline":{deadline},"processing":{processing},"profit":1}}"#
+        ));
+        assert!(response.contains(r#""ok":false"#), "{response}");
+        assert!(response.contains(reason), "{response}");
+    }
     let response = s.handle_line(r#"{"op":"check"}"#);
     assert!(response.contains(r#""identical":true"#), "{response}");
 }
