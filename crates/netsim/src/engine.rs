@@ -474,7 +474,7 @@ impl<P: Protocol> Engine<P> {
     /// determinism contract.
     #[must_use]
     pub fn with_loss_model(mut self, model: LossModel) -> Self {
-        self.reliable = Some(Reliable::new(model, self.arq_window));
+        self.reliable = Some(Reliable::new(model, self.arq_window, &self.topology));
         self
     }
 
@@ -777,12 +777,9 @@ impl<P: Protocol> Engine<P> {
     fn deliver(&mut self) {
         if let Some(reliable) = self.reliable.as_mut() {
             // The reliable path: the layer transmits, recovers every
-            // loss (charging recovery slots to the metrics) and returns
+            // loss (charging recovery slots to the metrics) and appends
             // the round's inboxes in canonical lossless order.
-            let inboxes = reliable.exchange(&mut self.arena.outs, &mut self.metrics);
-            for (to, inbox) in inboxes.into_iter().enumerate() {
-                self.mailboxes[to].extend(inbox);
-            }
+            reliable.exchange(&mut self.arena.outs, &mut self.mailboxes, &mut self.metrics);
             return;
         }
         for from in 0..self.arena.outs.len() {

@@ -75,6 +75,19 @@
 //! decision each, so the loss trace is a pure function of the model's
 //! seed, the window configuration and the protocol's traffic.
 //!
+//! # What a copy costs
+//!
+//! The link table is built once, with the engine: one link per directed
+//! edge of the [`Topology`](crate::Topology), laid out per sender over
+//! its sorted neighbours, so the table's index order is the ascending
+//! `(from, to)` order above. A reverse link that an asymmetric topology
+//! lacks reads as nothing outstanding. A payload moves into its
+//! sender's outstanding packet at first transmission; every copy on the
+//! wire (salvo, repair or delayed) refers to that packet, and only the
+//! first copy to land clones the payload into the receiver's staging
+//! inbox. The staging inboxes are kept across rounds and drained
+//! straight into the engine's mailboxes at the round barrier.
+//!
 //! # Round inflation bound
 //!
 //! A recovery slot is only charged while some packet of the round is
@@ -88,10 +101,9 @@
 //! `window = 1`). The fault-injection proptests in `treenet-dist` assert
 //! this bound on every run.
 
-use crate::{Envelope, MessageSize, Metrics, MESSAGE_CLASSES};
+use crate::{Envelope, MessageSize, Metrics, Topology, MESSAGE_CLASSES};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use std::collections::BTreeMap;
 
 /// Wire size of a standalone cumulative+SACK ack, in bits: edge
 /// endpoint, sequence watermark, a compact SACK block and a tag word.
@@ -324,7 +336,14 @@ fn salvo_copies(drop: f64, window: u32) -> u32 {
     wanted.clamp(1, SPRAY_MAX_COPIES).min(window - 1).max(1)
 }
 
-/// One unacknowledged packet on a sender's directed edge.
+/// Marks a link whose reverse direction is missing from the topology
+/// (a one-way edge of an asymmetric `Topology::from_adjacency`).
+const NO_LINK: u32 = u32::MAX;
+
+/// One unacknowledged packet on a sender's directed edge. It owns the
+/// payload from its first transmission to the round barrier; every
+/// copy on the wire refers to it, and the receiver clones the payload
+/// only for the copy that lands first.
 struct Outstanding<M> {
     seq: u64,
     msg: M,
@@ -343,45 +362,29 @@ struct Outstanding<M> {
     acked: bool,
 }
 
-/// Per-directed-edge link state: sender-side sequence/outstanding
-/// bookkeeping and receiver-side duplicate suppression. Sequence state
-/// is virtual (u64) internally; only the 16-bit wire form travels.
+/// Receiver-side state of one directed edge: duplicate suppression and
+/// the ack trigger.
 #[derive(Default)]
-struct LinkState<M> {
-    /// Next sequence number to stamp (sender side, virtual).
-    next_seq: u64,
-    /// Unacknowledged packets, ascending by `seq` (sender side).
-    outstanding: Vec<Outstanding<M>>,
-    /// All sequence numbers below this were accepted (receiver side);
-    /// compacted to `next_seq` at every round barrier.
+struct Receiver {
+    /// All sequence numbers below this were accepted; compacted to the
+    /// sender's `next_seq` at every round barrier.
     recv_cum: u64,
-    /// Accepted sequence numbers at or above `recv_cum` (receiver side).
+    /// Accepted sequence numbers at or above `recv_cum`.
     recv_ahead: Vec<u64>,
     /// Whether data arrived on this edge in the previous slot — the ack
-    /// trigger (receiver side).
+    /// trigger.
     got_data_last_slot: bool,
     got_data_this_slot: bool,
 }
 
-impl<M> LinkState<M> {
-    fn new() -> Self {
-        LinkState {
-            next_seq: 0,
-            outstanding: Vec::new(),
-            recv_cum: 0,
-            recv_ahead: Vec::new(),
-            got_data_last_slot: false,
-            got_data_this_slot: false,
-        }
-    }
-
+impl Receiver {
     fn already_received(&self, seq: u64) -> bool {
         seq < self.recv_cum || self.recv_ahead.contains(&seq)
     }
 
-    /// Receiver-side reconstruction reference: the next virtual sequence
-    /// number not yet seen on this edge. Every in-flight wire sequence
-    /// sits within the ±2¹⁵ horizon of it.
+    /// Reconstruction reference: the next virtual sequence number not
+    /// yet seen on this edge. Every in-flight wire sequence sits within
+    /// the ±2¹⁵ horizon of it.
     fn expected(&self) -> u64 {
         self.recv_ahead
             .iter()
@@ -390,7 +393,7 @@ impl<M> LinkState<M> {
             .map_or(self.recv_cum, |m| (m + 1).max(self.recv_cum))
     }
 
-    /// Receiver-side cumulative watermark: every seq below it accepted.
+    /// Cumulative watermark: every seq below it accepted.
     fn cumulative(&self) -> u64 {
         let mut cum = self.recv_cum;
         let mut ahead: Vec<u64> = self.recv_ahead.clone();
@@ -404,24 +407,39 @@ impl<M> LinkState<M> {
     }
 }
 
-/// An in-flight delayed data copy: arrives at the start of the next
-/// slot. Carries the 16-bit wire sequence form, like the channel does.
-struct DelayedData<M> {
-    from: usize,
-    to: usize,
-    wire: u16,
-    msg: M,
-    class: usize,
-    bits: u64,
+/// One directed edge `from → to`: the sender's sequence counter and
+/// unacknowledged packets, and the receiver's state for the same
+/// direction. Sequence state is virtual (u64) internally; only the
+/// 16-bit wire form travels.
+struct LinkState<M> {
+    from: u32,
+    to: u32,
+    /// Index of the `to → from` link, or [`NO_LINK`] on a one-way edge.
+    reverse: u32,
+    /// Next sequence number to stamp (sender side, virtual).
+    next_seq: u64,
+    /// Unacknowledged packets, ascending by `seq` (sender side).
+    outstanding: Vec<Outstanding<M>>,
+    rx: Receiver,
 }
 
-/// An in-flight (or just-generated) ack: cumulative watermark plus the
-/// selectively-acknowledged set above it (SACK), both in 16-bit wire
-/// form, so a gap does not trigger spurious retransmissions of
-/// everything behind it.
+/// An in-flight delayed data copy: arrives at the start of the next
+/// slot. Carries the 16-bit wire sequence form, like the channel does;
+/// its payload stays in the sender's outstanding packet, which lives
+/// until the round barrier, after every delayed copy has landed.
+struct DelayedData {
+    link: u32,
+    /// Index of the packet in its link's outstanding list.
+    packet: u32,
+    wire: u16,
+}
+
+/// An in-flight (or just-generated) ack for the data on `link`:
+/// cumulative watermark plus the selectively-acknowledged set above it
+/// (SACK), both in 16-bit wire form, so a gap does not trigger spurious
+/// retransmissions of everything behind it.
 struct DelayedAck {
-    from: usize,
-    to: usize,
+    link: u32,
     cumulative_wire: u16,
     ahead_wire: Vec<u16>,
 }
@@ -440,11 +458,21 @@ pub struct Reliable<M> {
     /// window.
     salvo: u32,
     rng: SmallRng,
-    /// Link state per directed edge, in ascending `(from, to)` order so
-    /// every slot's RNG consumption is deterministic.
-    links: BTreeMap<(u32, u32), LinkState<M>>,
-    delayed_data: Vec<DelayedData<M>>,
+    /// One link per directed topology edge, built once: node `v`'s links
+    /// are `links[first_link[v]..first_link[v + 1]]`, ascending by `to`,
+    /// so index order is ascending `(from, to)` and every slot consumes
+    /// the loss RNG in a deterministic order.
+    links: Vec<LinkState<M>>,
+    first_link: Vec<u32>,
+    delayed_data: Vec<DelayedData>,
     delayed_acks: Vec<DelayedAck>,
+    /// Per-node inbox staging, `(sender, sequence, payload)`: filled as
+    /// copies land, drained into the mailboxes at the round barrier, and
+    /// kept (capacity intact) across rounds.
+    staging: Vec<Vec<(usize, u64, M)>>,
+    /// The acks of one recovery slot as `(link, piggyback)`, reused
+    /// across slots.
+    acks: Vec<(u32, bool)>,
     /// Original transmissions so far, globally and per class (the
     /// deterministic-drop coordinates).
     originals: u64,
@@ -459,18 +487,41 @@ enum Fate {
 }
 
 impl<M: Clone + MessageSize> Reliable<M> {
-    /// Creates the layer for a fresh engine with the given send window.
-    pub(crate) fn new(model: LossModel, window: u32) -> Self {
-        let rng = SmallRng::seed_from_u64(model.seed);
-        let window = window.max(1);
+    /// Creates the layer for a fresh engine over `topology` with the
+    /// given send window.
+    pub(crate) fn new(model: LossModel, window: u32, topology: &Topology) -> Self {
+        let n = topology.len();
+        let mut first_link = Vec::with_capacity(n + 1);
+        let mut links = Vec::with_capacity(2 * topology.edge_count());
+        for v in 0..n {
+            first_link.push(links.len() as u32);
+            links.extend(topology.neighbors(v).iter().map(|&w| LinkState {
+                from: v as u32,
+                to: w as u32,
+                reverse: NO_LINK,
+                next_seq: 0,
+                outstanding: Vec::new(),
+                rx: Receiver::default(),
+            }));
+        }
+        first_link.push(links.len() as u32);
+        for link in &mut links {
+            let (v, w) = (link.from as usize, link.to as usize);
+            if let Ok(i) = topology.neighbors(w).binary_search(&v) {
+                link.reverse = first_link[w] + i as u32;
+            }
+        }
         let mut layer = Reliable {
+            rng: SmallRng::seed_from_u64(model.seed),
             model,
-            window,
+            window: 1,
             salvo: 1,
-            rng,
-            links: BTreeMap::new(),
+            links,
+            first_link,
             delayed_data: Vec::new(),
             delayed_acks: Vec::new(),
+            staging: (0..n).map(|_| Vec::new()).collect(),
+            acks: Vec::new(),
             originals: 0,
             class_originals: [0; MESSAGE_CLASSES],
         };
@@ -482,6 +533,16 @@ impl<M: Clone + MessageSize> Reliable<M> {
     pub(crate) fn set_window(&mut self, window: u32) {
         self.window = window.max(1);
         self.salvo = salvo_copies(self.model.loss.drop, self.window);
+    }
+
+    /// Index of the link `from → to`.
+    fn link(&self, from: usize, to: usize) -> usize {
+        let first = self.first_link[from] as usize;
+        let last = self.first_link[from + 1] as usize;
+        first
+            + self.links[first..last]
+                .binary_search_by_key(&(to as u32), |link| link.to)
+                .expect("sends travel topology edges")
     }
 
     /// Rolls the loss process for one transmission. Probabilities of
@@ -500,61 +561,68 @@ impl<M: Clone + MessageSize> Reliable<M> {
         Fate::Deliver { duplicate: false }
     }
 
-    /// Accepts one arriving data copy at the receiver: reconstructs the
-    /// virtual sequence from the wire form, suppresses duplicates,
-    /// otherwise stages the payload for the round's inbox and counts the
-    /// delivery. Returns whether the copy was new (a first delivery).
-    #[allow(clippy::too_many_arguments)]
+    /// Accepts one arriving copy of `packet` from `from`: reconstructs
+    /// the virtual sequence from the wire form, suppresses duplicates,
+    /// otherwise stages a clone of the payload in the receiver's `inbox`
+    /// and counts the delivery. Returns whether the copy was new (a
+    /// first delivery).
     fn receive(
-        link: &mut LinkState<M>,
-        staging: &mut [Vec<(usize, u64, M)>],
+        rx: &mut Receiver,
+        inbox: &mut Vec<(usize, u64, M)>,
         metrics: &mut Metrics,
         from: usize,
-        to: usize,
         wire: u16,
-        msg: M,
-        class: usize,
-        bits: u64,
+        packet: &Outstanding<M>,
     ) -> bool {
-        link.got_data_this_slot = true;
-        let seq = unwrap_wire(link.expected(), wire);
-        if link.already_received(seq) {
+        rx.got_data_this_slot = true;
+        let seq = unwrap_wire(rx.expected(), wire);
+        let class = packet.class;
+        if rx.already_received(seq) {
             metrics.dup_suppressed += 1;
             metrics.by_class[class].dup_suppressed += 1;
             return false;
         }
-        link.recv_ahead.push(seq);
+        rx.recv_ahead.push(seq);
+        let bits = packet.bits;
         metrics.messages += 1;
         metrics.bits += bits;
         metrics.max_message_bits = metrics.max_message_bits.max(bits);
         metrics.by_class[class].messages += 1;
         metrics.by_class[class].bits += bits;
-        staging[to].push((from, seq, msg));
+        inbox.push((from, seq, packet.msg.clone()));
         true
     }
 
-    /// Applies one cumulative+SACK ack to the sender state of its edge,
+    /// The ack the receiver of `link` returns for the data it accepted.
+    fn ack_of(&self, link: usize) -> DelayedAck {
+        let rx = &self.links[link].rx;
+        DelayedAck {
+            link: link as u32,
+            cumulative_wire: rx.cumulative() as u16,
+            ahead_wire: rx.recv_ahead.iter().map(|&s| s as u16).collect(),
+        }
+    }
+
+    /// Applies one cumulative+SACK ack to the sender state of its link,
     /// reconstructing the virtual sequences against the sender's own
     /// counter (all outstanding packets sit within the wire horizon).
-    fn apply_ack(links: &mut BTreeMap<(u32, u32), LinkState<M>>, ack: &DelayedAck) {
-        if let Some(link) = links.get_mut(&(ack.from as u32, ack.to as u32)) {
-            let cum = unwrap_wire(link.next_seq, ack.cumulative_wire);
-            let ahead: Vec<u64> = ack
-                .ahead_wire
-                .iter()
-                .map(|&w| unwrap_wire(link.next_seq, w))
-                .collect();
-            for packet in &mut link.outstanding {
-                if packet.seq < cum || ahead.contains(&packet.seq) {
-                    packet.acked = true;
-                }
+    fn apply_ack(link: &mut LinkState<M>, ack: &DelayedAck) {
+        let cum = unwrap_wire(link.next_seq, ack.cumulative_wire);
+        let ahead: Vec<u64> = ack
+            .ahead_wire
+            .iter()
+            .map(|&w| unwrap_wire(link.next_seq, w))
+            .collect();
+        for packet in &mut link.outstanding {
+            if packet.seq < cum || ahead.contains(&packet.seq) {
+                packet.acked = true;
             }
         }
     }
 
     /// Runs one logical round's exchange: transmits `outs` (salvo
-    /// included), recovers every loss, and returns the reassembled
-    /// per-node inboxes in canonical `(sender, sequence)` order — the
+    /// included), recovers every loss, and appends the round's inboxes
+    /// to `mailboxes` in canonical `(sender, sequence)` order — the
     /// lossless delivery order. Recovery slots are charged to
     /// `metrics.rounds` and `metrics.retransmit_rounds`.
     ///
@@ -567,10 +635,9 @@ impl<M: Clone + MessageSize> Reliable<M> {
     pub(crate) fn exchange(
         &mut self,
         outs: &mut [Vec<(usize, M)>],
+        mailboxes: &mut [Vec<Envelope<M>>],
         metrics: &mut Metrics,
-    ) -> Vec<Vec<Envelope<M>>> {
-        let n = outs.len();
-        let mut staging: Vec<Vec<(usize, u64, M)>> = vec![Vec::new(); n];
+    ) {
         let mut undelivered = 0u64;
 
         // ---- Slot 0: original transmissions plus their proactive
@@ -587,10 +654,8 @@ impl<M: Clone + MessageSize> Reliable<M> {
                 let forced = self.model.forces_drop(global_index, class, class_index);
                 let loss = self.model.loss;
                 let copies = self.salvo;
-                let link = self
-                    .links
-                    .entry((from as u32, to as u32))
-                    .or_insert_with(LinkState::new);
+                let l = self.link(from, to);
+                let link = &mut self.links[l];
                 let seq = link.next_seq;
                 link.next_seq += 1;
                 let wire = seq as u16;
@@ -599,9 +664,10 @@ impl<M: Clone + MessageSize> Reliable<M> {
                     "more than {WIRE_SEQ_HORIZON} packets on one edge in a single round \
                      (wire sequence horizon)"
                 );
+                let p = link.outstanding.len();
                 link.outstanding.push(Outstanding {
                     seq,
-                    msg: msg.clone(),
+                    msg,
                     class,
                     bits,
                     last_sent: 0,
@@ -609,6 +675,8 @@ impl<M: Clone + MessageSize> Reliable<M> {
                     acked: false,
                 });
                 undelivered += 1;
+                let packet = &link.outstanding[p];
+                let inbox = &mut self.staging[to];
                 // The original copy rolls the full loss process (and the
                 // deterministic drop coordinates apply to it alone).
                 let fate = if forced {
@@ -621,42 +689,19 @@ impl<M: Clone + MessageSize> Reliable<M> {
                     Fate::Delay => {
                         metrics.delayed += 1;
                         self.delayed_data.push(DelayedData {
-                            from,
-                            to,
+                            link: l as u32,
+                            packet: p as u32,
                             wire,
-                            msg: msg.clone(),
-                            class,
-                            bits,
                         });
                     }
                     Fate::Deliver { duplicate } => {
                         if duplicate {
                             metrics.duplicated += 1;
-                            if Self::receive(
-                                link,
-                                &mut staging,
-                                metrics,
-                                from,
-                                to,
-                                wire,
-                                msg.clone(),
-                                class,
-                                bits,
-                            ) {
+                            if Self::receive(&mut link.rx, inbox, metrics, from, wire, packet) {
                                 undelivered -= 1;
                             }
                         }
-                        if Self::receive(
-                            link,
-                            &mut staging,
-                            metrics,
-                            from,
-                            to,
-                            wire,
-                            msg.clone(),
-                            class,
-                            bits,
-                        ) {
+                        if Self::receive(&mut link.rx, inbox, metrics, from, wire, packet) {
                             undelivered -= 1;
                         }
                     }
@@ -669,17 +714,7 @@ impl<M: Clone + MessageSize> Reliable<M> {
                     metrics.by_class[class].retransmits += 1;
                     if loss.drop > 0.0 && self.rng.gen_bool(loss.drop) {
                         metrics.dropped += 1;
-                    } else if Self::receive(
-                        link,
-                        &mut staging,
-                        metrics,
-                        from,
-                        to,
-                        wire,
-                        msg.clone(),
-                        class,
-                        bits,
-                    ) {
+                    } else if Self::receive(&mut link.rx, inbox, metrics, from, wire, packet) {
                         undelivered -= 1;
                     }
                 }
@@ -699,33 +734,30 @@ impl<M: Clone + MessageSize> Reliable<M> {
             metrics.retransmit_rounds += 1;
 
             // Shift the ack triggers to "previous slot".
-            for link in self.links.values_mut() {
-                link.got_data_last_slot = link.got_data_this_slot;
-                link.got_data_this_slot = false;
+            for link in &mut self.links {
+                link.rx.got_data_last_slot = link.rx.got_data_this_slot;
+                link.rx.got_data_this_slot = false;
             }
 
             // (a) Delayed arrivals from the previous slot land first.
-            for d in std::mem::take(&mut self.delayed_data) {
-                let link = self
-                    .links
-                    .get_mut(&(d.from as u32, d.to as u32))
-                    .expect("delayed copies travel existing links");
+            for d in &self.delayed_data {
+                let link = &mut self.links[d.link as usize];
+                let (from, to) = (link.from as usize, link.to as usize);
+                let packet = &link.outstanding[d.packet as usize];
                 if Self::receive(
-                    link,
-                    &mut staging,
+                    &mut link.rx,
+                    &mut self.staging[to],
                     metrics,
-                    d.from,
-                    d.to,
+                    from,
                     d.wire,
-                    d.msg,
-                    d.class,
-                    d.bits,
+                    packet,
                 ) {
                     undelivered -= 1;
                 }
             }
-            for a in std::mem::take(&mut self.delayed_acks) {
-                Self::apply_ack(&mut self.links, &a);
+            self.delayed_data.clear();
+            for ack in self.delayed_acks.drain(..) {
+                Self::apply_ack(&mut self.links[ack.link as usize], &ack);
             }
 
             // (b) Cumulative + SACK acks for edges that carried data in
@@ -735,114 +767,85 @@ impl<M: Clone + MessageSize> Reliable<M> {
             // within a slot), so the first recovery slot already
             // retransmits selectively. An ack piggybacks for free when
             // the reverse direction still has unacknowledged traffic in
-            // flight; standalone ACK_BITS messages otherwise.
-            let acks: Vec<(bool, DelayedAck)> = self
-                .links
-                .iter()
-                .filter(|(_, link)| link.got_data_last_slot)
-                .map(|(&(from, to), link)| {
-                    let piggyback = self
-                        .links
-                        .get(&(to, from))
-                        .is_some_and(|rev| rev.outstanding.iter().any(|p| !p.acked));
-                    (
-                        piggyback,
-                        DelayedAck {
-                            from: from as usize,
-                            to: to as usize,
-                            cumulative_wire: link.cumulative() as u16,
-                            ahead_wire: link.recv_ahead.iter().map(|&s| s as u16).collect(),
-                        },
-                    )
-                })
-                .collect();
-            for (piggyback, ack) in acks {
+            // flight; standalone ACK_BITS messages otherwise. Every
+            // piggyback decision is taken before any ack applies.
+            self.acks.clear();
+            for (l, link) in self.links.iter().enumerate() {
+                if link.rx.got_data_last_slot {
+                    let piggyback = link.reverse != NO_LINK
+                        && self.links[link.reverse as usize]
+                            .outstanding
+                            .iter()
+                            .any(|p| !p.acked);
+                    self.acks.push((l as u32, piggyback));
+                }
+            }
+            let ack_loss = self.model.ack_loss();
+            for i in 0..self.acks.len() {
+                let (l, piggyback) = self.acks[i];
+                let l = l as usize;
                 if !piggyback {
                     metrics.acks += 1;
                     metrics.ack_bits += ACK_BITS;
                 }
-                match Self::fate(&mut self.rng, &self.model.ack_loss()) {
+                match Self::fate(&mut self.rng, &ack_loss) {
                     Fate::Drop => metrics.dropped += 1,
                     Fate::Delay => {
                         metrics.delayed += 1;
+                        let ack = self.ack_of(l);
                         self.delayed_acks.push(ack);
                     }
                     // Acks are cumulative and idempotent: duplication is
                     // a no-op, so both delivery fates collapse.
-                    Fate::Deliver { .. } => Self::apply_ack(&mut self.links, &ack),
-                }
-            }
-
-            // (c) Retransmissions, snapshotted after the ack pass: a
-            // packet is due eagerly while its in-flight budget (the
-            // window) has room, and on the two-slot pacing timer past
-            // it. Ascending edge order (BTreeMap iteration) keeps the
-            // trace deterministic.
-            let mut resends: Vec<(u32, u32, u16, M, usize, u64)> = Vec::new();
-            for (&(from, to), link) in self.links.iter_mut() {
-                let window = self.window as u64;
-                for p in link
-                    .outstanding
-                    .iter_mut()
-                    .filter(|p| !p.acked && (p.sends < window || slot - p.last_sent >= 2))
-                {
-                    p.last_sent = slot;
-                    p.sends += 1;
-                    resends.push((from, to, p.seq as u16, p.msg.clone(), p.class, p.bits));
-                }
-            }
-
-            // (d) Transmit the snapshotted retransmissions.
-            for (from, to, wire, msg, class, bits) in resends {
-                metrics.retransmits += 1;
-                metrics.by_class[class].retransmits += 1;
-                match Self::fate(&mut self.rng, &self.model.loss) {
-                    Fate::Drop => metrics.dropped += 1,
-                    Fate::Delay => {
-                        metrics.delayed += 1;
-                        self.delayed_data.push(DelayedData {
-                            from: from as usize,
-                            to: to as usize,
-                            wire,
-                            msg,
-                            class,
-                            bits,
-                        });
+                    Fate::Deliver { .. } => {
+                        let ack = self.ack_of(l);
+                        Self::apply_ack(&mut self.links[l], &ack);
                     }
-                    Fate::Deliver { duplicate } => {
-                        let link = self.links.get_mut(&(from, to)).expect("due link exists");
-                        if duplicate {
-                            // Same shape as the slot-0 path: the copy is
-                            // genuinely delivered, then suppressed by
-                            // sequence tracking.
-                            metrics.duplicated += 1;
-                            if Self::receive(
-                                link,
-                                &mut staging,
-                                metrics,
-                                from as usize,
-                                to as usize,
+                }
+            }
+
+            // (c) Retransmissions, decided after the ack pass: a packet
+            // is due eagerly while its in-flight budget (the window) has
+            // room, and on the two-slot pacing timer past it. Sending a
+            // copy never changes another packet's due-ness, so each is
+            // sent as it is decided, in ascending edge order.
+            let window = self.window as u64;
+            let loss = self.model.loss;
+            for (l, link) in self.links.iter_mut().enumerate() {
+                let (from, to) = (link.from as usize, link.to as usize);
+                for (p, packet) in link.outstanding.iter_mut().enumerate() {
+                    if packet.acked || (packet.sends >= window && slot - packet.last_sent < 2) {
+                        continue;
+                    }
+                    packet.last_sent = slot;
+                    packet.sends += 1;
+                    metrics.retransmits += 1;
+                    metrics.by_class[packet.class].retransmits += 1;
+                    let wire = packet.seq as u16;
+                    match Self::fate(&mut self.rng, &loss) {
+                        Fate::Drop => metrics.dropped += 1,
+                        Fate::Delay => {
+                            metrics.delayed += 1;
+                            self.delayed_data.push(DelayedData {
+                                link: l as u32,
+                                packet: p as u32,
                                 wire,
-                                msg.clone(),
-                                class,
-                                bits,
-                            ) {
+                            });
+                        }
+                        Fate::Deliver { duplicate } => {
+                            let inbox = &mut self.staging[to];
+                            if duplicate {
+                                // Same shape as the slot-0 path: the copy
+                                // is genuinely delivered, then suppressed
+                                // by sequence tracking.
+                                metrics.duplicated += 1;
+                                if Self::receive(&mut link.rx, inbox, metrics, from, wire, packet) {
+                                    undelivered -= 1;
+                                }
+                            }
+                            if Self::receive(&mut link.rx, inbox, metrics, from, wire, packet) {
                                 undelivered -= 1;
                             }
-                        }
-                        let link = self.links.get_mut(&(from, to)).expect("due link exists");
-                        if Self::receive(
-                            link,
-                            &mut staging,
-                            metrics,
-                            from as usize,
-                            to as usize,
-                            wire,
-                            msg,
-                            class,
-                            bits,
-                        ) {
-                            undelivered -= 1;
                         }
                     }
                 }
@@ -854,28 +857,22 @@ impl<M: Clone + MessageSize> Reliable<M> {
         // ack — outstanding state clears, receive windows compact. The
         // virtual sequence counters keep running across rounds; only
         // their 16-bit wire form ever wraps.
-        for link in self.links.values_mut() {
+        for link in &mut self.links {
             link.outstanding.clear();
-            link.recv_cum = link.next_seq;
-            link.recv_ahead.clear();
-            link.got_data_last_slot = false;
-            link.got_data_this_slot = false;
+            link.rx.recv_cum = link.next_seq;
+            link.rx.recv_ahead.clear();
+            link.rx.got_data_last_slot = false;
+            link.rx.got_data_this_slot = false;
         }
         self.delayed_acks.clear();
 
         // ---- Canonical reassembly: ascending (sender, sequence) is the
         // delivery order of a lossless run, so the protocol observes
         // byte-identical inboxes at any loss rate.
-        staging
-            .into_iter()
-            .map(|mut inbox| {
-                inbox.sort_unstable_by_key(|&(from, seq, _)| (from, seq));
-                inbox
-                    .into_iter()
-                    .map(|(from, _, msg)| Envelope { from, msg })
-                    .collect()
-            })
-            .collect()
+        for (inbox, mailbox) in self.staging.iter_mut().zip(mailboxes) {
+            inbox.sort_unstable_by_key(|&(from, seq, _)| (from, seq));
+            mailbox.extend(inbox.drain(..).map(|(from, _, msg)| Envelope { from, msg }));
+        }
     }
 }
 
@@ -944,16 +941,18 @@ mod tests {
 
     #[test]
     fn cumulative_watermark_skips_gaps() {
-        let mut link: LinkState<u64> = LinkState::new();
-        link.recv_cum = 2;
-        link.recv_ahead = vec![4, 2];
-        assert_eq!(link.cumulative(), 3, "gap at 3 stops the watermark");
-        link.recv_ahead = vec![3, 2, 4];
-        assert_eq!(link.cumulative(), 5);
-        assert!(link.already_received(1));
-        assert!(link.already_received(3));
-        assert!(!link.already_received(5));
-        assert_eq!(link.expected(), 5);
+        let mut rx = Receiver {
+            recv_cum: 2,
+            recv_ahead: vec![4, 2],
+            ..Receiver::default()
+        };
+        assert_eq!(rx.cumulative(), 3, "gap at 3 stops the watermark");
+        rx.recv_ahead = vec![3, 2, 4];
+        assert_eq!(rx.cumulative(), 5);
+        assert!(rx.already_received(1));
+        assert!(rx.already_received(3));
+        assert!(!rx.already_received(5));
+        assert_eq!(rx.expected(), 5);
     }
 
     #[test]
@@ -1005,14 +1004,17 @@ mod tests {
             65_533, 65_534, 65_535, 65_536, 65_537, // the wrap itself
             70_001, // and a straggler past it
         ]);
-        let mut layer: Reliable<u64> = Reliable::new(model, DEFAULT_ARQ_WINDOW);
+        let mut topology = Topology::new(2);
+        topology.add_edge(0, 1);
+        let mut layer: Reliable<u64> = Reliable::new(model, DEFAULT_ARQ_WINDOW, &topology);
         let mut metrics = Metrics::default();
         for r in 0..rounds {
             let mut outs: Vec<Vec<(usize, u64)>> = vec![Vec::new(), Vec::new()];
             for k in 0..per_round {
                 outs[0].push((1, r * per_round + k));
             }
-            let inboxes = layer.exchange(&mut outs, &mut metrics);
+            let mut inboxes = vec![Vec::new(), Vec::new()];
+            layer.exchange(&mut outs, &mut inboxes, &mut metrics);
             let got: Vec<u64> = inboxes[1].iter().map(|e| e.msg).collect();
             let expect: Vec<u64> = (r * per_round..(r + 1) * per_round).collect();
             assert_eq!(got, expect, "round {r} lost canonical order");
