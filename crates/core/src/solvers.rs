@@ -301,7 +301,8 @@ pub struct Half {
     pub rule: RaiseRule,
     /// The stage factor: [`unit_xi`] or [`narrow_xi`] of `Δ`.
     pub xi: f64,
-    /// The participating instances, ascending.
+    /// The participating instances, ascending: the live instances of
+    /// the half's class (a departed demand's instances never take part).
     pub participants: Vec<InstanceId>,
 }
 
@@ -337,12 +338,13 @@ impl AutoChoice {
     }
 
     /// The halves of the theorem's run over a layering of critical-set
-    /// size `delta`. A unit theorem runs every instance under the unit
-    /// rule with `ξ = unit_xi(Δ)`. An arbitrary-height theorem runs the
-    /// wide instances that way, then the narrow ones under the narrow
-    /// rule with `ξ = narrow_xi(Δ, hmin)`, where [`resolve_narrow_hmin`]
-    /// resolves `hmin` from the a-priori value (which the unit theorems
-    /// ignore).
+    /// size `delta`. A unit theorem runs every live instance under the
+    /// unit rule with `ξ = unit_xi(Δ)`. An arbitrary-height theorem runs
+    /// the live wide instances that way, then the live narrow ones under
+    /// the narrow rule with `ξ = narrow_xi(Δ, hmin)`, where
+    /// [`resolve_narrow_hmin`] resolves `hmin` from the a-priori value
+    /// (which the unit theorems ignore). A departed demand's instances
+    /// take part in neither half.
     ///
     /// This is the one theorem → halves map: [`solve`], the in-network
     /// runner of `treenet-dist`, its driver-counted oracle and the
@@ -357,7 +359,10 @@ impl AutoChoice {
         delta: usize,
         hmin: Option<f64>,
     ) -> Result<Vec<Half>, String> {
-        let all = problem.instances().map(|inst| inst.id);
+        let all = problem
+            .instances()
+            .filter(|inst| !problem.is_departed(inst.demand))
+            .map(|inst| inst.id);
         let unit = |class, participants| Half {
             class,
             rule: RaiseRule::Unit,

@@ -36,7 +36,8 @@
 //!    single definitions), making the floats bit-identical.
 //! 3. **A public schedule** — epochs, stages and step boundaries are
 //!    globally known (the paper's synchronous-model assumption). The
-//!    driver supplies only the timing signal between rounds:
+//!    driver sets the mode of every round and paces the schedule from
+//!    node-local hints read between rounds:
 //!
 //!    * **The charged prologue.** The convergecast forest the control
 //!      plane rides on is no longer free infrastructure: from the first
@@ -57,7 +58,8 @@
 //!      [`DistConfig::sweep_interval_log2`]) and ride the data rounds
 //!      instead of stopping them; every verdict is asserted equal to
 //!      the hint snapshot taken when the sweep was armed — a sweep can
-//!      neither terminate early nor miss termination.
+//!      neither terminate early nor miss termination. Each MIS ends on
+//!      the driver's `any(has_active)` scan, which no sweep audits.
 //!    * **The per-network combiner.** After a wide/narrow split run, each
 //!      selected instance is reported to its network's leader (the
 //!      minimum-id accessor, a direct neighbor since accessors of a
@@ -703,7 +705,7 @@ struct SweepTicket {
 /// audit every pacing decision. It never sums profits itself.
 struct HalfDriver {
     plan: HalfPlan,
-    /// The demands of this half, ascending.
+    /// The live demands of this half, ascending.
     node_ids: Vec<usize>,
     stages_per_epoch: u32,
     max_steps_per_stage: Option<u64>,
@@ -1022,8 +1024,9 @@ impl HalfDriver {
 /// messages namespaced per half, termination detected by echo sweeps,
 /// and (for split runs) the per-network combination decided by the
 /// convergecast combiner. The driver's only outputs into the network are
-/// the public timing signal; its only inputs are in-network aggregates
-/// and the final results.
+/// the public timing signal; its inputs are the node-local pacing hints
+/// (audited by the in-network sweep aggregates), the MIS quiescence
+/// scan and the final results.
 fn execute_in_network(
     problem: &Problem,
     config: &DistConfig,
@@ -1031,6 +1034,9 @@ fn execute_in_network(
     plans: Vec<HalfPlan>,
 ) -> Result<(Vec<DistRunReport>, Option<Solution>, Metrics), DistError> {
     let split = plans.len() > 1;
+    // A departed demand's processor keeps relaying the control plane but
+    // stays silent on the data plane, like an off-class node of the
+    // serial reference.
     let nodes: Vec<ProcessorNode> = problem
         .demands()
         .map(|a| {
@@ -1047,7 +1053,7 @@ fn execute_in_network(
                 problem.instances_of(a).to_vec(),
                 plan.rule,
                 plan.tag,
-                true,
+                !problem.is_departed(a),
             )
         })
         .collect();
@@ -1064,7 +1070,7 @@ fn execute_in_network(
         .into_iter()
         .map(|plan| {
             let node_ids: Vec<usize> = problem
-                .demands()
+                .live_demands()
                 .filter(|&a| {
                     plan.class
                         .is_none_or(|c| problem.demand(a).height_class() == c)
@@ -1134,7 +1140,7 @@ fn execute_in_network(
         let mut final_unsatisfied = false;
         for a in problem.demands() {
             let node = &engine.nodes()[a.index()];
-            if node.run_tag() != driver.plan.tag {
+            if node.run_tag() != driver.plan.tag || !node.is_participating() {
                 continue;
             }
             selected.extend_from_slice(node.selected());
@@ -1357,6 +1363,70 @@ mod tests {
                 distributed.lambda.to_bits(),
                 "case {i}"
             );
+        }
+    }
+
+    /// A departed demand takes part in no later solve: once the demand of
+    /// a selected instance departs, the logical solver, the in-network
+    /// runner and its reference oracle all leave it out, and still agree
+    /// bit for bit.
+    #[test]
+    fn departed_demands_are_never_scheduled() {
+        let window_line = |seed| {
+            LineWorkload::new(24, 10)
+                .with_resources(2)
+                .with_window_slack(1)
+                .generate(&mut SmallRng::seed_from_u64(seed))
+        };
+        let mut cases: Vec<(String, Problem, u64)> = vec![("windows".into(), window_line(3), 3)];
+        for (choice, workload, _) in THEOREMS {
+            for seed in 0..2 {
+                cases.push((format!("{choice:?}"), workload(seed), seed));
+            }
+        }
+        for (name, mut p, seed) in cases {
+            let cfg = SolverConfig::default().with_epsilon(0.3).with_seed(seed);
+            let before = solve_auto(&p, &cfg).unwrap();
+            let first = before.solution.selected()[0];
+            let gone = p.instance(first).demand;
+            p.apply_delta(treenet_model::ProblemDelta::Departure { demand: gone })
+                .unwrap();
+            assert_eq!(
+                Solution::new(vec![first]).verify(&p),
+                Err(treenet_model::FeasibilityError::DepartedDemand {
+                    demand: gone,
+                    instance: first,
+                })
+            );
+            let label = format!("{name} seed {seed}, {gone} departed");
+            let logical = solve_auto(&p, &cfg).unwrap();
+            let dist = DistConfig::from(&cfg);
+            let distributed = run_distributed_auto(&p, &dist).unwrap();
+            let oracle = run_distributed_reference(&p, logical.choice, &dist).unwrap();
+            for (runner, solution, lambda) in [
+                ("solve_auto", &logical.solution, logical.lambda),
+                (
+                    "run_distributed_auto",
+                    &distributed.solution,
+                    distributed.lambda,
+                ),
+                ("run_distributed_reference", &oracle.solution, oracle.lambda),
+            ] {
+                assert!(
+                    solution
+                        .selected()
+                        .iter()
+                        .all(|&d| p.instance(d).demand != gone),
+                    "{label}: {runner} selected the departed demand"
+                );
+                solution.verify(&p).unwrap();
+                assert_eq!(solution, &logical.solution, "{label}: {runner}");
+                assert_eq!(
+                    lambda.to_bits(),
+                    logical.lambda.to_bits(),
+                    "{label}: {runner}"
+                );
+            }
         }
     }
 

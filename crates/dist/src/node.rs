@@ -18,6 +18,17 @@
 //! touching such an edge comes from an overlapping instance, whose owner
 //! shares a network and is therefore a communication neighbor.
 //!
+//! The node's state is dense. Its own edges — every `(network, edge)` on
+//! an own path — form one sorted table built at construction, and `β(e)`
+//! and the phase-2 residuals are vectors indexed by a *slot* of that
+//! table. Each own instance keeps its path (in path order, the dual-LHS
+//! summation order) and `π(d)` as slots, and caches its dual LHS,
+//! recomputed only after a round in which α or one of its β slots
+//! moved. A neighbor's instances are resolved once, when its descriptor
+//! arrives, into one flat table ordered by sender id: each entry holds
+//! the mask of own instances it overlaps and its path and `π(d)` as
+//! own-edge slots, so every later message costs a table lookup.
+//!
 //! The node is parametrized by the run's [`RaiseRule`] and by its
 //! [`RunTag`]: in a merged wide/narrow execution both sub-runs share one
 //! engine and every protocol message is namespaced by its sub-run, so a
@@ -54,6 +65,7 @@
 //! why fault tolerance required no change here at all.
 
 use std::collections::BTreeMap;
+use std::ops::Range;
 use std::sync::Arc;
 
 use treenet_core::RaiseRule;
@@ -119,46 +131,28 @@ pub(crate) struct PublicInfo {
 }
 
 impl PublicInfo {
-    /// Derives the instance views of a demand descriptor, in the canonical
-    /// order (accessible networks ascending, window starts ascending) that
-    /// both the owner and every receiver reproduce independently.
-    pub fn views(&self, descriptor: &Descriptor) -> Vec<InstView> {
-        let mut views = Vec::new();
-        for &t in &descriptor.access {
-            descriptor
-                .demand
-                .for_each_instance_path(&self.rooted[t.index()], |path, start| {
-                    views.push(self.make_view(descriptor, t, path, start));
-                });
-        }
-        views
-    }
-
-    fn make_view(
+    /// Walks the instances of a demand descriptor in the canonical order
+    /// (accessible networks ascending, window starts ascending) that both
+    /// the owner and every receiver reproduce independently, handing `f`
+    /// each instance's canonical key (`DemandInstance::canonical_key`),
+    /// network, path, 1-based epoch group and critical edges `π(d)` — the
+    /// per-instance definition the logical `LayeredDecomposition` uses.
+    fn for_each_instance(
         &self,
         descriptor: &Descriptor,
-        network: NetworkId,
-        path: TreePath,
-        start: Option<u32>,
-    ) -> InstView {
-        // Group and critical edges come from the same per-instance
-        // definition the logical LayeredDecomposition uses.
+        mut f: impl FnMut(u64, NetworkId, &TreePath, u32, &[EdgeId]),
+    ) {
         let mut critical = Vec::new();
-        let group =
-            self.layering
-                .layer(&self.rooted[network.index()], network, &path, &mut critical);
-        let key = treenet_model::canonical_instance_key(descriptor.id, network, start);
-        let mut sorted_edges: Vec<EdgeId> = path.edges().to_vec();
-        sorted_edges.sort_unstable();
-        InstView {
-            key,
-            network,
-            edges: path.edges().to_vec(),
-            sorted_edges,
-            group,
-            critical,
-            height: descriptor.demand.height,
-            profit: descriptor.demand.profit,
+        for &t in &descriptor.access {
+            let rooted = &self.rooted[t.index()];
+            descriptor
+                .demand
+                .for_each_instance_path(rooted, |path, start| {
+                    critical.clear();
+                    let group = self.layering.layer(rooted, t, &path, &mut critical);
+                    let key = treenet_model::canonical_instance_key(descriptor.id, t, start);
+                    f(key, t, &path, group, &critical);
+                });
         }
     }
 }
@@ -175,44 +169,72 @@ pub struct Descriptor {
     pub access: Vec<NetworkId>,
 }
 
-/// Everything derivable about one demand instance from its owner's
-/// descriptor plus public information.
-#[derive(Clone, Debug)]
-pub(crate) struct InstView {
-    /// Canonical common-randomness key (matches
-    /// `DemandInstance::canonical_key`).
-    pub key: u64,
-    /// Network this view routes through.
-    pub network: NetworkId,
-    /// Path edges in path order (the dual-LHS summation order).
-    pub edges: Vec<EdgeId>,
-    /// Path edges sorted, for overlap tests.
-    pub sorted_edges: Vec<EdgeId>,
-    /// 1-based epoch group.
-    pub group: u32,
-    /// Critical edges `π(d)`, sorted.
-    pub critical: Vec<EdgeId>,
-    /// Bandwidth demand `h(d)`.
-    pub height: f64,
-    /// Profit `p(d)` of selecting this instance.
-    pub profit: f64,
+/// One instance resolved against a node's own-edge table: the tracked
+/// part of its path (in path order) and of `π(d)`, as a run of slots in
+/// the node's slot pool.
+#[derive(Copy, Clone, Debug)]
+struct Resolved {
+    /// Canonical common-randomness key.
+    key: u64,
+    /// Network the instance routes through.
+    network: u32,
+    /// `|π(d)|`, tracked or not: receivers re-derive the β increment
+    /// from it.
+    pi_len: u32,
+    /// `pool[start..mid]` holds the path slots, `pool[mid..end]` the
+    /// `π(d)` slots.
+    start: u32,
+    mid: u32,
+    end: u32,
 }
 
-impl InstView {
-    /// Whether the two views overlap: same network and a shared edge.
-    pub fn overlaps(&self, other: &InstView) -> bool {
-        if self.network != other.network {
-            return false;
-        }
-        let (mut i, mut j) = (0, 0);
-        while i < self.sorted_edges.len() && j < other.sorted_edges.len() {
-            match self.sorted_edges[i].cmp(&other.sorted_edges[j]) {
-                std::cmp::Ordering::Less => i += 1,
-                std::cmp::Ordering::Greater => j += 1,
-                std::cmp::Ordering::Equal => return true,
+impl Resolved {
+    /// The pool range of the tracked path edges, in path order.
+    fn path(&self) -> Range<usize> {
+        self.start as usize..self.mid as usize
+    }
+
+    /// The pool range of the tracked critical edges.
+    fn critical(&self) -> Range<usize> {
+        self.mid as usize..self.end as usize
+    }
+}
+
+/// Resolves one instance of `network` against the own-edge table
+/// `table` (sorted `(network, edge)` pairs), appending to `pool` the
+/// slots of those path edges, then of those critical edges, that the
+/// table holds. Own and neighbor instances go through this one function;
+/// an own instance's edges are all tracked.
+fn resolve(
+    table: &[(u32, u32)],
+    pool: &mut Vec<u32>,
+    key: u64,
+    network: NetworkId,
+    path: &[EdgeId],
+    critical: &[EdgeId],
+) -> Resolved {
+    let network = network.0;
+    // The network's edges form one run of the sorted table.
+    let lo = table.partition_point(|&(t, _)| t < network);
+    let run = &table[lo..lo + table[lo..].partition_point(|&(t, _)| t == network)];
+    let push_tracked = |pool: &mut Vec<u32>, edges: &[EdgeId]| {
+        for e in edges {
+            if let Ok(k) = run.binary_search_by_key(&e.0, |&(_, edge)| edge) {
+                pool.push((lo + k) as u32);
             }
         }
-        false
+    };
+    let start = pool.len() as u32;
+    push_tracked(pool, path);
+    let mid = pool.len() as u32;
+    push_tracked(pool, critical);
+    Resolved {
+        key,
+        network,
+        pi_len: critical.len() as u32,
+        start,
+        mid,
+        end: pool.len() as u32,
     }
 }
 
@@ -406,19 +428,6 @@ struct EchoState {
     announced_down: bool,
 }
 
-/// Resolves a neighbor's instance view from the received-descriptor map.
-/// A free function over the field (rather than a `&self` method) so call
-/// sites keep disjoint mutable borrows of the node's other fields.
-fn neighbor_view(
-    neighbors: &BTreeMap<usize, Vec<InstView>>,
-    node: usize,
-    idx: u8,
-) -> Option<&InstView> {
-    neighbors
-        .get(&node)
-        .and_then(|views| views.get(idx as usize))
-}
-
 /// Per-instance state within the current step's MIS computation.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 enum MisState {
@@ -431,10 +440,46 @@ enum MisState {
 struct OwnInstance {
     /// Dense instance id, carried only for reporting the final solution.
     id: InstanceId,
-    view: InstView,
+    /// 1-based epoch group.
+    group: u32,
+    /// Key, network and slots (every path and critical edge is tracked).
+    inst: Resolved,
+    /// The dual LHS, as of the last round that moved α or a β slot of
+    /// the path — read through [`ProcessorNode::lhs`].
+    lhs: f64,
     state: MisState,
     /// Raised at these global step indices (phase-2 pop schedule).
     raised_at: Vec<u32>,
+}
+
+/// An instance of a neighbor, resolved when the neighbor's descriptor
+/// arrived.
+#[derive(Copy, Clone, Debug)]
+struct NeighborInstance {
+    /// Key, network, `|π|` and the own-edge slots of path and `π(d)`.
+    inst: Resolved,
+    /// Bandwidth demand `h(d)`.
+    height: f64,
+    /// Profit `p(d)` of selecting this instance.
+    profit: f64,
+    /// Bit `i` set iff the instance shares an edge with own instance `i`.
+    overlaps: u64,
+}
+
+/// One neighbor's run of [`ProcessorNode::remote`]: its instances in
+/// canonical order.
+#[derive(Copy, Clone, Debug)]
+struct Neighbor {
+    id: usize,
+    first: u32,
+    count: u32,
+}
+
+impl Neighbor {
+    /// The neighbor's instances' indices in the flat table.
+    fn range(&self) -> Range<usize> {
+        self.first as usize..(self.first + self.count) as usize
+    }
 }
 
 /// One combiner contribution at a network leader: `(demand, idx)` is the
@@ -459,20 +504,38 @@ pub(crate) struct ProcessorNode {
     /// form — taken from the shared `treenet-core` definitions).
     rule: RaiseRule,
     /// Whether this node's demand participates in the current run (false
-    /// only for the off-class half of the *serial reference* path, where
-    /// each engine pass runs one half and the other stays silent).
+    /// for a departed demand, and for the off-class half of the *serial
+    /// reference* path, where each engine pass runs one half and the
+    /// other stays silent).
     participating: bool,
     own: Vec<OwnInstance>,
+    /// Own instances whose cached LHS is out of date (bit `i` = own
+    /// instance `i`); empty between rounds.
+    stale: u64,
     /// α of the own demand.
     alpha: f64,
-    /// β(e) for every edge on an own path, keyed by (network, edge).
-    beta: BTreeMap<(u32, u32), f64>,
-    /// Phase-2 residual capacity for every edge on an own path.
-    residual: BTreeMap<(u32, u32), f64>,
-    /// Neighbor views, derived from received descriptors.
-    neighbors: BTreeMap<usize, Vec<InstView>>,
-    /// Instances of neighbors participating in the current step's MIS.
-    neighbor_active: BTreeMap<(usize, u8), bool>,
+    /// The own-edge table: every `(network, edge)` on an own path,
+    /// sorted. An edge's index here is its *slot*.
+    edges: Vec<(u32, u32)>,
+    /// Per slot: the own instances whose path holds the edge.
+    slot_users: Vec<u64>,
+    /// β(e) per slot.
+    beta: Vec<f64>,
+    /// Phase-2 residual capacity per slot.
+    residual: Vec<f64>,
+    /// The slot runs of every resolved instance, own and neighbor.
+    pool: Vec<u32>,
+    /// Neighbors whose descriptor arrived, ascending by id.
+    neighbors: Vec<Neighbor>,
+    /// Every neighbor instance, resolved at intake; each neighbor's
+    /// instances are one run.
+    remote: Vec<NeighborInstance>,
+    /// Per neighbor instance: whether it takes part in the current
+    /// step's MIS (announced active, not yet joined or dead).
+    neighbor_active: Vec<bool>,
+    /// The neighbor instances announced active this step — the entries
+    /// of `neighbor_active` the step may have set.
+    announced: Vec<u32>,
     /// Deaths to announce in the next cleanup round.
     pending_died: Vec<u8>,
     /// Reusable winner buffer for the Luby evaluation rounds (steady-state
@@ -512,7 +575,8 @@ pub(crate) struct ProcessorNode {
 
 impl ProcessorNode {
     /// Builds the processor for one demand from the public inputs and
-    /// its private descriptor, pre-deriving every instance view.
+    /// its private descriptor: the own-edge table and every own
+    /// instance's slots and LHS.
     pub fn new(
         public: Arc<PublicInfo>,
         descriptor: Descriptor,
@@ -521,47 +585,79 @@ impl ProcessorNode {
         tag: RunTag,
         participating: bool,
     ) -> Self {
-        let views = public.views(&descriptor);
+        // The own instances' paths and π(d), flat, in canonical order.
+        let mut raw = Vec::with_capacity(ids.len());
+        let (mut paths, mut criticals) = (Vec::new(), Vec::new());
+        public.for_each_instance(&descriptor, |key, network, path, group, critical| {
+            paths.extend_from_slice(path.edges());
+            criticals.extend_from_slice(critical);
+            raw.push((key, network, group, paths.len(), criticals.len()));
+        });
         assert_eq!(
-            views.len(),
+            raw.len(),
             ids.len(),
             "canonical enumeration matches the problem"
         );
         assert!(
-            views.len() <= MAX_INSTANCES_PER_PROCESSOR,
+            raw.len() <= MAX_INSTANCES_PER_PROCESSOR,
             "at most {MAX_INSTANCES_PER_PROCESSOR} instances per processor (mask width)"
         );
-        let mut beta = BTreeMap::new();
-        let mut residual = BTreeMap::new();
-        for view in &views {
-            for &e in &view.edges {
-                beta.insert((view.network.0, e.0), 0.0f64);
-                residual.insert((view.network.0, e.0), 1.0f64);
-            }
+        let mut edges = Vec::with_capacity(paths.len());
+        let mut path_start = 0;
+        for &(_, network, _, path_end, _) in &raw {
+            edges.extend(paths[path_start..path_end].iter().map(|e| (network.0, e.0)));
+            path_start = path_end;
         }
-        let own = ids
-            .into_iter()
-            .zip(views)
-            .map(|(id, view)| OwnInstance {
+        edges.sort_unstable();
+        edges.dedup();
+        let mut pool = Vec::with_capacity(paths.len() + criticals.len());
+        let mut slot_users = vec![0u64; edges.len()];
+        let mut own = Vec::with_capacity(ids.len());
+        let (mut path_start, mut critical_start) = (0, 0);
+        for (i, ((key, network, group, path_end, critical_end), id)) in
+            raw.into_iter().zip(ids).enumerate()
+        {
+            let inst = resolve(
+                &edges,
+                &mut pool,
+                key,
+                network,
+                &paths[path_start..path_end],
+                &criticals[critical_start..critical_end],
+            );
+            debug_assert_eq!(inst.path().len(), path_end - path_start);
+            for &s in &pool[inst.path()] {
+                slot_users[s as usize] |= 1 << i;
+            }
+            own.push(OwnInstance {
                 id,
-                view,
+                group,
+                inst,
+                lhs: 0.0,
                 state: MisState::Out,
                 raised_at: Vec::new(),
-            })
-            .collect();
+            });
+            (path_start, critical_start) = (path_end, critical_end);
+        }
         let me = descriptor.id.index() as u32;
-        ProcessorNode {
+        let mut node = ProcessorNode {
             public,
             descriptor,
             tag,
             rule,
             participating,
+            stale: 0,
             own,
             alpha: 0.0,
-            beta,
-            residual,
-            neighbors: BTreeMap::new(),
-            neighbor_active: BTreeMap::new(),
+            beta: vec![0.0; edges.len()],
+            residual: vec![1.0; edges.len()],
+            edges,
+            slot_users,
+            pool,
+            neighbors: Vec::new(),
+            remote: Vec::new(),
+            neighbor_active: Vec::new(),
+            announced: Vec::new(),
             pending_died: Vec::new(),
             scratch_winners: Vec::new(),
             iteration: 0,
@@ -578,7 +674,17 @@ impl ProcessorNode {
             contributions: Vec::new(),
             choices: Vec::new(),
             mode: Mode::Setup,
-        }
+        };
+        node.stale = node.own_mask();
+        node.refresh_lhs();
+        node
+    }
+
+    /// The mask of every own instance.
+    fn own_mask(&self) -> u64 {
+        u64::MAX
+            .checked_shr(u64::BITS - self.own.len() as u32)
+            .unwrap_or(0)
     }
 
     /// This node's index in the topology / convergecast forest.
@@ -597,27 +703,46 @@ impl ProcessorNode {
         self.participating
     }
 
-    /// The dual LHS of own instance `i` — same summation order and form
-    /// (`α + scale·Σβ`, with `scale = 1` for the unit rule and `h(d)`
-    /// for the narrow rule) as the logical `DualState::lhs`, so the float
-    /// result is bit-identical.
-    fn lhs(&self, i: usize) -> f64 {
-        let view = &self.own[i].view;
-        let beta_sum: f64 = view
-            .edges
+    /// The dual LHS of own instance `i`, summed now — same summation
+    /// order and form (`α + scale·Σβ`, with `scale = 1` for the unit rule
+    /// and `h(d)` for the narrow rule) as the logical `DualState::lhs`,
+    /// so the float result is bit-identical.
+    fn lhs_now(&self, i: usize) -> f64 {
+        let beta_sum: f64 = self.pool[self.own[i].inst.path()]
             .iter()
-            .map(|e| self.beta[&(view.network.0, e.0)])
+            .map(|&s| self.beta[s as usize])
             .sum();
         let scale = match self.rule {
             RaiseRule::Unit => 1.0,
-            RaiseRule::Narrow => view.height,
+            RaiseRule::Narrow => self.descriptor.demand.height,
         };
         self.alpha + scale * beta_sum
     }
 
+    /// The cached dual LHS of own instance `i`.
+    fn lhs(&self, i: usize) -> f64 {
+        debug_assert!(
+            self.stale & (1 << i) == 0 && self.own[i].lhs.to_bits() == self.lhs_now(i).to_bits(),
+            "cached LHS of own instance {i} is stale"
+        );
+        self.own[i].lhs
+    }
+
+    /// Re-sums the LHS of every own instance whose α or a β slot moved
+    /// since the last refresh. Called at the end of each round that can
+    /// move them, so every read between rounds hits a fresh cache.
+    fn refresh_lhs(&mut self) {
+        let mut stale = std::mem::take(&mut self.stale);
+        while stale != 0 {
+            let i = stale.trailing_zeros() as usize;
+            stale &= stale - 1;
+            self.own[i].lhs = self.lhs_now(i);
+        }
+    }
+
     /// Satisfaction ratio of own instance `i`.
     pub fn satisfaction(&self, i: usize) -> f64 {
-        self.lhs(i) / self.own[i].view.profit
+        self.lhs(i) / self.descriptor.demand.profit
     }
 
     /// Whether any own participating instance belongs to epoch group `k`
@@ -625,7 +750,7 @@ impl ProcessorNode {
     /// rounds (the same bit the `Active` broadcasts disseminate; the
     /// in-network path additionally audits it with echo sweeps).
     pub fn has_group(&self, k: u32) -> bool {
-        self.participating && self.own.iter().any(|inst| inst.view.group == k)
+        self.participating && self.own.iter().any(|inst| inst.group == k)
     }
 
     /// Number of own group-`k` instances below `threshold`-satisfaction —
@@ -638,7 +763,7 @@ impl ProcessorNode {
         }
         (0..self.own.len())
             .filter(|&i| {
-                self.own[i].view.group == k && self.satisfaction(i) < threshold - SATISFACTION_GUARD
+                self.own[i].group == k && self.satisfaction(i) < threshold - SATISFACTION_GUARD
             })
             .count()
     }
@@ -694,7 +819,7 @@ impl ProcessorNode {
                     .iter()
                     .position(|inst| inst.id == d)
                     .expect("selected instances are own instances");
-                let t = self.own[i].view.network.0;
+                let t = self.own[i].inst.network;
                 let wide_wins = self
                     .choices
                     .iter()
@@ -716,7 +841,7 @@ impl ProcessorNode {
             let mut unsatisfied = 0u32;
             let mut members = false;
             for i in 0..self.own.len() {
-                if self.own[i].view.group == k {
+                if self.own[i].group == k {
                     members = true;
                     if self.satisfaction(i) < threshold - SATISFACTION_GUARD {
                         unsatisfied += 1;
@@ -758,7 +883,10 @@ impl ProcessorNode {
         self.threshold = threshold;
         self.global_step = global_step;
         self.iteration = 0;
-        self.neighbor_active.clear();
+        for &r in &self.announced {
+            self.neighbor_active[r as usize] = false;
+        }
+        self.announced.clear();
         self.pending_died.clear();
         for inst in &mut self.own {
             inst.state = MisState::Out;
@@ -766,33 +894,72 @@ impl ProcessorNode {
         self.mode = Mode::Announce;
     }
 
-    /// Applies a raise announced by a neighbor: β on the raised instance's
-    /// critical edges, restricted to the edges this node tracks. The β
-    /// increment is re-derived from the broadcast δ and the public `|π|`
-    /// via the shared `RaiseRule::beta_increment`, so it is bit-identical
-    /// to the logical raise. (Field-disjoint borrows of `neighbors` and
-    /// `beta` keep this loop allocation-free.)
-    fn apply_neighbor_raise(&mut self, node: usize, idx: u8, delta: f64) {
-        let Some(view) = neighbor_view(&self.neighbors, node, idx) else {
-            return;
-        };
-        let beta_inc = self.rule.beta_increment(view.critical.len() as f64, delta);
-        let network = view.network.0;
-        for &e in &view.critical {
-            if let Some(slot) = self.beta.get_mut(&(network, e.0)) {
-                *slot += beta_inc;
-            }
-        }
+    /// The flat-table index of neighbor `node`'s instance `idx`, if its
+    /// descriptor arrived.
+    fn remote_of(&self, node: usize, idx: u8) -> Option<usize> {
+        let pos = self.neighbors.binary_search_by_key(&node, |n| n.id).ok()?;
+        let neighbor = self.neighbors[pos];
+        (u32::from(idx) < neighbor.count).then(|| neighbor.first as usize + usize::from(idx))
     }
 
-    /// Kills own active instances conflicting with a neighbor's MIS
-    /// winner; the deaths are announced in the next cleanup round.
-    fn kill_conflicting_with(&mut self, node: usize, idx: u8) {
-        let Some(winner) = neighbor_view(&self.neighbors, node, idx) else {
-            return;
+    /// Whether `neighbor` has an instance on network `t`, i.e. accesses it.
+    fn accesses(&self, neighbor: &Neighbor, t: u32) -> bool {
+        self.remote[neighbor.range()]
+            .iter()
+            .any(|d| d.inst.network == t)
+    }
+
+    /// Resolves a neighbor's descriptor, once, into the flat table: each
+    /// instance's key, network, `|π|`, height and profit, the mask of own
+    /// instances it overlaps, and its path and `π(d)` as own-edge slots.
+    /// The table stays ordered by sender id whatever the inbox order.
+    fn resolve_neighbor(&mut self, from: usize, descriptor: &Descriptor) {
+        let first = self.remote.len() as u32;
+        let (edges, pool, users, remote) = (
+            &self.edges,
+            &mut self.pool,
+            &self.slot_users,
+            &mut self.remote,
+        );
+        let demand = &descriptor.demand;
+        self.public
+            .for_each_instance(descriptor, |key, network, path, _, critical| {
+                let inst = resolve(edges, pool, key, network, path.edges(), critical);
+                let overlaps = pool[inst.path()]
+                    .iter()
+                    .fold(0, |mask, &s| mask | users[s as usize]);
+                remote.push(NeighborInstance {
+                    inst,
+                    height: demand.height,
+                    profit: demand.profit,
+                    overlaps,
+                });
+            });
+        self.neighbor_active.resize(self.remote.len(), false);
+        let entry = Neighbor {
+            id: from,
+            first,
+            count: self.remote.len() as u32 - first,
         };
+        let pos = self.neighbors.partition_point(|n| n.id < from);
+        self.neighbors.insert(pos, entry);
+    }
+
+    /// Applies a raise announced by a neighbor: β on the raised instance's
+    /// tracked critical slots, and the neighbor's conflicting own active
+    /// instances die (announced in the next cleanup round). The β
+    /// increment is re-derived from the broadcast δ and the public `|π|`
+    /// via the shared `RaiseRule::beta_increment`, so it is bit-identical
+    /// to the logical raise.
+    fn apply_neighbor_raise(&mut self, r: usize, delta: f64) {
+        let d = self.remote[r];
+        let beta_inc = self.rule.beta_increment(d.inst.pi_len as f64, delta);
+        for &s in &self.pool[d.inst.critical()] {
+            self.beta[s as usize] += beta_inc;
+            self.stale |= self.slot_users[s as usize];
+        }
         for (i, inst) in self.own.iter_mut().enumerate() {
-            if inst.state == MisState::Active && inst.view.overlaps(winner) {
+            if inst.state == MisState::Active && d.overlaps & (1 << i) != 0 {
                 inst.state = MisState::Dead;
                 self.pending_died.push(i as u8);
             }
@@ -804,22 +971,23 @@ impl ProcessorNode {
     fn wins(&self, i: usize) -> bool {
         let backend = self.public.backend;
         let (seed, tag, it) = (self.public.seed, self.mis_namespace, self.iteration);
-        let my_key = self.own[i].view.key;
+        let my_key = self.own[i].inst.key;
         // Own siblings always conflict (same demand).
         for (j, other) in self.own.iter().enumerate() {
             if j != i
                 && other.state == MisState::Active
-                && !backend.beats(seed, tag, it, my_key, other.view.key)
+                && !backend.beats(seed, tag, it, my_key, other.inst.key)
             {
                 return false;
             }
         }
         // Active neighbor instances that overlap.
-        for (&(node, idx), _) in self.neighbor_active.iter().filter(|(_, &alive)| alive) {
-            let Some(view) = neighbor_view(&self.neighbors, node, idx) else {
-                continue;
-            };
-            if self.own[i].view.overlaps(view) && !backend.beats(seed, tag, it, my_key, view.key) {
+        for &r in &self.announced {
+            let d = &self.remote[r as usize];
+            if self.neighbor_active[r as usize]
+                && d.overlaps & (1 << i) != 0
+                && !backend.beats(seed, tag, it, my_key, d.inst.key)
+            {
                 return false;
             }
         }
@@ -831,13 +999,12 @@ impl ProcessorNode {
     /// of a shared network are mutual communication neighbors, so their
     /// descriptors all arrived in the setup round.
     fn leader_of(&self, t: u32) -> usize {
-        let mut leader = self.me();
-        for (&node, views) in &self.neighbors {
-            if node < leader && views.iter().any(|v| v.network.0 == t) {
-                leader = node;
-            }
-        }
-        leader
+        let me = self.me();
+        self.neighbors
+            .iter()
+            .take_while(|n| n.id < me)
+            .find(|n| self.accesses(n, t))
+            .map_or(me, |n| n.id)
     }
 
     /// Always-on echo layer: relays convergecast reports and verdict
@@ -892,7 +1059,7 @@ impl ProcessorNode {
     fn round_announce(&mut self, ctx: &mut Context<'_, DistMsg>) {
         let mut mask = 0u64;
         for i in 0..self.own.len() {
-            if self.own[i].view.group == self.epoch
+            if self.own[i].group == self.epoch
                 && self.satisfaction(i) < self.threshold - SATISFACTION_GUARD
             {
                 self.own[i].state = MisState::Active;
@@ -911,16 +1078,22 @@ impl ProcessorNode {
         for env in inbox {
             match &env.msg {
                 DistMsg::Active { run, mask } if *run == self.tag => {
-                    if let Some(views) = self.neighbors.get(&env.from) {
-                        for idx in 0..views.len().min(MAX_INSTANCES_PER_PROCESSOR) {
-                            if mask & (1 << idx) != 0 {
-                                self.neighbor_active.insert((env.from, idx as u8), true);
-                            }
+                    let Ok(pos) = self.neighbors.binary_search_by_key(&env.from, |n| n.id) else {
+                        continue;
+                    };
+                    let neighbor = self.neighbors[pos];
+                    for idx in 0..(neighbor.count as usize).min(MAX_INSTANCES_PER_PROCESSOR) {
+                        if mask & (1 << idx) != 0 {
+                            let r = neighbor.first + idx as u32;
+                            self.neighbor_active[r as usize] = true;
+                            self.announced.push(r);
                         }
                     }
                 }
                 DistMsg::Died { run, idx } if *run == self.tag => {
-                    self.neighbor_active.insert((env.from, *idx), false);
+                    if let Some(r) = self.remote_of(env.from, *idx) {
+                        self.neighbor_active[r] = false;
+                    }
                 }
                 _ => {}
             }
@@ -933,23 +1106,25 @@ impl ProcessorNode {
         winners.extend(
             (0..self.own.len()).filter(|&i| self.own[i].state == MisState::Active && self.wins(i)),
         );
+        let (height, profit) = (self.descriptor.demand.height, self.descriptor.demand.profit);
         for &i in &winners {
+            // An earlier winner of this round moved α.
+            self.refresh_lhs();
             self.own[i].state = MisState::InMis;
             self.own[i].raised_at.push(self.global_step);
             // The run's raising rule, via the shared definitions:
             // δ = slack/(|π|+1) (unit) or slack/(1+2h|π|²) (narrow).
-            let slack = self.own[i].view.profit - self.lhs(i);
-            let pi = self.own[i].view.critical.len() as f64;
-            let delta = self.rule.delta_for(slack, self.own[i].view.height, pi);
+            let slack = profit - self.lhs(i);
+            let inst = self.own[i].inst;
+            let pi = inst.pi_len as f64;
+            let delta = self.rule.delta_for(slack, height, pi);
             let beta_inc = self.rule.beta_increment(pi, delta);
             self.alpha += delta;
-            let network = self.own[i].view.network.0;
-            for &e in &self.own[i].view.critical {
-                *self
-                    .beta
-                    .get_mut(&(network, e.0))
-                    .expect("critical edges lie on own paths") += beta_inc;
+            for &s in &self.pool[inst.critical()] {
+                self.beta[s as usize] += beta_inc;
             }
+            // α is in every own LHS.
+            self.stale = self.own_mask();
             ctx.broadcast(DistMsg::Joined {
                 run: self.tag,
                 idx: i as u8,
@@ -965,6 +1140,7 @@ impl ProcessorNode {
             }
         }
         self.scratch_winners = winners;
+        self.refresh_lhs();
     }
 
     fn round_luby_cleanup(&mut self, inbox: &[Envelope<DistMsg>], ctx: &mut Context<'_, DistMsg>) {
@@ -973,11 +1149,13 @@ impl ProcessorNode {
                 if run != self.tag {
                     continue;
                 }
-                self.neighbor_active.insert((env.from, idx), false);
-                self.apply_neighbor_raise(env.from, idx, delta);
-                self.kill_conflicting_with(env.from, idx);
+                if let Some(r) = self.remote_of(env.from, idx) {
+                    self.neighbor_active[r] = false;
+                    self.apply_neighbor_raise(r, delta);
+                }
             }
         }
+        self.refresh_lhs();
         // Drain without dropping the buffer's capacity.
         let mut died = std::mem::take(&mut self.pending_died);
         for &idx in &died {
@@ -999,40 +1177,34 @@ impl ProcessorNode {
                 if run != self.tag {
                     continue;
                 }
-                let Some(view) = neighbor_view(&self.neighbors, env.from, idx) else {
+                let Some(r) = self.remote_of(env.from, idx) else {
                     continue;
                 };
-                let (network, height) = (view.network.0, view.height);
-                for &e in &view.edges {
-                    if let Some(slot) = self.residual.get_mut(&(network, e.0)) {
-                        *slot -= height;
-                    }
+                let d = &self.remote[r];
+                for &s in &self.pool[d.inst.path()] {
+                    self.residual[s as usize] -= d.height;
                 }
             }
         }
+        let height = self.descriptor.demand.height;
         for i in 0..self.own.len() {
             if !self.own[i].raised_at.contains(&step) {
                 continue;
             }
             // The tracker's `fits` test on the locally tracked residuals.
-            let view = &self.own[i].view;
+            let path = &self.pool[self.own[i].inst.path()];
             let fits = !self.demand_used
-                && view.edges.iter().all(|e| {
-                    self.residual[&(view.network.0, e.0)] + treenet_model::EPS >= view.height
-                });
+                && path
+                    .iter()
+                    .all(|&s| self.residual[s as usize] + treenet_model::EPS >= height);
             if fits {
                 self.demand_used = true;
                 let id = self.own[i].id;
                 if !self.selected.contains(&id) {
                     self.selected.push(id);
                 }
-                let network = view.network.0;
-                let height = view.height;
-                for &e in &self.own[i].view.edges {
-                    *self
-                        .residual
-                        .get_mut(&(network, e.0))
-                        .expect("own path edges are tracked") -= height;
+                for &s in path {
+                    self.residual[s as usize] -= height;
                 }
                 ctx.broadcast(DistMsg::Selected {
                     run: self.tag,
@@ -1054,7 +1226,7 @@ impl ProcessorNode {
             .iter()
             .position(|inst| inst.id == d)
             .expect("selected instances are own instances");
-        let t = self.own[i].view.network.0;
+        let t = self.own[i].inst.network;
         let leader = self.leader_of(t);
         if leader == self.me() {
             self.contributions.push(Contribution {
@@ -1062,7 +1234,7 @@ impl ProcessorNode {
                 demand: self.me() as u32,
                 idx: i as u8,
                 run: self.tag,
-                profit: self.own[i].view.profit,
+                profit: self.descriptor.demand.profit,
             });
         } else {
             ctx.send(
@@ -1087,15 +1259,15 @@ impl ProcessorNode {
     ) {
         for env in inbox {
             if let DistMsg::CombineReport { run, idx } = env.msg {
-                let Some(view) = neighbor_view(&self.neighbors, env.from, idx) else {
+                let Some(r) = self.remote_of(env.from, idx) else {
                     continue;
                 };
                 self.contributions.push(Contribution {
-                    network: view.network.0,
+                    network: self.remote[r].inst.network,
                     demand: env.from as u32,
                     idx,
                     run,
-                    profit: view.profit,
+                    profit: self.remote[r].profit,
                 });
             }
         }
@@ -1120,22 +1292,18 @@ impl ProcessorNode {
             }
             let wide_wins = treenet_core::combine_decision(wide_profit, narrow_profit);
             self.choices.push((t, wide_wins));
-            // Every accessor of t is a neighbor of its leader.
-            let mut accessors: Vec<usize> = self
-                .neighbors
-                .iter()
-                .filter(|(_, views)| views.iter().any(|v| v.network.0 == t))
-                .map(|(&node, _)| node)
-                .collect();
-            accessors.sort_unstable();
-            for node in accessors {
-                ctx.send(
-                    node,
-                    DistMsg::CombineChoice {
-                        network: t,
-                        wide_wins,
-                    },
-                );
+            // Every accessor of t is a neighbor of its leader; the table
+            // lists them in ascending id order.
+            for neighbor in &self.neighbors {
+                if self.accesses(neighbor, t) {
+                    ctx.send(
+                        neighbor.id,
+                        DistMsg::CombineChoice {
+                            network: t,
+                            wide_wins,
+                        },
+                    );
+                }
             }
             start = end;
         }
@@ -1171,9 +1339,9 @@ impl Protocol for ProcessorNode {
         // folds, so inbox order is irrelevant by construction.
         for env in inbox {
             match &env.msg {
-                DistMsg::Descriptor(descriptor) => {
-                    let views = self.public.views(descriptor);
-                    self.neighbors.insert(env.from, views);
+                // Only a participant ever reads its neighbors' instances.
+                DistMsg::Descriptor(descriptor) if self.participating => {
+                    self.resolve_neighbor(env.from, descriptor);
                 }
                 DistMsg::Bfs { root, dist } => {
                     let label = (*root, *dist);
@@ -1239,5 +1407,161 @@ impl Protocol for ProcessorNode {
 
     fn is_done(&self) -> bool {
         true
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{descriptor_of, plan, DistConfig};
+    use rand::rngs::SmallRng;
+    use rand::seq::SliceRandom;
+    use rand::SeedableRng;
+    use std::collections::BTreeSet;
+    use treenet_core::AutoChoice;
+    use treenet_decomp::LayeredDecomposition;
+    use treenet_model::workload::{HeightMode, TreeWorkload};
+    use treenet_model::DemandInstance;
+
+    /// The `(network, edge)` pairs of `inst`'s edges that lie in `own`,
+    /// in the order given.
+    fn tracked(
+        inst: &DemandInstance,
+        edges: &[EdgeId],
+        own: &BTreeSet<(u32, u32)>,
+    ) -> Vec<(u32, u32)> {
+        edges
+            .iter()
+            .map(|e| (inst.network.0, e.0))
+            .filter(|k| own.contains(k))
+            .collect()
+    }
+
+    /// Oracle for the slot tables, checked against the problem itself on
+    /// tree problems with four networks and partial access: every node
+    /// is fed its neighbors' descriptors in a seeded shuffled order, then
+    /// for each own instance `i` and each neighbor instance `d`
+    ///
+    /// * mask bit `i` is set iff the two instances overlap;
+    /// * the π slots are exactly `critical_of(d)` ∩ own edges;
+    /// * the path slots are exactly `d`'s path ∩ own edges, in path
+    ///   order;
+    ///
+    /// and each entry carries `d`'s key, network, `|π|`, height and
+    /// profit. Own instances resolve to their whole path and `π(d)`.
+    #[test]
+    fn neighbor_resolution_matches_the_problem() {
+        let mut partial_access = false;
+        for seed in 0..6u64 {
+            let mut workload = TreeWorkload::new(14, 16).with_networks(4);
+            if seed % 2 == 1 {
+                workload = workload.with_heights(HeightMode::Bimodal {
+                    narrow_frac: 0.5,
+                    hmin: 0.25,
+                });
+            }
+            let p = workload.generate(&mut SmallRng::seed_from_u64(seed));
+            let (public, _) = plan(&p, AutoChoice::TreeUnit, &DistConfig::default()).unwrap();
+            let layers = LayeredDecomposition::new(&p, &public.layering);
+            let graph = p.communication_graph();
+            let mut rng = SmallRng::seed_from_u64(0x0dd5 + seed);
+            for a in p.demands() {
+                let mut node = ProcessorNode::new(
+                    Arc::clone(&public),
+                    descriptor_of(&p, a),
+                    p.instances_of(a).to_vec(),
+                    RaiseRule::Unit,
+                    RunTag::Primary,
+                    true,
+                );
+                let mut arrivals = graph[a.index()].clone();
+                arrivals.shuffle(&mut rng);
+                for &b in &arrivals {
+                    node.resolve_neighbor(b.index(), &descriptor_of(&p, b));
+                }
+                let own: BTreeSet<(u32, u32)> = p
+                    .instances_of(a)
+                    .iter()
+                    .flat_map(|&d| {
+                        let inst = p.instance(d);
+                        inst.path.edges().iter().map(|e| (inst.network.0, e.0))
+                    })
+                    .collect();
+                assert_eq!(node.edges, own.iter().copied().collect::<Vec<_>>());
+                let edges_of = |range: Range<usize>| -> Vec<(u32, u32)> {
+                    node.pool[range]
+                        .iter()
+                        .map(|&s| node.edges[s as usize])
+                        .collect()
+                };
+                let sorted = |mut v: Vec<(u32, u32)>| {
+                    v.sort_unstable();
+                    v
+                };
+                for (i, &d) in p.instances_of(a).iter().enumerate() {
+                    let (inst, mine) = (p.instance(d), &node.own[i]);
+                    assert_eq!(
+                        (mine.id, mine.inst.key, mine.group),
+                        (d, inst.canonical_key(), layers.group_of(d))
+                    );
+                    assert_eq!(
+                        edges_of(mine.inst.path()),
+                        tracked(inst, inst.path.edges(), &own)
+                    );
+                    assert_eq!(
+                        sorted(edges_of(mine.inst.critical())),
+                        tracked(inst, layers.critical_of(d), &own)
+                    );
+                }
+                for &b in &graph[a.index()] {
+                    partial_access |= p.access(a) != p.access(b);
+                    let theirs = p.instances_of(b);
+                    for (idx, &d) in theirs.iter().enumerate() {
+                        let label = format!("seed {seed}: node {a}, instance {idx} of {b}");
+                        let inst = p.instance(d);
+                        let r = node.remote_of(b.index(), idx as u8).expect(&label);
+                        let entry = node.remote[r];
+                        assert_eq!(
+                            (entry.inst.key, entry.inst.network, entry.inst.pi_len),
+                            (
+                                inst.canonical_key(),
+                                inst.network.0,
+                                layers.critical_of(d).len() as u32
+                            ),
+                            "{label}"
+                        );
+                        assert_eq!(
+                            (entry.height, entry.profit),
+                            (p.height_of(d), p.profit_of(d)),
+                            "{label}"
+                        );
+                        for (i, &mine) in p.instances_of(a).iter().enumerate() {
+                            assert_eq!(
+                                entry.overlaps & (1 << i) != 0,
+                                p.instance(mine).overlaps(inst),
+                                "{label}: overlap with own instance {i}"
+                            );
+                        }
+                        assert_eq!(
+                            sorted(edges_of(entry.inst.critical())),
+                            tracked(inst, layers.critical_of(d), &own),
+                            "{label}: π slots"
+                        );
+                        assert_eq!(
+                            edges_of(entry.inst.path()),
+                            tracked(inst, inst.path.edges(), &own),
+                            "{label}: path slots"
+                        );
+                    }
+                    assert_eq!(node.remote_of(b.index(), theirs.len() as u8), None);
+                }
+                assert_eq!(
+                    node.remote_of(a.index(), 0),
+                    None,
+                    "no entry for the node itself"
+                );
+            }
+        }
+        assert!(partial_access, "some neighbors access different networks");
     }
 }

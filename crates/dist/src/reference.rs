@@ -39,9 +39,10 @@ fn execute_reference(
     let nodes: Vec<ProcessorNode> = problem
         .demands()
         .map(|a| {
-            let participating = half
-                .class
-                .is_none_or(|c| problem.demand(a).height_class() == c);
+            let participating = !problem.is_departed(a)
+                && half
+                    .class
+                    .is_none_or(|c| problem.demand(a).height_class() == c);
             ProcessorNode::new(
                 Arc::clone(public),
                 descriptor_of(problem, a),

@@ -42,6 +42,14 @@ pub enum FeasibilityError {
         /// The offending id.
         instance: InstanceId,
     },
+    /// A selected instance belongs to a departed demand, which takes
+    /// part in no solve after its departure.
+    DepartedDemand {
+        /// The departed demand.
+        demand: DemandId,
+        /// The selected instance.
+        instance: InstanceId,
+    },
     /// Two selected instances belong to the same demand.
     DuplicateDemand {
         /// The demand selected twice.
@@ -67,6 +75,9 @@ impl fmt::Display for FeasibilityError {
         match self {
             FeasibilityError::UnknownInstance { instance } => {
                 write!(f, "instance {instance} does not exist")
+            }
+            FeasibilityError::DepartedDemand { demand, instance } => {
+                write!(f, "instance {instance} belongs to departed demand {demand}")
             }
             FeasibilityError::DuplicateDemand {
                 demand,
@@ -130,8 +141,9 @@ impl Solution {
         self.selected.iter().map(|&d| problem.profit_of(d)).sum()
     }
 
-    /// Verifies feasibility: every id exists, at most one instance per
-    /// demand, and the height load on every edge is at most `1 + EPS`.
+    /// Verifies feasibility: every id exists and belongs to a live
+    /// (non-departed) demand, at most one instance per demand, and the
+    /// height load on every edge is at most `1 + EPS`.
     ///
     /// # Errors
     ///
@@ -147,6 +159,12 @@ impl Solution {
                 return Err(FeasibilityError::UnknownInstance { instance: d });
             }
             let inst = problem.instance(d);
+            if problem.is_departed(inst.demand) {
+                return Err(FeasibilityError::DepartedDemand {
+                    demand: inst.demand,
+                    instance: d,
+                });
+            }
             match demand_pick[inst.demand.index()] {
                 Some(first) => {
                     return Err(FeasibilityError::DuplicateDemand {
@@ -314,6 +332,27 @@ mod tests {
             s.verify(&p),
             Err(FeasibilityError::DuplicateDemand { .. })
         ));
+    }
+
+    #[test]
+    fn verify_rejects_a_departed_demand() {
+        let mut p = overlapping_problem();
+        let s = Solution::new(vec![InstanceId(0), InstanceId(2)]);
+        assert!(s.verify(&p).is_ok());
+        p.apply_delta(crate::ProblemDelta::Departure {
+            demand: DemandId(2),
+        })
+        .unwrap();
+        let err = s.verify(&p).unwrap_err();
+        assert_eq!(
+            err,
+            FeasibilityError::DepartedDemand {
+                demand: DemandId(2),
+                instance: InstanceId(2),
+            }
+        );
+        assert!(err.to_string().contains("departed demand"), "{err}");
+        assert!(Solution::new(vec![InstanceId(0)]).verify(&p).is_ok());
     }
 
     #[test]
