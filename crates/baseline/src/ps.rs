@@ -123,7 +123,7 @@ pub fn ps_line_arbitrary(
 fn line_layers(problem: &Problem) -> Result<LayeredDecomposition, FrameworkError> {
     let layering =
         Layering::for_lines(problem).map_err(|reason| FrameworkError::BadParameters { reason })?;
-    Ok(LayeredDecomposition::new(problem, &layering))
+    Ok(LayeredDecomposition::new(problem, layering))
 }
 
 #[cfg(test)]

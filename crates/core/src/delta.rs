@@ -99,7 +99,7 @@ use crate::solvers::{
     all_canonical_lines, combine_by_network, combine_decision, framework_config, AutoChoice,
     SolverConfig,
 };
-use treenet_decomp::{LayeredDecomposition, Layering, Strategy};
+use treenet_decomp::{LayeredDecomposition, Strategy};
 use treenet_graph::{EdgeId, UnionFind};
 use treenet_model::{
     DeltaEffect, Demand, DemandId, DemandKind, HeightClass, InstanceId, ModelError, NetworkId,
@@ -443,10 +443,10 @@ pub struct ReferenceSolve {
 #[derive(Clone, Debug)]
 pub struct DeltaEngine {
     problem: Problem,
+    /// Owns the layering, fixed at construction, so arrivals are layered
+    /// against the same decompositions (or the same `Lmin`) as the
+    /// initial batch.
     layers: LayeredDecomposition,
-    /// Fixed at construction, so arrivals are layered against the same
-    /// decompositions (or the same `Lmin`) as the initial batch.
-    layering: Layering,
     choice: AutoChoice,
     /// The a-priori narrow height floor every admission checks.
     hmin: Option<f64>,
@@ -558,7 +558,7 @@ impl DeltaEngine {
                 },
             })
             .collect();
-        let layers = LayeredDecomposition::new(&problem, &layering);
+        let layers = LayeredDecomposition::new(&problem, layering);
 
         let assembly = Assembly::new(halves.len());
         let mut comps = UnionFind::new(problem.demand_count());
@@ -582,7 +582,6 @@ impl DeltaEngine {
         Ok(DeltaEngine {
             problem,
             layers,
-            layering,
             choice,
             hmin: config.hmin,
             halves,
@@ -610,7 +609,7 @@ impl DeltaEngine {
     /// layering is keyed on (`None` for the tree theorems). Fixed at
     /// construction; arrivals shorter than this are rejected.
     pub fn lmin(&self) -> Option<f64> {
-        self.layering.lmin()
+        self.layers.layering().lmin()
     }
 
     /// The a-priori narrow height floor (`None` for the unit-height
@@ -650,7 +649,7 @@ impl DeltaEngine {
     /// rejected delta leaves the engine unchanged.
     pub fn apply(&mut self, delta: ProblemDelta) -> Result<DeltaEffect, DeltaEngineError> {
         if let ProblemDelta::Arrival { demand, .. } = &delta {
-            admit(self.hmin, self.layering.lmin(), demand)?;
+            admit(self.hmin, self.lmin(), demand)?;
         }
         let arrival = matches!(delta, ProblemDelta::Arrival { .. });
         let effect = self.problem.apply_delta(delta)?;
@@ -663,13 +662,7 @@ impl DeltaEngine {
             // Layer the new instances exactly as a from-scratch layering
             // of the grown problem would.
             for &d in &effect.new_instances {
-                let inst = self.problem.instance(d);
-                self.layers.push_instance(
-                    &self.layering,
-                    self.problem.rooted(inst.network),
-                    inst.network,
-                    &inst.path,
-                );
+                self.layers.push_instance(&self.problem, d);
             }
 
             // Union with the anchor of every edge on the new paths: every
@@ -1104,15 +1097,30 @@ mod tests {
         // from-scratch layering of the grown problem under the engine's
         // own Layering — the reference oracles reuse the engine's layers,
         // so only this comparison sees a drift between the two paths.
+        // Whether Δ already sits at its ceiling when the script starts
+        // decides whether arrivals derive π: both cases run.
         let tree = seed_problem(11);
+        let tree_at_ceiling = TreeWorkload::new(64, 200)
+            .with_networks(3)
+            .generate(&mut SmallRng::seed_from_u64(2));
         let line = LineWorkload::new(40, 20)
             .with_resources(2)
             .with_window_slack(2)
             .with_len_range(2, 10)
             .generate(&mut SmallRng::seed_from_u64(11));
-        for (problem, choice) in [(tree, AutoChoice::TreeUnit), (line, AutoChoice::LineUnit)] {
+        for (problem, choice, at_ceiling) in [
+            (tree, AutoChoice::TreeUnit, false),
+            (tree_at_ceiling, AutoChoice::TreeUnit, true),
+            (line, AutoChoice::LineUnit, true),
+        ] {
             let mut e = DeltaEngine::new(problem, &SolverConfig::default()).unwrap();
             assert_eq!(e.choice(), choice);
+            assert_eq!(
+                e.layers.delta() == e.layers.layering().delta_ceiling(),
+                at_ceiling,
+                "{choice:?}: Δ = {}",
+                e.layers.delta()
+            );
             let mut rng = SmallRng::seed_from_u64(0x1a7e);
             let vertices = e.problem().network(NetworkId(0)).len() as u32;
             let mut arrived = 0;
@@ -1143,11 +1151,15 @@ mod tests {
                 arrived >= 10,
                 "{choice:?}: only {arrived} arrivals admitted"
             );
-            let batch = LayeredDecomposition::new(e.problem(), &e.layering);
+            let batch = LayeredDecomposition::new(e.problem(), e.layers.layering().clone());
             assert_eq!(e.layers.len(), batch.len());
+            let (mut pushed_pi, mut batch_pi) = (Vec::new(), Vec::new());
             for inst in e.problem().instances() {
                 assert_eq!(e.layers.group_of(inst.id), batch.group_of(inst.id));
-                assert_eq!(e.layers.critical_of(inst.id), batch.critical_of(inst.id));
+                assert_eq!(
+                    e.layers.critical_of(e.problem(), inst.id, &mut pushed_pi),
+                    batch.critical_of(e.problem(), inst.id, &mut batch_pi)
+                );
             }
             assert_eq!(e.layers.num_groups(), batch.num_groups());
             assert_eq!(e.layers.delta(), batch.delta());

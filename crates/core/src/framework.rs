@@ -4,7 +4,7 @@
 //! The runner is parametrized by
 //!
 //! * a [`LayeredDecomposition`] supplying the epoch grouping and the
-//!   critical edges `π(d)`,
+//!   critical edges `π(d)` (derived when `d` is raised),
 //! * a [`RaiseRule`] — the unit scheme of Section 3 or the narrow scheme
 //!   of Section 6.1,
 //! * a [`FrameworkConfig`] fixing `ε`, the stage factor `ξ`, and the
@@ -65,12 +65,14 @@
 //!    A stage sweeps only when the epoch *floor* is below its threshold:
 //!    the least cached satisfaction of an active member, taken by the
 //!    epoch filter and re-taken by every sweep. Otherwise the sweep would
-//!    find no one unsatisfied, so the stage costs `O(1)` and still counts
-//!    in [`RunStats::stages`]. Satisfaction only grows, so a floor taken
-//!    before later raises is only ever low: after a stage that stepped,
-//!    the next stage sweeps and re-takes it. The narrow rule's
-//!    `ξ = c/(c+hmin)` schedules hundreds of stages per epoch for a
-//!    handful of steps, so most stages are empty.
+//!    find no one unsatisfied, so the epoch jumps past the stage, which
+//!    still counts in [`RunStats::stages`]. Satisfaction only grows, so a
+//!    floor taken before later raises is only ever low: after a stage
+//!    that stepped, the next stage sweeps and re-takes it. The narrow
+//!    rule's `ξ = c/(c+hmin)` schedules hundreds of stages per epoch for
+//!    a handful of steps, so most stages are empty; the thresholds
+//!    `1 - ξ^j` they compare against are computed once per run, not once
+//!    per stage.
 //!
 //! λ is read off the cache at the end of phase 1. Every cache slot holds
 //! a lower bound on its satisfaction: the `+0.0` fill or an exact LHS
@@ -89,6 +91,7 @@ use crate::certificate::certified_ratio;
 use crate::dual::{DualForm, DualState};
 use std::fmt;
 use treenet_decomp::LayeredDecomposition;
+use treenet_graph::EdgeId;
 use treenet_mis::{CsrAdjacency, MisBackend, MisScratch};
 use treenet_model::conflict::ConflictGraph;
 use treenet_model::{InstanceId, Problem, Solution, SolutionTracker};
@@ -484,6 +487,19 @@ pub fn run_two_phase(
     // final stage threshold at epoch start): their slots and ids.
     let mut active_members: Vec<u32> = Vec::new();
     let mut active_ids: Vec<InstanceId> = Vec::new();
+    // π(d) of the instance being raised.
+    let mut pi_buf: Vec<EdgeId> = Vec::new();
+    // The stage thresholds, guard subtracted: stage `j` has a member
+    // unsatisfied iff its satisfaction is below `bars[j - 1]`. Every
+    // epoch compares against the same values, so they are computed once
+    // per run — and not at all for an empty run, which has no epoch.
+    let bars: Vec<f64> = if participants.is_empty() {
+        Vec::new()
+    } else {
+        (1..=stages_per_epoch)
+            .map(|j| stage_threshold(config.xi, j) - SATISFACTION_GUARD)
+            .collect()
+    };
 
     // ---- First phase: epochs / stages / steps (Figure 7). ----
     for k in 1..=num_groups {
@@ -492,12 +508,14 @@ pub fn run_two_phase(
             continue;
         }
         stats.epochs += 1;
+        // Every stage of the epoch counts, stepped or skipped.
+        stats.stages += u64::from(stages_per_epoch);
         // Epoch filter: satisfaction only ever grows, so a member already
         // `(1-ξ^b)`-satisfied (the *final* stage threshold) can never be
         // unsatisfied at any stage of this epoch — raises from earlier
         // epochs typically retire most of a group before it starts. Only
         // the potential participants enter the epoch graph.
-        let final_threshold = stage_threshold(config.xi, stages_per_epoch);
+        let final_bar = bars[bars.len() - 1];
         active_members.clear();
         // The epoch floor: the least cached satisfaction of an active
         // member as of the last pass over them (this filter or a stage
@@ -512,7 +530,7 @@ pub fn run_two_phase(
                 dual.refresh_cached_lhs(problem, i as usize);
             }
             let satisfaction = dual.cached_satisfaction(problem, i as usize);
-            if satisfaction < final_threshold - SATISFACTION_GUARD {
+            if satisfaction < final_bar {
                 active_members.push(i);
                 floor = floor.min(satisfaction);
             }
@@ -532,15 +550,16 @@ pub fn run_two_phase(
         is_unsat.clear();
         is_unsat.resize(active_members.len(), false);
 
-        for j in 1..=stages_per_epoch {
-            stats.stages += 1;
-            let threshold = stage_threshold(config.xi, j);
-            if floor >= threshold - SATISFACTION_GUARD {
-                // No member is below the threshold: the sweep would find
-                // no one unsatisfied and the stage would take no step.
-                // (`floor` is never NaN: `f64::min` skips NaN operands.)
-                continue;
-            }
+        // Stages whose threshold the floor meets have no member below
+        // the threshold: the sweep would find no one unsatisfied and the
+        // stage would take no step. So the epoch jumps to the next stage
+        // whose threshold the floor does not meet. (`floor` is never NaN:
+        // `f64::min` skips NaN operands.)
+        let mut from = 0;
+        while let Some(at) = bars[from..].iter().position(|&bar| floor < bar) {
+            let at = from + at;
+            let (bar, j) = (bars[at], at as u32 + 1);
+            from = at + 1;
             // Stage sweep: one pass over cached satisfactions re-buckets
             // the potential participants against the new threshold — no
             // path walks (the cache is fresh for epoch members) — and
@@ -550,7 +569,7 @@ pub fn run_two_phase(
             floor = f64::INFINITY;
             for (x, &i) in active_members.iter().enumerate() {
                 let satisfaction = dual.cached_satisfaction(problem, i as usize);
-                let unsat = satisfaction < threshold - SATISFACTION_GUARD;
+                let unsat = satisfaction < bar;
                 is_unsat[x] = unsat;
                 unsat_count += unsat as usize;
                 floor = floor.min(satisfaction);
@@ -582,7 +601,7 @@ pub fn run_two_phase(
                 for &x in &mis_buf {
                     let x = x as usize;
                     let (i, d) = (active_members[x] as usize, active_ids[x]);
-                    let critical = layers.critical_of(d);
+                    let critical = layers.critical_of(problem, d, &mut pi_buf);
                     let slots = dual.var_slots(i);
                     let delta = rule.raise_in(problem, &mut dual, d, slots, critical);
                     stats.raises += 1;
@@ -616,7 +635,7 @@ pub fn run_two_phase(
                 for &x in &stale_members {
                     let i = active_members[x as usize] as usize;
                     dual.refresh_cached_lhs(problem, i);
-                    let now = dual.cached_satisfaction(problem, i) < threshold - SATISFACTION_GUARD;
+                    let now = dual.cached_satisfaction(problem, i) < bar;
                     let was = &mut is_unsat[x as usize];
                     if *was != now {
                         *was = now;
@@ -761,6 +780,7 @@ pub fn run_two_phase_reference(
     let groups = Groups::new(layers, participants);
     let mut mis_scratch = MisScratch::default();
     let mut mis: Vec<u32> = Vec::new();
+    let mut pi_buf: Vec<EdgeId> = Vec::new();
 
     for k in 1..=num_groups {
         let members: Vec<InstanceId> = groups
@@ -813,7 +833,8 @@ pub fn run_two_phase_reference(
                 let raised: Vec<InstanceId> =
                     mis.iter().map(|&v| graph.instance(v as usize)).collect();
                 for &d in &raised {
-                    let delta = rule.raise(problem, &mut dual, d, layers.critical_of(d));
+                    let critical = layers.critical_of(problem, d, &mut pi_buf);
+                    let delta = rule.raise(problem, &mut dual, d, critical);
                     stats.raises += 1;
                     if let Some(t) = trace.as_mut() {
                         t.push(RaiseEvent {
@@ -886,8 +907,10 @@ pub fn check_interference(
     layers: &LayeredDecomposition,
     trace: &[RaiseEvent],
 ) -> Option<(InstanceId, InstanceId)> {
+    let mut buf = Vec::new();
     for (i, first) in trace.iter().enumerate() {
         let d1 = problem.instance(first.instance);
+        let critical = layers.critical_of(problem, first.instance, &mut buf);
         for second in &trace[i + 1..] {
             // Simultaneous raises (same step) are independent by
             // construction; the property concerns strictly-later raises.
@@ -898,11 +921,7 @@ pub fn check_interference(
             if !d1.overlaps(d2) {
                 continue;
             }
-            if !layers
-                .critical_of(first.instance)
-                .iter()
-                .any(|&e| d2.active_on(e))
-            {
+            if !critical.iter().any(|&e| d2.active_on(e)) {
                 return Some((first.instance, second.instance));
             }
         }

@@ -448,11 +448,19 @@ pub(crate) fn all_canonical_lines(problem: &Problem) -> bool {
 /// `Δ = 3` decomposition with its tighter ratios, unit heights skip the
 /// wide/narrow split).
 ///
+/// The heights are those of the live demands: once the last non-unit
+/// demand departs, the unit theorem runs. The layering the theorem then
+/// builds still ranges over every instance, departed ones included: its
+/// `Δ` (hence `ξ`) and a line layering's `Lmin` count them.
+///
 /// This is the single definition shared with
 /// `treenet-dist::run_distributed_auto`, so the logical and
 /// message-passing dispatches cannot drift.
 pub fn auto_choice(problem: &Problem) -> AutoChoice {
-    AutoChoice::of(all_canonical_lines(problem), !problem.is_unit_height())
+    let unit = problem
+        .live_demands()
+        .all(|a| problem.demand(a).is_unit_height());
+    AutoChoice::of(all_canonical_lines(problem), !unit)
 }
 
 /// Runs the theorem `choice` as the logical distributed execution: lays
@@ -490,7 +498,7 @@ pub fn solve(
     let bad = |reason| FrameworkError::BadParameters { reason };
     validate_epsilon(config.epsilon).map_err(bad)?;
     let layering = choice.layering(problem, config.strategy).map_err(bad)?;
-    let layers = LayeredDecomposition::new(problem, &layering);
+    let layers = LayeredDecomposition::new(problem, layering);
     let halves = choice
         .halves(problem, layers.delta(), config.hmin)
         .map_err(bad)?;

@@ -85,7 +85,7 @@ fn tree_stage_factors_are_the_a_priori_bound() {
 
             let layers = LayeredDecomposition::new(
                 &p,
-                &engine.choice().layering(&p, Strategy::Ideal).unwrap(),
+                engine.choice().layering(&p, Strategy::Ideal).unwrap(),
             );
             assert!(
                 layers.delta() < IDEAL_DELTA_BOUND,

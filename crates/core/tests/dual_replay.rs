@@ -95,10 +95,11 @@ fn replay(problem: &Problem, layers: &LayeredDecomposition, outcome: &Outcome) -
         DualForm::Capacitated => RaiseRule::Narrow,
     };
     let mut dense = Dense::new(problem, form);
+    let mut pi = Vec::new();
     for event in outcome.trace.as_ref().expect("trace recorded") {
         let d = event.instance;
         let inst = problem.instance(d);
-        let critical = layers.critical_of(d);
+        let critical = layers.critical_of(problem, d, &mut pi);
         let pi = critical.len() as f64;
         let slack = problem.profit_of(d) - dense.lhs(problem, d);
         let delta = rule.delta_for(slack, problem.height_of(d), pi);
@@ -157,7 +158,7 @@ fn every_read_matches_a_dense_replay() {
             let p = problem(choice, seed);
             let config = SolverConfig::default().with_seed(seed).with_trace(true);
             let layers =
-                LayeredDecomposition::new(&p, &choice.layering(&p, config.strategy).unwrap());
+                LayeredDecomposition::new(&p, choice.layering(&p, config.strategy).unwrap());
             let out = solve(&p, choice, &config).unwrap();
             let mut raised = 0;
             for (h, half) in out.run.halves().into_iter().enumerate() {

@@ -146,8 +146,9 @@ fn replay_phase1(
                 // Raise the MIS members (shared arithmetic), then refresh
                 // the touched constraints: the demand's instances and every
                 // instance on the network active on a critical edge.
+                let mut pi = Vec::new();
                 for &d in &raised {
-                    let critical = layers.critical_of(d);
+                    let critical = layers.critical_of(problem, d, &mut pi);
                     let _ = rule.raise(problem, &mut dual, d, critical);
                     let inst = problem.instance(d);
                     for &sib in problem.instances_of(inst.demand) {

@@ -13,7 +13,7 @@
 //! `⟨depth ≤ 2⌈log n⌉ + 1, θ ≤ 2⟩`.
 
 use crate::TreeDecomposition;
-use treenet_graph::component::{find_balancer, neighborhood, split_at, Membership, Scratch};
+use treenet_graph::component::{find_balancer, split_at, Membership, Scratch};
 use treenet_graph::{RootedTree, Tree, VertexId};
 
 /// Builds the ideal tree decomposition of `tree` (Lemma 4.1).
@@ -94,44 +94,40 @@ impl IdealBuilder<'_> {
             return comp[0];
         }
         self.membership.mark(&comp);
-        let gamma = neighborhood(self.tree, &comp, &self.membership);
-        debug_assert!(
-            gamma.len() <= 2,
-            "precondition: component has at most two neighbors, got {gamma:?}"
-        );
-        // Attachment u' of each outside neighbor u: the unique comp vertex
-        // adjacent to u (two attachments would close a cycle).
-        let attachments: Vec<(VertexId, VertexId)> = gamma
-            .iter()
-            .map(|&u| {
-                let uprime = self
-                    .tree
-                    .neighbors(u)
-                    .iter()
-                    .map(|&(w, _)| w)
-                    .find(|&w| self.membership.contains(w))
-                    .expect("neighbor of the component attaches somewhere inside");
-                (u, uprime)
-            })
-            .collect();
+        // Γ[C] and the attachments in one scan: each edge leaving C joins
+        // an outside neighbor u to its attachment u' ∈ C, and u has just
+        // one (two would close a cycle), so the scan meets each of the at
+        // most two neighbors once.
+        let mut attached = [(VertexId(0), VertexId(0)); 2];
+        let mut count = 0;
+        for &x in &comp {
+            for &(u, _) in self.tree.neighbors(x) {
+                if !self.membership.contains(u) {
+                    debug_assert!(
+                        count < 2,
+                        "precondition: component has at most two neighbors"
+                    );
+                    attached[count] = (u, x);
+                    count += 1;
+                }
+            }
+        }
         let z = find_balancer(self.tree, &comp, &self.membership, &mut self.scratch);
         let parts = split_at(self.tree, &comp, &self.membership, z, &mut self.scratch);
         self.membership.clear(&comp);
         self.stats.balancers += 1;
 
-        // Locate each attachment: the part containing it, or `z` itself.
-        let part_of = |parts: &[Vec<VertexId>], x: VertexId| -> Option<usize> {
-            parts.iter().position(|p| p.contains(&x))
+        // Case 2(b) iff both attachments, neither of them z, lie in one
+        // part, which would then have the three neighbors {z, u₁, u₂}.
+        let shared = match attached[..count] {
+            [(_, a1), (_, a2)] if a1 != z && a2 != z => parts
+                .iter()
+                .position(|p| p.contains(&a1))
+                .filter(|&i| parts[i].contains(&a2)),
+            _ => None,
         };
-        let mut per_part_attachments = vec![0usize; parts.len()];
-        for &(_, uprime) in &attachments {
-            if uprime != z {
-                let idx = part_of(&parts, uprime).expect("attachment lies in some part");
-                per_part_attachments[idx] += 1;
-            }
-        }
 
-        match per_part_attachments.iter().position(|&c| c >= 2) {
+        match shared {
             None => {
                 // Cases 1 / 2(a): every part keeps ≤ 2 neighbors ({z} plus
                 // at most one of u₁/u₂); z roots them all.
@@ -142,12 +138,9 @@ impl IdealBuilder<'_> {
                 z
             }
             Some(pi) => {
-                // Case 2(b): both attachments u₁', u₂' fall in parts[pi],
-                // which would have the three neighbors {z, u₁, u₂}.
+                // Case 2(b): both attachments u₁', u₂' fall in parts[pi].
                 self.stats.junctions += 1;
-                debug_assert_eq!(gamma.len(), 2);
-                let (u1, _) = attachments[0];
-                let (u2, _) = attachments[1];
+                let [(u1, _), (u2, _)] = attached;
                 let junction = self.rooted.median(u1, u2, z);
                 let p1 = parts[pi].clone();
                 debug_assert!(

@@ -24,23 +24,26 @@ pub fn line_lmin(problem: &Problem) -> f64 {
     lmin.max(1) as f64
 }
 
-/// The length-class group index of one line instance given its path
-/// edges (in path order) and the public `Lmin`, appending its critical
-/// slots to `critical`: group `⌊log₂(len/Lmin)⌋ + 1`, critical slots
-/// start/mid/end, ascending and distinct (`Δ ≤ 3`).
+/// The length-class group of a line instance of `len` timeslots under
+/// the public `Lmin`: `⌊log₂(len/Lmin)⌋ + 1`.
 ///
 /// # Panics
 ///
-/// Panics if `edges` is empty.
-pub(crate) fn length_class(lmin: f64, edges: &[EdgeId], critical: &mut Vec<EdgeId>) -> u32 {
-    let len = edges.len();
+/// Panics if `len` is zero.
+pub(crate) fn length_class(lmin: f64, len: usize) -> u32 {
     assert!(len >= 1, "demand instances use at least one timeslot");
-    // Class index: ⌊log₂(len / Lmin)⌋ + 1, computed from the exact length
-    // ratio to avoid floating-point edge cases at powers of two.
-    let ratio = (len as f64 / lmin).log2().floor() as u32;
+    // Computed from the exact length ratio to avoid floating-point edge
+    // cases at powers of two.
+    (len as f64 / lmin).log2().floor() as u32 + 1
+}
+
+/// Appends the critical slots of a line instance whose path edges are
+/// `edges` (in path order) to `critical`: its start, mid-point and end,
+/// ascending and distinct (`Δ ≤ 3`).
+pub(crate) fn push_critical_slots(edges: &[EdgeId], critical: &mut Vec<EdgeId>) {
     // Slots are edge indices on the canonical line; the path may run
     // either way along it, and `lo ≤ mid ≤ hi`.
-    let (s, e) = (edges[0], edges[len - 1]);
+    let (s, e) = (edges[0], edges[edges.len() - 1]);
     let (lo, hi) = (s.min(e), s.max(e));
     let mid = EdgeId((s.0 + e.0) / 2);
     critical.push(lo);
@@ -50,7 +53,6 @@ pub(crate) fn length_class(lmin: f64, edges: &[EdgeId], critical: &mut Vec<EdgeI
     if hi != mid {
         critical.push(hi);
     }
-    ratio + 1
 }
 
 #[cfg(test)]
@@ -122,7 +124,7 @@ mod tests {
         let p = b.build().unwrap();
         let layers = LayeredDecomposition::for_lines(&p);
         assert_eq!(
-            layers.critical_of(treenet_model::InstanceId(0)),
+            layers.critical_of(&p, treenet_model::InstanceId(0), &mut Vec::new()),
             &[EdgeId(4), EdgeId(8), EdgeId(12)]
         );
     }
@@ -136,7 +138,7 @@ mod tests {
         let p = b.build().unwrap();
         let layers = LayeredDecomposition::for_lines(&p);
         assert_eq!(
-            layers.critical_of(treenet_model::InstanceId(0)),
+            layers.critical_of(&p, treenet_model::InstanceId(0), &mut Vec::new()),
             &[EdgeId(3)]
         );
         assert_eq!(layers.group_of(treenet_model::InstanceId(0)), 1);

@@ -77,11 +77,12 @@ proptest! {
         let p = TreeWorkload::new(14, 10).generate(&mut rng);
         for strategy in Strategy::ALL {
             let layers = LayeredDecomposition::for_trees(&p, strategy);
+            let mut buf = Vec::new();
             for inst in p.instances() {
                 let g = layers.group_of(inst.id);
                 prop_assert!(g >= 1);
                 prop_assert!(g as usize <= layers.num_groups());
-                let pi = layers.critical_of(inst.id);
+                let pi = layers.critical_of(&p, inst.id, &mut buf);
                 prop_assert!(!pi.is_empty());
                 prop_assert!(pi.iter().all(|&e| inst.path.contains_edge(e)));
             }

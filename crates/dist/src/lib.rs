@@ -612,7 +612,7 @@ pub(crate) fn plan(
     let layering = choice
         .layering(problem, config.strategy)
         .map_err(|reason| DistError::BadParameters { reason })?;
-    let layers = LayeredDecomposition::new(problem, &layering);
+    let layers = LayeredDecomposition::new(problem, layering);
     let num_groups = layers.num_groups() as u32;
     let halves = choice
         .halves(problem, layers.delta(), config.hmin)
@@ -645,7 +645,7 @@ pub(crate) fn plan(
             .networks()
             .map(|t| problem.rooted(t).clone())
             .collect(),
-        layering,
+        layering: layers.into_layering(),
         seed: config.seed,
         backend: config.mis_backend,
         forest: ConvergecastForest::from_adjacency(&comm_adjacency(problem)),
@@ -1363,6 +1363,49 @@ mod tests {
                 distributed.lambda.to_bits(),
                 "case {i}"
             );
+        }
+    }
+
+    /// The theorem follows the live demands' heights: once the only
+    /// non-unit demand departs, the logical solver, the in-network runner
+    /// and its reference oracle all run the unit theorem and agree bit
+    /// for bit.
+    #[test]
+    fn the_theorem_forgets_a_departed_non_unit_demand() {
+        let mut b = ProblemBuilder::new();
+        let t = b.add_network(Tree::line(10)).unwrap();
+        b.add_demand(Demand::pair(VertexId(0), VertexId(4), 1.0), &[t])
+            .unwrap();
+        let low = b
+            .add_demand(
+                Demand::pair(VertexId(2), VertexId(7), 2.0).with_height(0.3),
+                &[t],
+            )
+            .unwrap();
+        let mut p = b.build().unwrap();
+        assert_eq!(auto_choice(&p), AutoChoice::LineArbitrary);
+        p.apply_delta(treenet_model::ProblemDelta::Departure { demand: low })
+            .unwrap();
+        assert_eq!(auto_choice(&p), AutoChoice::LineUnit);
+        let cfg = SolverConfig::default().with_epsilon(0.3);
+        let logical = solve_auto(&p, &cfg).unwrap();
+        let dist = DistConfig::from(&cfg);
+        let distributed = run_distributed_auto(&p, &dist).unwrap();
+        let oracle = run_distributed_reference(&p, auto_choice(&p), &dist).unwrap();
+        assert_eq!(logical.choice, AutoChoice::LineUnit);
+        assert_eq!(distributed.choice, AutoChoice::LineUnit);
+        assert_eq!(oracle.choice, AutoChoice::LineUnit);
+        assert_eq!(logical.solution.selected(), &[treenet_model::InstanceId(0)]);
+        for (runner, solution, lambda) in [
+            (
+                "run_distributed_auto",
+                &distributed.solution,
+                distributed.lambda,
+            ),
+            ("run_distributed_reference", &oracle.solution, oracle.lambda),
+        ] {
+            assert_eq!(solution, &logical.solution, "{runner}");
+            assert_eq!(lambda.to_bits(), logical.lambda.to_bits(), "{runner}");
         }
     }
 

@@ -70,7 +70,7 @@ use std::sync::Arc;
 
 use treenet_core::RaiseRule;
 use treenet_decomp::{ConvergecastForest, Layering};
-use treenet_graph::{EdgeId, RootedTree, TreePath};
+use treenet_graph::{EdgeId, RootedTree, TreePath, VertexId};
 use treenet_mis::MisBackend;
 use treenet_model::{Demand, DemandId, InstanceId, NetworkId};
 use treenet_netsim::{Context, Envelope, MessageSize, Protocol};
@@ -143,15 +143,17 @@ impl PublicInfo {
         mut f: impl FnMut(u64, NetworkId, &TreePath, u32, &[EdgeId]),
     ) {
         let mut critical = Vec::new();
+        // One path buffer for every instance of the descriptor.
+        let mut path = TreePath::new(vec![VertexId(0)], Vec::new());
         for &t in &descriptor.access {
             let rooted = &self.rooted[t.index()];
             descriptor
                 .demand
-                .for_each_instance_path(rooted, |path, start| {
+                .for_each_instance_path_in(rooted, &mut path, |path, start| {
                     critical.clear();
-                    let group = self.layering.layer(rooted, t, &path, &mut critical);
+                    let group = self.layering.layer(rooted, t, path, &mut critical);
                     let key = treenet_model::canonical_instance_key(descriptor.id, t, start);
-                    f(key, t, &path, group, &critical);
+                    f(key, t, path, group, &critical);
                 });
         }
     }
@@ -1462,7 +1464,8 @@ mod tests {
             }
             let p = workload.generate(&mut SmallRng::seed_from_u64(seed));
             let (public, _) = plan(&p, AutoChoice::TreeUnit, &DistConfig::default()).unwrap();
-            let layers = LayeredDecomposition::new(&p, &public.layering);
+            let layers = LayeredDecomposition::new(&p, public.layering.clone());
+            let mut pi = Vec::new();
             let graph = p.communication_graph();
             let mut rng = SmallRng::seed_from_u64(0x0dd5 + seed);
             for a in p.demands() {
@@ -1510,7 +1513,7 @@ mod tests {
                     );
                     assert_eq!(
                         sorted(edges_of(mine.inst.critical())),
-                        tracked(inst, layers.critical_of(d), &own)
+                        tracked(inst, layers.critical_of(&p, d, &mut pi), &own)
                     );
                 }
                 for &b in &graph[a.index()] {
@@ -1526,7 +1529,7 @@ mod tests {
                             (
                                 inst.canonical_key(),
                                 inst.network.0,
-                                layers.critical_of(d).len() as u32
+                                layers.critical_of(&p, d, &mut pi).len() as u32
                             ),
                             "{label}"
                         );
@@ -1544,7 +1547,7 @@ mod tests {
                         }
                         assert_eq!(
                             sorted(edges_of(entry.inst.critical())),
-                            tracked(inst, layers.critical_of(d), &own),
+                            tracked(inst, layers.critical_of(&p, d, &mut pi), &own),
                             "{label}: π slots"
                         );
                         assert_eq!(

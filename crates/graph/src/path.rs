@@ -52,6 +52,33 @@ impl TreePath {
         TreePath { vertices, edges }
     }
 
+    /// Replaces this path with the one through `vertices` and `edges`,
+    /// reusing its buffers: for a caller that reads many paths one at a
+    /// time and keeps none.
+    ///
+    /// # Panics
+    ///
+    /// As [`TreePath::new`].
+    pub fn refill(
+        &mut self,
+        vertices: impl IntoIterator<Item = VertexId>,
+        edges: impl IntoIterator<Item = EdgeId>,
+    ) {
+        self.vertices.clear();
+        self.vertices.extend(vertices);
+        self.edges.clear();
+        self.edges.extend(edges);
+        assert!(
+            !self.vertices.is_empty(),
+            "a tree path contains at least one vertex"
+        );
+        assert_eq!(
+            self.vertices.len(),
+            self.edges.len() + 1,
+            "a path over k edges visits k + 1 vertices"
+        );
+    }
+
     /// First vertex of the path (the demand end-point `u`).
     #[inline]
     pub fn source(&self) -> VertexId {
@@ -151,6 +178,22 @@ mod tests {
         assert_eq!(p.target(), VertexId(4));
         assert!(p.is_empty());
         assert_eq!(p.wings(VertexId(4)), vec![]);
+    }
+
+    #[test]
+    fn refill_equals_a_fresh_path() {
+        let mut p = vp(&[4], &[]);
+        p.refill([2, 1, 0, 3].map(VertexId), [1, 0, 2].map(EdgeId));
+        assert_eq!(p, vp(&[2, 1, 0, 3], &[1, 0, 2]));
+        p.refill([5, 6].map(VertexId), [5].map(EdgeId));
+        assert_eq!(p, vp(&[5, 6], &[5]));
+    }
+
+    #[test]
+    #[should_panic(expected = "k + 1 vertices")]
+    fn refill_rejects_mismatched_lengths() {
+        let mut p = vp(&[4], &[]);
+        p.refill([0, 1].map(VertexId), []);
     }
 
     #[test]

@@ -151,9 +151,36 @@ impl Demand {
                 processing,
             } => {
                 for s in window_starts(release, deadline, processing) {
-                    let vertices = (s..=s + processing).map(VertexId).collect();
-                    let edges = (s..s + processing).map(EdgeId).collect();
-                    f(TreePath::new(vertices, edges), Some(s));
+                    let (vertices, edges) = window_slots(s, processing);
+                    f(TreePath::new(vertices.collect(), edges.collect()), Some(s));
+                }
+            }
+        }
+    }
+
+    /// [`Demand::for_each_instance_path`] for a reader that keeps no
+    /// path: lends `f` each instance's path in `path`, refilled per
+    /// instance, so a window's starts allocate nothing.
+    pub fn for_each_instance_path_in(
+        &self,
+        network: &RootedTree,
+        path: &mut TreePath,
+        mut f: impl FnMut(&TreePath, Option<u32>),
+    ) {
+        match self.kind {
+            DemandKind::Pair { u, v } => {
+                *path = network.path(u, v);
+                f(path, None);
+            }
+            DemandKind::Window {
+                release,
+                deadline,
+                processing,
+            } => {
+                for s in window_starts(release, deadline, processing) {
+                    let (vertices, edges) = window_slots(s, processing);
+                    path.refill(vertices, edges);
+                    f(path, Some(s));
                 }
             }
         }
@@ -201,6 +228,18 @@ impl Demand {
 /// `[release, deadline]`.
 pub(crate) fn window_starts(release: u32, deadline: u32, processing: u32) -> std::ops::Range<u32> {
     release..deadline + 2 - processing
+}
+
+/// The path of the window instance that starts at `s`: vertices
+/// `s..=s + ρ` and timeslots (edges) `s..s + ρ`.
+fn window_slots(
+    s: u32,
+    processing: u32,
+) -> (impl Iterator<Item = VertexId>, impl Iterator<Item = EdgeId>) {
+    (
+        (s..=s + processing).map(VertexId),
+        (s..s + processing).map(EdgeId),
+    )
 }
 
 #[cfg(test)]

@@ -637,6 +637,25 @@ impl Problem {
         self.demands[self.instances[d.index()].demand.index()].height
     }
 
+    /// The end-points `(source, target)` of `path(d)`, read off `d`'s
+    /// demand without touching the path: `⟨u, v⟩` for a pair, `⟨s, s +
+    /// ρ⟩` for the window instance that starts at timeslot `s`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `d` is out of range.
+    #[inline]
+    pub fn end_points(&self, d: InstanceId) -> (VertexId, VertexId) {
+        let inst = &self.instances[d.index()];
+        match (self.demands[inst.demand.index()].kind, inst.start) {
+            (DemandKind::Pair { u, v }, _) => (u, v),
+            (DemandKind::Window { processing, .. }, Some(s)) => {
+                (VertexId(s), VertexId(s + processing))
+            }
+            (DemandKind::Window { .. }, None) => unreachable!("a window instance has a start"),
+        }
+    }
+
     /// `(pmin, pmax)` over all demands; `(0, 0)` when there are none.
     pub fn profit_bounds(&self) -> (f64, f64) {
         let mut lo = f64::INFINITY;
@@ -885,6 +904,28 @@ mod tests {
         b.add_demand(Demand::pair(VertexId(4), VertexId(5), 1.0), &[t1])
             .unwrap();
         b.build().unwrap()
+    }
+
+    #[test]
+    fn end_points_are_the_path_end_points() {
+        use crate::workload::{LineWorkload, TreeWorkload};
+        use rand::{rngs::SmallRng, SeedableRng};
+        let mut rng = SmallRng::seed_from_u64(4);
+        let tree = TreeWorkload::new(20, 30)
+            .with_networks(2)
+            .generate(&mut rng);
+        let windows = LineWorkload::new(30, 12)
+            .with_resources(2)
+            .with_window_slack(3)
+            .generate(&mut rng);
+        for p in [two_line_problem(), tree, windows] {
+            for inst in p.instances() {
+                assert_eq!(
+                    p.end_points(inst.id),
+                    (inst.path.source(), inst.path.target())
+                );
+            }
+        }
     }
 
     #[test]

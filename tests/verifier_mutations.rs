@@ -40,9 +40,13 @@ fn layered_verifier_rejects_shuffled_groups() {
         .instances()
         .map(|d| max_group + 1 - layers.group_of(d.id))
         .collect();
+    let mut pi = Vec::new();
     let critical: Vec<Vec<treenet::graph::EdgeId>> = p
         .instances()
-        .map(|d| layers.critical_of(d.id).iter().copied().take(1).collect())
+        .map(|d| {
+            let pi = layers.critical_of(&p, d.id, &mut pi);
+            pi.iter().copied().take(1).collect()
+        })
         .collect();
     let mutated = LayeredDecomposition::from_parts_for_tests(group, critical);
     // The original verifies; the mutation must not (on workloads with
@@ -67,11 +71,18 @@ fn interference_checker_rejects_fabricated_traces() {
     // fabricate by swapping roles of a known-overlapping pair where only
     // one direction satisfies the property.
     let mut found = None;
+    let mut pi = Vec::new();
     'outer: for a in p.instances() {
         for b in p.instances() {
             if a.id != b.id && a.overlaps(b) {
-                let a_covers_b = layers.critical_of(a.id).iter().any(|&e| b.active_on(e));
-                let b_covers_a = layers.critical_of(b.id).iter().any(|&e| a.active_on(e));
+                let a_covers_b = layers
+                    .critical_of(&p, a.id, &mut pi)
+                    .iter()
+                    .any(|&e| b.active_on(e));
+                let b_covers_a = layers
+                    .critical_of(&p, b.id, &mut pi)
+                    .iter()
+                    .any(|&e| a.active_on(e));
                 if a_covers_b && !b_covers_a {
                     found = Some((b.id, a.id)); // raising b first violates
                     break 'outer;
