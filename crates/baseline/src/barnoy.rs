@@ -25,12 +25,7 @@ use treenet_model::{HeightClass, InstanceId, Problem, Solution, SolutionTracker}
 /// The end slot `e(d)`: the last edge of `d`'s path, its single critical
 /// edge.
 fn end_slot(problem: &Problem, d: InstanceId) -> EdgeId {
-    *problem
-        .instance(d)
-        .path
-        .edges()
-        .last()
-        .expect("demands use ≥ 1 slot")
+    *problem.path_edges(d).last().expect("demands use ≥ 1 slot")
 }
 
 /// End-time order over instances: last path edge index ascending, ties by

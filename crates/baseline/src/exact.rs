@@ -53,8 +53,8 @@ impl Search<'_> {
     fn fits(&self, d: InstanceId) -> bool {
         let inst = self.problem.instance(d);
         let h = self.problem.height_of(d);
-        inst.path
-            .edges()
+        self.problem
+            .path_edges(d)
             .iter()
             .all(|&e| self.residual[inst.network.index()][e.index()] + EPS >= h)
     }
@@ -62,7 +62,7 @@ impl Search<'_> {
     fn apply(&mut self, d: InstanceId, sign: f64) {
         let inst = self.problem.instance(d);
         let h = self.problem.height_of(d) * sign;
-        for &e in inst.path.edges() {
+        for &e in self.problem.path_edges(d) {
             self.residual[inst.network.index()][e.index()] -= h;
         }
     }
@@ -189,8 +189,8 @@ pub fn weighted_interval_dp(problem: &Problem) -> Result<Solution, ExactError> {
     let mut intervals: Vec<(u32, u32, f64, InstanceId)> = problem
         .instances()
         .map(|inst| {
-            let s = inst.path.edges()[0].0;
-            let e = inst.path.edges()[inst.len() - 1].0;
+            let edges = inst.path().edges();
+            let (s, e) = (edges[0].0, edges[edges.len() - 1].0);
             (s, e, problem.profit_of(inst.id), inst.id)
         })
         .collect();

@@ -254,10 +254,10 @@ const GRID: &[Scenario] = &[
         smoke: false,
         pods: 0,
     },
-    // The huge pod grid (10⁵ demands in 2500 independent pods): the
-    // problem scale the sharded netsim engine simulates; here the
-    // central engines chew through it to keep the phase-1 trajectory
-    // honest at that size.
+    // The huge pod grid (10⁵ demands in 2048 independent pods of two
+    // networks, the 4,096 networks a problem holds): the problem scale
+    // the sharded netsim engine simulates; here the central engines chew
+    // through it to keep the phase-1 trajectory honest at that size.
     Scenario {
         name: "line-huge-e3",
         family: Family::Line,
@@ -266,7 +266,7 @@ const GRID: &[Scenario] = &[
         m: 100_000,
         epsilon: 0.3,
         smoke: false,
-        pods: 2500,
+        pods: 2048,
     },
     Scenario {
         name: "tree-huge-e3",
@@ -276,7 +276,7 @@ const GRID: &[Scenario] = &[
         m: 100_000,
         epsilon: 0.3,
         smoke: false,
-        pods: 2500,
+        pods: 2048,
     },
     // Narrow and capacitated rows: the same families under the
     // arbitrary-height machinery (all-narrow, and the wide/narrow
@@ -351,7 +351,7 @@ const GRID: &[Scenario] = &[
         m: 100_000,
         epsilon: 0.3,
         smoke: false,
-        pods: 2500,
+        pods: 2048,
     },
     Scenario {
         name: "tree-cap-huge-e3",
@@ -361,7 +361,7 @@ const GRID: &[Scenario] = &[
         m: 100_000,
         epsilon: 0.3,
         smoke: false,
-        pods: 2500,
+        pods: 2048,
     },
 ];
 

@@ -87,6 +87,7 @@ struct Scenario {
     /// Bootstrap (queued) demand count.
     m: usize,
     /// Independent pods of 2 networks each; demands never cross pods.
+    /// At most 2048: a problem holds at most 4,096 networks.
     pods: usize,
     epsilon: f64,
     /// Open-loop requests to time after bootstrap.
@@ -129,7 +130,7 @@ const GRID: &[Scenario] = &[
         rule: Rule::Unit,
         n: 24,
         m: 100_000,
-        pods: 2500,
+        pods: 2048,
         epsilon: 0.3,
         deltas: 120,
         cold_samples: 3,
@@ -141,7 +142,7 @@ const GRID: &[Scenario] = &[
         rule: Rule::Capacitated,
         n: 24,
         m: 100_000,
-        pods: 2500,
+        pods: 2048,
         epsilon: 0.3,
         deltas: 120,
         cold_samples: 3,
@@ -153,7 +154,7 @@ const GRID: &[Scenario] = &[
         rule: Rule::Unit,
         n: 24,
         m: 1_000_000,
-        pods: 4000,
+        pods: 2048,
         epsilon: 0.3,
         deltas: 60,
         cold_samples: 1,

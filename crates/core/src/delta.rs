@@ -568,7 +568,7 @@ impl DeltaEngine {
         let mut anchors = EdgeAnchors::new(&problem);
         for inst in problem.instances() {
             let a = inst.demand.0;
-            for &e in inst.path.edges() {
+            for &e in problem.path_edges(inst.id) {
                 comps.union(anchors.anchor(inst.network, e, a), a);
             }
         }
@@ -672,9 +672,9 @@ impl DeltaEngine {
             let mut old_roots: BTreeSet<u32> = BTreeSet::new();
             old_roots.insert(self.comps.find(key));
             for &d in &effect.new_instances {
-                let inst = self.problem.instance(d);
-                for &e in inst.path.edges() {
-                    let anchor = self.anchors.anchor(inst.network, e, key);
+                let network = self.problem.instance(d).network;
+                for &e in self.problem.path_edges(d) {
+                    let anchor = self.anchors.anchor(network, e, key);
                     old_roots.insert(self.comps.find(anchor));
                     self.comps.union(key, anchor);
                 }

@@ -256,7 +256,7 @@ impl DualState {
     /// order behind every read, cached or not.
     #[inline]
     fn lhs_with(&self, problem: &Problem, d: InstanceId, alpha: f64, beta: Option<&[f64]>) -> f64 {
-        let edges = problem.instance(d).path.edges();
+        let edges = problem.path_edges(d);
         let beta_sum: f64 = match beta {
             Some(beta) => edges.iter().map(|&e| beta[e.index()]).sum(),
             None => edges.iter().map(|_| 0.0).sum(),

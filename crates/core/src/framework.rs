@@ -631,7 +631,11 @@ pub fn run_two_phase(
                     }
                 }
                 // Step-boundary sweep: refresh each stale member once and
-                // move it between the unsatisfied/satisfied buckets.
+                // move it between the unsatisfied/satisfied buckets. Each
+                // refresh reads only its own slot, so the order is free:
+                // ascending slots walk the instance arrays front to back
+                // instead of in the graph's neighbour order.
+                stale_members.sort_unstable();
                 for &x in &stale_members {
                     let i = active_members[x as usize] as usize;
                     dual.refresh_cached_lhs(problem, i);

@@ -11,7 +11,7 @@
 use crate::certificate::certified_ratio;
 use crate::dual::{DualForm, DualState};
 use crate::framework::{RaiseRule, SATISFACTION_GUARD};
-use treenet_decomp::{capture_node, root_fixing};
+use treenet_decomp::{capture_node, push_wings, root_fixing};
 use treenet_graph::{EdgeId, VertexId};
 use treenet_model::{InstanceId, Problem, Solution, SolutionTracker};
 
@@ -81,9 +81,11 @@ pub fn solve_sequential_tree(problem: &Problem) -> SequentialOutcome {
             .instances_on(t)
             .iter()
             .map(|&d| {
-                let path = &problem.instance(d).path;
+                let path = problem.instance(d).path();
                 let mu = capture_node(&h, path);
-                (h.node_depth(mu), d, path.wings(mu))
+                let mut wings = Vec::with_capacity(2);
+                push_wings(problem.rooted(t), path, mu, &mut wings);
+                (h.node_depth(mu), d, wings)
             })
             .collect();
         // Descending depth; ties broken by instance id for determinism.

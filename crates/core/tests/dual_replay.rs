@@ -71,7 +71,7 @@ impl Dense {
     fn lhs(&self, problem: &Problem, d: InstanceId) -> f64 {
         let inst = problem.instance(d);
         let beta = &self.beta[inst.network.index()];
-        let beta_sum: f64 = inst.path.edges().iter().map(|&e| beta[e.index()]).sum();
+        let beta_sum: f64 = inst.path().edges().iter().map(|&e| beta[e.index()]).sum();
         let scale = match self.form {
             DualForm::Unit => 1.0,
             DualForm::Capacitated => problem.height_of(d),

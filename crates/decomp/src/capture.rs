@@ -13,7 +13,7 @@
 //!   point w.r.t. `u` — at most `2(θ+1)` edges.
 
 use crate::TreeDecomposition;
-use treenet_graph::{EdgeId, RootedTree, TreePath, VertexId};
+use treenet_graph::{EdgeId, PathView, RootedTree, VertexId};
 
 /// The capture node `µ(d)`: the path vertex with minimum `H`-depth,
 /// found in `O(depth H)` as `ℓ = LCA_H(source, target)`.
@@ -22,7 +22,7 @@ use treenet_graph::{EdgeId, RootedTree, TreePath, VertexId};
 /// end-points lie in `C(ℓ)`, which is connected in `T`, so the whole path
 /// lies inside `C(ℓ)`. Every other vertex of `C(ℓ)` is a strict
 /// `H`-descendant of `ℓ`, so `ℓ` is the unique minimum-depth path vertex.
-pub fn capture_node(h: &TreeDecomposition, path: &TreePath) -> VertexId {
+pub fn capture_node(h: &TreeDecomposition, path: PathView<'_>) -> VertexId {
     h.lca(path.source(), path.target())
 }
 
@@ -32,14 +32,18 @@ pub fn capture_node(h: &TreeDecomposition, path: &TreePath) -> VertexId {
 ///
 /// `rooted` must be a rooted view of the same tree-network the path lives
 /// in.
-pub fn bending_point(rooted: &RootedTree, path: &TreePath, u: VertexId) -> VertexId {
+pub fn bending_point(rooted: &RootedTree, path: PathView<'_>, u: VertexId) -> VertexId {
     rooted.median(path.source(), path.target(), u)
 }
 
 /// The critical edge set `π(d)` of Lemma 4.2: wings of the capture node
 /// plus wings of the bending points w.r.t. each pivot of the capture
 /// node's component. Sorted and deduplicated; size at most `2(θ + 1)`.
-pub fn critical_edges(h: &TreeDecomposition, rooted: &RootedTree, path: &TreePath) -> Vec<EdgeId> {
+pub fn critical_edges(
+    h: &TreeDecomposition,
+    rooted: &RootedTree,
+    path: PathView<'_>,
+) -> Vec<EdgeId> {
     let mut critical = Vec::new();
     push_critical_edges(h, rooted, path, capture_node(h, path), &mut critical);
     critical
@@ -50,7 +54,7 @@ pub fn critical_edges(h: &TreeDecomposition, rooted: &RootedTree, path: &TreePat
 pub(crate) fn push_critical_edges(
     h: &TreeDecomposition,
     rooted: &RootedTree,
-    path: &TreePath,
+    path: PathView<'_>,
     mu: VertexId,
     out: &mut Vec<EdgeId>,
 ) {
@@ -70,19 +74,27 @@ pub(crate) fn push_critical_edges(
     out.truncate(kept);
 }
 
-/// Appends [`TreePath::wings`] of the path vertex `y`, locating `y` from
-/// `rooted`'s depths instead of scanning the path: a path `s ↝ t` climbs
-/// from `s` to `LCA_T(s, t)`, then descends to `t`. So `y` sits
-/// `depth(s) − depth(y)` edges in when it is an ancestor of `s`, and
-/// `depth(t) − depth(y)` edges before the end otherwise.
-fn push_wings(rooted: &RootedTree, path: &TreePath, y: VertexId, out: &mut Vec<EdgeId>) {
+/// Appends the *wings* of the path vertex `y` (Section 4.4): the path
+/// edges incident to `y`, one at an end-point and two inside, as
+/// [`TreePath::wings`](treenet_graph::TreePath::wings) lists them. `y` is
+/// located from `rooted`'s depths, as the path stores no vertices: a path
+/// `s ↝ t` climbs from `s` to `LCA_T(s, t)`, then descends to `t`. So
+/// `y` sits `depth(s) − depth(y)` edges in when it is an ancestor of `s`,
+/// and `depth(t) − depth(y)` edges before the end otherwise.
+///
+/// `rooted` must view the path's tree, and `y` must lie on the path.
+pub fn push_wings(rooted: &RootedTree, path: PathView<'_>, y: VertexId, out: &mut Vec<EdgeId>) {
     let (s, t) = (path.source(), path.target());
     let i = if rooted.is_ancestor_or_self(y, s) {
         (rooted.depth(s) - rooted.depth(y)) as usize
     } else {
         path.len() - (rooted.depth(t) - rooted.depth(y)) as usize
     };
-    debug_assert_eq!(path.vertices()[i], y, "{y} must lie on the path");
+    debug_assert!(
+        rooted.is_ancestor_or_self(rooted.lca(s, t), y)
+            && (rooted.is_ancestor_or_self(y, s) || rooted.is_ancestor_or_self(y, t)),
+        "{y} must lie on the path"
+    );
     let edges = path.edges();
     if i > 0 {
         out.push(edges[i - 1]);
@@ -131,7 +143,7 @@ mod tests {
         let h = root_fixing(&tree, VertexId(0));
         let rooted = RootedTree::new(&tree, VertexId(0));
         let path = rooted.path(VertexId(3), VertexId(12)); // 4 ↝ 13
-        let mu = capture_node(&h, &path);
+        let mu = capture_node(&h, path.view());
         assert_eq!(mu, VertexId(1)); // node 2
         let wings = path.wings(mu);
         let e24 = tree.edge_between(VertexId(1), VertexId(3)).unwrap();
@@ -150,8 +162,14 @@ mod tests {
         let tree = figure6();
         let rooted = RootedTree::new(&tree, VertexId(0));
         let path = rooted.path(VertexId(3), VertexId(12));
-        assert_eq!(bending_point(&rooted, &path, VertexId(2)), VertexId(1)); // node 3 → 2
-        assert_eq!(bending_point(&rooted, &path, VertexId(8)), VertexId(4)); // node 9 → 5
+        assert_eq!(
+            bending_point(&rooted, path.view(), VertexId(2)),
+            VertexId(1)
+        ); // node 3 → 2
+        assert_eq!(
+            bending_point(&rooted, path.view(), VertexId(8)),
+            VertexId(4)
+        ); // node 9 → 5
     }
 
     #[test]
@@ -160,7 +178,7 @@ mod tests {
         let rooted = RootedTree::new(&tree, VertexId(0));
         let path = rooted.path(VertexId(3), VertexId(12));
         for &v in path.vertices() {
-            assert_eq!(bending_point(&rooted, &path, v), v);
+            assert_eq!(bending_point(&rooted, path.view(), v), v);
         }
     }
 
@@ -177,7 +195,7 @@ mod tests {
                     continue;
                 }
                 let path = rooted.path(u, v);
-                let pi = critical_edges(&h, &rooted, &path);
+                let pi = critical_edges(&h, &rooted, path.view());
                 assert!(
                     pi.len() <= 2 * (theta + 1),
                     "π({u},{v}) has {} edges",
@@ -188,7 +206,7 @@ mod tests {
                     assert!(path.contains_edge(*e));
                 }
                 // The wings of the capture node are always included.
-                let mu = capture_node(&h, &path);
+                let mu = capture_node(&h, path.view());
                 for w in path.wings(mu) {
                     assert!(pi.contains(&w));
                 }
@@ -202,7 +220,7 @@ mod tests {
         let rooted = RootedTree::new(&tree, VertexId(0));
         let h = ideal(&tree);
         let path = rooted.path(VertexId(1), VertexId(2));
-        let pi = critical_edges(&h, &rooted, &path);
+        let pi = critical_edges(&h, &rooted, path.view());
         assert_eq!(pi, vec![EdgeId(1)]);
     }
 }

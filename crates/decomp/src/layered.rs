@@ -20,7 +20,7 @@ use crate::capture::push_critical_edges;
 use crate::line::{length_class, line_lmin, push_critical_slots};
 use crate::{capture_node, Strategy, TreeDecomposition};
 use std::fmt;
-use treenet_graph::{EdgeId, RootedTree, TreePath, VertexId};
+use treenet_graph::{EdgeId, PathView, RootedTree, VertexId};
 use treenet_model::{DemandInstance, InstanceId, NetworkId, Problem};
 
 /// How the instances of one problem are layered: one tree decomposition
@@ -137,7 +137,7 @@ impl Layering {
         &self,
         rooted: &RootedTree,
         network: NetworkId,
-        path: &TreePath,
+        path: PathView<'_>,
         critical: &mut Vec<EdgeId>,
     ) -> u32 {
         let start = critical.len();
@@ -328,17 +328,17 @@ impl LayeredDecomposition {
 
     /// Gives `inst` its group; derives `π(inst)`, in `scratch`, only
     /// while `Δ` is below the ceiling.
-    fn push(&mut self, problem: &Problem, inst: &DemandInstance, scratch: &mut Vec<EdgeId>) {
+    fn push(&mut self, problem: &Problem, inst: DemandInstance<'_>, scratch: &mut Vec<EdgeId>) {
         let layering = self.critical.layering();
+        let path = inst.path();
         let group = if self.delta < layering.delta_ceiling() {
             scratch.clear();
             let rooted = problem.rooted(inst.network);
-            let group = layering.layer(rooted, inst.network, &inst.path, scratch);
+            let group = layering.layer(rooted, inst.network, path, scratch);
             self.delta = self.delta.max(scratch.len());
             group
         } else {
-            let (source, target) = problem.end_points(inst.id);
-            layering.group(inst.network, source, target)
+            layering.group(inst.network, path.source(), path.target())
         };
         self.num_groups = self.num_groups.max(group as usize);
         self.group.push(group);
@@ -406,7 +406,7 @@ impl LayeredDecomposition {
         match &self.critical {
             Critical::Derived(layering) => {
                 let inst = problem.instance(d);
-                layering.layer(problem.rooted(inst.network), inst.network, &inst.path, buf);
+                layering.layer(problem.rooted(inst.network), inst.network, inst.path(), buf);
             }
             Critical::Explicit(sets) => buf.extend_from_slice(&sets[d.index()]),
         }
@@ -551,7 +551,10 @@ mod tests {
             let pi = layers.critical_of(&p, inst.id, &mut buf);
             assert!(!pi.is_empty());
             for &e in pi {
-                assert!(inst.path.contains_edge(e), "critical edges lie on the path");
+                assert!(
+                    inst.path().contains_edge(e),
+                    "critical edges lie on the path"
+                );
             }
         }
         // group_members partitions the instance set.
@@ -601,10 +604,10 @@ mod tests {
                 Some(_) => crate::critical_edges(
                     &decompositions[inst.network.index()],
                     p.rooted(inst.network),
-                    &inst.path,
+                    inst.path(),
                 ),
                 None => {
-                    let edges = inst.path.edges();
+                    let edges = inst.path().edges();
                     let (s, e) = (edges[0].0, edges[edges.len() - 1].0);
                     let mut slots = vec![EdgeId(s.min(e)), EdgeId((s + e) / 2), EdgeId(s.max(e))];
                     slots.dedup();
@@ -662,7 +665,7 @@ mod tests {
                 let group = layers.layering().layer(
                     p.rooted(inst.network),
                     inst.network,
-                    &inst.path,
+                    inst.path(),
                     &mut buf,
                 );
                 assert_eq!(group, layers.group_of(inst.id), "{label}: group");

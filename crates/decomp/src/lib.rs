@@ -49,7 +49,7 @@ mod root_fixing;
 mod tree_decomposition;
 
 pub use balancing::balancing;
-pub use capture::{bending_point, capture_node, critical_edges};
+pub use capture::{bending_point, capture_node, critical_edges, push_wings};
 pub use convergecast::ConvergecastForest;
 pub use ideal::{ideal, ideal_depth_bound, ideal_with_stats, IdealStats};
 pub use layered::{LayeredDecomposition, LayeredError, Layering};

@@ -4,7 +4,9 @@
 //! pivot ≤ 2, depth within the Lemma 4.1 bound, and satisfies both
 //! defining properties — no sampling gaps on small cases.
 
-use treenet_decomp::{capture_node, critical_edges, ideal_depth_bound, ideal_with_stats, Strategy};
+use treenet_decomp::{
+    capture_node, critical_edges, ideal_depth_bound, ideal_with_stats, push_wings, Strategy,
+};
 use treenet_graph::generators::prufer_to_tree;
 use treenet_graph::{RootedTree, VertexId};
 
@@ -94,7 +96,8 @@ fn capture_node_is_the_lca_on_all_trees_up_to_seven() {
     // found by scanning the path, for every vertex pair of every labeled
     // tree up to n = 7 under all three strategies. Pin the critical edges
     // built from it too, against the wings of the scanned capture node
-    // and of the path vertex nearest each pivot.
+    // and of the path vertex nearest each pivot, and every vertex's wings
+    // located by depth against the path scan.
     let mut pairs = 0usize;
     for n in 3..=7usize {
         for_all_trees(n, |tree| {
@@ -110,7 +113,7 @@ fn capture_node_is_the_lca_on_all_trees_up_to_seven() {
                             .min_by_key(|&&x| h.node_depth(x))
                             .unwrap();
                         assert_eq!(h.lca(u, v), scanned, "{} {u} {v}", strategy.name());
-                        assert_eq!(capture_node(&h, &path), scanned);
+                        assert_eq!(capture_node(&h, path.view()), scanned);
                         let mut expected = path.wings(scanned);
                         for &pivot in h.pivot(scanned) {
                             let nearest = *path
@@ -122,7 +125,14 @@ fn capture_node_is_the_lca_on_all_trees_up_to_seven() {
                         }
                         expected.sort_unstable();
                         expected.dedup();
-                        assert_eq!(critical_edges(&h, &rooted, &path), expected);
+                        assert_eq!(critical_edges(&h, &rooted, path.view()), expected);
+                        // The wings located by depth, as the stored paths
+                        // (which keep no vertices) need them.
+                        for &y in path.vertices() {
+                            let mut wings = Vec::new();
+                            push_wings(&rooted, path.view(), y, &mut wings);
+                            assert_eq!(wings, path.wings(y), "{u} ↝ {v} at {y}");
+                        }
                         pairs += 1;
                     }
                 }

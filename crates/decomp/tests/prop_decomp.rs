@@ -47,9 +47,10 @@ proptest! {
         for t in p.networks() {
             let h = Strategy::Ideal.build(p.network(t));
             for &d in p.instances_on(t) {
-                let inst = p.instance(d);
-                let mu = capture_node(&h, &inst.path);
-                prop_assert!(inst.path.contains_vertex(mu));
+                let path = p.instance(d).path();
+                let mu = capture_node(&h, path);
+                let route = p.rooted(t).path(path.source(), path.target());
+                prop_assert!(route.contains_vertex(mu));
             }
         }
     }
@@ -84,7 +85,7 @@ proptest! {
                 prop_assert!(g as usize <= layers.num_groups());
                 let pi = layers.critical_of(&p, inst.id, &mut buf);
                 prop_assert!(!pi.is_empty());
-                prop_assert!(pi.iter().all(|&e| inst.path.contains_edge(e)));
+                prop_assert!(pi.iter().all(|&e| inst.path().contains_edge(e)));
             }
         }
     }

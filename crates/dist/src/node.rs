@@ -151,7 +151,7 @@ impl PublicInfo {
                 .demand
                 .for_each_instance_path_in(rooted, &mut path, |path, start| {
                     critical.clear();
-                    let group = self.layering.layer(rooted, t, path, &mut critical);
+                    let group = self.layering.layer(rooted, t, path.view(), &mut critical);
                     let key = treenet_model::canonical_instance_key(descriptor.id, t, start);
                     f(key, t, path, group, &critical);
                 });
@@ -1428,7 +1428,7 @@ mod tests {
     /// The `(network, edge)` pairs of `inst`'s edges that lie in `own`,
     /// in the order given.
     fn tracked(
-        inst: &DemandInstance,
+        inst: DemandInstance<'_>,
         edges: &[EdgeId],
         own: &BTreeSet<(u32, u32)>,
     ) -> Vec<(u32, u32)> {
@@ -1487,7 +1487,10 @@ mod tests {
                     .iter()
                     .flat_map(|&d| {
                         let inst = p.instance(d);
-                        inst.path.edges().iter().map(|e| (inst.network.0, e.0))
+                        inst.path()
+                            .edges()
+                            .iter()
+                            .map(move |e| (inst.network.0, e.0))
                     })
                     .collect();
                 assert_eq!(node.edges, own.iter().copied().collect::<Vec<_>>());
@@ -1509,7 +1512,7 @@ mod tests {
                     );
                     assert_eq!(
                         edges_of(mine.inst.path()),
-                        tracked(inst, inst.path.edges(), &own)
+                        tracked(inst, inst.path().edges(), &own)
                     );
                     assert_eq!(
                         sorted(edges_of(mine.inst.critical())),
@@ -1552,7 +1555,7 @@ mod tests {
                         );
                         assert_eq!(
                             edges_of(entry.inst.path()),
-                            tracked(inst, inst.path.edges(), &own),
+                            tracked(inst, inst.path().edges(), &own),
                             "{label}: path slots"
                         );
                     }

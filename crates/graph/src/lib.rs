@@ -9,7 +9,8 @@
 //! * [`RootedTree`] — parent/depth arrays, Euler intervals, binary-lifting
 //!   LCA, tree medians and path extraction,
 //! * [`TreePath`] — the unique path between two vertices, as both a vertex
-//!   sequence and an edge set,
+//!   sequence and an edge set, and [`PathView`], its end-points and edges
+//!   borrowed,
 //! * [`component`] — vertex-subset components, neighborhoods `Γ[C]`,
 //!   balancers (centroids) and splitting, the raw material of the paper's
 //!   tree decompositions (Section 4),
@@ -43,7 +44,7 @@ mod rooted;
 mod tree;
 mod union;
 
-pub use path::TreePath;
+pub use path::{PathView, TreePath};
 pub use rooted::RootedTree;
 pub use tree::{Tree, TreeError};
 pub use union::UnionFind;

@@ -28,8 +28,8 @@ use crate::{EdgeId, VertexId};
 /// ```
 #[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub struct TreePath {
-    vertices: Vec<VertexId>,
-    edges: Vec<EdgeId>,
+    pub(crate) vertices: Vec<VertexId>,
+    pub(crate) edges: Vec<EdgeId>,
 }
 
 impl TreePath {
@@ -115,6 +115,13 @@ impl TreePath {
         &self.edges
     }
 
+    /// The path's end-points and edges as a [`PathView`], the form every
+    /// reader of a stored demand instance's path takes.
+    #[inline]
+    pub fn view(&self) -> PathView<'_> {
+        PathView::new(self.source(), self.target(), &self.edges)
+    }
+
     /// Whether the path visits vertex `x`.
     pub fn contains_vertex(&self, x: VertexId) -> bool {
         self.vertices.contains(&x)
@@ -147,6 +154,72 @@ impl TreePath {
     }
 }
 
+/// A borrowed path `u ↝ v`: its end-points and its edge sequence, but
+/// not its vertices.
+///
+/// What the paper reads of `path(d)` (its edges for `d ∼ e`, its
+/// end-points for capture nodes and bending points) without the vertex
+/// sequence, so a store of many paths can keep edges alone. A vertex's
+/// position on the path follows from the depths of a rooted view of the
+/// tree: the path climbs from `source` to `LCA(source, target)`, then
+/// descends to `target`. Equality compares end-points and edges.
+///
+/// Produced by [`TreePath::view`], or over stored edges by
+/// [`PathView::new`].
+#[derive(Copy, Clone, Debug, PartialEq, Eq, Hash)]
+pub struct PathView<'a> {
+    source: VertexId,
+    target: VertexId,
+    edges: &'a [EdgeId],
+}
+
+impl<'a> PathView<'a> {
+    /// The path from `source` to `target` along `edges`, in path order.
+    #[inline]
+    pub fn new(source: VertexId, target: VertexId, edges: &'a [EdgeId]) -> Self {
+        PathView {
+            source,
+            target,
+            edges,
+        }
+    }
+
+    /// First vertex of the path (the demand end-point `u`).
+    #[inline]
+    pub fn source(&self) -> VertexId {
+        self.source
+    }
+
+    /// Last vertex of the path (the demand end-point `v`).
+    #[inline]
+    pub fn target(&self) -> VertexId {
+        self.target
+    }
+
+    /// Edge sequence from source to target.
+    #[inline]
+    pub fn edges(&self) -> &'a [EdgeId] {
+        self.edges
+    }
+
+    /// Number of edges on the path (0 when `u == v`).
+    #[inline]
+    pub fn len(&self) -> usize {
+        self.edges.len()
+    }
+
+    /// True when the path has no edges (`u == v`).
+    #[inline]
+    pub fn is_empty(&self) -> bool {
+        self.edges.is_empty()
+    }
+
+    /// Whether the path uses edge `e` (the paper's `d ∼ e`).
+    pub fn contains_edge(&self, e: EdgeId) -> bool {
+        self.edges.contains(&e)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -169,6 +242,15 @@ mod tests {
         assert!(!p.contains_vertex(VertexId(9)));
         assert!(p.contains_edge(EdgeId(0)));
         assert!(!p.contains_edge(EdgeId(7)));
+        let view = p.view();
+        assert_eq!((view.source(), view.target()), (VertexId(2), VertexId(3)));
+        assert_eq!((view.edges(), view.len()), (p.edges(), 3));
+        assert!(view.contains_edge(EdgeId(0)) && !view.contains_edge(EdgeId(7)));
+        assert!(!view.is_empty() && vp(&[4], &[]).view().is_empty());
+        assert_eq!(
+            view,
+            PathView::new(VertexId(2), VertexId(3), &[1, 0, 2].map(EdgeId))
+        );
     }
 
     #[test]
@@ -277,6 +359,9 @@ mod tests {
                         assert_eq!(p, parent_walk(&rooted, u, v), "{u} ↝ {v}");
                         assert_eq!(p.vertices.capacity(), p.vertices.len(), "{u} ↝ {v}");
                         assert_eq!(p.edges.capacity(), p.edges.len(), "{u} ↝ {v}");
+                        let mut reused = parent_walk(&rooted, v, u);
+                        rooted.path_in(u, v, &mut reused);
+                        assert_eq!(reused, p, "{u} ↝ {v} into a used buffer");
                     }
                 }
             }

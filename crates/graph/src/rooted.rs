@@ -256,11 +256,28 @@ impl RootedTree {
     /// `d(u) + d(v) − 2·d(lca)` edges: the ascent from `u` is written
     /// forward and the descent to `v` backward from `v`.
     pub fn path(&self, u: VertexId, v: VertexId) -> TreePath {
+        let mut path = TreePath {
+            vertices: Vec::new(),
+            edges: Vec::new(),
+        };
+        self.path_in(u, v, &mut path);
+        path
+    }
+
+    /// [`RootedTree::path`] written into `path`'s buffers, for a reader
+    /// that walks many paths one at a time and keeps none: once the
+    /// buffers hold the longest path, nothing is allocated.
+    pub fn path_in(&self, u: VertexId, v: VertexId, path: &mut TreePath) {
         let w = self.lca(u, v);
         let up = (self.depth(u) - self.depth(w)) as usize;
         let len = up + (self.depth(v) - self.depth(w)) as usize;
-        let mut vertices = vec![w; len + 1];
-        let mut edges = vec![EdgeId(0); len];
+        let TreePath { vertices, edges } = path;
+        vertices.clear();
+        vertices.reserve_exact(len + 1);
+        vertices.resize(len + 1, w);
+        edges.clear();
+        edges.reserve_exact(len);
+        edges.resize(len, EdgeId(0));
         // Ascend from u to w into positions 0..up.
         let mut x = u;
         for i in 0..up {
@@ -275,7 +292,6 @@ impl RootedTree {
             edges[i] = self.parent_edge(y).expect("non-root while ascending");
             y = self.parent(y).expect("non-root while ascending");
         }
-        TreePath::new(vertices, edges)
     }
 }
 

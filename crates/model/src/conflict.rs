@@ -62,7 +62,7 @@ impl ConflictGraph {
     pub fn build(problem: &Problem, members: &[InstanceId]) -> Self {
         let k = members.len();
         // (group key, local index) pairs; sorted, equal keys form a run.
-        let keyed = |key: fn(&crate::DemandInstance) -> u32| {
+        let keyed = |key: fn(crate::DemandInstance) -> u32| {
             let mut keyed: Vec<(u32, u32)> = members
                 .iter()
                 .enumerate()

@@ -136,31 +136,10 @@ impl Demand {
     /// demand materializes on `network`, in canonical order (a pair has
     /// one, with no start; a window one per feasible start, ascending):
     /// the one definition [`Problem`] and the distributed processors
-    /// share. The demand must be valid: a window's starts assume
-    /// `release + processing ≤ deadline + 1`.
-    pub fn for_each_instance_path(
-        &self,
-        network: &RootedTree,
-        mut f: impl FnMut(TreePath, Option<u32>),
-    ) {
-        match self.kind {
-            DemandKind::Pair { u, v } => f(network.path(u, v), None),
-            DemandKind::Window {
-                release,
-                deadline,
-                processing,
-            } => {
-                for s in window_starts(release, deadline, processing) {
-                    let (vertices, edges) = window_slots(s, processing);
-                    f(TreePath::new(vertices.collect(), edges.collect()), Some(s));
-                }
-            }
-        }
-    }
-
-    /// [`Demand::for_each_instance_path`] for a reader that keeps no
-    /// path: lends `f` each instance's path in `path`, refilled per
-    /// instance, so a window's starts allocate nothing.
+    /// share. Each path is lent in `path`, refilled per instance, so once
+    /// the buffer holds the longest path nothing is allocated. The demand
+    /// must be valid: a window's starts assume `release + processing ≤
+    /// deadline + 1`.
     pub fn for_each_instance_path_in(
         &self,
         network: &RootedTree,
@@ -169,7 +148,7 @@ impl Demand {
     ) {
         match self.kind {
             DemandKind::Pair { u, v } => {
-                *path = network.path(u, v);
+                network.path_in(u, v, path);
                 f(path, None);
             }
             DemandKind::Window {

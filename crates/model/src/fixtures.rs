@@ -161,8 +161,12 @@ mod tests {
     #[test]
     fn figure6_path_is_4_2_5_8_13() {
         let (p, d) = figure6_demand();
-        let inst = p.instance(p.instances_of(d)[0]);
-        let labels: Vec<u32> = inst.path.vertices().iter().map(|v| v.0 + 1).collect();
+        let path = p.instance(p.instances_of(d)[0]).path();
+        let route = p
+            .rooted(crate::NetworkId(0))
+            .path(path.source(), path.target());
+        assert_eq!(route.edges(), path.edges());
+        let labels: Vec<u32> = route.vertices().iter().map(|v| v.0 + 1).collect();
         assert_eq!(labels, vec![4, 2, 5, 8, 13]);
     }
 

@@ -13,8 +13,9 @@
 //! * [`Demand`] / [`DemandKind`] — a `⟨u, v⟩` pair or a `[release,
 //!   deadline] × processing-time` window, with profit and height;
 //! * [`Problem`] / [`ProblemBuilder`] — validated instances with
-//!   materialized demand instances, fast overlap bitmasks and the processor
-//!   communication graph;
+//!   materialized demand instances (in flat arrays, read through the
+//!   borrowed [`DemandInstance`] view), fast overlap bitmasks and the
+//!   processor communication graph;
 //! * [`Solution`] — a set of selected instances with feasibility checking;
 //! * [`conflict`] — the paper's *conflicting* relation and conflict graphs
 //!   (the input to MIS);

@@ -3,55 +3,57 @@
 use crate::demand::{window_starts, Demand, DemandKind};
 use crate::{DemandId, InstanceId, NetworkId};
 use std::fmt;
-use treenet_graph::{EdgeId, RootedTree, Tree, TreePath, VertexId};
+use treenet_graph::{EdgeId, PathView, RootedTree, Tree, TreePath, VertexId};
+
+/// The most networks a problem holds: [`canonical_instance_key`] packs a
+/// network id in 12 bits.
+const MAX_NETWORKS: usize = 1 << 12;
+
+/// Every window start lies below this slot: [`canonical_instance_key`]
+/// packs a start in 20 bits.
+const START_LIMIT: u32 = 1 << 20;
 
 /// A materialized demand instance `d`: one copy of a demand on one
-/// accessible network (Section 2 of the paper), with its routing path and a
-/// bitmask over the network's edges for `O(E/64)` overlap tests.
-#[derive(Clone, Debug)]
-pub struct DemandInstance {
+/// accessible network (Section 2 of the paper), with its routing path and
+/// a bitmask over the network's edges for `O(E/64)` overlap tests.
+///
+/// A `Copy` view into its [`Problem`]'s flat instance store: the public
+/// fields are the instance's record, and its path and bitmask are read
+/// from the problem's shared arrays when asked for.
+#[derive(Copy, Clone)]
+pub struct DemandInstance<'p> {
     /// Dense instance id (index into [`Problem::instances`]).
     pub id: InstanceId,
     /// The demand `a_d` this instance belongs to.
     pub demand: DemandId,
     /// The network the instance is scheduled on.
     pub network: NetworkId,
-    /// The routing path `path(d)` in that network.
-    pub path: TreePath,
     /// For window instances: the chosen start timeslot `s(d)`.
     pub start: Option<u32>,
-    /// One bit per edge of the network: bit `e` set iff `d ∼ e`.
-    edge_mask: Vec<u64>,
+    problem: &'p Problem,
 }
 
-impl DemandInstance {
-    fn new(
-        id: InstanceId,
-        demand: DemandId,
-        network: NetworkId,
-        path: TreePath,
-        start: Option<u32>,
-        words: usize,
-    ) -> Self {
-        let mut edge_mask = vec![0u64; words];
-        for &e in path.edges() {
-            edge_mask[e.index() / 64] |= 1 << (e.index() % 64);
-        }
-        DemandInstance {
-            id,
-            demand,
-            network,
-            path,
-            start,
-            edge_mask,
-        }
+impl<'p> DemandInstance<'p> {
+    /// The routing path `path(d)` in the instance's network: its
+    /// end-points and edges. To print its vertices, rebuild it as
+    /// `problem.rooted(network).path(source, target)`.
+    #[inline]
+    pub fn path(&self) -> PathView<'p> {
+        let (source, target) = match (self.problem.demand(self.demand).kind, self.start) {
+            (DemandKind::Pair { u, v }, _) => (u, v),
+            (DemandKind::Window { processing, .. }, Some(s)) => {
+                (VertexId(s), VertexId(s + processing))
+            }
+            (DemandKind::Window { .. }, None) => unreachable!("a window instance has a start"),
+        };
+        PathView::new(source, target, self.problem.path_edges(self.id))
     }
 
     /// Whether the instance is active on edge `e` of its own network
     /// (the paper's `d ∼ e`).
     #[inline]
     pub fn active_on(&self, e: EdgeId) -> bool {
-        self.edge_mask[e.index() / 64] & (1 << (e.index() % 64)) != 0
+        self.problem.store.mask(self.id)[e.index() / 64] & (1 << (e.index() % 64)) != 0
     }
 
     /// A globally unique key computable from *public* information
@@ -69,12 +71,14 @@ impl DemandInstance {
     /// Whether this instance and `other` are *overlapping*: same network
     /// and at least one shared edge.
     #[inline]
-    pub fn overlaps(&self, other: &DemandInstance) -> bool {
+    pub fn overlaps(&self, other: DemandInstance<'_>) -> bool {
         self.network == other.network
             && self
-                .edge_mask
+                .problem
+                .store
+                .mask(self.id)
                 .iter()
-                .zip(&other.edge_mask)
+                .zip(other.problem.store.mask(other.id))
                 .any(|(a, b)| a & b != 0)
     }
 
@@ -82,13 +86,117 @@ impl DemandInstance {
     /// `len(d)`, which for window instances equals the processing time).
     #[inline]
     pub fn len(&self) -> usize {
-        self.path.len()
+        self.problem.path_edges(self.id).len()
     }
 
     /// True when the path uses no edges (never the case for valid demands).
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.path.is_empty()
+        self.len() == 0
+    }
+}
+
+impl fmt::Debug for DemandInstance<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("DemandInstance")
+            .field("id", &self.id)
+            .field("demand", &self.demand)
+            .field("network", &self.network)
+            .field("start", &self.start)
+            .field("path", &self.path())
+            .finish()
+    }
+}
+
+/// One instance in the flat store: the demand it copies, its network,
+/// and its start slot (windows only).
+#[derive(Copy, Clone, Debug)]
+struct Record {
+    demand: DemandId,
+    network: NetworkId,
+    start: Option<u32>,
+}
+
+/// Every demand instance of a [`Problem`] in flat arrays, in id order:
+/// one [`Record`] per instance, every path's edges in one CSR array, and
+/// every edge bitmask in one array of `words` words per instance. Path
+/// vertices are not stored. Building or growing the store allocates per
+/// array, never per instance.
+#[derive(Clone, Debug)]
+struct InstanceStore {
+    records: Vec<Record>,
+    /// Instance `d`'s path is `edges[offsets[d]..offsets[d + 1]]`, in
+    /// path order.
+    offsets: Vec<u32>,
+    edges: Vec<EdgeId>,
+    /// Instance `d`'s mask is `masks[d·words..(d + 1)·words]`: bit `e`
+    /// set iff `d ∼ e`.
+    masks: Vec<u64>,
+    /// `⌈(n − 1)/64⌉`: every network spans the same `n` vertices, so
+    /// every mask has the same width.
+    words: usize,
+}
+
+impl InstanceStore {
+    /// An empty store sized for exactly `instances` instances whose paths
+    /// hold at most `edges` edges in total, with masks over `edge_count`
+    /// edges.
+    fn with_capacity(instances: usize, edges: usize, edge_count: usize) -> Self {
+        let words = edge_count.div_ceil(64);
+        let mut offsets = Vec::with_capacity(instances + 1);
+        offsets.push(0);
+        InstanceStore {
+            records: Vec::with_capacity(instances),
+            offsets,
+            edges: Vec::with_capacity(edges),
+            masks: Vec::with_capacity(instances * words),
+            words,
+        }
+    }
+
+    /// Makes room for `instances` more instances with at most `edges`
+    /// more path edges, growing each array at most once.
+    fn reserve(&mut self, instances: usize, edges: usize) {
+        self.records.reserve(instances);
+        self.offsets.reserve(instances);
+        self.edges.reserve(edges);
+        self.masks.reserve(instances * self.words);
+    }
+
+    fn len(&self) -> usize {
+        self.records.len()
+    }
+
+    /// Appends the instance `record` routed along `path`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the store would hold more than `u32::MAX` path edges.
+    fn push(&mut self, record: Record, path: &[EdgeId]) -> InstanceId {
+        let id = InstanceId(self.records.len() as u32);
+        self.records.push(record);
+        self.edges.extend_from_slice(path);
+        let end = u32::try_from(self.edges.len()).expect("at most u32::MAX path edges in total");
+        self.offsets.push(end);
+        let from = self.masks.len();
+        self.masks.resize(from + self.words, 0);
+        let mask = &mut self.masks[from..];
+        for &e in path {
+            mask[e.index() / 64] |= 1 << (e.index() % 64);
+        }
+        id
+    }
+
+    #[inline]
+    fn edges(&self, d: InstanceId) -> &[EdgeId] {
+        let i = d.index();
+        &self.edges[self.offsets[i] as usize..self.offsets[i + 1] as usize]
+    }
+
+    #[inline]
+    fn mask(&self, d: InstanceId) -> &[u64] {
+        let i = d.index();
+        &self.masks[i * self.words..(i + 1) * self.words]
     }
 }
 
@@ -101,10 +209,13 @@ impl DemandInstance {
 /// draw the same Luby values.
 ///
 /// Layout: `demand (32 bits) | network (12 bits) | start (20 bits)`.
+/// [`ProblemBuilder`] and [`Problem::apply_delta`] refuse the networks
+/// and window starts that would not fit, so distinct instances of one
+/// problem have distinct keys.
 #[inline]
 pub fn canonical_instance_key(demand: DemandId, network: NetworkId, start: Option<u32>) -> u64 {
-    debug_assert!(network.0 < (1 << 12), "at most 4096 networks");
-    debug_assert!(start.unwrap_or(0) < (1 << 20), "at most 2^20 timeslots");
+    debug_assert!(network.index() < MAX_NETWORKS, "at most 4096 networks");
+    debug_assert!(start.unwrap_or(0) < START_LIMIT, "at most 2^20 timeslots");
     ((demand.0 as u64) << 32) | ((network.0 as u64) << 20) | start.unwrap_or(0) as u64
 }
 
@@ -175,6 +286,22 @@ pub enum ModelError {
         /// The doubly-departed demand.
         demand: DemandId,
     },
+    /// A problem holds at most `limit` networks: an instance's
+    /// canonical key packs its network id in 12 bits.
+    TooManyNetworks {
+        /// The most networks a problem holds.
+        limit: usize,
+    },
+    /// A window demand could start at a slot its instances' canonical
+    /// keys cannot hold: they pack a start in 20 bits.
+    WindowStartOutOfRange {
+        /// The offending demand.
+        demand: DemandId,
+        /// Its last start, `deadline + 1 − processing`.
+        start: u32,
+        /// Every start must lie below this slot.
+        limit: u32,
+    },
 }
 
 impl fmt::Display for ModelError {
@@ -223,6 +350,17 @@ impl fmt::Display for ModelError {
             ModelError::AlreadyDeparted { demand } => {
                 write!(f, "demand {demand} has already departed")
             }
+            ModelError::TooManyNetworks { limit } => {
+                write!(f, "a problem holds at most {limit} networks")
+            }
+            ModelError::WindowStartOutOfRange {
+                demand,
+                start,
+                limit,
+            } => write!(
+                f,
+                "window demand {demand} could start at timeslot {start}; starts must lie below {limit}"
+            ),
         }
     }
 }
@@ -247,9 +385,15 @@ impl ProblemBuilder {
     ///
     /// # Errors
     ///
-    /// Fails with [`ModelError::VertexCountMismatch`] if the tree's vertex
-    /// count differs from previously added networks.
+    /// Fails with [`ModelError::TooManyNetworks`] past 4,096 networks, or
+    /// with [`ModelError::VertexCountMismatch`] if the tree's vertex count
+    /// differs from previously added networks.
     pub fn add_network(&mut self, tree: Tree) -> Result<NetworkId, ModelError> {
+        if self.networks.len() >= MAX_NETWORKS {
+            return Err(ModelError::TooManyNetworks {
+                limit: MAX_NETWORKS,
+            });
+        }
         if let Some(first) = self.networks.first() {
             if first.len() != tree.len() {
                 return Err(ModelError::VertexCountMismatch {
@@ -322,50 +466,57 @@ impl ProblemBuilder {
             .iter()
             .map(|t| RootedTree::new(t, VertexId(0)))
             .collect();
-        // Every list is sized exactly before the first instance exists, so
-        // none is regrown mid-build and each instance's path and edge mask
-        // are allocated back to back, in instance order.
+        // Every list is sized before the first instance exists, so none is
+        // regrown mid-build: exactly, but for the path edges, which are
+        // reserved by a bound and shrunk to fit afterwards.
         let mut network_sizes = vec![0usize; self.networks.len()];
+        let (mut instance_total, mut edge_total) = (0, 0);
         let mut by_demand: Vec<Vec<InstanceId>> = self
             .demands
             .iter()
             .zip(&self.access)
             .map(|(demand, access)| {
-                let per_network = instances_per_network(demand);
+                let mut row = 0;
                 for &t in access {
-                    network_sizes[t.index()] += per_network;
+                    let (instances, edges) = instance_sizes(demand, &rooted[t.index()]);
+                    network_sizes[t.index()] += instances;
+                    row += instances;
+                    edge_total += edges;
                 }
-                Vec::with_capacity(per_network * access.len())
+                instance_total += row;
+                Vec::with_capacity(row)
             })
             .collect();
         let mut by_network: Vec<Vec<InstanceId>> = network_sizes
             .iter()
             .map(|&size| Vec::with_capacity(size))
             .collect();
-        let mut instances: Vec<DemandInstance> = Vec::with_capacity(network_sizes.iter().sum());
-
+        let mut store =
+            InstanceStore::with_capacity(instance_total, edge_total, self.networks[0].edge_count());
+        let mut path = TreePath::new(vec![VertexId(0)], Vec::new());
         for (ai, demand) in self.demands.iter().enumerate() {
             materialize_demand(
                 DemandId(ai as u32),
                 demand,
                 &self.access[ai],
-                &self.networks,
                 &rooted,
-                &mut instances,
+                &mut store,
                 &mut by_demand[ai],
                 &mut by_network,
+                &mut path,
             );
         }
+        store.edges.shrink_to_fit();
 
         Ok(Problem {
             departed: vec![false; self.demands.len()],
             live_demands: self.demands.len(),
-            live_instances: instances.len(),
+            live_instances: store.len(),
             networks: self.networks,
             rooted,
             demands: self.demands,
             access: self.access,
-            instances,
+            store,
             by_demand,
             by_network,
         })
@@ -394,7 +545,11 @@ fn validate_demand_shape(
                 }
             }
         }
-        DemandKind::Window { deadline, .. } => {
+        DemandKind::Window {
+            deadline,
+            processing,
+            ..
+        } => {
             for &t in access {
                 let tree = &networks[t.index()];
                 if !tree.is_canonical_line() {
@@ -412,59 +567,67 @@ fn validate_demand_shape(
                     });
                 }
             }
+            // `Demand::validate` passed, so `processing - 1 ≤ deadline`.
+            let last_start = deadline - (processing - 1);
+            if last_start >= START_LIMIT {
+                return Err(ModelError::WindowStartOutOfRange {
+                    demand: a,
+                    start: last_start,
+                    limit: START_LIMIT,
+                });
+            }
         }
     }
     Ok(())
 }
 
 /// Materializes the instances of one (pre-validated) demand, appending to
-/// the instance list and the per-demand / per-network indexes. The single
-/// definition shared by the batch builder and the arrival delta path, so
-/// an admitted demand gets bit-identical instances either way.
+/// the instance store and the per-demand / per-network indexes, through
+/// the refilled buffer `path`. The single definition shared by the batch
+/// builder and the arrival delta path, so an admitted demand gets
+/// bit-identical instances either way.
 #[allow(clippy::too_many_arguments)]
 fn materialize_demand(
     a: DemandId,
     demand: &Demand,
     access: &[NetworkId],
-    networks: &[Tree],
     rooted: &[RootedTree],
-    instances: &mut Vec<DemandInstance>,
+    store: &mut InstanceStore,
     demand_row: &mut Vec<InstanceId>,
     by_network: &mut [Vec<InstanceId>],
+    path: &mut TreePath,
 ) {
-    for &t in access {
-        demand.for_each_instance_path(&rooted[t.index()], |path, start| {
-            let id = InstanceId(instances.len() as u32);
-            instances.push(DemandInstance::new(
-                id,
-                a,
-                t,
-                path,
+    for &network in access {
+        demand.for_each_instance_path_in(&rooted[network.index()], path, |path, start| {
+            let record = Record {
+                demand: a,
+                network,
                 start,
-                edge_words(&networks[t.index()]),
-            ));
+            };
+            let id = store.push(record, path.edges());
             demand_row.push(id);
-            by_network[t.index()].push(id);
+            by_network[network.index()].push(id);
         });
     }
 }
 
-/// How many instances a (pre-validated) demand materializes on each
-/// network it accesses: one for a pair, one per start for a window.
-fn instances_per_network(demand: &Demand) -> usize {
+/// How many instances a (pre-validated) demand materializes on the
+/// network `rooted` views, and a bound on the path edges they hold in
+/// total: one `u ↝ v` path for a pair, of at most `depth(u) + depth(v)`
+/// edges (exact would take an LCA per pair), and one `ρ`-slot path per
+/// start for a window.
+fn instance_sizes(demand: &Demand, rooted: &RootedTree) -> (usize, usize) {
     match demand.kind {
-        DemandKind::Pair { .. } => 1,
+        DemandKind::Pair { u, v } => (1, (rooted.depth(u) + rooted.depth(v)) as usize),
         DemandKind::Window {
             release,
             deadline,
             processing,
-        } => window_starts(release, deadline, processing).len(),
+        } => {
+            let starts = window_starts(release, deadline, processing).len();
+            (starts, starts * processing as usize)
+        }
     }
-}
-
-/// The number of 64-bit words of an instance edge bitmask on `tree`.
-fn edge_words(tree: &Tree) -> usize {
-    tree.edge_count().div_ceil(64).max(1)
 }
 
 /// One online change to a [`Problem`]: a demand arriving (with its
@@ -510,7 +673,7 @@ pub struct Problem {
     rooted: Vec<RootedTree>,
     demands: Vec<Demand>,
     access: Vec<Vec<NetworkId>>,
-    instances: Vec<DemandInstance>,
+    store: InstanceStore,
     by_demand: Vec<Vec<InstanceId>>,
     by_network: Vec<Vec<InstanceId>>,
     /// Tombstones: `departed[a]` iff demand `a` has departed. The demand
@@ -542,7 +705,7 @@ impl Problem {
 
     /// Number of materialized demand instances `|D|`.
     pub fn instance_count(&self) -> usize {
-        self.instances.len()
+        self.store.len()
     }
 
     /// The tree of network `t`.
@@ -573,18 +736,41 @@ impl Problem {
         &self.demands[a.index()]
     }
 
-    /// The demand instance `d`.
+    /// The demand instance `d`, as a view into the problem.
     ///
     /// # Panics
     ///
     /// Panics if `d` is out of range.
-    pub fn instance(&self, d: InstanceId) -> &DemandInstance {
-        &self.instances[d.index()]
+    #[inline]
+    pub fn instance(&self, d: InstanceId) -> DemandInstance<'_> {
+        let Record {
+            demand,
+            network,
+            start,
+        } = self.store.records[d.index()];
+        DemandInstance {
+            id: d,
+            demand,
+            network,
+            start,
+            problem: self,
+        }
     }
 
     /// Iterator over all demand instances in id order.
-    pub fn instances(&self) -> impl ExactSizeIterator<Item = &DemandInstance> {
-        self.instances.iter()
+    pub fn instances(&self) -> impl ExactSizeIterator<Item = DemandInstance<'_>> {
+        (0..self.store.len() as u32).map(|d| self.instance(InstanceId(d)))
+    }
+
+    /// The edges of `path(d)`, in path order: what the dual constraint
+    /// `α(a_d) + h·Σ_{e ∈ path(d)} β(e)` sums over.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `d` is out of range.
+    #[inline]
+    pub fn path_edges(&self, d: InstanceId) -> &[EdgeId] {
+        self.store.edges(d)
     }
 
     /// Iterator over all demand ids.
@@ -628,32 +814,13 @@ impl Problem {
     /// Profit of instance `d` (same as its demand's profit).
     #[inline]
     pub fn profit_of(&self, d: InstanceId) -> f64 {
-        self.demands[self.instances[d.index()].demand.index()].profit
+        self.demands[self.store.records[d.index()].demand.index()].profit
     }
 
     /// Height of instance `d` (same as its demand's height).
     #[inline]
     pub fn height_of(&self, d: InstanceId) -> f64 {
-        self.demands[self.instances[d.index()].demand.index()].height
-    }
-
-    /// The end-points `(source, target)` of `path(d)`, read off `d`'s
-    /// demand without touching the path: `⟨u, v⟩` for a pair, `⟨s, s +
-    /// ρ⟩` for the window instance that starts at timeslot `s`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `d` is out of range.
-    #[inline]
-    pub fn end_points(&self, d: InstanceId) -> (VertexId, VertexId) {
-        let inst = &self.instances[d.index()];
-        match (self.demands[inst.demand.index()].kind, inst.start) {
-            (DemandKind::Pair { u, v }, _) => (u, v),
-            (DemandKind::Window { processing, .. }, Some(s)) => {
-                (VertexId(s), VertexId(s + processing))
-            }
-            (DemandKind::Window { .. }, None) => unreachable!("a window instance has a start"),
-        }
+        self.demands[self.store.records[d.index()].demand.index()].height
     }
 
     /// `(pmin, pmax)` over all demands; `(0, 0)` when there are none.
@@ -676,11 +843,12 @@ impl Problem {
     pub fn length_bounds(&self) -> (usize, usize) {
         let mut lo = usize::MAX;
         let mut hi = 0usize;
-        for inst in &self.instances {
-            lo = lo.min(inst.len());
-            hi = hi.max(inst.len());
+        for run in self.store.offsets.windows(2) {
+            let len = (run[1] - run[0]) as usize;
+            lo = lo.min(len);
+            hi = hi.max(len);
         }
-        if self.instances.is_empty() {
+        if self.store.len() == 0 {
             (0, 0)
         } else {
             (lo, hi)
@@ -712,8 +880,7 @@ impl Problem {
         if a == b {
             return true;
         }
-        let da = &self.instances[a.index()];
-        let db = &self.instances[b.index()];
+        let (da, db) = (self.instance(a), self.instance(b));
         da.demand == db.demand || da.overlaps(db)
     }
 
@@ -735,7 +902,7 @@ impl Problem {
     /// Panics if `d` is out of range.
     #[inline]
     pub fn is_live_instance(&self, d: InstanceId) -> bool {
-        !self.departed[self.instances[d.index()].demand.index()]
+        !self.departed[self.store.records[d.index()].demand.index()]
     }
 
     /// Number of live (non-departed) demands, in `O(1)`.
@@ -761,10 +928,9 @@ impl Problem {
     /// All instances of live demands, in instance-id order — the
     /// participant set an online solve runs over.
     pub fn live_instances(&self) -> Vec<InstanceId> {
-        self.instances
-            .iter()
-            .filter(|inst| !self.departed[inst.demand.index()])
-            .map(|inst| inst.id)
+        (0..self.store.len() as u32)
+            .map(InstanceId)
+            .filter(|&d| self.is_live_instance(d))
             .collect()
     }
 
@@ -816,18 +982,27 @@ impl Problem {
         validate_demand_shape(a, &demand, &acc, &self.networks)?;
 
         // All checks passed — mutate. Everything below is infallible, so
-        // a rejected arrival above left the problem untouched.
-        let first_new = self.instances.len();
-        let mut row = Vec::with_capacity(instances_per_network(&demand) * acc.len());
+        // a rejected arrival above left the problem untouched. Each list
+        // grows at most once, however many instances the demand has.
+        let first_new = self.store.len();
+        let (mut instances, mut edges) = (0, 0);
+        for &t in &acc {
+            let (on_t, edges_on_t) = instance_sizes(&demand, &self.rooted[t.index()]);
+            self.by_network[t.index()].reserve(on_t);
+            instances += on_t;
+            edges += edges_on_t;
+        }
+        self.store.reserve(instances, edges);
+        let mut row = Vec::with_capacity(instances);
         materialize_demand(
             a,
             &demand,
             &acc,
-            &self.networks,
             &self.rooted,
-            &mut self.instances,
+            &mut self.store,
             &mut row,
             &mut self.by_network,
+            &mut TreePath::new(vec![VertexId(0)], Vec::new()),
         );
         let new_instances = row.clone();
         self.demands.push(demand);
@@ -835,7 +1010,7 @@ impl Problem {
         self.departed.push(false);
         self.live_demands += 1;
         self.live_instances += new_instances.len();
-        debug_assert_eq!(self.instances.len() - first_new, new_instances.len());
+        debug_assert_eq!(self.store.len() - first_new, new_instances.len());
         self.access.push(acc);
         Ok(DeltaEffect {
             demand: a,
@@ -907,7 +1082,7 @@ mod tests {
     }
 
     #[test]
-    fn end_points_are_the_path_end_points() {
+    fn paths_run_between_their_end_points() {
         use crate::workload::{LineWorkload, TreeWorkload};
         use rand::{rngs::SmallRng, SeedableRng};
         let mut rng = SmallRng::seed_from_u64(4);
@@ -920,10 +1095,12 @@ mod tests {
             .generate(&mut rng);
         for p in [two_line_problem(), tree, windows] {
             for inst in p.instances() {
-                assert_eq!(
-                    p.end_points(inst.id),
-                    (inst.path.source(), inst.path.target())
-                );
+                let path = inst.path();
+                let route = p.rooted(inst.network).path(path.source(), path.target());
+                assert_eq!(path.edges(), route.edges());
+                if let Some(s) = inst.start {
+                    assert_eq!(path.source(), VertexId(s));
+                }
             }
         }
     }
@@ -1012,7 +1189,14 @@ mod tests {
             .unwrap();
         let p = b.build().unwrap();
         assert_eq!(p.instance_count(), 2 + 2 * 3 + 10 + 1);
-        assert_eq!(p.instances.capacity(), p.instances.len());
+        let store = &p.store;
+        assert_eq!(store.records.capacity(), store.records.len());
+        assert_eq!(store.offsets.capacity(), store.len() + 1);
+        // Pairs 0 ↝ 3 and 7 ↝ 2, 3-slot and 1-slot windows.
+        assert_eq!(store.edges.len(), 2 * 3 + 2 * 3 * 3 + 10 + 5);
+        assert_eq!(store.edges.capacity(), store.edges.len());
+        assert_eq!(store.masks.len(), store.len() * store.words);
+        assert_eq!(store.masks.capacity(), store.masks.len());
         for row in p.by_network.iter().chain(&p.by_demand) {
             assert_eq!(row.capacity(), row.len());
         }
@@ -1120,6 +1304,74 @@ mod tests {
     }
 
     #[test]
+    fn networks_past_the_key_width_are_refused() {
+        // Network 4096 would carry into the demand bits of the canonical
+        // key: demand 1's instance on it would share demand 0's key on
+        // network 1, and the MIS would never order the two.
+        let mut b = ProblemBuilder::new();
+        for _ in 0..4096 {
+            b.add_network(Tree::line(2)).unwrap();
+        }
+        assert_eq!(
+            b.add_network(Tree::line(2)),
+            Err(ModelError::TooManyNetworks { limit: 4096 })
+        );
+        let pair = Demand::pair(VertexId(0), VertexId(1), 1.0);
+        b.add_demand(pair, &[NetworkId(1)]).unwrap();
+        b.add_demand(pair, &[NetworkId(0), NetworkId(4095)])
+            .unwrap();
+        let p = b.build().unwrap();
+        let mut keys: Vec<u64> = p.instances().map(|d| d.canonical_key()).collect();
+        keys.sort_unstable();
+        keys.dedup();
+        assert_eq!(keys.len(), 3);
+    }
+
+    #[test]
+    fn window_starts_past_the_key_width_are_refused() {
+        // A line of 2^20 + 1 timeslots: the last one, 2^20, is the first
+        // start the key's 20 start bits cannot hold.
+        let limit = START_LIMIT;
+        let line = Tree::line(limit as usize + 2);
+        let late = Demand::window(0, limit, 1, 1.0);
+        let refusal = ModelError::WindowStartOutOfRange {
+            demand: DemandId(1),
+            start: limit,
+            limit,
+        };
+        let mut b = ProblemBuilder::new();
+        let t = b.add_network(line.clone()).unwrap();
+        b.add_demand(Demand::pair(VertexId(0), VertexId(1), 1.0), &[t])
+            .unwrap();
+        b.add_demand(late, &[t]).unwrap();
+        assert_eq!(b.build().unwrap_err(), refusal);
+
+        // The same deadline with two slots of processing last starts at
+        // 2^20 − 1, which fits.
+        let mut b = ProblemBuilder::new();
+        let t = b.add_network(line).unwrap();
+        b.add_demand(Demand::pair(VertexId(0), VertexId(1), 1.0), &[t])
+            .unwrap();
+        let mut p = b.build().unwrap();
+        let before = (p.demand_count(), p.instance_count(), p.store.edges.len());
+        let arrival = |demand| ProblemDelta::Arrival {
+            demand,
+            access: vec![t],
+        };
+        assert_eq!(p.apply_delta(arrival(late)).unwrap_err(), refusal);
+        let after = (p.demand_count(), p.instance_count(), p.store.edges.len());
+        assert_eq!(after, before);
+        let fits = p.apply_delta(arrival(Demand::window(limit - 2, limit, 2, 1.0)));
+        let starts: Vec<_> = fits
+            .unwrap()
+            .new_instances
+            .iter()
+            .map(|&d| p.instance(d).start)
+            .collect();
+        assert_eq!(starts, [Some(limit - 2), Some(limit - 1)]);
+    }
+
+    #[test]
     fn build_requires_networks() {
         assert!(matches!(
             ProblemBuilder::new().build(),
@@ -1175,7 +1427,7 @@ mod tests {
             assert_eq!(a.id, b.id);
             assert_eq!(a.demand, b.demand);
             assert_eq!(a.network, b.network);
-            assert_eq!(a.path.edges(), b.path.edges());
+            assert_eq!(a.path(), b.path());
             assert_eq!(a.canonical_key(), b.canonical_key());
         }
         for t in batch.networks() {

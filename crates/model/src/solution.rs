@@ -176,7 +176,7 @@ impl Solution {
                 None => demand_pick[inst.demand.index()] = Some(d),
             }
             let h = problem.height_of(d);
-            for &e in inst.path.edges() {
+            for &e in problem.path_edges(d) {
                 let slot = &mut load[inst.network.index()][e.index()];
                 *slot += h;
                 if *slot > 1.0 + EPS {
@@ -245,8 +245,8 @@ impl<'p> SolutionTracker<'p> {
         }
         let h = self.problem.height_of(d);
         let residual = self.residual.get(&inst.network);
-        inst.path
-            .edges()
+        self.problem
+            .path_edges(d)
             .iter()
             .all(|&e| residual.map_or(1.0, |r| r[e.index()]) + EPS >= h)
     }
@@ -263,7 +263,7 @@ impl<'p> SolutionTracker<'p> {
             .residual
             .entry(inst.network)
             .or_insert_with(|| vec![1.0f64; problem.network(inst.network).edge_count()]);
-        for &e in inst.path.edges() {
+        for &e in problem.path_edges(d) {
             residual[e.index()] -= h;
         }
         self.used.insert(inst.demand);

@@ -143,7 +143,7 @@ mod tests {
         assert_eq!(p.instance_count(), q.instance_count());
         for inst in p.instances() {
             let other = q.instance(inst.id);
-            assert_eq!(inst.path, other.path);
+            assert_eq!(inst.path(), other.path());
             assert_eq!(inst.canonical_key(), other.canonical_key());
         }
     }

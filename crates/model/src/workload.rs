@@ -4,7 +4,7 @@
 //! demands `m`, networks `r`, the profit spread `pmax/pmin`, the minimum
 //! height `hmin`, path locality, and (for line-networks) window shapes.
 
-use crate::{Demand, Problem, ProblemBuilder};
+use crate::{Demand, ModelError, Problem, ProblemBuilder};
 use rand::Rng;
 use treenet_graph::generators::TreeFamily;
 use treenet_graph::{Tree, VertexId};
@@ -137,8 +137,23 @@ impl TreeWorkload {
     ///
     /// # Panics
     ///
-    /// Panics if the configuration is degenerate (`n < 2`, `r == 0`).
+    /// Panics if the configuration is degenerate (`n < 2`, `r == 0`) or
+    /// asks for more networks than a problem holds.
     pub fn generate<R: Rng>(&self, rng: &mut R) -> Problem {
+        self.try_generate(rng).expect("generated problem is valid")
+    }
+
+    /// [`TreeWorkload::generate`], handing back the builder's refusal of
+    /// the configuration instead of panicking.
+    ///
+    /// # Errors
+    ///
+    /// [`ModelError::TooManyNetworks`] past 4,096 networks.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the configuration is degenerate (`n < 2`, `r == 0`).
+    pub fn try_generate<R: Rng>(&self, rng: &mut R) -> Result<Problem, ModelError> {
         assert!(self.n >= 2, "need at least two vertices");
         assert!(self.r >= 1, "need at least one network");
         let pods = self.pods.max(1);
@@ -146,7 +161,7 @@ impl TreeWorkload {
         let mut nets = Vec::with_capacity(pods * self.r);
         for _ in 0..pods * self.r {
             let tree = self.family.generate(self.n, rng);
-            nets.push(builder.add_network(tree).expect("same n for every network"));
+            nets.push(builder.add_network(tree)?);
         }
         // Locality sampling walks a bounded random path from a start vertex
         // on network 0; the same end-points are used on every accessible
@@ -180,11 +195,9 @@ impl TreeWorkload {
             if access.is_empty() {
                 access.push(pod[rng.gen_range(0..pod.len())]);
             }
-            builder
-                .add_demand(demand, &access)
-                .expect("generated demand is valid");
+            builder.add_demand(demand, &access)?;
         }
-        builder.build().expect("generated problem is valid")
+        builder.build()
     }
 }
 
@@ -317,8 +330,26 @@ impl LineWorkload {
     /// # Panics
     ///
     /// Panics on degenerate configurations (`slots == 0`, `r == 0`,
-    /// empty length range).
+    /// empty length range), or on lines or resources past what a problem
+    /// holds.
     pub fn generate<R: Rng>(&self, rng: &mut R) -> Problem {
+        self.try_generate(rng).expect("generated problem is valid")
+    }
+
+    /// [`LineWorkload::generate`], handing back the builder's refusal of
+    /// the configuration instead of panicking.
+    ///
+    /// # Errors
+    ///
+    /// [`ModelError::TooManyNetworks`] past 4,096 lines, and
+    /// [`ModelError::WindowStartOutOfRange`] for a window that could
+    /// start at timeslot 2^20 or later.
+    ///
+    /// # Panics
+    ///
+    /// Panics on degenerate configurations (`slots == 0`, `r == 0`,
+    /// empty length range).
+    pub fn try_generate<R: Rng>(&self, rng: &mut R) -> Result<Problem, ModelError> {
         assert!(self.slots >= 1);
         assert!(self.r >= 1);
         let (lo, hi) = self.len_range;
@@ -328,13 +359,9 @@ impl LineWorkload {
         );
         let pods = self.pods.max(1);
         let mut builder = ProblemBuilder::new();
-        let nets: Vec<_> = (0..pods * self.r)
-            .map(|_| {
-                builder
-                    .add_network(Tree::line(self.slots + 1))
-                    .expect("lines share n")
-            })
-            .collect();
+        let nets = (0..pods * self.r)
+            .map(|_| builder.add_network(Tree::line(self.slots + 1)))
+            .collect::<Result<Vec<_>, _>>()?;
         for j in 0..self.m {
             let rho = rng.gen_range(lo..=hi);
             let window_len = (rho + self.window_slack).min(self.slots as u32);
@@ -352,11 +379,9 @@ impl LineWorkload {
             if access.is_empty() {
                 access.push(pod[rng.gen_range(0..pod.len())]);
             }
-            builder
-                .add_demand(demand, &access)
-                .expect("generated demand is valid");
+            builder.add_demand(demand, &access)?;
         }
-        builder.build().expect("generated problem is valid")
+        builder.build()
     }
 }
 

@@ -31,7 +31,7 @@ fn assert_same_build(grown: &Problem, fresh: &Problem) {
         assert_eq!(gi.id, fi.id);
         assert_eq!(gi.demand, fi.demand);
         assert_eq!(gi.network, fi.network);
-        assert_eq!(gi.path.edges(), fi.path.edges());
+        assert_eq!(gi.path(), fi.path());
         assert_eq!(gi.start, fi.start);
         assert_eq!(gi.canonical_key(), fi.canonical_key());
     }

@@ -3,9 +3,65 @@
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
+use treenet_graph::EdgeId;
 use treenet_model::conflict::ConflictGraph;
 use treenet_model::workload::{HeightMode, LineWorkload, TreeWorkload};
-use treenet_model::{Solution, SolutionTracker};
+use treenet_model::{Problem, ProblemBuilder, ProblemDelta, Solution, SolutionTracker};
+
+/// Checks `ConflictGraph::build` over every instance of `p` against an
+/// oracle that shares none of the problem's stored paths or edge masks:
+/// two instances conflict iff they copy one demand, or they share a
+/// network and an edge of the paths `rooted.path(source, target)`
+/// recomputed from their end-points.
+fn conflict_graph_matches_recomputed_paths(p: &Problem) -> Result<(), TestCaseError> {
+    let ids: Vec<_> = p.instances().map(|d| d.id).collect();
+    let routes: Vec<Vec<EdgeId>> = p
+        .instances()
+        .map(|inst| {
+            let path = inst.path();
+            let mut edges = p
+                .rooted(inst.network)
+                .path(path.source(), path.target())
+                .edges()
+                .to_vec();
+            edges.sort_unstable();
+            edges
+        })
+        .collect();
+    let g = ConflictGraph::build(p, &ids);
+    for i in 0..ids.len() {
+        let (di, ri) = (p.instance(ids[i]), &routes[i]);
+        for j in 0..ids.len() {
+            let dj = p.instance(ids[j]);
+            let shared = ri.iter().any(|e| routes[j].binary_search(e).is_ok());
+            let oracle = i != j && (di.demand == dj.demand || (di.network == dj.network && shared));
+            let edge = g.neighbors(i).contains(&(j as u32));
+            prop_assert_eq!(edge, oracle, "i={} j={}", i, j);
+        }
+    }
+    Ok(())
+}
+
+/// `p`'s demands admitted online: the first `prefix` built in a batch,
+/// every later one arriving through `Problem::apply_delta`.
+fn grown(p: &Problem, prefix: usize) -> Problem {
+    let mut b = ProblemBuilder::new();
+    for t in p.networks() {
+        b.add_network(p.network(t).clone()).unwrap();
+    }
+    for a in p.demands().take(prefix) {
+        b.add_demand(*p.demand(a), p.access(a)).unwrap();
+    }
+    let mut q = b.build().unwrap();
+    for a in p.demands().skip(prefix) {
+        q.apply_delta(ProblemDelta::Arrival {
+            demand: *p.demand(a),
+            access: p.access(a).to_vec(),
+        })
+        .unwrap();
+    }
+    q
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
@@ -52,6 +108,26 @@ proptest! {
                 prop_assert_eq!(p.conflicting(ids[i], ids[j]), p.conflicting(ids[j], ids[i]));
             }
         }
+    }
+
+    /// The conflict graph against recomputed paths: on trees, on window
+    /// lines of 150 timeslots (three mask words per instance), and on the
+    /// same lines grown demand by demand, which pins the offsets of the
+    /// stored edge and mask arrays.
+    #[test]
+    fn conflict_graph_matches_path_intersections(seed in 0u64..200) {
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let tree = TreeWorkload::new(16, 12).with_networks(2).generate(&mut rng);
+        conflict_graph_matches_recomputed_paths(&tree)?;
+        let line = LineWorkload::new(150, 14)
+            .with_resources(2)
+            .with_window_slack(3)
+            .with_len_range(1, 70)
+            .generate(&mut rng);
+        prop_assert!(line.vertex_count() > 65);
+        conflict_graph_matches_recomputed_paths(&line)?;
+        conflict_graph_matches_recomputed_paths(&grown(&line, 4))?;
+        conflict_graph_matches_recomputed_paths(&grown(&tree, 3))?;
     }
 
     /// Greedily packing instances with the tracker always yields a feasible

@@ -84,9 +84,10 @@ fn bootstrap(args: &[String]) -> Result<Problem, String> {
     let n: usize = parsed(args, "--n", 32)?;
     let m: usize = parsed(args, "--m", 0)?;
     let seed: u64 = parsed(args, "--seed", 7)?;
-    Ok(TreeWorkload::new(n, m)
+    TreeWorkload::new(n, m)
         .with_networks(networks)
-        .generate(&mut SmallRng::seed_from_u64(seed)))
+        .try_generate(&mut SmallRng::seed_from_u64(seed))
+        .map_err(|e| format!("building problem: {e}"))
 }
 
 fn run(args: &[String]) -> Result<ExitCode, String> {

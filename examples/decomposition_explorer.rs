@@ -58,8 +58,8 @@ fn main() {
         }
         dump(&h, h.root(), 1);
 
-        let mu = capture_node(&h, &path);
-        let pi = critical_edges(&h, &rooted, &path);
+        let mu = capture_node(&h, path.view());
+        let pi = critical_edges(&h, &rooted, path.view());
         let pi_str: Vec<String> = pi
             .iter()
             .map(|&e| {

@@ -122,7 +122,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     for &d in ours.solution.selected() {
         let inst = problem.instance(d);
         if inst.network == pool[0] {
-            for &e in inst.path.edges() {
+            for &e in problem.path_edges(d) {
                 load[e.index()] += problem.height_of(d);
             }
         }

@@ -45,8 +45,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("\nselected instances:");
     for &d in outcome.solution.selected() {
         let inst = problem.instance(d);
-        let path_str: Vec<String> = inst
-            .path
+        let path = inst.path();
+        let path_str: Vec<String> = problem
+            .rooted(inst.network)
+            .path(path.source(), path.target())
             .vertices()
             .iter()
             .map(|v| v.0.to_string())

@@ -122,14 +122,15 @@ fn generate(args: &Args) -> Result<(), String> {
     let problem = match kind.as_str() {
         "tree" => TreeWorkload::new(n, m)
             .with_heights(heights)
-            .generate(&mut rng),
+            .try_generate(&mut rng),
         "line" => LineWorkload::new(n, m)
             .with_window_slack(3)
             .with_len_range(1, (n / 4).max(1) as u32)
             .with_heights(heights)
-            .generate(&mut rng),
+            .try_generate(&mut rng),
         other => return Err(format!("unknown kind {other}")),
-    };
+    }
+    .map_err(|e| format!("building problem: {e}"))?;
     let spec = ProblemSpec::from_problem(&problem);
     let json = serde_json::to_string_pretty(&spec).expect("specs serialize");
     std::fs::write(out, json).map_err(|e| format!("writing {out}: {e}"))?;
@@ -151,8 +152,10 @@ fn print_solution(problem: &Problem, solution: &Solution) {
     );
     for &d in solution.selected() {
         let inst = problem.instance(d);
-        let route: Vec<String> = inst
-            .path
+        let path = inst.path();
+        let route: Vec<String> = problem
+            .rooted(inst.network)
+            .path(path.source(), path.target())
             .vertices()
             .iter()
             .map(|v| v.0.to_string())
