@@ -2,7 +2,7 @@
 //! pivot size up to `⌈log n⌉` — classic centroid decomposition.
 
 use crate::TreeDecomposition;
-use treenet_graph::component::{find_balancer, split_at, Membership, Scratch};
+use treenet_graph::component::Splitter;
 use treenet_graph::{Tree, VertexId};
 
 /// Builds the balancing decomposition (`BuildBalTD` in the paper): pick a
@@ -27,21 +27,16 @@ use treenet_graph::{Tree, VertexId};
 pub fn balancing(tree: &Tree) -> TreeDecomposition {
     let n = tree.len();
     let mut parent: Vec<Option<VertexId>> = vec![None; n];
-    let mut membership = Membership::new(n);
-    let mut scratch = Scratch::new(n);
-    let all: Vec<VertexId> = tree.vertices().collect();
+    let (mut splitter, whole) = Splitter::whole(tree, VertexId(0));
     // Explicit work list of (component, parent-of-its-balancer) to avoid
-    // deep recursion on adversarial shapes.
-    let mut work: Vec<(Vec<VertexId>, Option<VertexId>)> = vec![(all, None)];
-    while let Some((comp, attach)) = work.pop() {
-        membership.mark(&comp);
-        let z = find_balancer(tree, &comp, &membership, &mut scratch);
-        let parts = split_at(tree, &comp, &membership, z, &mut scratch);
-        membership.clear(&comp);
+    // deep recursion on adversarial shapes; each component was listed
+    // and sized by the split that made it, as the whole tree was.
+    let mut work = Vec::with_capacity(n);
+    work.push((whole, None));
+    while let Some((part, attach)) = work.pop() {
+        let z = splitter.balancer(tree, part);
         parent[z.index()] = attach;
-        for part in parts {
-            work.push((part, Some(z)));
-        }
+        splitter.split(tree, part, z, |_, piece| work.push((piece, Some(z))));
     }
     TreeDecomposition::from_parents(tree, parent)
 }

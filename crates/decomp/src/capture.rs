@@ -16,7 +16,7 @@ use crate::TreeDecomposition;
 use treenet_graph::{EdgeId, PathView, RootedTree, VertexId};
 
 /// The capture node `µ(d)`: the path vertex with minimum `H`-depth,
-/// found in `O(depth H)` as `ℓ = LCA_H(source, target)`.
+/// found in `O(1)` as `ℓ = LCA_H(source, target)`.
 ///
 /// Why `ℓ` is that vertex: LCA closure puts `ℓ` on the path, and both
 /// end-points lie in `C(ℓ)`, which is connected in `T`, so the whole path

@@ -13,8 +13,8 @@
 //! `⟨depth ≤ 2⌈log n⌉ + 1, θ ≤ 2⟩`.
 
 use crate::TreeDecomposition;
-use treenet_graph::component::{find_balancer, split_at, Membership, Scratch};
-use treenet_graph::{RootedTree, Tree, VertexId};
+use treenet_graph::component::{Part, Splitter};
+use treenet_graph::{Tree, VertexId};
 
 /// Builds the ideal tree decomposition of `tree` (Lemma 4.1).
 ///
@@ -44,148 +44,116 @@ pub struct IdealStats {
     pub balancers: usize,
 }
 
+/// One pending `BuildIdealTD(C)`: the component, the `H`-node its root
+/// hangs below, and its outside neighbours, each with its attachment
+/// `(u, u')`: the edge from `u ∉ C` to `u' ∈ C`.
+#[derive(Copy, Clone)]
+struct Frame {
+    part: Part,
+    up: Option<VertexId>,
+    attached: [(VertexId, VertexId); 2],
+    count: usize,
+}
+
+impl Frame {
+    /// The frame of `part`, split off `from` (which hangs it below `up`),
+    /// keeping those of `inherited` attached inside it. `None` if two
+    /// are: the part then has three neighbours, Case 2(b).
+    fn new(
+        splitter: &Splitter,
+        part: Part,
+        up: VertexId,
+        from: VertexId,
+        inherited: &[(VertexId, VertexId)],
+    ) -> Option<Self> {
+        let mut frame = Frame {
+            part,
+            up: Some(up),
+            attached: [(from, splitter.root(part)); 2],
+            count: 1,
+        };
+        for &(u, inner) in inherited {
+            if splitter.contains(part, inner) {
+                if frame.count == 2 {
+                    return None;
+                }
+                frame.attached[1] = (u, inner);
+                frame.count = 2;
+            }
+        }
+        Some(frame)
+    }
+}
+
 /// Like [`ideal`], additionally returning construction statistics.
+///
+/// The recursion runs on one [`Splitter`]: each component's walk lists
+/// it, stamps it and sizes it, so its balancer is a centroid descent,
+/// and its at most two attachments come down from its parent's frame.
+/// The top level is a component with no neighbours, walked from vertex
+/// 0.
 pub fn ideal_with_stats(tree: &Tree) -> (TreeDecomposition, IdealStats) {
     let n = tree.len();
-    let rooted = RootedTree::new(tree, VertexId(0));
-    let mut builder = IdealBuilder {
-        tree,
-        rooted: &rooted,
-        parent: vec![None; n],
-        membership: Membership::new(n),
-        scratch: Scratch::new(n),
-        stats: IdealStats::default(),
+    let (mut splitter, whole) = Splitter::whole(tree, VertexId(0));
+    let mut parent = vec![None; n];
+    // The top-level balancer is counted even for a one-vertex tree.
+    let mut stats = IdealStats {
+        balancers: usize::from(n == 1),
+        junctions: 0,
     };
-    // Top level: a balancer g of the whole vertex set becomes the root;
-    // every split piece has Γ = {g} ⊆ two neighbors, satisfying the
-    // recursion's precondition.
-    let all: Vec<VertexId> = tree.vertices().collect();
-    builder.membership.mark(&all);
-    let g = find_balancer(tree, &all, &builder.membership, &mut builder.scratch);
-    let parts = split_at(tree, &all, &builder.membership, g, &mut builder.scratch);
-    builder.membership.clear(&all);
-    builder.stats.balancers += 1;
-    for part in parts {
-        let root = builder.build(part);
-        builder.parent[root.index()] = Some(g);
-    }
-    let stats = builder.stats;
-    (TreeDecomposition::from_parents(tree, builder.parent), stats)
-}
-
-struct IdealBuilder<'t> {
-    tree: &'t Tree,
-    rooted: &'t RootedTree,
-    parent: Vec<Option<VertexId>>,
-    membership: Membership,
-    /// Per-vertex scratch shared by every balancer and split of the
-    /// recursion.
-    scratch: Scratch,
-    stats: IdealStats,
-}
-
-impl IdealBuilder<'_> {
-    /// `BuildIdealTD(C)`: returns the root of the subtree built for `comp`.
-    ///
-    /// Precondition: `comp` is a component of the tree with at most two
-    /// outside neighbors (checked with `debug_assert`).
-    fn build(&mut self, comp: Vec<VertexId>) -> VertexId {
-        if comp.len() == 1 {
-            return comp[0];
+    let mut work = Vec::with_capacity(n);
+    work.push(Frame {
+        part: whole,
+        up: None,
+        attached: [(VertexId(0), VertexId(0)); 2],
+        count: 0,
+    });
+    while let Some(frame) = work.pop() {
+        if frame.part.len() == 1 {
+            parent[splitter.root(frame.part).index()] = frame.up;
+            continue;
         }
-        self.membership.mark(&comp);
-        // Γ[C] and the attachments in one scan: each edge leaving C joins
-        // an outside neighbor u to its attachment u' ∈ C, and u has just
-        // one (two would close a cycle), so the scan meets each of the at
-        // most two neighbors once.
-        let mut attached = [(VertexId(0), VertexId(0)); 2];
-        let mut count = 0;
-        for &x in &comp {
-            for &(u, _) in self.tree.neighbors(x) {
-                if !self.membership.contains(u) {
-                    debug_assert!(
-                        count < 2,
-                        "precondition: component has at most two neighbors"
-                    );
-                    attached[count] = (u, x);
-                    count += 1;
-                }
+        let z = splitter.balancer(tree, frame.part);
+        stats.balancers += 1;
+        let attached = &frame.attached[..frame.count];
+        // Cases 1 / 2(a): every part keeps ≤ 2 neighbours ({z} plus at
+        // most one of u₁/u₂); z roots them all. Case 2(b): both
+        // attachments, neither of them z, fall in one part p1.
+        let mut p1 = None;
+        splitter.split(tree, frame.part, z, |s, part| {
+            match Frame::new(s, part, z, z, attached) {
+                Some(child) => work.push(child),
+                None => p1 = Some(part),
             }
-        }
-        let z = find_balancer(self.tree, &comp, &self.membership, &mut self.scratch);
-        let parts = split_at(self.tree, &comp, &self.membership, z, &mut self.scratch);
-        self.membership.clear(&comp);
-        self.stats.balancers += 1;
-
-        // Case 2(b) iff both attachments, neither of them z, lie in one
-        // part, which would then have the three neighbors {z, u₁, u₂}.
-        let shared = match attached[..count] {
-            [(_, a1), (_, a2)] if a1 != z && a2 != z => parts
-                .iter()
-                .position(|p| p.contains(&a1))
-                .filter(|&i| parts[i].contains(&a2)),
-            _ => None,
+        });
+        let Some(p1) = p1 else {
+            parent[z.index()] = frame.up;
+            continue;
         };
-
-        match shared {
-            None => {
-                // Cases 1 / 2(a): every part keeps ≤ 2 neighbors ({z} plus
-                // at most one of u₁/u₂); z roots them all.
-                for part in parts {
-                    let root = self.build(part);
-                    self.parent[root.index()] = Some(z);
-                }
+        stats.junctions += 1;
+        // The junction j = median_T(u₁, u₂, z): the paths from u₁', u₂'
+        // to the attachment w of z into p1, where p1's walk started,
+        // meet at j (`w == j` is possible).
+        let [(u1, a1), (u2, a2)] = frame.attached;
+        let w = splitter.root(p1);
+        let junction = splitter.meet(a1, a2);
+        // j is the root; z hangs below j; the piece of p1 \ {j} holding
+        // w (C'₁, if any) hangs below z; the other pieces below j; the
+        // other parts of C \ {z} below z (pushed above).
+        parent[junction.index()] = frame.up;
+        parent[z.index()] = Some(junction);
+        let inherited = [(z, w), (u1, a1), (u2, a2)];
+        splitter.split(tree, p1, junction, |s, part| {
+            let up = if w != junction && s.contains(part, w) {
                 z
-            }
-            Some(pi) => {
-                // Case 2(b): both attachments u₁', u₂' fall in parts[pi].
-                self.stats.junctions += 1;
-                let [(u1, _), (u2, _)] = attached;
-                let junction = self.rooted.median(u1, u2, z);
-                let p1 = parts[pi].clone();
-                debug_assert!(
-                    p1.contains(&junction),
-                    "junction {junction} must lie in the three-neighbor part"
-                );
-                // The attachment of z into p1 (w): the unique p1 vertex
-                // adjacent to z; `w == junction` is possible.
-                self.membership.mark(&p1);
-                let w = self
-                    .tree
-                    .neighbors(z)
-                    .iter()
-                    .map(|&(x, _)| x)
-                    .find(|&x| self.membership.contains(x))
-                    .expect("z is adjacent to every split piece");
-                let subparts = split_at(
-                    self.tree,
-                    &p1,
-                    &self.membership,
-                    junction,
-                    &mut self.scratch,
-                );
-                self.membership.clear(&p1);
-
-                // j is the root; z hangs below j; the subpart containing w
-                // (C'₁, if any) hangs below z; remaining subparts below j;
-                // the other parts of comp \ {z} below z.
-                self.parent[z.index()] = Some(junction);
-                for subpart in subparts {
-                    let is_c1 = w != junction && subpart.contains(&w);
-                    let root = self.build(subpart);
-                    self.parent[root.index()] = Some(if is_c1 { z } else { junction });
-                }
-                for (i, part) in parts.into_iter().enumerate() {
-                    if i == pi {
-                        continue;
-                    }
-                    let root = self.build(part);
-                    self.parent[root.index()] = Some(z);
-                }
+            } else {
                 junction
-            }
-        }
+            };
+            let child = Frame::new(s, part, up, junction, &inherited);
+            work.push(child.expect("precondition: a piece of p1 has at most two neighbours"));
+        });
     }
+    (TreeDecomposition::from_parents(tree, parent), stats)
 }
 
 /// The paper's depth bound for the ideal decomposition:

@@ -150,7 +150,7 @@ impl Layering {
                 let decomposition = &decompositions[network.index()];
                 let mu = capture_node(decomposition, path);
                 push_critical_edges(decomposition, rooted, path, mu, critical);
-                capture_group(depths[network.index()], decomposition, mu)
+                capture_group(depths[network.index()], decomposition.node_depth(mu))
             }
             Family::Line { lmin } => {
                 push_critical_slots(path.edges(), critical);
@@ -168,7 +168,8 @@ impl Layering {
 
     /// [`Layering::layer`]'s group alone, for an instance of `network`
     /// with end-points `source` and `target`: a tree instance's capture
-    /// node is `LCA_H(source, target)`, and a line instance spans
+    /// node is `LCA_H(source, target)`, whose depth the decomposition's
+    /// depth table gives in `O(1)`, and a line instance spans
     /// `|target − source|` timeslots.
     fn group(&self, network: NetworkId, source: VertexId, target: VertexId) -> u32 {
         match &self.0 {
@@ -177,19 +178,18 @@ impl Layering {
                 depths,
                 ..
             } => {
-                let decomposition = &decompositions[network.index()];
-                let mu = decomposition.lca(source, target);
-                capture_group(depths[network.index()], decomposition, mu)
+                let capture = decompositions[network.index()].lca_depth(source, target);
+                capture_group(depths[network.index()], capture)
             }
             Family::Line { lmin } => length_class(*lmin, source.0.abs_diff(target.0) as usize),
         }
     }
 }
 
-/// The group of a tree instance captured at `mu` in a decomposition of
-/// depth `depth`: deepest captures first.
-fn capture_group(depth: u32, decomposition: &TreeDecomposition, mu: VertexId) -> u32 {
-    depth - decomposition.node_depth(mu) + 1
+/// The group of a tree instance captured at `H`-depth `capture` in a
+/// decomposition of depth `depth`: deepest captures first.
+fn capture_group(depth: u32, capture: u32) -> u32 {
+    depth - capture + 1
 }
 
 /// A layered decomposition of all demand instances of a [`Problem`]

@@ -2,7 +2,8 @@
 //! `n`.
 
 use crate::TreeDecomposition;
-use treenet_graph::{RootedTree, Tree, VertexId};
+use treenet_graph::component::Splitter;
+use treenet_graph::{Tree, VertexId};
 
 /// Builds the root-fixing decomposition: `H` is simply `T` rooted at `g`.
 ///
@@ -27,8 +28,13 @@ use treenet_graph::{RootedTree, Tree, VertexId};
 ///
 /// Panics if `root` is out of range.
 pub fn root_fixing(tree: &Tree, root: VertexId) -> TreeDecomposition {
-    let rooted = RootedTree::new(tree, root);
-    let parent: Vec<Option<VertexId>> = tree.vertices().map(|v| rooted.parent(v)).collect();
+    // A walk of the whole tree from `root` leaves every other vertex's
+    // parent in `T` rooted there.
+    let (splitter, _) = Splitter::whole(tree, root);
+    let parent: Vec<Option<VertexId>> = tree
+        .vertices()
+        .map(|v| (v != root).then(|| splitter.parent(v)))
+        .collect();
     TreeDecomposition::from_parents(tree, parent)
 }
 

@@ -12,22 +12,49 @@ use treenet_graph::{RootedTree, Tree, VertexId};
 /// 2. **Component property** — for every `z`, the set `C(z)` of `z` and its
 ///    `H`-descendants induces a connected subtree of `T`.
 ///
-/// The struct stores, for every node `z`, its parent, 1-based depth (the
-/// paper's convention: the root has depth 1), Euler intervals for `O(1)`
-/// `C(z)` membership tests, and the pivot set `χ(z) = Γ[C(z)]`.
+/// The struct lists `H` in DFS preorder (the first visits of its Euler
+/// tour) and keeps a sparse table of `H`-depths over that order, so
+/// `LCA_H`, its depth and `C(z)` membership are `O(1)` for any depth
+/// (up to `2^17` vertices; beyond, one table read per `2^16` vertices).
+/// Children and the pivot sets `χ(z) = Γ[C(z)]` are CSR arrays.
 #[derive(Clone, Debug)]
 pub struct TreeDecomposition {
     root: VertexId,
-    parent: Vec<Option<VertexId>>,
-    depth: Vec<u32>,
-    children: Vec<Vec<VertexId>>,
-    tin: Vec<u32>,
-    tout: Vec<u32>,
+    /// Preorder position of each vertex.
+    pre: Vec<u32>,
+    /// The `H`-parent of the vertex at each position ([`NO_PARENT`] for
+    /// the root, at position 0).
+    parent_at: Vec<u32>,
+    /// The 1-based depth of the vertex at each position: level 0 of the
+    /// depth table.
+    depth_at: Vec<u32>,
+    /// Levels `k = 1..=min(⌊log₂ n⌋, 16)` of the depth table, one after
+    /// another: level `k` holds, for each position `i ≤ n − 2^k`, the
+    /// offset from `i` of the shallowest vertex among `i..i + 2^k` (the
+    /// first on ties). An offset below `2^16` fits in a `u16`, which
+    /// keeps the table at most 32 bytes per vertex at any `n`.
+    table: Vec<u16>,
+    /// Children as CSR: the children of `z`, in vertex order, are
+    /// `children[child_offsets[z]..child_offsets[z + 1]]`.
+    child_offsets: Vec<u32>,
+    children: Vec<VertexId>,
     /// The pivot sets as CSR: `χ(z)` is
     /// `pivots[pivot_offsets[z]..pivot_offsets[z + 1]]`, sorted.
-    pivot_offsets: Vec<usize>,
+    pivot_offsets: Vec<u32>,
     pivots: Vec<VertexId>,
 }
+
+/// The parent entry of the root.
+const NO_PARENT: u32 = u32::MAX;
+
+/// `⌊log₂ len⌋` for `len ≥ 1`.
+#[inline]
+fn floor_log2(len: usize) -> usize {
+    (usize::BITS - 1 - len.leading_zeros()) as usize
+}
+
+/// The depth table's top level: its ranges are `2^16` positions long.
+const TOP_LEVEL: usize = 16;
 
 /// Why a claimed tree decomposition is invalid.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -76,7 +103,7 @@ impl std::error::Error for DecompositionError {}
 
 impl TreeDecomposition {
     /// Assembles a decomposition from parent pointers (exactly one `None`,
-    /// the root) and computes depths, Euler intervals and pivot sets
+    /// the root) and computes its preorder, depth table and pivot sets
     /// against the underlying tree-network `T`.
     ///
     /// # Panics
@@ -86,7 +113,7 @@ impl TreeDecomposition {
     pub fn from_parents(tree: &Tree, parent: Vec<Option<VertexId>>) -> Self {
         let n = tree.len();
         assert_eq!(parent.len(), n, "one parent entry per vertex");
-        let mut children: Vec<Vec<VertexId>> = vec![Vec::new(); n];
+        let mut child_offsets = vec![0u32; n + 1];
         let mut root = None;
         for (v, entry) in parent.iter().enumerate() {
             match entry {
@@ -94,84 +121,204 @@ impl TreeDecomposition {
                     assert!(root.is_none(), "exactly one root expected");
                     root = Some(VertexId(v as u32));
                 }
-                Some(p) => children[p.index()].push(VertexId(v as u32)),
+                Some(p) => child_offsets[p.index() + 1] += 1,
             }
         }
         let root = root.expect("a root is required");
-
-        // Depth + Euler intervals by iterative DFS over H.
-        let mut depth = vec![0u32; n];
-        let mut tin = vec![0u32; n];
-        let mut tout = vec![0u32; n];
-        let mut timer = 0u32;
-        let mut visited = 0usize;
-        let mut stack: Vec<(VertexId, usize)> = vec![(root, 0)];
-        depth[root.index()] = 1;
-        tin[root.index()] = timer;
-        timer += 1;
-        visited += 1;
-        while let Some(&mut (u, ref mut cursor)) = stack.last_mut() {
-            if *cursor < children[u.index()].len() {
-                let c = children[u.index()][*cursor];
-                *cursor += 1;
-                depth[c.index()] = depth[u.index()] + 1;
-                tin[c.index()] = timer;
-                timer += 1;
-                visited += 1;
-                stack.push((c, 0));
-            } else {
-                tout[u.index()] = timer;
-                timer += 1;
-                stack.pop();
+        for z in 0..n {
+            child_offsets[z + 1] += child_offsets[z];
+        }
+        let mut children = vec![VertexId(0); n - 1];
+        let mut fill = child_offsets.clone();
+        for (v, entry) in parent.iter().enumerate() {
+            if let Some(p) = entry {
+                children[fill[p.index()] as usize] = VertexId(v as u32);
+                fill[p.index()] += 1;
             }
+        }
+        drop(fill);
+
+        // Preorder by iterative DFS over H, children in stored order.
+        let mut pre = vec![0u32; n];
+        let mut parent_at = vec![NO_PARENT; n];
+        let mut depth_at = vec![0u32; n];
+        let mut stack = Vec::with_capacity(n);
+        stack.push((root, 1u32));
+        let mut visited = 0usize;
+        while let Some((u, depth)) = stack.pop() {
+            pre[u.index()] = visited as u32;
+            parent_at[visited] = parent[u.index()].map_or(NO_PARENT, |p| p.0);
+            depth_at[visited] = depth;
+            visited += 1;
+            let kids =
+                &children[child_offsets[u.index()] as usize..child_offsets[u.index() + 1] as usize];
+            stack.extend(kids.iter().rev().map(|&c| (c, depth + 1)));
         }
         assert_eq!(
             visited, n,
             "parent pointers must reach every vertex (no cycles)"
         );
+        drop(parent);
 
         let mut decomposition = TreeDecomposition {
             root,
-            parent,
-            depth,
+            pre,
+            parent_at,
+            depth_at,
+            table: Vec::new(),
+            child_offsets,
             children,
-            tin,
-            tout,
             pivot_offsets: Vec::new(),
             pivots: Vec::new(),
         };
+        decomposition.build_table();
         decomposition.compute_pivots(tree);
         decomposition
+    }
+
+    /// Where level `k ≥ 1` of the depth table starts in `table`: level
+    /// `j` holds `n + 1 − 2^j` entries.
+    #[inline]
+    fn level_start(&self, k: usize) -> usize {
+        (k - 1) * (self.len() + 1) + 2 - (1 << k)
+    }
+
+    /// Fills the depth table's levels, each from the one below it.
+    fn build_table(&mut self) {
+        let n = self.len();
+        let levels = floor_log2(n).min(TOP_LEVEL);
+        let mut table = Vec::with_capacity(if levels == 0 {
+            0
+        } else {
+            self.level_start(levels + 1)
+        });
+        for k in 1..=levels {
+            let half = 1 << (k - 1);
+            let below = if k == 1 { 0 } else { self.level_start(k - 1) };
+            for i in 0..=n - (1 << k) {
+                let (a, b) = if k == 1 {
+                    (i, i + 1)
+                } else {
+                    let b = i + half;
+                    (i + table[below + i] as usize, b + table[below + b] as usize)
+                };
+                table.push((self.shallower(a, b) - i) as u16);
+            }
+        }
+        self.table = table;
+    }
+
+    /// The shallower of two positions, the first on a tie.
+    #[inline]
+    fn shallower(&self, a: usize, b: usize) -> usize {
+        if self.depth_at[b] < self.depth_at[a] {
+            b
+        } else {
+            a
+        }
+    }
+
+    /// The position of the shallowest vertex among `i..i + 2^k`, for
+    /// `1 ≤ k ≤ TOP_LEVEL`.
+    #[inline]
+    fn entry(&self, k: usize, i: usize) -> usize {
+        i + self.table[self.level_start(k) + i] as usize
+    }
+
+    /// The position of a shallowest vertex among positions `l..=r`: two
+    /// overlapping table ranges, or, past `2^17` positions, one table
+    /// range per `2^16` positions.
+    #[inline]
+    fn shallowest(&self, l: usize, r: usize) -> usize {
+        let k = floor_log2(r - l + 1);
+        if k == 0 {
+            return l;
+        }
+        if k <= TOP_LEVEL {
+            return self.shallower(self.entry(k, l), self.entry(k, r + 1 - (1 << k)));
+        }
+        let step = 1 << TOP_LEVEL;
+        let mut best = self.entry(TOP_LEVEL, l);
+        let mut i = l + step;
+        while i + step <= r + 1 {
+            best = self.shallower(best, self.entry(TOP_LEVEL, i));
+            i += step;
+        }
+        self.shallower(best, self.entry(TOP_LEVEL, r + 1 - step))
+    }
+
+    /// For `x ≠ y`, the position of a shallowest vertex strictly after
+    /// the earlier of the two in preorder, up to the later one. That
+    /// range holds a child of `LCA_H(x, y)` on the way to the later
+    /// one and nothing shallower, so every shallowest vertex in it is a
+    /// child of the LCA.
+    #[inline]
+    fn below_lca(&self, x: VertexId, y: VertexId) -> usize {
+        let (a, b) = (self.pre[x.index()] as usize, self.pre[y.index()] as usize);
+        if a < b {
+            self.shallowest(a + 1, b)
+        } else {
+            self.shallowest(b + 1, a)
+        }
     }
 
     /// Computes `χ(z) = Γ[C(z)]` for every node from the edges of `T`.
     /// An edge `(a, b)` leaves `C(z)` exactly for the nodes `z` on the
     /// `H`-path from `a` (or `b`) up to, not including, `LCA_H(a, b)`,
     /// and each such `z` gains the other end-point as a pivot. So the
-    /// cost is `O(Σ_z |χ(z)|)` plus one `H`-LCA per edge. (In a valid
-    /// decomposition `LCA_H(a, b)` is `a` or `b`.)
+    /// cost is `O(Σ_z |χ(z)|)`: one pass counts each node's pivots, a
+    /// second places them. (In a valid decomposition `LCA_H(a, b)` is
+    /// `a` or `b`.)
     fn compute_pivots(&mut self, tree: &Tree) {
-        let mut pairs: Vec<(VertexId, VertexId)> = Vec::new();
+        let n = tree.len();
+        let mut offsets = vec![0u32; n + 1];
+        self.for_each_leaving(tree, |z, _| offsets[z.index() + 1] += 1);
+        for z in 0..n {
+            offsets[z + 1] += offsets[z];
+        }
+        let mut pivots = vec![VertexId(0); offsets[n] as usize];
+        // Place each pivot at its node's cursor; the cursor of `z` ends
+        // where `z + 1` starts, so shifting the cursors restores the
+        // offsets.
+        self.for_each_leaving(tree, |z, u| {
+            pivots[offsets[z.index()] as usize] = u;
+            offsets[z.index()] += 1;
+        });
+        offsets.copy_within(0..n, 1);
+        offsets[0] = 0;
+        // Sort each set and drop repeats (only an invalid decomposition,
+        // with a disconnected C(z), meets an outside vertex twice).
+        let mut kept = 0;
+        for z in 0..n {
+            let (start, end) = (offsets[z] as usize, offsets[z + 1] as usize);
+            offsets[z] = kept as u32;
+            pivots[start..end].sort_unstable();
+            for i in start..end {
+                if i == start || pivots[i] != pivots[i - 1] {
+                    pivots[kept] = pivots[i];
+                    kept += 1;
+                }
+            }
+        }
+        offsets[n] = kept as u32;
+        pivots.truncate(kept);
+        self.pivot_offsets = offsets;
+        self.pivots = pivots;
+    }
+
+    /// Calls `f(z, outside)` once for every `T`-edge leaving `C(z)`
+    /// through `outside`.
+    fn for_each_leaving(&self, tree: &Tree, mut f: impl FnMut(VertexId, VertexId)) {
         for (_, (a, b)) in tree.edges() {
             let top = self.lca(a, b);
             for (inside, outside) in [(a, b), (b, a)] {
                 let mut z = inside;
                 while z != top {
-                    pairs.push((z, outside));
-                    z = self.parent[z.index()].expect("nodes below an LCA have a parent");
+                    f(z, outside);
+                    z = self.parent(z).expect("nodes below an LCA have a parent");
                 }
             }
         }
-        pairs.sort_unstable();
-        pairs.dedup();
-        self.pivot_offsets = vec![0; tree.len() + 1];
-        for &(z, _) in &pairs {
-            self.pivot_offsets[z.index() + 1] += 1;
-        }
-        for z in 0..tree.len() {
-            self.pivot_offsets[z + 1] += self.pivot_offsets[z];
-        }
-        self.pivots = pairs.into_iter().map(|(_, u)| u).collect();
     }
 
     /// The root `g` of `H`.
@@ -183,7 +330,7 @@ impl TreeDecomposition {
     /// Number of vertices.
     #[inline]
     pub fn len(&self) -> usize {
-        self.parent.len()
+        self.pre.len()
     }
 
     /// Always false (a decomposition covers at least one vertex).
@@ -195,31 +342,35 @@ impl TreeDecomposition {
     /// Parent of `z` in `H`, or `None` for the root.
     #[inline]
     pub fn parent(&self, z: VertexId) -> Option<VertexId> {
-        self.parent[z.index()]
+        let p = self.parent_at[self.pre[z.index()] as usize];
+        (p != NO_PARENT).then_some(VertexId(p))
     }
 
-    /// Children of `z` in `H`.
+    /// Children of `z` in `H`, in vertex order.
     #[inline]
     pub fn children(&self, z: VertexId) -> &[VertexId] {
-        &self.children[z.index()]
+        &self.children
+            [self.child_offsets[z.index()] as usize..self.child_offsets[z.index() + 1] as usize]
     }
 
     /// 1-based depth of `z` in `H` (the paper's convention; root = 1).
     #[inline]
     pub fn node_depth(&self, z: VertexId) -> u32 {
-        self.depth[z.index()]
+        self.depth_at[self.pre[z.index()] as usize]
     }
 
     /// Depth of the decomposition: `max_z node_depth(z)`.
     pub fn depth(&self) -> u32 {
-        self.depth.iter().copied().max().unwrap_or(0)
+        self.depth_at.iter().copied().max().unwrap_or(0)
     }
 
     /// Whether `x ∈ C(z)` (i.e. `x == z` or `x` is an `H`-descendant of
-    /// `z`); `O(1)` via Euler intervals.
+    /// `z`); `O(1)`: a descendant follows `z` in preorder, and nothing
+    /// from `z` up to it is as shallow as `z`.
     #[inline]
     pub fn in_component(&self, z: VertexId, x: VertexId) -> bool {
-        self.tin[z.index()] <= self.tin[x.index()] && self.tout[x.index()] <= self.tout[z.index()]
+        let (a, b) = (self.pre[z.index()] as usize, self.pre[x.index()] as usize);
+        a == b || (a < b && self.depth_at[self.shallowest(a + 1, b)] > self.depth_at[a])
     }
 
     /// The members of `C(z)` (`z` first, then descendants in DFS order).
@@ -228,7 +379,7 @@ impl TreeDecomposition {
         let mut stack = vec![z];
         while let Some(u) = stack.pop() {
             out.push(u);
-            stack.extend(self.children[u.index()].iter().copied());
+            stack.extend(self.children(u).iter().copied());
         }
         out
     }
@@ -236,28 +387,38 @@ impl TreeDecomposition {
     /// The pivot set `χ(z) = Γ[C(z)]`, sorted.
     #[inline]
     pub fn pivot(&self, z: VertexId) -> &[VertexId] {
-        &self.pivots[self.pivot_offsets[z.index()]..self.pivot_offsets[z.index() + 1]]
+        &self.pivots
+            [self.pivot_offsets[z.index()] as usize..self.pivot_offsets[z.index() + 1] as usize]
     }
 
     /// The pivot size `θ = max_z |χ(z)|`.
     pub fn pivot_size(&self) -> usize {
         self.pivot_offsets
             .windows(2)
-            .map(|w| w[1] - w[0])
+            .map(|w| (w[1] - w[0]) as usize)
             .max()
             .unwrap_or(0)
     }
 
-    /// `LCA_H(x, y)`: the first `H`-ancestor of `x` (itself included)
-    /// whose component holds `y`, found by climbing with the `O(1)`
-    /// Euler-interval test (decomposition depths are small — `O(log n)`
-    /// for balancing/ideal — so no lifting table is needed).
+    /// `LCA_H(x, y)` in `O(1)`: the parent of a shallowest vertex between
+    /// the two in preorder ([`TreeDecomposition::lca_depth`] is its
+    /// depth).
+    #[inline]
     pub fn lca(&self, x: VertexId, y: VertexId) -> VertexId {
-        let mut a = x;
-        while !self.in_component(a, y) {
-            a = self.parent[a.index()].expect("the root's component holds every node");
+        if x == y {
+            return x;
         }
-        a
+        VertexId(self.parent_at[self.below_lca(x, y)])
+    }
+
+    /// `node_depth(lca(x, y))` in `O(1)`, read off the depth table alone:
+    /// the capture depth of an instance routed between `x` and `y`.
+    #[inline]
+    pub fn lca_depth(&self, x: VertexId, y: VertexId) -> u32 {
+        if x == y {
+            return self.node_depth(x);
+        }
+        self.depth_at[self.below_lca(x, y)] - 1
     }
 
     /// Verifies both defining properties plus stored pivot sets against
@@ -269,7 +430,7 @@ impl TreeDecomposition {
     /// Returns the first violated property.
     pub fn verify(&self, tree: &Tree) -> Result<(), DecompositionError> {
         let n = tree.len();
-        if self.parent.iter().filter(|p| p.is_none()).count() != 1 {
+        if self.parent_at.iter().filter(|&&p| p == NO_PARENT).count() != 1 {
             return Err(DecompositionError::NotATree);
         }
         // Property (ii): C(z) connected, and stored pivots correct.

@@ -4,11 +4,14 @@
 //! pivot ≤ 2, depth within the Lemma 4.1 bound, and satisfies both
 //! defining properties — no sampling gaps on small cases.
 
+use rand::rngs::SmallRng;
+use rand::SeedableRng;
 use treenet_decomp::{
-    capture_node, critical_edges, ideal_depth_bound, ideal_with_stats, push_wings, Strategy,
+    capture_node, critical_edges, ideal_depth_bound, ideal_with_stats, push_wings, root_fixing,
+    Strategy, TreeDecomposition,
 };
-use treenet_graph::generators::prufer_to_tree;
-use treenet_graph::{RootedTree, VertexId};
+use treenet_graph::generators::{prufer_to_tree, random_tree};
+use treenet_graph::{RootedTree, Tree, VertexId};
 
 /// Iterates all Prüfer sequences of length `n - 2` over `n` labels.
 fn for_all_trees(n: usize, mut f: impl FnMut(treenet_graph::Tree)) {
@@ -145,4 +148,131 @@ fn capture_node_is_the_lca_on_all_trees_up_to_seven() {
             .map(|n| 3 * n.pow(n as u32 - 2) * n * n)
             .sum::<usize>()
     );
+}
+
+/// The depth of `x` in `H` by climbing to the root (the root has depth 1).
+fn climbed_depth(h: &TreeDecomposition, x: VertexId) -> u32 {
+    let (mut x, mut depth) = (x, 1);
+    while let Some(p) = h.parent(x) {
+        x = p;
+        depth += 1;
+    }
+    depth
+}
+
+/// `LCA_H(x, y)` by its definition: climb the deeper end to the other's
+/// depth, then both ends until they meet.
+fn climbed_lca(h: &TreeDecomposition, x: VertexId, y: VertexId) -> VertexId {
+    let (mut x, mut y) = (x, y);
+    let (mut dx, mut dy) = (climbed_depth(h, x), climbed_depth(h, y));
+    while dx > dy {
+        x = h.parent(x).unwrap();
+        dx -= 1;
+    }
+    while dy > dx {
+        y = h.parent(y).unwrap();
+        dy -= 1;
+    }
+    while x != y {
+        x = h.parent(x).unwrap();
+        y = h.parent(y).unwrap();
+    }
+    x
+}
+
+/// Checks the decomposition's `O(1)` queries (depth, LCA, LCA depth and
+/// `C(z)` membership) against climbing, for every `x` and each `y` of
+/// `partners`.
+fn assert_queries_match_climbing(
+    h: &TreeDecomposition,
+    tree: &Tree,
+    partners: &[VertexId],
+    label: &str,
+) {
+    for x in tree.vertices() {
+        assert_eq!(h.node_depth(x), climbed_depth(h, x), "{label}: depth {x}");
+        for &y in partners {
+            let lca = climbed_lca(h, x, y);
+            assert_eq!(h.lca(x, y), lca, "{label}: LCA_H({x}, {y})");
+            assert_eq!(h.lca_depth(x, y), climbed_depth(h, lca), "{label} {x} {y}");
+            assert_eq!(h.in_component(x, y), lca == x, "{label}: {y} ∈ C({x})");
+        }
+    }
+}
+
+#[test]
+fn table_queries_equal_climbing_on_all_trees_up_to_seven() {
+    let mut trees = 0usize;
+    for n in 3..=7usize {
+        for_all_trees(n, |tree| {
+            let all: Vec<VertexId> = tree.vertices().collect();
+            for strategy in Strategy::ALL {
+                let h = strategy.build(&tree);
+                assert_queries_match_climbing(&h, &tree, &all, strategy.name());
+            }
+            trees += 1;
+        });
+    }
+    assert_eq!(
+        trees,
+        (3..=7usize).map(|n| n.pow(n as u32 - 2)).sum::<usize>()
+    );
+}
+
+#[test]
+fn table_queries_equal_climbing_past_byte_depths() {
+    // Rooted at an end, a 300-vertex path has H-depths up to 300, past
+    // what a byte holds.
+    let path = Tree::line(300);
+    let h = root_fixing(&path, VertexId(0));
+    assert_eq!(h.depth(), 300);
+    let all: Vec<VertexId> = path.vertices().collect();
+    assert_queries_match_climbing(&h, &path, &all, "root-fixing path");
+    // A 2,000-vertex random tree under every strategy, each vertex
+    // against 61 partners spread over the labels.
+    let tree = random_tree(2000, &mut SmallRng::seed_from_u64(31));
+    let partners: Vec<VertexId> = (0..2000).step_by(33).map(VertexId).collect();
+    for strategy in Strategy::ALL {
+        let h = strategy.build(&tree);
+        assert_queries_match_climbing(&h, &tree, &partners, strategy.name());
+    }
+}
+
+#[test]
+fn table_queries_equal_climbing_past_the_top_table_level() {
+    // Past 2^17 vertices a long preorder range is read one 2^16-long
+    // table range at a time. A path rooted at m lists m, m − 1, …, 0 and
+    // then m + 1, …: between a vertex just below m and one near the far
+    // end, the shallowest vertex, m + 1, lies in neither the first nor
+    // the last range read.
+    let (n, m) = ((1u32 << 18) + (1 << 16), 1u32 << 17);
+    let path = Tree::line(n as usize);
+    let h = root_fixing(&path, VertexId(m));
+    let lca = |x: u32, y: u32| match (x <= m, y <= m) {
+        (true, true) => x.max(y),
+        (false, false) => x.min(y),
+        _ => m,
+    };
+    let samples: Vec<u32> = (0..n).step_by(2477).chain([m - 10, n - 1]).collect();
+    for &x in &samples {
+        for &y in &samples {
+            let (vx, vy) = (VertexId(x), VertexId(y));
+            let l = lca(x, y);
+            assert_eq!(h.lca(vx, vy), VertexId(l), "LCA_H({vx}, {vy})");
+            assert_eq!(h.lca_depth(vx, vy), l.abs_diff(m) + 1);
+            assert_eq!(h.in_component(vx, vy), l == x);
+        }
+    }
+    // And an ideal decomposition of a random tree that large, against
+    // climbing.
+    let tree = random_tree(150_000, &mut SmallRng::seed_from_u64(32));
+    let h = Strategy::Ideal.build(&tree);
+    let partners: Vec<VertexId> = (0..150_000).step_by(4999).map(VertexId).collect();
+    for x in (0..150_000).step_by(1013).map(VertexId) {
+        for &y in &partners {
+            let lca = climbed_lca(&h, x, y);
+            assert_eq!(h.lca(x, y), lca, "ideal: LCA_H({x}, {y})");
+            assert_eq!(h.lca_depth(x, y), climbed_depth(&h, lca));
+        }
+    }
 }

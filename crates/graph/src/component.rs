@@ -10,10 +10,10 @@
 //! * a **balancer** of `C` is a vertex `z ∈ C` whose removal splits the
 //!   induced subtree into components of size at most `⌊|C|/2⌋` (a centroid).
 //!
-//! Functions here take a scratch
-//! [`Membership`](crate::component::Membership) buffer, and the balancer
-//! and split routines a [`Scratch`](crate::component::Scratch), so that
-//! recursive decomposition code allocates its per-vertex arrays once.
+//! The checks here take a scratch
+//! [`Membership`](crate::component::Membership) buffer; balancers and
+//! splits run on a [`Splitter`](crate::component::Splitter), whose flat
+//! per-vertex arrays a recursive decomposition allocates once.
 
 use crate::{Tree, VertexId};
 
@@ -127,151 +127,241 @@ pub fn neighborhood(tree: &Tree, members: &[VertexId], membership: &Membership) 
     out
 }
 
-/// Per-vertex scratch for [`split_at`] and [`find_balancer`], sized to
-/// the tree once and passed down a recursive decomposition, so that a
-/// call on component `C` costs `O(|C|)` rather than allocating arrays
-/// sized to the whole tree.
-///
-/// Every entry a call reads is one it wrote earlier in the same call,
-/// so no call needs the arrays reset.
-#[derive(Clone, Debug)]
-pub struct Scratch {
-    /// The DFS parent of each vertex visited inside the current
-    /// component (a DFS root is its own parent).
-    parent: Vec<VertexId>,
-    /// Subtree sizes below each visited vertex, within the component.
-    size: Vec<u32>,
-    /// Visited vertices in DFS discovery order.
-    order: Vec<VertexId>,
-    stack: Vec<VertexId>,
+/// One component listed by a [`Splitter`]: a contiguous range of its
+/// order buffer, in DFS discovery order from the part's root, with a
+/// membership stamp of its own.
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
+pub struct Part {
+    lo: u32,
+    hi: u32,
+    stamp: u32,
 }
 
-impl Scratch {
-    /// Scratch for a tree with `n` vertices.
-    pub fn new(n: usize) -> Self {
-        Scratch {
-            parent: vec![VertexId(0); n],
-            size: vec![0; n],
-            order: Vec::new(),
-            stack: Vec::new(),
+impl Part {
+    /// Number of vertices in the part.
+    #[inline]
+    pub fn len(self) -> usize {
+        (self.hi - self.lo) as usize
+    }
+
+    /// Always false: a split never lists an empty part.
+    #[inline]
+    pub fn is_empty(self) -> bool {
+        self.hi == self.lo
+    }
+}
+
+/// The per-vertex state a [`Splitter`] keeps: the stamp of the part the
+/// vertex was last listed in, its DFS parent there and the size of its
+/// DFS subtree within that part.
+#[derive(Copy, Clone, Debug)]
+struct Slot {
+    stamp: u32,
+    parent: VertexId,
+    size: u32,
+}
+
+/// The vertex stamp of no pending part: a balancer, once split at.
+const RETIRED: u32 = 0;
+
+/// Flat scratch for recursive decompositions of one tree, sized to it
+/// once: every part lives in one order buffer, and one walk per part
+/// lists it, stamps its membership and sizes its DFS subtrees.
+///
+/// [`Splitter::whole`] lists the whole tree; [`Splitter::split`] removes
+/// a vertex from a part and lists each remaining piece over the part's
+/// own range of the buffer. Everything a part needs later — its members,
+/// membership, DFS parents and subtree sizes — stays valid until that
+/// part is itself split, so its balancer is one centroid descent
+/// ([`Splitter::balancer`]) with no second walk.
+///
+/// # Example
+///
+/// ```
+/// use treenet_graph::{Tree, VertexId};
+/// use treenet_graph::component::Splitter;
+///
+/// let tree = Tree::line(7);
+/// let (mut splitter, whole) = Splitter::whole(&tree, VertexId(0));
+/// let z = splitter.balancer(&tree, whole);
+/// assert_eq!(z, VertexId(3));
+/// let mut sizes = Vec::new();
+/// splitter.split(&tree, whole, z, |_, part| sizes.push(part.len()));
+/// assert_eq!(sizes, vec![3, 3]);
+/// ```
+#[derive(Clone, Debug)]
+pub struct Splitter {
+    slots: Vec<Slot>,
+    /// Every pending part's vertices, each part a contiguous range.
+    order: Vec<VertexId>,
+    stack: Vec<VertexId>,
+    /// The last stamp handed out.
+    stamps: u32,
+}
+
+impl Splitter {
+    /// Scratch for `tree` with the whole tree listed as one part, walked
+    /// from `root` (whose DFS parent is itself).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `root` is out of range.
+    pub fn whole(tree: &Tree, root: VertexId) -> (Self, Part) {
+        let n = tree.len();
+        assert!(
+            root.index() < n,
+            "root {root} out of range for {n} vertices"
+        );
+        let whole = RETIRED + 1;
+        let mut splitter = Splitter {
+            slots: vec![
+                Slot {
+                    stamp: whole,
+                    parent: root,
+                    size: 0,
+                };
+                n
+            ],
+            order: vec![VertexId(0); n],
+            stack: Vec::with_capacity(n),
+            stamps: whole,
+        };
+        let part = splitter.walk(tree, root, root, whole, 0);
+        (splitter, part)
+    }
+
+    /// The part's vertices in DFS discovery order.
+    #[inline]
+    pub fn members(&self, part: Part) -> &[VertexId] {
+        &self.order[part.lo as usize..part.hi as usize]
+    }
+
+    /// The vertex the part's walk started from.
+    #[inline]
+    pub fn root(&self, part: Part) -> VertexId {
+        self.order[part.lo as usize]
+    }
+
+    /// Whether `v` belongs to `part`, which must not have been split yet.
+    #[inline]
+    pub fn contains(&self, part: Part, v: VertexId) -> bool {
+        self.slots[v.index()].stamp == part.stamp
+    }
+
+    /// The DFS parent of `v` in the part it was last listed in. A part's
+    /// root has the vertex the part was split from (the whole tree's root
+    /// has itself).
+    #[inline]
+    pub fn parent(&self, v: VertexId) -> VertexId {
+        self.slots[v.index()].parent
+    }
+
+    /// A **balancer** (centroid) of `part`: a vertex whose removal leaves
+    /// pieces of at most `⌊|part|/2⌋` vertices. It descends from the
+    /// part's root towards the first (in adjacency order) side heavier
+    /// than half, reading the subtree sizes the part's walk recorded.
+    pub fn balancer(&self, tree: &Tree, part: Part) -> VertexId {
+        let half = (part.len() / 2) as u32;
+        let mut u = self.root(part);
+        'descend: loop {
+            let up = self.slots[u.index()].parent;
+            for &(v, _) in tree.neighbors(u) {
+                let slot = self.slots[v.index()];
+                if v != up && slot.stamp == part.stamp && slot.size > half {
+                    u = v;
+                    continue 'descend;
+                }
+            }
+            return u;
         }
     }
 
-    /// Visits the members reachable from `start` without passing `from`,
-    /// appending them to `out` in DFS discovery order. Inside a tree a
-    /// visited vertex's only visited neighbour is its DFS parent, so
-    /// skipping the parent is all the "seen" test the walk needs.
-    fn walk(
+    /// Removes `z` from `part` and lists each connected piece of the
+    /// rest over the part's own range, in the order `z`'s incident edges
+    /// are stored, each walked from `z`'s neighbor in it. `each` sees
+    /// every piece as soon as it is listed.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `z` is not in `part`.
+    pub fn split(
         &mut self,
         tree: &Tree,
-        membership: &Membership,
-        start: VertexId,
-        from: VertexId,
-        out: &mut Vec<VertexId>,
+        part: Part,
+        z: VertexId,
+        mut each: impl FnMut(&Self, Part),
     ) {
-        self.parent[start.index()] = from;
+        assert!(
+            self.contains(part, z),
+            "split vertex {z} must belong to the component"
+        );
+        self.slots[z.index()].stamp = RETIRED;
+        let mut at = part.lo;
+        for &(start, _) in tree.neighbors(z) {
+            if self.slots[start.index()].stamp == part.stamp {
+                let piece = self.walk(tree, start, z, part.stamp, at);
+                at = piece.hi;
+                each(self, piece);
+            }
+        }
+    }
+
+    /// Where the DFS paths from `a` and from `b` to their part's root
+    /// meet: the median of `a`, `b` and the root. Both must lie in one
+    /// part that has not been split yet. A vertex's subtree is larger
+    /// than any of its descendants', so the climb always moves the end
+    /// with the smaller subtree, which cannot be the meeting point.
+    pub fn meet(&self, mut a: VertexId, mut b: VertexId) -> VertexId {
+        while a != b {
+            let (sa, sb) = (self.slots[a.index()], self.slots[b.index()]);
+            if sa.size < sb.size {
+                a = sa.parent;
+            } else {
+                b = sb.parent;
+            }
+        }
+        a
+    }
+
+    /// Lists the vertices stamped `within` reachable from `start` without
+    /// passing `from`, at `order[at..]` in DFS discovery order, stamps
+    /// them with a fresh stamp and sizes their subtrees. Inside a tree a
+    /// vertex is first met from its DFS parent, and restamping it marks
+    /// it seen.
+    fn walk(&mut self, tree: &Tree, start: VertexId, from: VertexId, within: u32, at: u32) -> Part {
+        self.stamps += 1;
+        let stamp = self.stamps;
+        self.slots[start.index()] = Slot {
+            stamp,
+            parent: from,
+            size: 1,
+        };
         self.stack.push(start);
+        let mut end = at as usize;
         while let Some(u) = self.stack.pop() {
-            out.push(u);
-            let up = self.parent[u.index()];
+            self.order[end] = u;
+            end += 1;
             for &(v, _) in tree.neighbors(u) {
-                if v != up && membership.contains(v) {
-                    self.parent[v.index()] = u;
+                if self.slots[v.index()].stamp == within {
+                    self.slots[v.index()] = Slot {
+                        stamp,
+                        parent: u,
+                        size: 1,
+                    };
                     self.stack.push(v);
                 }
             }
         }
-    }
-}
-
-/// Splits component `C` by removing `z ∈ C`: returns the vertex sets of the
-/// connected components of the induced subtree on `C \ {z}`.
-///
-/// `membership` must have exactly `members` marked. Components are returned
-/// in the order `z`'s incident edges are stored; each component is in
-/// DFS-discovery order.
-///
-/// # Panics
-///
-/// Panics if `z` is not marked in `membership`.
-pub fn split_at(
-    tree: &Tree,
-    members: &[VertexId],
-    membership: &Membership,
-    z: VertexId,
-    scratch: &mut Scratch,
-) -> Vec<Vec<VertexId>> {
-    assert!(
-        membership.contains(z),
-        "split vertex {z} must belong to the component"
-    );
-    let _ = members;
-    tree.neighbors(z)
-        .iter()
-        .filter(|&&(start, _)| membership.contains(start))
-        .map(|&(start, _)| {
-            let mut comp = Vec::new();
-            scratch.walk(tree, membership, start, z, &mut comp);
-            comp
-        })
-        .collect()
-}
-
-/// Finds a **balancer** (centroid) of the component `C`: a vertex whose
-/// removal leaves pieces of size at most `⌊|C|/2⌋`.
-///
-/// Every component contains a balancer (observation in Section 4.2 of the
-/// paper). `membership` must have exactly `members` marked. Runs in
-/// `O(|C|)`.
-///
-/// # Panics
-///
-/// Panics if `members` is empty.
-pub fn find_balancer(
-    tree: &Tree,
-    members: &[VertexId],
-    membership: &Membership,
-    scratch: &mut Scratch,
-) -> VertexId {
-    assert!(
-        !members.is_empty(),
-        "cannot find a balancer of an empty component"
-    );
-    let total = members.len();
-    if total == 1 {
-        return members[0];
-    }
-    // DFS from members[0] computing subtree sizes restricted to C, then
-    // descend towards the heaviest side until no side exceeds total/2.
-    let root = members[0];
-    let mut order = std::mem::take(&mut scratch.order);
-    order.clear();
-    scratch.walk(tree, membership, root, root, &mut order);
-    debug_assert_eq!(
-        order.len(),
-        total,
-        "members must form a connected component"
-    );
-    for &u in &order {
-        scratch.size[u.index()] = 1;
-    }
-    for &u in order[1..].iter().rev() {
-        let p = scratch.parent[u.index()];
-        scratch.size[p.index()] += scratch.size[u.index()];
-    }
-    scratch.order = order;
-    // Walk from the root to the centroid.
-    let half = (total / 2) as u32;
-    let mut u = root;
-    'walk: loop {
-        let up = scratch.parent[u.index()];
-        for &(v, _) in tree.neighbors(u) {
-            if v != up && membership.contains(v) && scratch.size[v.index()] > half {
-                u = v;
-                continue 'walk;
-            }
+        for i in (at as usize + 1..end).rev() {
+            let u = self.order[i];
+            let Slot { parent, size, .. } = self.slots[u.index()];
+            self.slots[parent.index()].size += size;
         }
-        return u;
+        Part {
+            lo: at,
+            hi: end as u32,
+            stamp,
+        }
     }
 }
 
@@ -284,9 +374,26 @@ pub fn is_balancer(
     z: VertexId,
 ) -> bool {
     let half = members.len() / 2;
-    split_at(tree, members, membership, z, &mut Scratch::new(tree.len()))
+    let mut seen = vec![false; tree.len()];
+    seen[z.index()] = true;
+    tree.neighbors(z)
         .iter()
-        .all(|c| c.len() <= half)
+        .filter(|&&(start, _)| membership.contains(start))
+        .all(|&(start, _)| {
+            let mut stack = vec![start];
+            seen[start.index()] = true;
+            let mut count = 0;
+            while let Some(u) = stack.pop() {
+                count += 1;
+                for &(v, _) in tree.neighbors(u) {
+                    if membership.contains(v) && !seen[v.index()] {
+                        seen[v.index()] = true;
+                        stack.push(v);
+                    }
+                }
+            }
+            count <= half
+        })
 }
 
 #[cfg(test)]
@@ -337,13 +444,42 @@ mod tests {
         assert!(neighborhood(&t, &full, &m).is_empty());
     }
 
+    /// The pieces `split` lists when `whole` (walked from `root`) is
+    /// split at `z`.
+    fn split_whole(t: &Tree, root: u32, z: u32) -> Vec<Vec<VertexId>> {
+        let (mut s, whole) = Splitter::whole(t, VertexId(root));
+        let mut parts = Vec::new();
+        s.split(t, whole, VertexId(z), |s, part| {
+            parts.push(s.members(part).to_vec())
+        });
+        parts
+    }
+
+    /// The balancer of the component `comp` of the line `0 - … - n-1`,
+    /// cut out of the whole line by splitting at its outside neighbours.
+    fn line_balancer(n: usize, comp: std::ops::Range<u32>) -> VertexId {
+        let t = Tree::line(n);
+        let (mut s, mut part) = Splitter::whole(&t, VertexId(0));
+        for cut in [comp.start.checked_sub(1), Some(comp.end)] {
+            let Some(cut) = cut.filter(|&c| (c as usize) < n) else {
+                continue;
+            };
+            let mut kept = None;
+            s.split(&t, part, VertexId(cut), |s, p| {
+                if s.contains(p, VertexId(comp.start)) {
+                    kept = Some(p);
+                }
+            });
+            part = kept.unwrap();
+        }
+        assert_eq!(part.len(), comp.len());
+        s.balancer(&t, part)
+    }
+
     #[test]
     fn split_line_in_the_middle() {
         let t = Tree::line(7);
-        let mut m = Membership::new(7);
-        let comp = all(7);
-        m.mark(&comp);
-        let mut parts = split_at(&t, &comp, &m, VertexId(3), &mut Scratch::new(t.len()));
+        let mut parts = split_whole(&t, 0, 3);
         parts.iter_mut().for_each(|p| p.sort_unstable());
         parts.sort();
         assert_eq!(
@@ -358,10 +494,7 @@ mod tests {
     #[test]
     fn split_star_center() {
         let t = Tree::from_edges(4, &[(0, 1), (0, 2), (0, 3)]).unwrap();
-        let mut m = Membership::new(4);
-        let comp = all(4);
-        m.mark(&comp);
-        let parts = split_at(&t, &comp, &m, VertexId(0), &mut Scratch::new(t.len()));
+        let parts = split_whole(&t, 0, 0);
         assert_eq!(parts.len(), 3);
         assert!(parts.iter().all(|p| p.len() == 1));
     }
@@ -370,10 +503,10 @@ mod tests {
     #[should_panic(expected = "must belong")]
     fn split_requires_member() {
         let t = Tree::line(3);
-        let mut m = Membership::new(3);
-        let comp = vec![VertexId(0), VertexId(1)];
-        m.mark(&comp);
-        let _ = split_at(&t, &comp, &m, VertexId(2), &mut Scratch::new(t.len()));
+        let (mut s, whole) = Splitter::whole(&t, VertexId(0));
+        let mut pieces = Vec::new();
+        s.split(&t, whole, VertexId(2), |_, p| pieces.push(p));
+        s.split(&t, pieces[0], VertexId(2), |_, _| {});
     }
 
     #[test]
@@ -382,7 +515,8 @@ mod tests {
         let mut m = Membership::new(9);
         let comp = all(9);
         m.mark(&comp);
-        let z = find_balancer(&t, &comp, &m, &mut Scratch::new(t.len()));
+        let (s, whole) = Splitter::whole(&t, VertexId(0));
+        let z = s.balancer(&t, whole);
         assert!(is_balancer(&t, &comp, &m, z));
         assert_eq!(z, VertexId(4));
         // The end vertex is not a balancer.
@@ -392,13 +526,10 @@ mod tests {
     #[test]
     fn balancer_of_star_is_center() {
         let t = Tree::from_edges(6, &[(0, 1), (0, 2), (0, 3), (0, 4), (0, 5)]).unwrap();
-        let mut m = Membership::new(6);
-        let comp = all(6);
-        m.mark(&comp);
-        assert_eq!(
-            find_balancer(&t, &comp, &m, &mut Scratch::new(t.len())),
-            VertexId(0)
-        );
+        for root in 0..6 {
+            let (s, whole) = Splitter::whole(&t, VertexId(root));
+            assert_eq!(s.balancer(&t, whole), VertexId(0));
+        }
     }
 
     #[test]
@@ -408,7 +539,7 @@ mod tests {
         let mut m = Membership::new(10);
         let comp: Vec<VertexId> = (3..8).map(VertexId).collect();
         m.mark(&comp);
-        let z = find_balancer(&t, &comp, &m, &mut Scratch::new(t.len()));
+        let z = line_balancer(10, 3..8);
         assert!(is_balancer(&t, &comp, &m, z));
         assert_eq!(z, VertexId(5));
     }
@@ -419,10 +550,7 @@ mod tests {
         let mut m = Membership::new(3);
         let comp = vec![VertexId(1)];
         m.mark(&comp);
-        assert_eq!(
-            find_balancer(&t, &comp, &m, &mut Scratch::new(t.len())),
-            VertexId(1)
-        );
+        assert_eq!(line_balancer(3, 1..2), VertexId(1));
         assert!(is_balancer(&t, &comp, &m, VertexId(1)));
     }
 
@@ -433,7 +561,24 @@ mod tests {
         let mut m = Membership::new(7);
         let full = all(7);
         m.mark(&full);
-        let z = find_balancer(&t, &full, &m, &mut Scratch::new(t.len()));
-        assert!(is_balancer(&t, &full, &m, z));
+        for root in t.vertices() {
+            let (s, whole) = Splitter::whole(&t, root);
+            assert_eq!(s.members(whole).len(), 7);
+            assert!(is_balancer(&t, &full, &m, s.balancer(&t, whole)));
+        }
+    }
+
+    #[test]
+    fn meet_is_the_median_with_the_root() {
+        // The caterpillar 0-1-2-3 with legs 1-4, 2-5, 3-6, walked from 0.
+        let t = Tree::from_edges(7, &[(0, 1), (1, 2), (2, 3), (1, 4), (2, 5), (3, 6)]).unwrap();
+        let (s, _) = Splitter::whole(&t, VertexId(0));
+        assert_eq!(s.meet(VertexId(5), VertexId(6)), VertexId(2));
+        assert_eq!(s.meet(VertexId(4), VertexId(6)), VertexId(1));
+        assert_eq!(s.meet(VertexId(3), VertexId(6)), VertexId(3));
+        assert_eq!(s.meet(VertexId(0), VertexId(6)), VertexId(0));
+        assert_eq!(s.meet(VertexId(5), VertexId(5)), VertexId(5));
+        assert_eq!(s.parent(VertexId(6)), VertexId(3));
+        assert_eq!(s.parent(VertexId(0)), VertexId(0));
     }
 }

@@ -3,9 +3,7 @@
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
-use treenet_graph::component::{
-    find_balancer, is_balancer, is_component, neighborhood, split_at, Membership, Scratch,
-};
+use treenet_graph::component::{is_balancer, is_component, neighborhood, Membership, Splitter};
 use treenet_graph::generators::{prufer_to_tree, random_tree, TreeFamily};
 use treenet_graph::{RootedTree, VertexId};
 
@@ -81,8 +79,8 @@ proptest! {
         prop_assert!(r.path(a, c).contains_vertex(m));
     }
 
-    /// Balancers found by `find_balancer` satisfy the definition, and
-    /// splitting at them partitions the component.
+    /// Balancers found by `Splitter::balancer` satisfy the definition,
+    /// and splitting at them partitions the component.
     #[test]
     fn balancer_definition_holds(seed in 0u64..500, n in 3usize..50) {
         let mut rng = SmallRng::seed_from_u64(seed);
@@ -91,10 +89,11 @@ proptest! {
         let mut membership = Membership::new(n);
         membership.mark(&members);
         prop_assert!(is_component(&tree, &members, &membership));
-        let mut scratch = Scratch::new(n);
-        let z = find_balancer(&tree, &members, &membership, &mut scratch);
+        let (mut splitter, whole) = Splitter::whole(&tree, VertexId(0));
+        let z = splitter.balancer(&tree, whole);
         prop_assert!(is_balancer(&tree, &members, &membership, z));
-        let parts = split_at(&tree, &members, &membership, z, &mut scratch);
+        let mut parts = Vec::new();
+        splitter.split(&tree, whole, z, |s, part| parts.push(s.members(part).to_vec()));
         let total: usize = parts.iter().map(Vec::len).sum();
         prop_assert_eq!(total, n - 1);
         for part in &parts {

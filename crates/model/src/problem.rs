@@ -292,6 +292,12 @@ pub enum ModelError {
         /// The most networks a problem holds.
         limit: usize,
     },
+    /// A generated network would have fewer than two vertices (a line
+    /// fewer than one timeslot): it would have no edge to route along.
+    TooFewVertices {
+        /// The vertex count asked for.
+        vertices: usize,
+    },
     /// A window demand could start at a slot its instances' canonical
     /// keys cannot hold: they pack a start in 20 bits.
     WindowStartOutOfRange {
@@ -353,6 +359,10 @@ impl fmt::Display for ModelError {
             ModelError::TooManyNetworks { limit } => {
                 write!(f, "a problem holds at most {limit} networks")
             }
+            ModelError::TooFewVertices { vertices } => write!(
+                f,
+                "a network needs at least 2 vertices (a line at least 1 timeslot), got {vertices}"
+            ),
             ModelError::WindowStartOutOfRange {
                 demand,
                 start,

@@ -148,14 +148,16 @@ impl TreeWorkload {
     ///
     /// # Errors
     ///
+    /// [`ModelError::TooFewVertices`] below two vertices,
+    /// [`ModelError::NoNetworks`] for zero networks per pod and
     /// [`ModelError::TooManyNetworks`] past 4,096 networks.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the configuration is degenerate (`n < 2`, `r == 0`).
     pub fn try_generate<R: Rng>(&self, rng: &mut R) -> Result<Problem, ModelError> {
-        assert!(self.n >= 2, "need at least two vertices");
-        assert!(self.r >= 1, "need at least one network");
+        if self.n < 2 {
+            return Err(ModelError::TooFewVertices { vertices: self.n });
+        }
+        if self.r == 0 {
+            return Err(ModelError::NoNetworks);
+        }
         let pods = self.pods.max(1);
         let mut builder = ProblemBuilder::new();
         let mut nets = Vec::with_capacity(pods * self.r);
@@ -341,17 +343,22 @@ impl LineWorkload {
     ///
     /// # Errors
     ///
+    /// [`ModelError::TooFewVertices`] for zero timeslots,
+    /// [`ModelError::NoNetworks`] for zero lines per pod,
     /// [`ModelError::TooManyNetworks`] past 4,096 lines, and
     /// [`ModelError::WindowStartOutOfRange`] for a window that could
     /// start at timeslot 2^20 or later.
     ///
     /// # Panics
     ///
-    /// Panics on degenerate configurations (`slots == 0`, `r == 0`,
-    /// empty length range).
+    /// Panics on an empty or oversized length range.
     pub fn try_generate<R: Rng>(&self, rng: &mut R) -> Result<Problem, ModelError> {
-        assert!(self.slots >= 1);
-        assert!(self.r >= 1);
+        if self.slots == 0 {
+            return Err(ModelError::TooFewVertices { vertices: 1 });
+        }
+        if self.r == 0 {
+            return Err(ModelError::NoNetworks);
+        }
         let (lo, hi) = self.len_range;
         assert!(
             lo >= 1 && lo <= hi && hi as usize <= self.slots,
@@ -511,5 +518,44 @@ mod tests {
         let b = cfg.generate(&mut SmallRng::seed_from_u64(9));
         assert_eq!(a.instance_count(), b.instance_count());
         assert_eq!(a.profit_bounds(), b.profit_bounds());
+    }
+
+    #[test]
+    fn degenerate_sizes_are_refused() {
+        let rng = &mut SmallRng::seed_from_u64(10);
+        for n in [0, 1] {
+            assert_eq!(
+                TreeWorkload::new(n, 4).try_generate(rng).unwrap_err(),
+                ModelError::TooFewVertices { vertices: n }
+            );
+        }
+        assert_eq!(
+            TreeWorkload::new(8, 4)
+                .with_networks(0)
+                .try_generate(rng)
+                .unwrap_err(),
+            ModelError::NoNetworks
+        );
+        assert_eq!(
+            LineWorkload::new(0, 4)
+                .with_len_range(1, 1)
+                .try_generate(rng)
+                .unwrap_err(),
+            ModelError::TooFewVertices { vertices: 1 }
+        );
+        assert_eq!(
+            LineWorkload::new(8, 4)
+                .with_resources(0)
+                .try_generate(rng)
+                .unwrap_err(),
+            ModelError::NoNetworks
+        );
+        assert!(ModelError::TooFewVertices { vertices: 1 }
+            .to_string()
+            .contains("at least 2 vertices"));
+        // The smallest sizes still generate.
+        assert_eq!(TreeWorkload::new(2, 3).generate(rng).vertex_count(), 2);
+        let line = LineWorkload::new(1, 3).with_len_range(1, 1).generate(rng);
+        assert_eq!(line.vertex_count(), 2);
     }
 }
